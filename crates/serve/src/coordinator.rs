@@ -259,6 +259,7 @@ impl Coordinator {
                 });
             }
             loop {
+                let seen = board.changes();
                 if board.finished() {
                     break;
                 }
@@ -310,7 +311,7 @@ impl Coordinator {
                         }
                     }
                 }
-                board.wait_for_change(POLL);
+                board.wait_for_change(seen, POLL);
             }
             board.abort();
         });

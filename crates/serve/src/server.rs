@@ -3,10 +3,14 @@
 //!
 //! Threading model: one acceptor (the caller of [`Server::run`]), one
 //! thread per live connection, and the [`Admission`] worker pool where
-//! enumeration actually runs. Connection threads never enumerate — they
-//! poll their socket with a short read timeout, which is what keeps a
-//! connection responsive to pipelined `CANCEL` frames while its query is
-//! executing on a worker.
+//! enumeration actually runs. Connection threads never enumerate. While
+//! a query runs on a worker, its connection thread blocks on the job's
+//! result channel, so the reply is written the moment the worker hands
+//! the result over. Between waits of one [`ServerConfig::poll_interval`]
+//! it checks its socket without blocking, which keeps the connection
+//! responsive to pipelined `CANCEL`/`SHUTDOWN` frames and disconnects.
+//! An idle connection reads its socket with that interval as the read
+//! timeout.
 //!
 //! Shutdown ordering (`SHUTDOWN` request or [`ServerHandle::shutdown`]):
 //! the flag flips once, every registered in-flight [`RunControl`] is
@@ -22,7 +26,7 @@ use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, TryRecvError};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -86,8 +90,11 @@ pub struct ServerConfig {
     /// [`MetricsSnapshot`] (the scrape-friendly view of the `METRICS`
     /// wire request).
     pub metrics_addr: Option<SocketAddr>,
-    /// Socket read timeout: the cadence at which connection threads
-    /// notice cancellation, shutdown, and idle timeouts.
+    /// The cadence at which connection threads notice pipelined
+    /// `CANCEL`/`SHUTDOWN` frames, disconnects, shutdown, and idle
+    /// timeouts: the idle socket's read timeout, and the longest a thread
+    /// waits on a running query's result before it checks its socket.
+    /// Replies do not wait for it: a finished query is answered at once.
     pub poll_interval: Duration,
     /// When set, this server runs coordinator mode: shardable queries
     /// are split and fanned out to the configured workers (see
@@ -1056,12 +1063,15 @@ fn reject(shared: &Shared, err: SubmitError) -> Response {
     }
 }
 
-/// Blocks until the admitted job answers on `rx`, keeping the socket
-/// serviced so pipelined `CANCEL`/`SHUTDOWN` frames still work while the
-/// job runs. Returns `None` when the client vanished (the work is
-/// cancelled and there is no one to answer); otherwise the job's result
-/// (`None` inside when the worker died without reporting) plus any
-/// responses to append after the query's own.
+/// Blocks on `rx` until the admitted job answers, so a finished result
+/// wakes this thread at once. Between waits of one
+/// [`ServerConfig::poll_interval`] it checks the socket without blocking
+/// and reads a frame only when a byte or EOF is waiting: pipelined
+/// `CANCEL`/`SHUTDOWN` frames and client disconnects are noticed within
+/// one interval while the job runs. Returns `None` when the client
+/// vanished (the work is cancelled and there is no one to answer);
+/// otherwise the job's result (`None` inside when the worker died without
+/// reporting) plus any responses to append after the query's own.
 fn wait_for_result<T>(
     shared: &Arc<Shared>,
     stream: &mut TcpStream,
@@ -1070,10 +1080,18 @@ fn wait_for_result<T>(
 ) -> Option<(Option<T>, Vec<Response>)> {
     let mut pipelined: Vec<Response> = Vec::new();
     loop {
-        match rx.try_recv() {
+        match rx.recv_timeout(shared.cfg.poll_interval) {
             Ok(result) => return Some((Some(result), pipelined)),
-            Err(TryRecvError::Disconnected) => return Some((None, pipelined)),
-            Err(TryRecvError::Empty) => {}
+            Err(RecvTimeoutError::Disconnected) => return Some((None, pipelined)),
+            Err(RecvTimeoutError::Timeout) => {}
+        }
+        match input_waiting(stream) {
+            Ok(true) => {}
+            Ok(false) => continue,
+            Err(_) => {
+                control.cancel();
+                return None;
+            }
         }
         match read_frame(stream, shared.cfg.max_frame_bytes, FRAME_PATIENCE) {
             Ok(ReadOutcome::Idle) => {}
@@ -1102,6 +1120,22 @@ fn wait_for_result<T>(
                 return None;
             }
         }
+    }
+}
+
+/// `true` when a byte or EOF is waiting on `stream`. Peeks one byte in
+/// non-blocking mode, then restores blocking mode (the read timeout set
+/// by [`handle_conn`] is kept).
+fn input_waiting(stream: &TcpStream) -> io::Result<bool> {
+    stream.set_nonblocking(true)?;
+    let peeked = stream.peek(&mut [0u8; 1]);
+    stream.set_nonblocking(false)?;
+    match peeked {
+        Ok(_) => Ok(true),
+        Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted) => {
+            Ok(false)
+        }
+        Err(e) => Err(e),
     }
 }
 

@@ -72,6 +72,9 @@ struct BoardState {
     counters: BoardCounters,
     /// Wall-clock of accepted completions, for the straggler threshold.
     durations: Vec<Duration>,
+    /// Bumped with every wake-up, so the main loop can tell whether the
+    /// board moved since it last looked (see [`ShardBoard::changes`]).
+    changes: u64,
 }
 
 /// What became of a failed attempt.
@@ -120,6 +123,7 @@ impl ShardBoard {
                 emitted: 0,
                 counters: BoardCounters::default(),
                 durations: Vec::new(),
+                changes: 0,
             }),
             cv: Condvar::new(),
             max_attempts: max_attempts.max(1),
@@ -128,6 +132,12 @@ impl ShardBoard {
 
     fn lock(&self) -> MutexGuard<'_, BoardState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Records a change and wakes every waiter. Called under the lock.
+    fn notify(&self, st: &mut BoardState) {
+        st.changes += 1;
+        self.cv.notify_all();
     }
 
     pub(crate) fn shard_count(&self) -> usize {
@@ -206,7 +216,7 @@ impl ShardBoard {
             // shard must not trip the degraded fallback.
             st.stranded.retain(|&i| i != idx);
         }
-        self.cv.notify_all();
+        self.notify(&mut st);
         accepted
     }
 
@@ -227,7 +237,7 @@ impl ShardBoard {
         let slot = &mut st.slots[idx];
         slot.running = slot.running.saturating_sub(1);
         if slot.done || slot.epoch != epoch {
-            self.cv.notify_all();
+            self.notify(&mut st);
             return false;
         }
         slot.partial.extend(partial);
@@ -240,7 +250,7 @@ impl ShardBoard {
         // The shard is pending again with an advanced checkpoint — it is
         // no longer waiting on the fallback ladder.
         st.stranded.retain(|&i| i != idx);
-        self.cv.notify_all();
+        self.notify(&mut st);
         true
     }
 
@@ -277,14 +287,15 @@ impl ShardBoard {
                 bump_fail_counter(&mut st.counters, lost_mid_run);
             }
         }
-        self.cv.notify_all();
+        self.notify(&mut st);
         disposition
     }
 
     /// Aborts the board: `next` returns `None` and driver threads drain.
     pub(crate) fn abort(&self) {
-        self.lock().aborted = true;
-        self.cv.notify_all();
+        let mut st = self.lock();
+        st.aborted = true;
+        self.notify(&mut st);
     }
 
     pub(crate) fn is_aborted(&self) -> bool {
@@ -301,11 +312,19 @@ impl ShardBoard {
         !self.lock().stranded.is_empty()
     }
 
+    /// The change counter: read it before inspecting the board, then
+    /// hand it to [`ShardBoard::wait_for_change`].
+    pub(crate) fn changes(&self) -> u64 {
+        self.lock().changes
+    }
+
     /// Waits up to `dur` for board activity (a completion, failure, or
-    /// abort) — the main loop's pacing primitive.
-    pub(crate) fn wait_for_change(&self, dur: Duration) {
+    /// abort) after the counter read `seen` — the main loop's pacing
+    /// primitive. Returns at once if the board already moved, so a change
+    /// that lands between the caller's checks and this wait is not lost.
+    pub(crate) fn wait_for_change(&self, seen: u64, dur: Duration) {
         let st = self.lock();
-        let _ = self.cv.wait_timeout(st, dur);
+        let _ = self.cv.wait_timeout_while(st, dur, |st| st.changes == seen);
     }
 
     /// Claims every not-yet-done shard for local execution: bumps epochs
@@ -335,7 +354,7 @@ impl ShardBoard {
         }
         st.ready.clear();
         st.stranded.clear();
-        self.cv.notify_all();
+        self.notify(&mut st);
         Some((checkpoints, partials, partial_emitted))
     }
 
@@ -386,7 +405,7 @@ impl ShardBoard {
             }
         }
         if !launched.is_empty() {
-            self.cv.notify_all();
+            self.notify(&mut st);
         }
         launched
     }
@@ -540,6 +559,21 @@ mod tests {
         assert!(board.has_stranded());
         assert!(board.resteal(i, e, c, vec![b(1, 1)], 1));
         assert!(!board.has_stranded(), "a re-queued shard is pending, not stranded");
+    }
+
+    #[test]
+    fn wait_for_change_sees_a_change_made_before_it_waits() {
+        let board = ShardBoard::new(shards(1), 4);
+        let (i, e, t, _c) = board.next().unwrap();
+        let seen = board.changes();
+        assert!(board.complete(i, e, t, vec![b(0, 0)], 1));
+        let waited = Instant::now();
+        board.wait_for_change(seen, Duration::from_secs(5));
+        assert!(
+            waited.elapsed() < Duration::from_secs(1),
+            "a completion before the wait must not be slept through, waited {:?}",
+            waited.elapsed()
+        );
     }
 
     #[test]

@@ -8,19 +8,25 @@
 //! (c) a query past the admission queue bound gets the typed busy
 //!     response instead of blocking;
 //! (d) `SHUTDOWN` during a long query returns a checkpoint-bearing
-//!     cancelled reply and the server exits cleanly.
+//!     cancelled reply and the server exits cleanly;
+//! (e) a finished query is answered at once, not at the connection's
+//!     next socket poll, and a client that disconnects mid-query still
+//!     cancels its run.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use bigraph::order::VertexOrder;
 use bigraph::BipartiteGraph;
-use mbe::checkpoint::graph_fingerprint;
+use mbe::checkpoint::{graph_fingerprint, initial_checkpoint};
 use mbe::service::QueryParams;
-use mbe::{Biclique, Checkpoint, Enumeration, StopReason};
+use mbe::{Biclique, Checkpoint, Enumeration, MbeOptions, StopReason};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serve::{Client, QueryRequest, ServeError, Server, ServerConfig, ServerHandle, ServerSummary};
+use serve::{
+    Client, QueryRequest, Request, ServeError, Server, ServerConfig, ServerHandle, ServerSummary,
+    ShardRequest,
+};
 
 /// Crown graph S(n) — K(n,n) minus a perfect matching — with 2^n − 2
 /// maximal bicliques: a deterministically long-running query.
@@ -311,6 +317,120 @@ fn canceller_stops_own_inflight_query() {
     // The connection (and server) survive a cancelled query.
     let mut probe = Client::connect(addr).unwrap();
     assert_eq!(probe.stats().unwrap().queries, 1);
+    handle.shutdown();
+    join.join();
+}
+
+/// (e): replies do not wait for the poll. With a 2 s poll interval, a
+/// count-only query, a collect query and a `QUERY_SHARD` each come back
+/// well inside one interval, and the connection then serves another query.
+#[test]
+fn finished_queries_are_answered_without_waiting_for_the_poll() {
+    // 4094 bicliques: a few milliseconds of work, so the result is never
+    // ready by the time the connection thread starts waiting for it.
+    let g = crown(12);
+    let expected = sorted(Enumeration::new(&g).collect().unwrap().bicliques);
+    let poll = Duration::from_secs(2);
+    // No cache: every query below runs on a pool worker.
+    let cfg = ServerConfig { poll_interval: poll, cache_bytes: 0, ..ServerConfig::default() };
+    let (handle, join) = start(cfg, &[("g", &g)]);
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let quick = Duration::from_secs(1);
+
+    let t0 = Instant::now();
+    let count = client
+        .query(request("g", QueryParams { count_only: true, ..QueryParams::default() }))
+        .unwrap();
+    assert!(t0.elapsed() < quick, "count-only reply took {:?}", t0.elapsed());
+    assert_eq!(count.emitted, expected.len() as u64);
+
+    let t0 = Instant::now();
+    let collect = client.query(request("g", QueryParams::default())).unwrap();
+    assert!(t0.elapsed() < quick, "collect reply took {:?}", t0.elapsed());
+    assert!(!collect.cached);
+    assert_eq!(sorted(collect.bicliques), expected);
+
+    let params = QueryParams::default();
+    let opts = MbeOptions::new(params.algorithm).order(params.order);
+    let shard = ShardRequest {
+        graph: "g".to_string(),
+        params,
+        max_return: u32::MAX,
+        checkpoint: initial_checkpoint(&g, &opts).to_bytes(),
+        trace: None,
+    };
+    let t0 = Instant::now();
+    let whole = client.query_shard(shard).unwrap();
+    assert!(t0.elapsed() < quick, "shard reply took {:?}", t0.elapsed());
+    assert_eq!(whole.stop, StopReason::Completed);
+    assert_eq!(sorted(whole.bicliques), expected, "the whole frontier is the whole run");
+
+    // The same connection still answers.
+    let again = client
+        .query(request("g", QueryParams { count_only: true, ..QueryParams::default() }))
+        .unwrap();
+    assert_eq!(again.emitted, expected.len() as u64);
+
+    handle.shutdown();
+    assert_eq!(join.join().queries, 4);
+}
+
+/// (e): a query that outlives several socket checks leaves its connection
+/// usable, so the non-blocking check restores the socket's blocking mode.
+#[test]
+fn connection_serves_again_after_a_query_that_outlived_socket_checks() {
+    let slow = crown(22);
+    let g = crown(12);
+    let (handle, join) = start(ServerConfig::default(), &[("slow", &slow), ("g", &g)]);
+    let mut client = Client::connect(handle.addr()).unwrap();
+
+    // Ten poll intervals of the default config: the connection thread
+    // checks its socket several times before the deadline stops the run.
+    let timeout = Some(Duration::from_millis(250));
+    let stopped = client
+        .query(request("slow", QueryParams { count_only: true, timeout, ..QueryParams::default() }))
+        .unwrap();
+    assert_eq!(stopped.stop, StopReason::Deadline);
+
+    // Idle between queries. On a socket left non-blocking, the idle loop's
+    // reads would return at once and run through the whole idle budget,
+    // dropping the connection.
+    std::thread::sleep(Duration::from_millis(500));
+    let reply = client
+        .query(request("g", QueryParams { count_only: true, ..QueryParams::default() }))
+        .unwrap();
+    assert_eq!(reply.stop, StopReason::Completed);
+    assert_eq!(reply.emitted, (1 << 12) - 2);
+
+    handle.shutdown();
+    join.join();
+}
+
+/// (e): a client that drops its connection mid-query cancels the run; the
+/// query leaves the in-flight set instead of running to completion.
+#[test]
+fn client_disconnect_mid_query_cancels_the_run() {
+    let slow = crown(22);
+    let (handle, join) = start(ServerConfig::default(), &[("slow", &slow)]);
+    let addr = handle.addr();
+    let mut probe = Client::connect(addr).unwrap();
+
+    let abandon = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let mut client = Client::connect(addr).unwrap();
+            let query = request("slow", QueryParams { count_only: true, ..QueryParams::default() });
+            let outcome =
+                client.call_until(&Request::Query(query), &|| abandon.load(Ordering::SeqCst));
+            assert!(matches!(outcome, Err(ServeError::Aborted)), "got {outcome:?}");
+            // `client` drops here, closing the connection mid-query.
+        });
+        wait_until("the query to start", || probe.stats().unwrap().inflight >= 1);
+        abandon.store(true, Ordering::SeqCst);
+    });
+    wait_until("the abandoned query to stop", || probe.stats().unwrap().inflight == 0);
+    assert_eq!(probe.stats().unwrap().queries, 0, "no one was left to answer");
+
     handle.shutdown();
     join.join();
 }
