@@ -296,6 +296,12 @@ fn parse_enumerate(args: &[String]) -> Command {
             other => return err(&format!("unknown enumerate flag `{other}`")),
         }
     }
+    if (*min_left > 1 || *min_right > 1 || top_k.is_some())
+        && (checkpoint.is_some() || resume.is_some())
+    {
+        return err("--checkpoint/--resume do not apply to thresholded (--min-left/--min-right \
+             above 1) or --top-k runs, which are not checkpointable");
+    }
     out
 }
 
@@ -753,6 +759,8 @@ USAGE:
         --max-bicliques N  stop after N bicliques have been emitted
         --checkpoint PATH  if the run stops early, write the unexplored
                            frontier to PATH so it can be resumed later
+                           (not with --min-left/--min-right above 1 or
+                           --top-k: those runs are not checkpointable)
         --resume PATH      continue a stopped run from a checkpoint
                            written by --checkpoint; the checkpoint pins
                            the original algorithm/order (only --threads
@@ -980,6 +988,32 @@ mod tests {
                 matches!(p(bad), Command::Help { error: Some(_) }),
                 "`{bad}` should be an error"
             );
+        }
+    }
+
+    #[test]
+    fn bounded_runs_reject_checkpoint_flags() {
+        // Thresholded and top-k runs are not checkpointable: refused at
+        // parse time rather than reported as "completed" after a stop.
+        for bad in [
+            "enumerate g.txt --min-left 2 --checkpoint c.mbck",
+            "enumerate g.txt --min-right 2 --checkpoint c.mbck",
+            "enumerate g.txt --checkpoint c.mbck --min-left 2 --min-right 2",
+            "enumerate g.txt --min-left 3 --resume old.mbck",
+            "enumerate g.txt --top-k 5 --checkpoint c.mbck",
+            "enumerate g.txt --resume old.mbck --top-k 5",
+        ] {
+            assert!(
+                matches!(p(bad), Command::Help { error: Some(_) }),
+                "`{bad}` should be an error"
+            );
+        }
+        // Thresholds of 1 do not bound the run, so checkpointing stays on.
+        match p("enumerate g.txt --min-left 1 --min-right 1 --checkpoint c.mbck") {
+            Command::Enumerate { checkpoint, .. } => {
+                assert_eq!(checkpoint, Some("c.mbck".into()));
+            }
+            other => panic!("{other:?}"),
         }
     }
 

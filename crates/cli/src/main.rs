@@ -703,35 +703,6 @@ fn run_enumerate(
         algorithm.label()
     );
 
-    if top_k.is_some() && (checkpoint.is_some() || resume.is_some()) {
-        eprintln!("error: --checkpoint/--resume do not apply to --top-k runs");
-        return ExitCode::FAILURE;
-    }
-    if top_k.is_some() && (obs.trace.is_some() || obs.metrics || obs.progress.is_some()) {
-        eprintln!("note: --trace/--metrics/--progress do not apply to --top-k runs");
-    }
-    if let Some(k) = top_k {
-        let report = mbe::top_k_with_control(g, k, &control);
-        print_stop_note(report.stop);
-        println!(
-            "top {} bicliques by edges ({:?}, {} bound-pruned branches):",
-            report.bicliques.len(),
-            report.stats.elapsed,
-            report.stats.bound_pruned
-        );
-        for b in report.bicliques.iter().take(max_print) {
-            println!(
-                "  |L|={} |R|={} edges={}  L={:?} R={:?}",
-                b.left.len(),
-                b.right.len(),
-                b.edges(),
-                b.left,
-                b.right
-            );
-        }
-        return ExitCode::SUCCESS;
-    }
-
     // Build the observers before the Enumeration so their borrows
     // outlive the run; the fanout combines --trace and --progress into
     // the builder's single observer slot.
@@ -795,7 +766,11 @@ fn run_enumerate(
     }
 
     let mut exit = ExitCode::SUCCESS;
-    let report = if count_only { run.count() } else { run.collect() };
+    let report = match top_k {
+        Some(k) => run.top_k(k),
+        None if count_only => run.count(),
+        None => run.collect(),
+    };
     let report = match report {
         Ok(r) => r,
         Err(mbe::MbeError::WorkerPanic { task, payload, report }) => {
@@ -830,17 +805,37 @@ fn run_enumerate(
     } else {
         String::new()
     };
-    println!(
-        "{} maximal bicliques{} in {:?} (tasks={} nodes={} nonmaximal={} batched={})",
-        report.count(),
-        qualifier,
-        report.stats.elapsed,
-        report.stats.tasks,
-        report.stats.nodes,
-        report.stats.nonmaximal,
-        report.stats.batched
-    );
-    if !count_only {
+    if top_k.is_some() {
+        println!(
+            "top {} bicliques by edges{} ({:?}, {} bound-pruned branches):",
+            report.bicliques.len(),
+            qualifier,
+            report.stats.elapsed,
+            report.stats.bound_pruned
+        );
+        for b in report.bicliques.iter().take(max_print) {
+            println!(
+                "  |L|={} |R|={} edges={}  L={:?} R={:?}",
+                b.left.len(),
+                b.right.len(),
+                b.edges(),
+                b.left,
+                b.right
+            );
+        }
+    } else {
+        println!(
+            "{} maximal bicliques{} in {:?} (tasks={} nodes={} nonmaximal={} batched={})",
+            report.count(),
+            qualifier,
+            report.stats.elapsed,
+            report.stats.tasks,
+            report.stats.nodes,
+            report.stats.nonmaximal,
+            report.stats.batched
+        );
+    }
+    if !count_only && top_k.is_none() {
         for b in report.bicliques.iter().take(max_print) {
             println!("  L={:?} R={:?}", b.left, b.right);
         }

@@ -26,7 +26,7 @@ use crate::checkpoint::ResumeTask;
 use crate::metrics::Stats;
 use crate::run::StopReason;
 use crate::sink::BicliqueSink;
-use crate::task::{NbrSource, RootTask};
+use crate::task::{Bound, NbrSource, RootTask};
 use crate::Algorithm;
 use bigraph::BipartiteGraph;
 
@@ -34,6 +34,8 @@ use bigraph::BipartiteGraph;
 pub struct BaselineEngine<'g> {
     g: &'g BipartiteGraph,
     alg: Algorithm,
+    /// The cut of a bounded run (never cuts by default).
+    bound: Bound,
     /// Scratch for `C(L')` recomputation (MineLMBC only).
     cbuf: Vec<u32>,
     cbuf2: Vec<u32>,
@@ -51,11 +53,18 @@ impl<'g> BaselineEngine<'g> {
         BaselineEngine {
             g,
             alg,
+            bound: Bound::default(),
             cbuf: Vec::new(),
             cbuf2: Vec::new(),
             frontier: Vec::new(),
             task_depth: 0,
         }
+    }
+
+    /// The same engine, cutting the tree with `bound`.
+    pub(crate) fn with_bound(mut self, bound: Bound) -> Self {
+        self.bound = bound;
+        self
     }
 
     /// Deepest enumeration recursion the most recent
@@ -121,6 +130,10 @@ impl<'g> BaselineEngine<'g> {
         stats: &mut Stats,
     ) -> ControlFlow<StopReason> {
         debug_assert!(!l_new.is_empty());
+        if self.bound.cuts(l_new.len(), r_parent.len() + 1 + untraversed.len()) {
+            stats.bound_pruned += 1;
+            return ControlFlow::Continue(());
+        }
         stats.nodes += 1;
         self.task_depth = self.task_depth.max(depth);
 
@@ -156,7 +169,9 @@ impl<'g> BaselineEngine<'g> {
         // A Break verdict means this emission was NOT delivered (the
         // control gate rejects before forwarding), so re-running this
         // whole node on resume delivers it exactly once.
-        if let ControlFlow::Break(r) = sink.emit(l_new, &r_new) {
+        if !self.bound.emits(r_new.len()) {
+            stats.undersized += 1;
+        } else if let ControlFlow::Break(r) = sink.emit(l_new, &r_new) {
             self.frontier.push(ResumeTask::Node {
                 l: l_new.to_vec(),
                 r_parent: r_parent.to_vec(),
@@ -165,8 +180,9 @@ impl<'g> BaselineEngine<'g> {
                 q: traversed.to_vec(),
             });
             return ControlFlow::Break(r);
+        } else {
+            stats.emitted += 1;
         }
-        stats.emitted += 1;
 
         if p_new.is_empty() {
             return ControlFlow::Continue(());

@@ -53,7 +53,7 @@ use bigraph::order::VertexOrder;
 use bigraph::BipartiteGraph;
 
 use crate::run::StopReason;
-use crate::task::{capture_remaining_roots, est_tree_size, root_representatives, TaskBuilder};
+use crate::task::{est_tree_size, root_reps, Roots, TaskBuilder};
 use crate::{Algorithm, MbeOptions, MbetConfig};
 
 /// Format magic (`b"MBCK"`).
@@ -87,8 +87,8 @@ pub enum ResumeTask {
 /// The resumable state of a stopped enumeration run.
 ///
 /// Produced by the [`crate::Enumeration`] terminals on every
-/// non-`Completed` stop (except size-thresholded runs, which are not
-/// checkpointable); consumed by [`crate::Enumeration::resume`].
+/// non-`Completed` stop (except thresholded and top-k runs, which are
+/// not checkpointable); consumed by [`crate::Enumeration::resume`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {
     /// Fingerprint of the graph the run was stopped on; resuming against
@@ -403,10 +403,8 @@ impl Checkpoint {
 /// equals the direct run without duplicates.
 pub fn initial_checkpoint(g: &BipartiteGraph, opts: &MbeOptions) -> Checkpoint {
     let (h, _perm) = bigraph::order::apply(g, opts.order);
-    let batch_roots = opts.algorithm == Algorithm::Mbet && opts.mbet.batching;
-    let reps = if batch_roots { Some(root_representatives(&h)) } else { None };
-    let mut frontier = Vec::new();
-    capture_remaining_roots(&h, reps.as_deref(), 0, &mut frontier);
+    let reps = root_reps(&h, opts);
+    let frontier = Roots::new(&h, reps.as_deref()).map(ResumeTask::Root).collect();
     Checkpoint {
         fingerprint: graph_fingerprint(g),
         algorithm: opts.algorithm,

@@ -5,23 +5,26 @@
 //! branch-and-bound cut applies: a node `(L', R', C')` can never produce
 //! more than `|L'| · (|R'| + |C'|)` edges, because descendants only
 //! shrink `L` and only grow `R` from `C`. Branches whose bound cannot
-//! beat the incumbent(s) are cut, which prunes the vast majority of the
+//! beat the incumbents are cut, which prunes the vast majority of the
 //! tree on skewed graphs.
 //!
-//! Top-k keeps a min-heap of the k best scores and bounds against the
-//! heap minimum once full.
-//!
-//! [`top_k_with_control`] runs the same search under a [`RunControl`]:
-//! cancellation and the deadline are observed at root-task boundaries,
-//! and a stopped search still returns its best-so-far incumbents (they
-//! are genuine maximal bicliques, just not necessarily the global top-k).
+//! [`crate::Enumeration::top_k`] runs that search on the stock engines
+//! and drivers: the cut is the run's bound (`task::Bound`), against θ,
+//! the k-th best edge count found so far. Each worker keeps its `k` best
+//! in a `TopKSink` and raises the shared θ once its heap is full; the
+//! heaps are merged at the end (`merge_top_k`). The free functions
+//! below wrap that terminal.
 
-use crate::metrics::{RunMetrics, Stats};
-use crate::run::{ControlState, Report, RunControl, StopReason};
-use crate::sink::Biclique;
-use crate::task::TaskBuilder;
-use bigraph::BipartiteGraph;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+use crate::metrics::Stats;
+use crate::run::{Enumeration, Report, RunControl, StopReason};
+use crate::sink::{Biclique, BicliqueSink};
+use bigraph::BipartiteGraph;
 
 /// The maximum-edge maximal biclique, or `None` for edgeless graphs.
 // xtask-allow: tuple-return
@@ -38,45 +41,19 @@ pub fn top_k_by_edges(g: &BipartiteGraph, k: usize) -> (Vec<Biclique>, Stats) {
     (report.bicliques, report.stats)
 }
 
-/// [`top_k_by_edges`] under a [`RunControl`]: the search checks for
-/// cancellation and the deadline between root tasks and reports how it
-/// ended via [`Report::stop`]. Emission and node budgets do not apply to
-/// extremal search (incumbents are replaced, not streamed) and are
-/// ignored. A stopped run's bicliques are maximal and duplicate-free but
-/// may rank below the true top-k.
+/// [`top_k_by_edges`] under a [`RunControl`]: a serial
+/// [`Enumeration::top_k`] run, which reports how it ended via
+/// [`Report::stop`]. A stopped run's bicliques are maximal and
+/// duplicate-free but may rank below the true top-k.
 pub fn top_k_with_control(g: &BipartiteGraph, k: usize, control: &RunControl) -> Report {
-    let start = std::time::Instant::now();
-    let mut stats = Stats::default();
-    let state = ControlState::new(control);
-    let mut stop = StopReason::Completed;
-    let mut search = Search { g, k, heap: BinaryHeap::new() };
-    if k > 0 {
-        state.check_idle();
-        if let Some(r) = state.stopped() {
-            stop = r;
-        } else {
-            let mut builder = TaskBuilder::new(g);
-            for v in 0..g.num_v() {
-                if let Some(task) = builder.build(v) {
-                    stats.tasks += 1;
-                    search.expand(&task.l0, &[], task.v, &task.p0, &task.q0, &mut stats);
-                }
-                state.check_idle();
-                if let Some(r) = state.stopped() {
-                    stop = r;
-                    break;
-                }
-            }
-        }
-    }
-    let mut out: Vec<Biclique> = search.heap.into_iter().map(|e| e.biclique).collect();
-    out.sort_by_key(|b| std::cmp::Reverse(b.edges()));
-    stats.elapsed = start.elapsed();
-    Report { bicliques: out, stats, stop, checkpoint: None, metrics: RunMetrics::default() }
+    Enumeration::new(g)
+        .control(control.clone())
+        .top_k(k)
+        .expect("a serial top-k run without a checkpoint has no error path")
 }
 
 /// Heap entry ordered so `BinaryHeap` behaves as a *min*-heap on score:
-/// `peek` is the weakest incumbent, i.e. the pruning threshold.
+/// `peek` is the weakest incumbent.
 struct Entry {
     score: usize,
     biclique: Biclique,
@@ -99,27 +76,27 @@ impl Ord for Entry {
     }
 }
 
-struct Search<'g> {
-    g: &'g BipartiteGraph,
+/// One worker's top-k incumbents: its `k` best bicliques by edge count.
+/// Once the heap is full, every improvement raises the shared θ to the
+/// heap's weakest score — the threshold the run's bound prunes against.
+pub(crate) struct TopKSink {
     k: usize,
     heap: BinaryHeap<Entry>,
+    theta: Arc<AtomicUsize>,
 }
 
-impl Search<'_> {
-    /// Current pruning threshold: the k-th best score so far.
-    fn threshold(&self) -> usize {
-        if self.heap.len() < self.k {
-            0
-        } else {
-            self.heap.peek().map_or(0, |e| e.score)
-        }
+impl TopKSink {
+    pub(crate) fn new(k: usize, theta: Arc<AtomicUsize>) -> Self {
+        TopKSink { k, heap: BinaryHeap::new(), theta }
     }
+}
 
-    fn offer(&mut self, left: &[u32], right: &[u32]) {
+impl BicliqueSink for TopKSink {
+    fn emit(&mut self, left: &[u32], right: &[u32]) -> ControlFlow<StopReason> {
         let score = left.len() * right.len();
         if self.heap.len() == self.k {
-            if score <= self.threshold() {
-                return;
+            if self.heap.peek().is_some_and(|weakest| score <= weakest.score) {
+                return ControlFlow::Continue(());
             }
             self.heap.pop();
         }
@@ -127,49 +104,21 @@ impl Search<'_> {
             score,
             biclique: Biclique { left: left.to_vec(), right: right.to_vec() },
         });
+        if self.heap.len() == self.k {
+            if let Some(weakest) = self.heap.peek() {
+                self.theta.fetch_max(weakest.score, Ordering::Relaxed);
+            }
+        }
+        ControlFlow::Continue(())
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn expand(
-        &mut self,
-        l_new: &[u32],
-        r_parent: &[u32],
-        v: u32,
-        untraversed: &[u32],
-        traversed: &[u32],
-        stats: &mut Stats,
-    ) {
-        // Bound: descendants keep L ⊆ L' and R ⊆ R' ∪ {v} ∪ C'.
-        let ub = l_new.len() * (r_parent.len() + 1 + untraversed.len());
-        if ub <= self.threshold() {
-            stats.bound_pruned += 1;
-            return;
-        }
-        stats.nodes += 1;
-        if crate::task::covered_by_excluded(self.g, traversed, l_new) {
-            stats.nonmaximal += 1;
-            return;
-        }
-        let mut absorbed: Vec<u32> = Vec::new();
-        let mut p_new: Vec<u32> = Vec::new();
-        crate::task::partition_candidates(self.g, untraversed, l_new, &mut absorbed, &mut p_new);
-        let r_new = crate::task::assemble_r(r_parent, v, &absorbed);
-
-        self.offer(l_new, &r_new);
-        stats.emitted += 1;
-
-        let mut q_now: Vec<u32> = Vec::new();
-        crate::task::live_excluded(self.g, traversed, l_new, &mut q_now);
-        let mut l_child = Vec::new();
-        for i in 0..p_new.len() {
-            let w = p_new[i];
-            crate::task::child_l(self.g, l_new, w, &mut l_child);
-            let l_child_owned = std::mem::take(&mut l_child);
-            self.expand(&l_child_owned, &r_new, w, &p_new[i + 1..], &q_now, stats);
-            l_child = l_child_owned;
-            q_now.push(w);
-        }
-    }
+/// The `k` best bicliques across the workers' heaps, best first.
+pub(crate) fn merge_top_k(k: usize, sinks: Vec<TopKSink>) -> Vec<Biclique> {
+    let mut all: Vec<Entry> = sinks.into_iter().flat_map(|s| s.heap.into_vec()).collect();
+    all.sort_by_key(|e| Reverse(e.score));
+    all.truncate(k);
+    all.into_iter().map(|e| e.biclique).collect()
 }
 
 #[cfg(test)]

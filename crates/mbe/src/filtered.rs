@@ -1,8 +1,8 @@
 //! Size-constrained enumeration: maximal bicliques with `|L| ≥ min_l`
 //! and `|R| ≥ min_r`.
 //!
-//! The thresholds enable two sound prunings on top of the standard
-//! recursion:
+//! [`crate::Enumeration::thresholds`] runs the stock engines and drivers
+//! with two sound prunings:
 //!
 //! 1. **Core reduction** — every qualifying maximal biclique lives in the
 //!    `(min_r, min_l)`-core of the graph (each `u ∈ L` has ≥ `|R| ≥
@@ -11,22 +11,18 @@
 //!    it meets the thresholds: an extension vertex would be adjacent to
 //!    the entire surviving other side and therefore could never have
 //!    been peeled. Enumerating the (usually much smaller) core is
-//!    equivalent.
-//! 2. **Branch pruning** — `L` only shrinks down a branch, so `|L'| <
-//!    min_l` kills the subtree; `R` can grow only by the surviving
-//!    candidates, so `|R'| + |C'| < min_r` kills it too.
+//!    equivalent. The core is peeled in place (`peel_core`), so
+//!    emitted ids need no remapping.
+//! 2. **Branch pruning** — the run's bound (`task::Bound`): `L` only
+//!    shrinks down a branch, so `|L'| < min_l` kills the subtree; `R` can
+//!    grow only by the surviving candidates, so `|R'| + |C'| < min_r`
+//!    kills it too. A node whose own `R'` is short still branches.
 //!
 //! This is the "large maximal biclique" mode of the MineLMBC line of
 //! work, exposed as a first-class API because the motivating
 //! applications (fraud rings, co-expression modules) always carry size
 //! thresholds.
 
-use std::ops::ControlFlow;
-
-use crate::metrics::Stats;
-use crate::run::{ControlState, ControlledSink, RunControl, StopReason};
-use crate::sink::BicliqueSink;
-use crate::task::TaskBuilder;
 use bigraph::core::alpha_beta_core;
 use bigraph::BipartiteGraph;
 
@@ -46,136 +42,19 @@ impl SizeThresholds {
     }
 }
 
-/// Size-filtered enumeration core used by the [`crate::Enumeration`]
-/// builder (via [`crate::Enumeration::thresholds`]): core-reduces `g`, runs every root task under `control`, and
-/// returns the stats plus the stop reason. Vertex ids are reported in
-/// `g`'s id space; counters refer to the *reduced* graph's enumeration.
-pub(crate) fn run_filtered<S: BicliqueSink>(
-    g: &BipartiteGraph,
-    thr: SizeThresholds,
-    control: &RunControl,
-    sink: &mut S,
-) -> (Stats, StopReason) {
-    let start = std::time::Instant::now();
-    let mut stats = Stats::default();
+/// `g` peeled to its `(min_r, min_l)`-core in place: every vertex keeps
+/// its id, and the peeled ones lose their edges.
+pub(crate) fn peel_core(g: &BipartiteGraph, thr: SizeThresholds) -> BipartiteGraph {
     let red = alpha_beta_core(g, thr.min_r, thr.min_l);
-    let h = &red.graph;
-
-    let state = ControlState::new(control);
-
-    // Remap emissions back to the caller's ids on the fly.
-    let mut lbuf = Vec::new();
-    let mut rbuf = Vec::new();
-    let mut mapped = crate::sink::FnSink(|l: &[u32], r: &[u32]| {
-        lbuf.clear();
-        lbuf.extend(l.iter().map(|&u| red.u_map[u as usize]));
-        lbuf.sort_unstable();
-        rbuf.clear();
-        rbuf.extend(r.iter().map(|&v| red.v_map[v as usize]));
-        rbuf.sort_unstable();
-        sink.emit(&lbuf, &rbuf)
-    });
-    let mut controlled = ControlledSink::new(&state, &mut mapped);
-
-    let mut stop = StopReason::Completed;
-    if let ControlFlow::Break(r) = state.note_task(0) {
-        stop = r; // cancelled or expired before any work
-    } else {
-        let mut engine = FilteredEngine { g: h, thr };
-        let mut builder = TaskBuilder::new(h);
-        for v in 0..h.num_v() {
-            if let Some(task) = builder.build(v) {
-                stats.tasks += 1;
-                let nodes_before = stats.nodes;
-                let flow = engine.expand(
-                    &task.l0,
-                    &[],
-                    task.v,
-                    &task.p0,
-                    &task.q0,
-                    &mut controlled,
-                    &mut stats,
-                );
-                if let ControlFlow::Break(r) = flow {
-                    stop = state.note_stop(r);
-                    break;
-                }
-                if let ControlFlow::Break(r) = state.note_task(stats.nodes - nodes_before) {
-                    stop = r;
-                    break;
-                }
-            }
-        }
-    }
-    stats.elapsed = start.elapsed();
-    (stats, stop)
-}
-
-/// MBEA-style engine with the two size prunings.
-struct FilteredEngine<'g> {
-    g: &'g BipartiteGraph,
-    thr: SizeThresholds,
-}
-
-impl FilteredEngine<'_> {
-    #[allow(clippy::too_many_arguments)]
-    fn expand(
-        &mut self,
-        l_new: &[u32],
-        r_parent: &[u32],
-        v: u32,
-        untraversed: &[u32],
-        traversed: &[u32],
-        sink: &mut dyn BicliqueSink,
-        stats: &mut Stats,
-    ) -> ControlFlow<StopReason> {
-        // Size pruning 1: L only shrinks below here.
-        if l_new.len() < self.thr.min_l {
-            stats.bound_pruned += 1;
-            return ControlFlow::Continue(());
-        }
-        stats.nodes += 1;
-        if crate::task::covered_by_excluded(self.g, traversed, l_new) {
-            stats.nonmaximal += 1;
-            return ControlFlow::Continue(());
-        }
-        let mut absorbed: Vec<u32> = Vec::new();
-        let mut p_new: Vec<u32> = Vec::new();
-        crate::task::partition_candidates(self.g, untraversed, l_new, &mut absorbed, &mut p_new);
-        stats.absorbed += absorbed.len() as u64;
-        let r_len = r_parent.len() + 1 + absorbed.len();
-
-        // Size pruning 2: R can gain at most the surviving candidates.
-        if r_len + p_new.len() < self.thr.min_r {
-            stats.bound_pruned += 1;
-            return ControlFlow::Continue(());
-        }
-
-        let r_new = crate::task::assemble_r(r_parent, v, &absorbed);
-
-        if r_new.len() >= self.thr.min_r {
-            sink.emit(l_new, &r_new)?;
-            stats.emitted += 1;
-        }
-
-        let mut q_now: Vec<u32> = Vec::new();
-        crate::task::live_excluded(self.g, traversed, l_new, &mut q_now);
-        let mut l_child = Vec::new();
-        for i in 0..p_new.len() {
-            let w = p_new[i];
-            crate::task::child_l(self.g, l_new, w, &mut l_child);
-            let l_child_owned = std::mem::take(&mut l_child);
-            self.expand(&l_child_owned, &r_new, w, &p_new[i + 1..], &q_now, sink, stats)?;
-            l_child = l_child_owned;
-            q_now.push(w);
-        }
-        ControlFlow::Continue(())
-    }
+    let edges: Vec<(u32, u32)> =
+        red.graph.edges().map(|(u, v)| (red.original_u(u), red.original_v(v))).collect();
+    BipartiteGraph::from_edges(g.num_u(), g.num_v(), &edges).expect("core edges are edges of g")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Stats;
     use crate::sink::Biclique;
     use crate::{Algorithm, Enumeration, MbeOptions};
     use proptest::prelude::*;

@@ -8,9 +8,9 @@
 //! consistently (sorted id maps, rows matching the global intersections,
 //! bitmap rows decoding to their sorted rows), the `Scratch` arenas hand
 //! out non-overlapping spans,
-//! the counter identity `nodes = emitted + nonmaximal` closes for every
-//! engine, the parallel driver drains its `pending` ledger and emits
-//! exactly the serial count, and a stopped (cancelled / budgeted /
+//! the counter identity `nodes = emitted + nonmaximal + undersized`
+//! closes for every engine, the parallel driver drains its `pending`
+//! ledger and emits exactly the serial count, and a stopped (cancelled / budgeted /
 //! expired) run's collected output is a duplicate-free subset of the
 //! complete run's. With the feature enabled, each of those is
 //! asserted *during* every run — on every node, every key, every drain.
@@ -129,19 +129,22 @@ pub fn check_spans<I: IntoIterator<Item = (u32, u32)>>(arena_len: usize, spans: 
 pub fn check_spans<I: IntoIterator<Item = (u32, u32)>>(_arena_len: usize, _spans: I) {}
 
 /// Asserts the cross-engine counter identity `nodes = emitted +
-/// nonmaximal`: every expanded enumeration node either dies at its
-/// maximality check or emits exactly one maximal biclique. Holds for
+/// nonmaximal + undersized`: every expanded enumeration node either dies
+/// at its maximality check, emits exactly one maximal biclique, or (in a
+/// thresholded run) holds one whose `R'` is too short to emit. Holds for
 /// every engine after any *completed* run (a sink-requested stop leaves
 /// one node in flight, so stopped runs are not checked).
 #[cfg(feature = "debug-invariants")]
 pub fn check_counter_identity(stats: &Stats) {
     assert_eq!(
         stats.nodes,
-        stats.emitted + stats.nonmaximal,
-        "invariant: counter identity violated (nodes = {}, emitted = {}, nonmaximal = {})",
+        stats.emitted + stats.nonmaximal + stats.undersized,
+        "invariant: counter identity violated \
+         (nodes = {}, emitted = {}, nonmaximal = {}, undersized = {})",
         stats.nodes,
         stats.emitted,
-        stats.nonmaximal
+        stats.nonmaximal,
+        stats.undersized
     );
 }
 
@@ -165,7 +168,9 @@ pub fn check_drained(_pending: u64) {}
 /// End-of-run verification for the parallel driver: on a completed
 /// (un-stopped) run, asserts the merged per-worker counter identity and
 /// re-counts the graph serially with the same options, asserting the
-/// emitted totals agree — the parallel/serial equivalence gate.
+/// emitted totals agree — the parallel/serial equivalence gate. A top-k
+/// run skips the recount: what its bound prunes depends on the order
+/// the workers found their incumbents in.
 #[cfg(feature = "debug-invariants")]
 pub fn check_parallel_run(
     g: &BipartiteGraph,
@@ -177,6 +182,9 @@ pub fn check_parallel_run(
         return;
     }
     check_counter_identity(merged);
+    if opts.bound.is_top_k() {
+        return;
+    }
     let mut count = crate::sink::CountSink::default();
     let (serial_stats, _stop) =
         crate::run::run_serial(g, opts, &crate::run::RunControl::new(), &mut count);
@@ -201,9 +209,12 @@ pub fn check_parallel_run(
 
 /// Asserts the partial-result guarantee of the run-control plane: a
 /// *stopped* run's collected output is a duplicate-free subset of the
-/// complete run's output (re-derived serially with the same options and
-/// thresholds but no control limits). Completed runs are skipped here —
-/// their full equality is covered by the engine differential tests.
+/// complete run's output (re-derived serially with the same options —
+/// the builder's, which carry no bound — and no control limits; a
+/// thresholded run's reference is that unbounded run, post-filtered, so
+/// the bound is never checked against itself). Completed runs are
+/// skipped here — their full equality is
+/// covered by the engine differential tests.
 ///
 /// When `checkpoint` is `Some` (a first, non-resumed segment's
 /// checkpoint), additionally asserts the resume-union invariant: running
@@ -229,17 +240,13 @@ pub fn check_stopped_collect(
     for b in emitted {
         assert!(seen.insert(b), "invariant: stopped run emitted a duplicate biclique: {b:?}");
     }
-    let control = crate::run::RunControl::new();
     let mut full = crate::sink::CollectSink::new();
-    match thresholds {
-        Some(thr) => {
-            let _ = crate::filtered::run_filtered(g, thr, &control, &mut full);
-        }
-        None => {
-            let _ = crate::run::run_serial(g, opts, &control, &mut full);
-        }
-    }
-    let complete: HashSet<crate::Biclique> = full.into_vec().into_iter().collect();
+    let _ = crate::run::run_serial(g, opts, &crate::run::RunControl::new(), &mut full);
+    let complete: HashSet<crate::Biclique> = full
+        .into_vec()
+        .into_iter()
+        .filter(|b| thresholds.is_none_or(|t| b.left.len() >= t.min_l && b.right.len() >= t.min_r))
+        .collect();
     for b in emitted {
         assert!(
             complete.contains(b),

@@ -184,6 +184,10 @@ pub struct MbeOptions {
     /// order, so (like `threads`) it is excluded from checkpoint
     /// fingerprints and cache keys.
     pub kernel: Kernel,
+    /// The cut of a thresholded or top-k run. Set by the
+    /// [`Enumeration`] terminals from the builder's thresholds and
+    /// top-k request, never by callers; unbounded by default.
+    pub(crate) bound: task::Bound,
 }
 
 impl MbeOptions {
@@ -199,6 +203,7 @@ impl MbeOptions {
             split_height: 20,
             split_size: 1500,
             kernel: Kernel::Adaptive,
+            bound: task::Bound::default(),
         }
     }
 

@@ -46,7 +46,7 @@ use crate::checkpoint::ResumeTask;
 use crate::metrics::Stats;
 use crate::run::StopReason;
 use crate::sink::BicliqueSink;
-use crate::task::RootTask;
+use crate::task::{Bound, RootTask};
 use crate::MbetConfig;
 use bigraph::{BipartiteGraph, LocalGraph};
 use ptree::CandidateTrie;
@@ -103,6 +103,8 @@ struct Scratch {
 pub struct MbetEngine<'g> {
     g: &'g BipartiteGraph,
     cfg: MbetConfig,
+    /// The cut of a bounded run (never cuts by default).
+    bound: Bound,
     /// Per-task localized subgraph; rebuilt by `run_task`/`run_node`,
     /// its buffers reused across tasks.
     local: LocalGraph,
@@ -128,6 +130,7 @@ impl<'g> MbetEngine<'g> {
         MbetEngine {
             g,
             cfg,
+            bound: Bound::default(),
             local: LocalGraph::new(kernel),
             pool: Vec::new(),
             peak_trie_nodes: 0,
@@ -138,6 +141,12 @@ impl<'g> MbetEngine<'g> {
             root_p: Vec::new(),
             root_q: Vec::new(),
         }
+    }
+
+    /// The same engine, cutting the tree with `bound`.
+    pub(crate) fn with_bound(mut self, bound: Bound) -> Self {
+        self.bound = bound;
+        self
     }
 
     /// Deepest enumeration recursion the most recent
@@ -293,6 +302,10 @@ impl<'g> MbetEngine<'g> {
         stats: &mut Stats,
     ) -> ControlFlow<StopReason> {
         debug_assert!(!l_new.is_empty());
+        if self.bound.cuts(l_new.len(), r_parent.len() + 1 + untraversed.len()) {
+            stats.bound_pruned += 1;
+            return ControlFlow::Continue(());
+        }
 
         // Hybrid fast path: below a handful of candidates the trie's
         // bookkeeping cannot pay for itself — plain scans win. The same
@@ -435,7 +448,9 @@ impl<'g> MbetEngine<'g> {
         self.local.left_to_global(l_new, &mut s.emit_l);
         crate::invariants::check_node(self.g, &s.emit_l, &r_new);
 
-        if let ControlFlow::Break(r) = sink.emit(&s.emit_l, &r_new) {
+        if !self.bound.emits(r_new.len()) {
+            stats.undersized += 1;
+        } else if let ControlFlow::Break(r) = sink.emit(&s.emit_l, &r_new) {
             // A Break verdict means this emission was NOT delivered (the
             // control gate rejects before forwarding), so re-running the
             // whole node on resume delivers it exactly once.
@@ -443,8 +458,9 @@ impl<'g> MbetEngine<'g> {
             self.frontier.push(resume);
             self.pool[depth] = s;
             return ControlFlow::Break(r);
+        } else {
+            stats.emitted += 1;
         }
-        stats.emitted += 1;
 
         // ---- Branch on each group representative.
         let mut stop = None;
@@ -463,8 +479,8 @@ impl<'g> MbetEngine<'g> {
             };
             if non_maximal {
                 // A branch attempt that dies at the check — counted as a
-                // node so `nodes = emitted + nonmaximal` holds for every
-                // engine (the child `expand` is never entered).
+                // node so the counter identity holds for every engine
+                // (the child `expand` is never entered).
                 stats.nodes += 1;
                 stats.nonmaximal += 1;
             } else {
@@ -646,13 +662,16 @@ impl MbetEngine<'_> {
         let mut emit_l = Vec::new();
         self.local.left_to_global(l_new, &mut emit_l);
         crate::invariants::check_node(self.g, &emit_l, &r_new);
-        if let ControlFlow::Break(r) = sink.emit(&emit_l, &r_new) {
+        if !self.bound.emits(r_new.len()) {
+            stats.undersized += 1;
+        } else if let ControlFlow::Break(r) = sink.emit(&emit_l, &r_new) {
             // Undelivered emission: re-run the whole node on resume.
             let resume = self.node_resume(&emit_l, r_parent, v, untraversed, traversed);
             self.frontier.push(resume);
             return ControlFlow::Break(r);
+        } else {
+            stats.emitted += 1;
         }
-        stats.emitted += 1;
         if p_new.is_empty() {
             return ControlFlow::Continue(());
         }

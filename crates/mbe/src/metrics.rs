@@ -12,11 +12,12 @@ use crate::histogram::Histogram;
 
 /// Counters accumulated over one enumeration run.
 ///
-/// On a *stopped* run (cancelled, deadline, or over budget — see
-/// [`crate::StopReason`]) the counters describe the partial work actually
-/// performed, and cross-counter identities such as `nodes = emitted +
-/// nonmaximal` need not close: a stop can land between a node expansion
-/// and its emission.
+/// On a completed run every expanded node is counted exactly once:
+/// `nodes = emitted + nonmaximal + undersized`. On a *stopped* run
+/// (cancelled, deadline, or over budget — see [`crate::StopReason`]) the
+/// counters describe the partial work actually performed, and the
+/// identity need not close: a stop can land between a node expansion and
+/// its emission.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Stats {
     /// Enumeration nodes expanded (branches actually recursed into).
@@ -33,9 +34,13 @@ pub struct Stats {
     pub absorbed: u64,
     /// Root tasks processed.
     pub tasks: u64,
-    /// Branches cut by size/bound pruning (filtered and extremal search
-    /// only; always 0 for plain enumeration).
+    /// Subtrees cut by the bound of a thresholded or top-k run before
+    /// their node was expanded (always 0 for an unbounded run).
     pub bound_pruned: u64,
+    /// Expanded nodes that passed the maximality check but were not
+    /// emitted because `|R'|` is below a thresholded run's minimum; the
+    /// node still branches (always 0 for an unbounded run).
+    pub undersized: u64,
     /// Wall-clock time of the run (set by the entry points).
     pub elapsed: Duration,
 }
@@ -61,6 +66,7 @@ impl Stats {
         self.absorbed += other.absorbed;
         self.tasks += other.tasks;
         self.bound_pruned += other.bound_pruned;
+        self.undersized += other.undersized;
         self.elapsed = self.elapsed.max(other.elapsed);
     }
 }
@@ -238,6 +244,7 @@ mod tests {
             absorbed: 5,
             tasks: 6,
             bound_pruned: 7,
+            undersized: 8,
             elapsed: Duration::from_millis(10),
         };
         let b = Stats {
@@ -248,6 +255,7 @@ mod tests {
             absorbed: 50,
             tasks: 60,
             bound_pruned: 70,
+            undersized: 80,
             elapsed: Duration::from_millis(5),
         };
         a.merge(&b);
@@ -258,6 +266,7 @@ mod tests {
         assert_eq!(a.absorbed, 55);
         assert_eq!(a.tasks, 66);
         assert_eq!(a.bound_pruned, 77);
+        assert_eq!(a.undersized, 88);
         assert_eq!(a.elapsed, Duration::from_millis(10));
     }
 

@@ -30,10 +30,10 @@ use std::sync::{Mutex, PoisonError};
 use crate::checkpoint::ResumeTask;
 use crate::metrics::{RunMetrics, Stats, WorkerMetrics};
 use crate::obs::{DriverKind, ObsCtx, RecordingSink, SegmentInfo, TaskDelta, TaskInfo, TaskKind};
-use crate::run::{ControlState, ControlledSink, MbeError, RunControl, StopReason};
+use crate::run::{ControlState, ControlledSink, MbeError, RunControl, RunOutcome, StopReason};
 use crate::sink::BicliqueSink;
-use crate::task::{record_task, root_representatives, AnyEngine, RootTask, TaskBuilder};
-use crate::{Algorithm, MbeOptions};
+use crate::task::{record_task, root_reps, AnyEngine, Bound, RootTask, Roots, TaskBuilder};
+use crate::MbeOptions;
 use bigraph::BipartiteGraph;
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use crossbeam::utils::Backoff;
@@ -45,16 +45,13 @@ pub(crate) struct PanicInfo {
     pub(crate) payload: String,
 }
 
-/// Everything a parallel run produces: the per-worker sinks, merged
-/// stats, stop reason, the captured unexplored frontier (internal ids;
-/// empty on completion), and the first contained panic, if any.
+/// Everything a driver run produces: the per-worker sinks (one for the
+/// serial driver) and the segment's [`RunOutcome`] — merged stats, stop
+/// reason, the captured unexplored frontier (internal ids; empty on
+/// completion), telemetry, and the first contained panic, if any.
 pub(crate) struct ParOutcome<S> {
     pub(crate) sinks: Vec<S>,
-    pub(crate) stats: Stats,
-    pub(crate) stop: StopReason,
-    pub(crate) frontier: Vec<ResumeTask>,
-    pub(crate) panic: Option<PanicInfo>,
-    pub(crate) metrics: RunMetrics,
+    pub(crate) out: RunOutcome,
 }
 
 /// A unit of parallel work.
@@ -173,20 +170,13 @@ where
             // Seed with bare root ids (respecting MBET root batching);
             // workers compute the 2-hop universes themselves so this
             // heavy part of the preprocessing scales too.
-            let batch_roots = opts.algorithm == Algorithm::Mbet && opts.mbet.batching;
-            let reps = if batch_roots { Some(root_representatives(&h)) } else { None };
-            for v in 0..h.num_v() {
-                if let Some(reps) = &reps {
-                    if !reps[v as usize] {
-                        seed_stats.batched += 1;
-                        continue;
-                    }
-                }
-                if !h.nbr_v(v).is_empty() {
-                    pending.fetch_add(1, Ordering::SeqCst);
-                    injector.push(Task::Root(v));
-                }
+            let reps = root_reps(&h, opts);
+            let mut roots = Roots::new(&h, reps.as_deref());
+            for v in roots.by_ref() {
+                pending.fetch_add(1, Ordering::SeqCst);
+                injector.push(Task::Root(v));
             }
+            seed_stats.batched = roots.batched;
         }
     }
 
@@ -304,7 +294,7 @@ where
     obs.segment_end(stop, &stats);
     let frontier = frontier.into_inner().unwrap_or_else(PoisonError::into_inner);
     let panic = panic_slot.into_inner().unwrap_or_else(PoisonError::into_inner);
-    Ok(ParOutcome { sinks, stats, stop, frontier, panic, metrics })
+    Ok(ParOutcome { sinks, out: RunOutcome { stats, stop, frontier, metrics, panic } })
 }
 
 /// Where a popped task came from — feeds the steal telemetry: only tasks
@@ -503,7 +493,7 @@ fn worker_loop<'g, S: BicliqueSink>(
                     let mut controlled = ControlledSink::new(state, &mut recording);
                     if was_split {
                         split_buf.clear();
-                        split_node(h, &task, &mut controlled, stats, &mut split_buf)
+                        split_node(h, &opts.bound, &task, &mut controlled, stats, &mut split_buf)
                     } else {
                         engine.run_node(
                             &task.l,
@@ -599,17 +589,22 @@ fn worker_loop<'g, S: BicliqueSink>(
     }
 }
 
-/// Processes one node — check, absorb, emit — and pushes its children as
-/// tasks instead of recursing. Engine-agnostic (MBEA-style scans): split
-/// nodes are rare, fan-out dominates their cost. Breaks (pushing no
-/// children) iff the sink requested a stop.
+/// Processes one node — bound, check, absorb, emit — and pushes its
+/// children as tasks instead of recursing. Engine-agnostic (MBEA-style
+/// scans): split nodes are rare, fan-out dominates their cost. Breaks
+/// (pushing no children) iff the sink requested a stop.
 fn split_node(
     g: &BipartiteGraph,
+    bound: &Bound,
     t: &NodeTask,
     sink: &mut dyn BicliqueSink,
     stats: &mut Stats,
     out: &mut Vec<NodeTask>,
 ) -> ControlFlow<StopReason> {
+    if bound.cuts(t.l.len(), t.r_parent.len() + 1 + t.p.len()) {
+        stats.bound_pruned += 1;
+        return ControlFlow::Continue(());
+    }
     stats.nodes += 1;
     if crate::task::covered_by_excluded(g, &t.q, &t.l) {
         stats.nonmaximal += 1;
@@ -622,8 +617,12 @@ fn split_node(
     stats.absorbed += absorbed.len() as u64;
     let r_new = crate::task::assemble_r(&t.r_parent, t.v, &absorbed);
     crate::invariants::check_node(g, &t.l, &r_new);
-    sink.emit(&t.l, &r_new)?;
-    stats.emitted += 1;
+    if bound.emits(r_new.len()) {
+        sink.emit(&t.l, &r_new)?;
+        stats.emitted += 1;
+    } else {
+        stats.undersized += 1;
+    }
 
     let mut q_now: Vec<u32> = Vec::new();
     crate::task::live_excluded(g, &t.q, &t.l, &mut q_now);
@@ -651,7 +650,7 @@ fn split_node(
 mod tests {
     use super::*;
     use crate::sink::CountSink;
-    use crate::Enumeration;
+    use crate::{Algorithm, Enumeration};
 
     fn g0() -> BipartiteGraph {
         BipartiteGraph::from_edges(

@@ -3,6 +3,8 @@
 //! [`Enumeration`] is a builder that owns the graph, the [`MbeOptions`],
 //! optional size [`SizeThresholds`], and a [`RunControl`] — a shareable
 //! cancellation flag plus wall-clock deadline and emission/node budgets.
+//! Thresholded and top-k runs ("bounded runs") go through the same
+//! engines and drivers as every other run, cut by a bound.
 //! Every terminal method returns `Result<`[`Report`]`, `[`MbeError`]`>`;
 //! a [`Report`] carries the results, the [`Stats`], and a typed
 //! [`StopReason`], so partial results from a stopped run are first-class
@@ -20,7 +22,7 @@
 
 use std::fmt;
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -28,10 +30,13 @@ use bigraph::order::VertexOrder;
 use bigraph::BipartiteGraph;
 
 use crate::checkpoint::{graph_fingerprint, Checkpoint, CheckpointError, ResumeTask};
+use crate::extremal::TopKSink;
 use crate::filtered::SizeThresholds;
 use crate::metrics::{RunMetrics, Stats, WorkerMetrics};
 use crate::obs::{ObsCtx, Observer, RunContext, DEFAULT_SAMPLE_EVERY};
+use crate::parallel::{PanicInfo, ParOutcome};
 use crate::sink::{Biclique, BicliqueSink, CollectSink, CountSink};
+use crate::task::Bound;
 use crate::{Algorithm, MbeOptions, MbetConfig};
 
 /// Why an enumeration run ended.
@@ -200,11 +205,12 @@ pub(crate) struct ControlState<'c> {
 }
 
 impl<'c> ControlState<'c> {
-    pub(crate) fn new(control: &'c RunControl) -> Self {
+    #[cfg(test)]
+    fn new(control: &'c RunControl) -> Self {
         ControlState::with_obs(control, ObsCtx::noop())
     }
 
-    /// Like [`new`](Self::new), additionally firing `on_stop` through
+    /// The state of one run under `control`, firing `on_stop` through
     /// `obs` when a stop reason wins the first-writer race.
     pub(crate) fn with_obs(control: &'c RunControl, obs: ObsCtx<'c>) -> Self {
         ControlState {
@@ -397,13 +403,13 @@ pub struct Report {
     /// Collected bicliques (empty for counting terminals).
     pub bicliques: Vec<Biclique>,
     /// Enumeration statistics. For a stopped run these describe the work
-    /// done up to the stop; the `nodes = emitted + nonmaximal` identity
-    /// only holds for completed runs.
+    /// done up to the stop; the `nodes = emitted + nonmaximal +
+    /// undersized` identity only holds for completed runs.
     pub stats: Stats,
     /// Why the run ended.
     pub stop: StopReason,
     /// The resumable frontier of a stopped run: `Some` whenever `stop`
-    /// is not [`StopReason::Completed`] (except for size-thresholded
+    /// is not [`StopReason::Completed`] (except for thresholded and top-k
     /// runs, which are not checkpointable). Feed it back through
     /// [`Enumeration::resume`] — or serialize it with
     /// [`Checkpoint::to_bytes`] / [`Checkpoint::save`] — to continue the
@@ -411,9 +417,8 @@ pub struct Report {
     /// and together equal the complete run's output.
     pub checkpoint: Option<Checkpoint>,
     /// Per-worker telemetry (histograms, steal/idle counters) for this
-    /// run segment; see [`RunMetrics`]. Always populated by the serial
-    /// and parallel drivers; empty (default) for size-thresholded and
-    /// extremal-search runs, which are not yet instrumented.
+    /// run segment; see [`RunMetrics`]. Populated by every terminal,
+    /// thresholded and top-k runs included.
     pub metrics: RunMetrics,
 }
 
@@ -438,12 +443,13 @@ impl Report {
 /// the terminals: [`collect`](Enumeration::collect) (bicliques in a
 /// `Report`), [`count`](Enumeration::count) (count only),
 /// [`run`](Enumeration::run) (stream into your own sink on the serial
-/// driver), or [`run_per_worker`](Enumeration::run_per_worker) (one sink
-/// per parallel worker).
+/// driver), [`run_per_worker`](Enumeration::run_per_worker) (one sink
+/// per parallel worker), or [`top_k`](Enumeration::top_k) (the `k`
+/// bicliques with the most edges).
 ///
 /// Threading follows `MbeOptions::threads`: `1` (the default) runs the
 /// serial driver, `0` uses one worker per core, `n > 1` uses `n`
-/// workers. `collect` and `count` dispatch automatically.
+/// workers. `collect`, `count` and `top_k` dispatch automatically.
 ///
 /// ```
 /// use bigraph::BipartiteGraph;
@@ -457,6 +463,8 @@ impl Report {
 /// ```
 pub struct Enumeration<'g> {
     g: &'g BipartiteGraph,
+    /// `g` peeled in place to the thresholds' core, when thresholded.
+    core: Option<BipartiteGraph>,
     opts: MbeOptions,
     control: RunControl,
     thresholds: Option<SizeThresholds>,
@@ -472,6 +480,7 @@ impl<'g> Enumeration<'g> {
     pub fn new(g: &'g BipartiteGraph) -> Self {
         Enumeration {
             g,
+            core: None,
             opts: MbeOptions::default(),
             control: RunControl::new(),
             thresholds: None,
@@ -514,9 +523,13 @@ impl<'g> Enumeration<'g> {
     }
 
     /// Restricts output to bicliques with `|L| >= min_l` and
-    /// `|R| >= min_r`, enabling the size-filtered engine with its
-    /// core-reduction preprocessing. Serial only.
+    /// `|R| >= min_r`. Peels the graph to its `(min_r, min_l)`-core in
+    /// place here; every terminal then runs the configured engine and
+    /// driver with the thresholds as a bound (see [`crate::filtered`]).
+    /// Thresholded runs are not checkpointable: resume is refused and
+    /// [`Report::checkpoint`] stays `None`.
     pub fn thresholds(mut self, thr: SizeThresholds) -> Self {
+        self.core = Some(crate::filtered::peel_core(self.g, thr));
         self.thresholds = Some(thr);
         self
     }
@@ -625,15 +638,6 @@ impl<'g> Enumeration<'g> {
         self
     }
 
-    fn validate(&self) -> Result<(), MbeError> {
-        if self.thresholds.is_some() && self.opts.threads != 1 {
-            return Err(MbeError::InvalidConfig(
-                "size-thresholded enumeration runs on the serial driver; use .threads(1)",
-            ));
-        }
-        Ok(())
-    }
-
     /// Resume-specific validation, run by every terminal that honors
     /// checkpoints: thresholded runs cannot resume, the pinned options
     /// must not have been mutated after [`Enumeration::resume`], and the
@@ -660,16 +664,18 @@ impl<'g> Enumeration<'g> {
         Ok(())
     }
 
-    /// Builds the `Report::checkpoint` for a finished segment: `None`
-    /// when the run completed, otherwise the captured frontier plus a
-    /// cumulative emitted count (checkpoints chain across resumes).
+    /// Builds the `Report::checkpoint` for a finished segment run with
+    /// `opts`: `None` when the run completed or was bounded, otherwise
+    /// the captured frontier plus a cumulative emitted count
+    /// (checkpoints chain across resumes).
     fn make_checkpoint(
         &self,
+        opts: &MbeOptions,
         stop: StopReason,
         emitted_now: u64,
         frontier: Vec<ResumeTask>,
     ) -> Option<Checkpoint> {
-        if stop.is_complete() {
+        if stop.is_complete() || self.thresholds.is_some() || opts.bound.is_top_k() {
             return None;
         }
         Some(Checkpoint {
@@ -686,87 +692,63 @@ impl<'g> Enumeration<'g> {
         })
     }
 
-    /// Runs and collects every emitted biclique into the report.
-    pub fn collect(self) -> Result<Report, MbeError> {
-        self.validate()?;
-        self.validate_resume()?;
-        let obs = self.obs_ctx();
-        self.note_run_start(&obs);
-        if let Some(thr) = self.thresholds {
-            let mut sink = CollectSink::new();
-            let (stats, stop) =
-                crate::filtered::run_filtered(self.g, thr, &self.control, &mut sink);
-            let report = Report {
-                bicliques: sink.into_vec(),
-                stats,
-                stop,
-                checkpoint: None,
-                metrics: RunMetrics::default(),
-            };
-            crate::invariants::check_stopped_collect(
-                self.g,
-                &self.opts,
-                Some(thr),
-                &report.bicliques,
-                report.stop,
-                None,
+    /// The graph the drivers run on: the peeled core when thresholded.
+    fn graph(&self) -> &BipartiteGraph {
+        self.core.as_ref().unwrap_or(self.g)
+    }
+
+    /// The options the drivers run with: the builder's, cut by the
+    /// thresholds and, for a top-k run, the shared incumbent `theta`.
+    fn bounded_opts(&self, theta: Option<Arc<AtomicUsize>>) -> MbeOptions {
+        MbeOptions { bound: Bound::new(self.thresholds, theta), ..self.opts.clone() }
+    }
+
+    /// The checkpointed frontier this run resumes, if any.
+    fn resume_tasks(&self) -> Option<&[ResumeTask]> {
+        self.resume.as_ref().map(|c| c.frontier.as_slice())
+    }
+
+    /// Runs the segment with `opts` on the serial driver, or on the
+    /// parallel one when `opts.threads != 1`.
+    fn drive<S, F>(&self, opts: &MbeOptions, make_sink: F) -> Result<ParOutcome<S>, MbeError>
+    where
+        S: BicliqueSink + Send,
+        F: Fn(usize) -> S + Sync,
+    {
+        if opts.threads != 1 {
+            return crate::parallel::par_run(
+                self.graph(),
+                opts,
+                &self.control,
+                self.resume_tasks(),
+                self.obs_ctx(),
+                make_sink,
             );
-            Self::note_run_end(&obs, &report);
-            return Ok(report);
         }
-        let resume_tasks = self.resume.as_ref().map(|c| c.frontier.as_slice());
-        let (bicliques, out, panic) = if self.opts.threads == 1 {
-            let sink = CollectSink::new();
-            #[cfg(feature = "fault-injection")]
-            let sink = crate::faults::FaultySink::new(self.faults.clone(), sink);
-            let mut sink = sink;
-            let out = run_serial_resumable(
-                self.g,
-                &self.opts,
-                &self.control,
-                &mut sink,
-                resume_tasks,
-                obs,
-            );
-            #[cfg(feature = "fault-injection")]
-            let sink = sink.into_inner();
-            (sink.into_vec(), out, None)
-        } else {
-            let par = crate::parallel::par_run(
-                self.g,
-                &self.opts,
-                &self.control,
-                resume_tasks,
-                obs,
-                |_| {
-                    #[cfg(feature = "fault-injection")]
-                    {
-                        crate::faults::FaultySink::new(self.faults.clone(), CollectSink::new())
-                    }
-                    #[cfg(not(feature = "fault-injection"))]
-                    {
-                        CollectSink::new()
-                    }
-                },
-            )?;
-            let mut bicliques = Vec::new();
-            for s in par.sinks {
-                #[cfg(feature = "fault-injection")]
-                let s = s.into_inner();
-                bicliques.extend(s.into_vec());
-            }
-            (
-                bicliques,
-                RunOutcome {
-                    stats: par.stats,
-                    stop: par.stop,
-                    frontier: par.frontier,
-                    metrics: par.metrics,
-                },
-                par.panic,
-            )
-        };
-        let checkpoint = self.make_checkpoint(out.stop, out.stats.emitted, out.frontier);
+        let mut sink = make_sink(0);
+        let out = run_serial_resumable(
+            self.graph(),
+            opts,
+            &self.control,
+            &mut sink,
+            self.resume_tasks(),
+            self.obs_ctx(),
+        );
+        Ok(ParOutcome { sinks: vec![sink], out })
+    }
+
+    /// The report of a finished segment run with `opts`. Fires the
+    /// run-end hooks; a contained worker panic comes back as
+    /// [`MbeError::WorkerPanic`] carrying the partial report (trace
+    /// observers still see `run_end`, with the `WorkerPanicked` stop).
+    fn finish(
+        &self,
+        obs: &ObsCtx<'g>,
+        opts: &MbeOptions,
+        bicliques: Vec<Biclique>,
+        out: RunOutcome,
+    ) -> Result<Report, MbeError> {
+        let checkpoint = self.make_checkpoint(opts, out.stop, out.stats.emitted, out.frontier);
         let report = Report {
             bicliques,
             stats: out.stats,
@@ -774,21 +756,47 @@ impl<'g> Enumeration<'g> {
             checkpoint,
             metrics: out.metrics,
         };
-        if let Some(p) = panic {
-            // Flush-before-fail: trace observers see run_end (with the
-            // WorkerPanicked stop) even though the terminal errors.
-            Self::note_run_end(&obs, &report);
-            return Err(MbeError::WorkerPanic {
+        Self::note_run_end(obs, &report);
+        match out.panic {
+            Some(p) => Err(MbeError::WorkerPanic {
                 task: p.task,
                 payload: p.payload,
                 report: Box::new(report),
-            });
+            }),
+            None => Ok(report),
         }
-        Self::note_run_end(&obs, &report);
+    }
+
+    /// Runs and collects every emitted biclique into the report.
+    pub fn collect(self) -> Result<Report, MbeError> {
+        self.validate_resume()?;
+        let obs = self.obs_ctx();
+        self.note_run_start(&obs);
+        let opts = self.bounded_opts(None);
+        let par = self.drive(&opts, |_| {
+            #[cfg(feature = "fault-injection")]
+            {
+                crate::faults::FaultySink::new(self.faults.clone(), CollectSink::new())
+            }
+            #[cfg(not(feature = "fault-injection"))]
+            {
+                CollectSink::new()
+            }
+        })?;
+        let mut per_worker = par.sinks.into_iter().map(|s| {
+            #[cfg(feature = "fault-injection")]
+            let s = s.into_inner();
+            s.into_vec()
+        });
+        // The first (for the serial driver, only) sink's vector is kept
+        // as is, so a serial run never copies its output.
+        let mut bicliques = per_worker.next().unwrap_or_default();
+        per_worker.for_each(|more| bicliques.extend(more));
+        let report = self.finish(&obs, &opts, bicliques, par.out)?;
         crate::invariants::check_stopped_collect(
             self.g,
             &self.opts,
-            None,
+            self.thresholds,
             &report.bicliques,
             report.stop,
             // The emitted ∪ resumed = complete equality only makes sense
@@ -802,72 +810,12 @@ impl<'g> Enumeration<'g> {
     /// Runs and counts emissions without storing them
     /// ([`Report::bicliques`] stays empty; use [`Report::count`]).
     pub fn count(self) -> Result<Report, MbeError> {
-        self.validate()?;
         self.validate_resume()?;
         let obs = self.obs_ctx();
         self.note_run_start(&obs);
-        if let Some(thr) = self.thresholds {
-            let mut sink = CountSink::default();
-            let (stats, stop) =
-                crate::filtered::run_filtered(self.g, thr, &self.control, &mut sink);
-            let report = Report {
-                bicliques: Vec::new(),
-                stats,
-                stop,
-                checkpoint: None,
-                metrics: RunMetrics::default(),
-            };
-            Self::note_run_end(&obs, &report);
-            return Ok(report);
-        }
-        let resume_tasks = self.resume.as_ref().map(|c| c.frontier.as_slice());
-        let (out, panic) = if self.opts.threads == 1 {
-            let mut sink = CountSink::default();
-            let out = run_serial_resumable(
-                self.g,
-                &self.opts,
-                &self.control,
-                &mut sink,
-                resume_tasks,
-                obs,
-            );
-            (out, None)
-        } else {
-            let par = crate::parallel::par_run(
-                self.g,
-                &self.opts,
-                &self.control,
-                resume_tasks,
-                obs,
-                |_| CountSink::default(),
-            )?;
-            (
-                RunOutcome {
-                    stats: par.stats,
-                    stop: par.stop,
-                    frontier: par.frontier,
-                    metrics: par.metrics,
-                },
-                par.panic,
-            )
-        };
-        let checkpoint = self.make_checkpoint(out.stop, out.stats.emitted, out.frontier);
-        let report = Report {
-            bicliques: Vec::new(),
-            stats: out.stats,
-            stop: out.stop,
-            checkpoint,
-            metrics: out.metrics,
-        };
-        Self::note_run_end(&obs, &report);
-        if let Some(p) = panic {
-            return Err(MbeError::WorkerPanic {
-                task: p.task,
-                payload: p.payload,
-                report: Box::new(report),
-            });
-        }
-        Ok(report)
+        let opts = self.bounded_opts(None);
+        let par = self.drive(&opts, |_| CountSink::default())?;
+        self.finish(&obs, &opts, Vec::new(), par.out)
     }
 
     /// Streams every emission into `sink` on the serial driver
@@ -879,30 +827,16 @@ impl<'g> Enumeration<'g> {
         self.validate_resume()?;
         let obs = self.obs_ctx();
         self.note_run_start(&obs);
-        if let Some(thr) = self.thresholds {
-            let (stats, stop) = crate::filtered::run_filtered(self.g, thr, &self.control, sink);
-            let report = Report {
-                bicliques: Vec::new(),
-                stats,
-                stop,
-                checkpoint: None,
-                metrics: RunMetrics::default(),
-            };
-            Self::note_run_end(&obs, &report);
-            return Ok(report);
-        }
-        let resume_tasks = self.resume.as_ref().map(|c| c.frontier.as_slice());
-        let out = run_serial_resumable(self.g, &self.opts, &self.control, sink, resume_tasks, obs);
-        let checkpoint = self.make_checkpoint(out.stop, out.stats.emitted, out.frontier);
-        let report = Report {
-            bicliques: Vec::new(),
-            stats: out.stats,
-            stop: out.stop,
-            checkpoint,
-            metrics: out.metrics,
-        };
-        Self::note_run_end(&obs, &report);
-        Ok(report)
+        let opts = self.bounded_opts(None);
+        let out = run_serial_resumable(
+            self.graph(),
+            &opts,
+            &self.control,
+            sink,
+            self.resume_tasks(),
+            obs,
+        );
+        self.finish(&obs, &opts, Vec::new(), out)
     }
 
     /// Runs on the parallel driver with one sink per worker (built by
@@ -918,58 +852,68 @@ impl<'g> Enumeration<'g> {
         S: BicliqueSink + Send,
         F: Fn(usize) -> S + Sync,
     {
-        if self.thresholds.is_some() {
-            return Err(MbeError::InvalidConfig(
-                "size-thresholded enumeration runs on the serial driver; use .run()",
-            ));
-        }
         self.validate_resume()?;
         let obs = self.obs_ctx();
         self.note_run_start(&obs);
-        let resume_tasks = self.resume.as_ref().map(|c| c.frontier.as_slice());
+        let opts = self.bounded_opts(None);
         let par = crate::parallel::par_run(
-            self.g,
-            &self.opts,
+            self.graph(),
+            &opts,
             &self.control,
-            resume_tasks,
+            self.resume_tasks(),
             obs,
             make_sink,
         )?;
-        let checkpoint = self.make_checkpoint(par.stop, par.stats.emitted, par.frontier);
-        let report = Report {
-            bicliques: Vec::new(),
-            stats: par.stats,
-            stop: par.stop,
-            checkpoint,
-            metrics: par.metrics,
-        };
-        Self::note_run_end(&obs, &report);
-        if let Some(p) = par.panic {
-            return Err(MbeError::WorkerPanic {
-                task: p.task,
-                payload: p.payload,
-                report: Box::new(report),
-            });
-        }
+        let report = self.finish(&obs, &opts, Vec::new(), par.out)?;
         Ok((par.sinks, report))
+    }
+
+    /// Runs a top-k search: [`Report::bicliques`] holds the `k` maximal
+    /// bicliques with the most edges (`|L|·|R|`), best first; ties are
+    /// broken arbitrarily. The run cuts every subtree that cannot beat
+    /// θ, the k-th best edge count found so far, shared by all workers
+    /// (see [`crate::extremal`]). It composes with the thresholds, the
+    /// thread count and the run control: a stopped search returns its
+    /// best-so-far incumbents, which are genuine maximal bicliques but
+    /// may rank below the true top-k. Top-k runs are not checkpointable;
+    /// resuming one is refused. `k = 0` returns an empty report without
+    /// running.
+    pub fn top_k(self, k: usize) -> Result<Report, MbeError> {
+        if self.resume.is_some() {
+            return Err(MbeError::InvalidConfig(
+                "top-k runs are not checkpointable and cannot be resumed",
+            ));
+        }
+        if k == 0 {
+            return Ok(Report::default());
+        }
+        let obs = self.obs_ctx();
+        self.note_run_start(&obs);
+        let theta = Arc::new(AtomicUsize::new(0));
+        let opts = self.bounded_opts(Some(Arc::clone(&theta)));
+        let par = self.drive(&opts, |_| TopKSink::new(k, Arc::clone(&theta)))?;
+        let bicliques = crate::extremal::merge_top_k(k, par.sinks);
+        self.finish(&obs, &opts, bicliques, par.out)
     }
 }
 
-/// What a serial segment produced: the stats, the stop reason, for
-/// stopped segments the captured unexplored frontier (internal ids), and
-/// the per-worker telemetry.
+/// What a driver segment produced: the stats, the stop reason, for
+/// stopped segments the captured unexplored frontier (internal ids),
+/// the per-worker telemetry, and the first contained worker panic
+/// (parallel driver only).
 pub(crate) struct RunOutcome {
     pub(crate) stats: Stats,
     pub(crate) stop: StopReason,
     pub(crate) frontier: Vec<ResumeTask>,
     pub(crate) metrics: RunMetrics,
+    pub(crate) panic: Option<PanicInfo>,
 }
 
 /// Serial enumeration core shared by the builder terminals: applies
-/// the vertex order, then either runs every
-/// root task (`resume == None`) or replays a checkpointed frontier
-/// (`resume == Some`), under `control`, reporting through `obs`. A
-/// stopped run's unexplored frontier comes back in the outcome.
+/// the vertex order, then replays the root frontier (`resume == None`)
+/// or a checkpointed one (`resume == Some`), under `control`, reporting
+/// through `obs`. A stopped run's unexplored frontier comes back in the
+/// outcome.
 pub(crate) fn run_serial_resumable<S: BicliqueSink>(
     g: &BipartiteGraph,
     opts: &MbeOptions,
@@ -983,36 +927,22 @@ pub(crate) fn run_serial_resumable<S: BicliqueSink>(
     let mut frontier = Vec::new();
     let mut wm = WorkerMetrics::new(0);
     let start = Instant::now();
-    let stop = {
-        let mut mapped = crate::sink::MapRight::new(sink, &perm);
-        let mut driver = crate::task::SerialDriver::new(&h, opts);
-        match resume {
-            Some(tasks) => driver.run_frontier(
-                tasks,
-                &mut mapped,
-                &mut stats,
-                control,
-                &mut frontier,
-                obs,
-                &mut wm,
-            ),
-            None => driver.run_all_capturing(
-                &mut mapped,
-                &mut stats,
-                control,
-                &mut frontier,
-                obs,
-                &mut wm,
-            ),
-        }
-    };
+    let stop = crate::task::SerialDriver::new(&h, opts).run_frontier(
+        resume,
+        &mut crate::sink::MapRight::new(sink, &perm),
+        &mut stats,
+        control,
+        &mut frontier,
+        obs,
+        &mut wm,
+    );
     if stop.is_complete() {
         // Holds for resumed segments too: every frontier task's subtree
         // ran to completion, and the identity composes over subtrees.
         crate::invariants::check_counter_identity(&stats);
     }
     stats.elapsed = start.elapsed();
-    RunOutcome { stats, stop, frontier, metrics: RunMetrics::from_single(wm) }
+    RunOutcome { stats, stop, frontier, metrics: RunMetrics::from_single(wm), panic: None }
 }
 
 /// One-shot serial enumeration: like [`run_serial_resumable`] with no
@@ -1145,17 +1075,6 @@ mod tests {
         let report = Enumeration::new(&g).control(control).collect().unwrap();
         assert_eq!(report.stop, StopReason::Cancelled);
         assert!(report.bicliques.is_empty());
-    }
-
-    #[test]
-    fn thresholds_reject_parallel() {
-        let g = block_graph();
-        let err = Enumeration::new(&g)
-            .thresholds(SizeThresholds::new(1, 1))
-            .threads(2)
-            .collect()
-            .unwrap_err();
-        assert!(matches!(err, MbeError::InvalidConfig(_)));
     }
 
     #[test]

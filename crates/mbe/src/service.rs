@@ -41,16 +41,18 @@ pub struct QueryParams {
     /// Vertex order imposed on the `V` side.
     pub order: VertexOrder,
     /// Worker threads for this query (`1` = serial, `0` = all cores).
-    /// Execution hint only — not part of the canonical key. Thresholded
-    /// queries always run serially regardless of this value.
+    /// Execution hint only — not part of the canonical key.
     pub threads: usize,
-    /// Minimum `|L|`; values `> 1` switch to the size-filtered engine.
+    /// Minimum `|L|`; values `> 1` bound the run (see
+    /// [`Enumeration::thresholds`]).
     pub min_left: usize,
-    /// Minimum `|R|`; values `> 1` switch to the size-filtered engine.
+    /// Minimum `|R|`; values `> 1` bound the run (see
+    /// [`Enumeration::thresholds`]).
     pub min_right: usize,
-    /// When `Some(k)`, run the extremal top-`k`-by-edges search instead
-    /// of full enumeration (thresholds, budget, and `count_only` are
-    /// ignored in that mode).
+    /// When `Some(k)`, return the top `k` bicliques by edges
+    /// ([`Enumeration::top_k`]) instead of full enumeration. Thresholds
+    /// and the budget still apply; `count_only` is ignored (the `k`
+    /// bicliques are always returned).
     pub top_k: Option<usize>,
     /// Emission budget: stop after this many bicliques.
     pub max_bicliques: Option<u64>,
@@ -80,17 +82,17 @@ impl Default for QueryParams {
 }
 
 impl QueryParams {
-    /// `true` iff this query uses the size-filtered engine (which runs
-    /// serially and is not checkpointable).
+    /// `true` iff this query's size thresholds bound the run (which
+    /// makes it not checkpointable).
     pub fn thresholded(&self) -> bool {
         self.min_left > 1 || self.min_right > 1
     }
 
     /// `true` iff this query can be split across workers by frontier
-    /// sharding. Thresholded runs are not checkpointable, `top_k` is a
-    /// global extremal search, and an emission budget is a whole-run
-    /// property a per-shard budget cannot express — all three run
-    /// undistributed (locally at a coordinator, without the degraded
+    /// sharding. Thresholded and top-k runs are not checkpointable (their
+    /// bound is not pinned in a checkpoint), and an emission budget is a
+    /// whole-run property a per-shard budget cannot express — all three
+    /// run undistributed (locally at a coordinator, without the degraded
     /// flag: that is policy, not failure).
     pub fn shardable(&self) -> bool {
         !self.thresholded() && self.top_k.is_none() && self.max_bicliques.is_none()
@@ -129,10 +131,9 @@ impl QueryParams {
 /// Runs the query described by `params` against `g` under `control`.
 ///
 /// This is the single bridge from service parameters to the enumeration
-/// builders: `top_k` dispatches to the extremal search, thresholded
-/// queries are forced onto the serial driver (the filtered engine's
-/// requirement), and everything else goes through [`Enumeration`] with
-/// the requested engine/order/threads/budget. The deadline and
+/// builder: every query goes through [`Enumeration`] with the requested
+/// engine/order/threads/budget/thresholds, finishing with the `top_k`,
+/// `count` or `collect` terminal. The deadline and
 /// cancellation flag carried by `control` apply as-is — the service maps
 /// per-request deadlines onto the control at admission time, so queued
 /// time counts against the deadline.
@@ -142,11 +143,7 @@ pub fn run_query<'g>(
     control: RunControl,
     observer: Option<&'g dyn Observer>,
 ) -> Result<Report, MbeError> {
-    if let Some(k) = params.top_k {
-        return Ok(crate::extremal::top_k_with_control(g, k, &control));
-    }
-    let threads = if params.thresholded() { 1 } else { params.threads };
-    let opts = MbeOptions::new(params.algorithm).order(params.order).threads(threads);
+    let opts = MbeOptions::new(params.algorithm).order(params.order).threads(params.threads);
     let mut run = Enumeration::new(g).options(opts).control(control);
     if let Some(n) = params.max_bicliques {
         run = run.max_bicliques(n);
@@ -157,10 +154,10 @@ pub fn run_query<'g>(
     if let Some(obs) = observer {
         run = run.observer(obs);
     }
-    if params.count_only {
-        run.count()
-    } else {
-        run.collect()
+    match params.top_k {
+        Some(k) => run.top_k(k),
+        None if params.count_only => run.count(),
+        None => run.collect(),
     }
 }
 

@@ -11,8 +11,14 @@
 //!
 //! Tasks are independent, which is what the parallel driver exploits; the
 //! serial driver just runs them in order.
+//!
+//! A size-thresholded or top-k run ("bounded run") walks the same tree
+//! and cuts it with a `Bound` that every expansion site checks.
 
+use std::borrow::Cow;
 use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use crate::baseline::BaselineEngine;
 use crate::checkpoint::ResumeTask;
@@ -21,7 +27,7 @@ use crate::metrics::{Stats, WorkerMetrics};
 use crate::obs::{DriverKind, ObsCtx, RecordingSink, SegmentInfo, TaskInfo, TaskKind};
 use crate::run::{ControlState, ControlledSink, RunControl, StopReason};
 use crate::sink::BicliqueSink;
-use crate::{Algorithm, MbeOptions};
+use crate::{Algorithm, MbeOptions, SizeThresholds};
 use bigraph::two_hop::TwoHop;
 use bigraph::{BipartiteGraph, LocalGraph};
 use setops::SetView;
@@ -189,6 +195,58 @@ pub(crate) fn child_l<N: NbrSource + ?Sized>(n: &N, l_new: &[u32], w: u32, out: 
     n.nbr(w, l_new.len()).intersect_into(l_new, out);
 }
 
+/// The cut of a bounded run, checked by every expansion site.
+///
+/// Below a node `(L', R', C')` the left side only shrinks and the right
+/// side grows only from the candidates, so every biclique in the subtree
+/// has `|L| ≤ |L'|` and `|R| ≤ |R'| + |C'|`. The node is cut when
+/// `|L'| < min_l`, when `|R'| + |C'| < min_r`, or when
+/// `|L'|·(|R'| + |C'|) ≤ θ`, the k-th best edge count a top-k run has
+/// found so far (one atomic shared by every worker; `Relaxed` suffices,
+/// since θ publishes no other data and a stale, smaller θ only prunes
+/// less). The default bound never cuts.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Bound {
+    min_l: usize,
+    min_r: usize,
+    theta: Option<Arc<AtomicUsize>>,
+}
+
+impl Bound {
+    /// A bound for `thresholds` (none: no size cut) and, for a top-k
+    /// run, the shared incumbent `theta`.
+    pub(crate) fn new(thresholds: Option<SizeThresholds>, theta: Option<Arc<AtomicUsize>>) -> Self {
+        let (min_l, min_r) = thresholds.map_or((0, 0), |t| (t.min_l, t.min_r));
+        Bound { min_l, min_r, theta }
+    }
+
+    /// `true` iff no biclique below a node with `|L'| = l_len` and
+    /// `|R'| + |C'| = r_reach` can be reported.
+    #[inline]
+    pub(crate) fn cuts(&self, l_len: usize, r_reach: usize) -> bool {
+        l_len < self.min_l
+            || r_reach < self.min_r
+            || self
+                .theta
+                .as_ref()
+                .is_some_and(|t| l_len.saturating_mul(r_reach) <= t.load(Ordering::Relaxed))
+    }
+
+    /// `true` iff a maximal biclique with `|R'| = r_len` is emitted (a
+    /// shorter one is counted in `Stats::undersized`; its node still
+    /// branches, since `R` grows below it).
+    #[inline]
+    pub(crate) fn emits(&self, r_len: usize) -> bool {
+        r_len >= self.min_r
+    }
+
+    /// `true` iff this bound carries a top-k incumbent, whose pruning
+    /// depends on the order the workers find bicliques in.
+    pub(crate) fn is_top_k(&self) -> bool {
+        self.theta.is_some()
+    }
+}
+
 /// Root-level equivalence classes: `reps[v]` is `true` iff `v` is the
 /// smallest vertex among those with exactly its neighborhood.
 ///
@@ -211,7 +269,48 @@ pub fn root_representatives(g: &BipartiteGraph) -> Vec<bool> {
     reps
 }
 
-/// Runs every root task in id order on the configured engine.
+/// The [`root_representatives`] of `g` when a run of `opts` batches
+/// roots: only MBET with batching enabled skips equivalent roots (the
+/// baselines process every vertex, as in their papers).
+pub(crate) fn root_reps(g: &BipartiteGraph, opts: &MbeOptions) -> Option<Vec<bool>> {
+    (opts.algorithm == Algorithm::Mbet && opts.mbet.batching).then(|| root_representatives(g))
+}
+
+/// The root frontier of a full run, generated lazily in id order: every
+/// non-isolated vertex, minus the non-representatives when `reps` is
+/// set, which are counted in `batched` as the sweep passes them.
+#[derive(Clone)]
+pub(crate) struct Roots<'a> {
+    g: &'a BipartiteGraph,
+    reps: Option<&'a [bool]>,
+    next: u32,
+    pub(crate) batched: u64,
+}
+
+impl<'a> Roots<'a> {
+    pub(crate) fn new(g: &'a BipartiteGraph, reps: Option<&'a [bool]>) -> Self {
+        Roots { g, reps, next: 0, batched: 0 }
+    }
+}
+
+impl Iterator for Roots<'_> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        while self.next < self.g.num_v() {
+            let v = self.next;
+            self.next += 1;
+            if self.reps.is_some_and(|r| !r[v as usize]) {
+                self.batched += 1;
+            } else if !self.g.nbr_v(v).is_empty() {
+                return Some(v);
+            }
+        }
+        None
+    }
+}
+
+/// Runs a segment's tasks in order on the configured engine.
 pub struct SerialDriver<'g> {
     g: &'g BipartiteGraph,
     opts: MbeOptions,
@@ -227,8 +326,8 @@ impl<'g> SerialDriver<'g> {
     /// `stats`. Returns why the run ended: [`StopReason::Completed`] for
     /// a full run, or the first stop recorded by the control plane / the
     /// sink (a stopped run leaves the in-flight node's counters open, so
-    /// the `nodes = emitted + nonmaximal` identity only holds when
-    /// complete).
+    /// the `nodes = emitted + nonmaximal + undersized` identity only
+    /// holds when complete).
     pub fn run_all<S: BicliqueSink>(
         &mut self,
         sink: &mut S,
@@ -237,124 +336,21 @@ impl<'g> SerialDriver<'g> {
     ) -> StopReason {
         let mut frontier = Vec::new();
         let mut wm = WorkerMetrics::new(0);
-        self.run_all_capturing(sink, stats, control, &mut frontier, ObsCtx::noop(), &mut wm)
+        self.run_frontier(None, sink, stats, control, &mut frontier, ObsCtx::noop(), &mut wm)
     }
 
-    /// [`run_all`](SerialDriver::run_all), additionally capturing the
-    /// unexplored frontier into `frontier` when the run stops early (the
-    /// in-flight engine's untraversed subtrees plus every not-yet-started
-    /// root task, in internal (ordered) ids; empty on a completed run),
-    /// firing the `obs` hooks, and accumulating per-worker telemetry
-    /// into `wm`.
-    pub(crate) fn run_all_capturing<S: BicliqueSink>(
-        &mut self,
-        sink: &mut S,
-        stats: &mut Stats,
-        control: &RunControl,
-        frontier: &mut Vec<ResumeTask>,
-        obs: ObsCtx<'_>,
-        wm: &mut WorkerMetrics,
-    ) -> StopReason {
-        let emitted0 = stats.emitted;
-        let stop = self.run_all_inner(sink, stats, control, frontier, obs, wm);
-        wm.emitted += stats.emitted - emitted0;
-        obs.segment_end(stop, stats);
-        stop
-    }
-
-    /// Body of [`run_all_capturing`](SerialDriver::run_all_capturing)
-    /// (split out so the wrapper can settle `wm.emitted` on every early
-    /// return path at once).
-    fn run_all_inner<S: BicliqueSink>(
-        &mut self,
-        sink: &mut S,
-        stats: &mut Stats,
-        control: &RunControl,
-        frontier: &mut Vec<ResumeTask>,
-        obs: ObsCtx<'_>,
-        wm: &mut WorkerMetrics,
-    ) -> StopReason {
-        let g = self.g;
-        let state = ControlState::with_obs(control, obs);
-        let mut recording = RecordingSink::with_base(sink, obs, stats.emitted);
-        let mut controlled = ControlledSink::new(&state, &mut recording);
-        // Root-level batching: only MBET with batching enabled skips
-        // equivalent roots (the baselines process every vertex, as in
-        // their papers).
-        let batch_roots = self.opts.algorithm == Algorithm::Mbet && self.opts.mbet.batching;
-        let reps = if batch_roots { Some(root_representatives(g)) } else { None };
-        if obs.enabled() {
-            // The seed count is only computed when someone is listening.
-            let seeded = (0..g.num_v())
-                .filter(|&v| {
-                    reps.as_deref().is_none_or(|r| r[v as usize]) && !g.nbr_v(v).is_empty()
-                })
-                .count() as u64;
-            obs.segment_start(&SegmentInfo {
-                driver: DriverKind::Serial,
-                workers: 1,
-                seeded_tasks: seeded,
-                resumed: false,
-            });
-        }
-        if let ControlFlow::Break(r) = state.note_task(0) {
-            // Cancelled or expired before any work: the whole run is the
-            // frontier.
-            capture_remaining_roots(g, reps.as_deref(), 0, frontier);
-            return r;
-        }
-
-        let mut builder = TaskBuilder::new(g);
-        let mut engine = AnyEngine::new(g, &self.opts);
-        for v in 0..g.num_v() {
-            if let Some(reps) = &reps {
-                if !reps[v as usize] {
-                    stats.batched += 1;
-                    continue;
-                }
-            }
-            if let Some(task) = builder.build(v) {
-                stats.tasks += 1;
-                let info = TaskInfo { v, kind: TaskKind::Root };
-                obs.task_start(&info);
-                let nodes_before = stats.nodes;
-                let emitted_before = stats.emitted;
-                let t0 = std::time::Instant::now();
-                let flow = engine.run_task(&task, &mut controlled, stats);
-                let elapsed = t0.elapsed();
-                let depth = engine.task_depth() as u64;
-                record_task(wm, depth, engine.peak_trie_nodes() as u64, elapsed);
-                obs.task_finish(
-                    &info,
-                    elapsed,
-                    &crate::obs::TaskDelta {
-                        nodes: stats.nodes - nodes_before,
-                        emitted: stats.emitted - emitted_before,
-                        depth,
-                    },
-                );
-                if let ControlFlow::Break(r) = flow {
-                    frontier.append(&mut engine.take_frontier());
-                    capture_remaining_roots(g, reps.as_deref(), v + 1, frontier);
-                    return state.note_stop(r);
-                }
-                if let ControlFlow::Break(r) = state.note_task(stats.nodes - nodes_before) {
-                    capture_remaining_roots(g, reps.as_deref(), v + 1, frontier);
-                    return r;
-                }
-            }
-        }
-        StopReason::Completed
-    }
-
-    /// Replays a checkpointed `tasks` frontier instead of the full root
-    /// sweep; each task's subtree is enumerated exactly as the original
-    /// run would have. Stops capture the still-unexplored remainder into
-    /// `frontier`, so resumed runs can themselves be checkpointed.
+    /// Runs one segment: the checkpointed `resume` frontier, or for a
+    /// full run (`None`) the root frontier, generated lazily. Each task's
+    /// subtree is enumerated exactly as in an uninterrupted run. A stop
+    /// captures the unexplored remainder into `frontier` (the in-flight
+    /// engine's untraversed subtrees, then every task not yet started, in
+    /// internal (ordered) ids; empty on a completed run), so a resumed
+    /// segment can itself be checkpointed. Fires the `obs` hooks and
+    /// accumulates per-worker telemetry into `wm`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_frontier<S: BicliqueSink>(
         &mut self,
-        tasks: &[ResumeTask],
+        resume: Option<&[ResumeTask]>,
         sink: &mut S,
         stats: &mut Stats,
         control: &RunControl,
@@ -363,18 +359,46 @@ impl<'g> SerialDriver<'g> {
         wm: &mut WorkerMetrics,
     ) -> StopReason {
         let emitted0 = stats.emitted;
-        let stop = self.run_frontier_inner(tasks, sink, stats, control, frontier, obs, wm);
+        let segment = |seeded_tasks| SegmentInfo {
+            driver: DriverKind::Serial,
+            workers: 1,
+            seeded_tasks,
+            resumed: resume.is_some(),
+        };
+        let stop = match resume {
+            Some(tasks) => {
+                obs.segment_start(&segment(tasks.len() as u64));
+                let mut rest = tasks.iter().map(Cow::Borrowed);
+                let stop = self.run_tasks(&mut rest, sink, stats, control, frontier, obs, wm);
+                frontier.extend(rest.map(Cow::into_owned));
+                stop
+            }
+            None => {
+                let reps = root_reps(self.g, &self.opts);
+                let mut roots = Roots::new(self.g, reps.as_deref());
+                if obs.enabled() {
+                    // The seed count is only computed when someone is listening.
+                    obs.segment_start(&segment(roots.clone().count() as u64));
+                }
+                let mut rest = roots.by_ref().map(|v| Cow::Owned(ResumeTask::Root(v)));
+                let stop = self.run_tasks(&mut rest, sink, stats, control, frontier, obs, wm);
+                stats.batched += roots.batched;
+                frontier.extend(roots.map(ResumeTask::Root));
+                stop
+            }
+        };
         wm.emitted += stats.emitted - emitted0;
         obs.segment_end(stop, stats);
         stop
     }
 
-    /// Body of [`run_frontier`](SerialDriver::run_frontier), split out so
-    /// the wrapper can settle `wm.emitted` on every return path at once.
+    /// The task loop of [`run_frontier`](Self::run_frontier): runs
+    /// `tasks` until they run out or the run stops, leaving the tasks
+    /// not yet started in the iterator.
     #[allow(clippy::too_many_arguments)]
-    fn run_frontier_inner<S: BicliqueSink>(
+    fn run_tasks<'t, S: BicliqueSink>(
         &mut self,
-        tasks: &[ResumeTask],
+        tasks: &mut impl Iterator<Item = Cow<'t, ResumeTask>>,
         sink: &mut S,
         stats: &mut Stats,
         control: &RunControl,
@@ -386,28 +410,21 @@ impl<'g> SerialDriver<'g> {
         let state = ControlState::with_obs(control, obs);
         let mut recording = RecordingSink::with_base(sink, obs, stats.emitted);
         let mut controlled = ControlledSink::new(&state, &mut recording);
-        obs.segment_start(&SegmentInfo {
-            driver: DriverKind::Serial,
-            workers: 1,
-            seeded_tasks: tasks.len() as u64,
-            resumed: true,
-        });
         if let ControlFlow::Break(r) = state.note_task(0) {
-            frontier.extend(tasks.iter().cloned());
-            return r;
+            return r; // cancelled or expired before any work
         }
         let mut builder = TaskBuilder::new(g);
         let mut engine = AnyEngine::new(g, &self.opts);
-        for (i, task) in tasks.iter().enumerate() {
+        for task in tasks {
             let nodes_before = stats.nodes;
             let emitted_before = stats.emitted;
-            let info = match task {
-                ResumeTask::Root(v) => TaskInfo { v: *v, kind: TaskKind::Root },
-                ResumeTask::Node { v, .. } => TaskInfo { v: *v, kind: TaskKind::Node },
+            let info = match *task {
+                ResumeTask::Root(v) => TaskInfo { v, kind: TaskKind::Root },
+                ResumeTask::Node { v, .. } => TaskInfo { v, kind: TaskKind::Node },
             };
             let mut ran = true;
             let t0 = std::time::Instant::now();
-            let flow = match task {
+            let flow = match &*task {
                 ResumeTask::Root(v) => match builder.build(*v) {
                     Some(root) => {
                         stats.tasks += 1;
@@ -441,11 +458,9 @@ impl<'g> SerialDriver<'g> {
             }
             if let ControlFlow::Break(r) = flow {
                 frontier.append(&mut engine.take_frontier());
-                frontier.extend(tasks[i + 1..].iter().cloned());
                 return state.note_stop(r);
             }
             if let ControlFlow::Break(r) = state.note_task(stats.nodes - nodes_before) {
-                frontier.extend(tasks[i + 1..].iter().cloned());
                 return r;
             }
         }
@@ -468,21 +483,6 @@ pub(crate) fn record_task(
     wm.peak_trie_nodes = wm.peak_trie_nodes.max(peak_trie_nodes);
 }
 
-/// Pushes every root task at `from..` that would still run (representative
-/// under root batching, non-isolated) as a [`ResumeTask::Root`].
-pub(crate) fn capture_remaining_roots(
-    g: &BipartiteGraph,
-    reps: Option<&[bool]>,
-    from: u32,
-    frontier: &mut Vec<ResumeTask>,
-) {
-    for v in from..g.num_v() {
-        if reps.is_none_or(|r| r[v as usize]) && !g.nbr_v(v).is_empty() {
-            frontier.push(ResumeTask::Root(v));
-        }
-    }
-}
-
 /// Engine dispatch shared by the serial and parallel drivers. Constructed
 /// once per worker so scratch pools are reused across tasks.
 pub(crate) enum AnyEngine<'g> {
@@ -494,11 +494,12 @@ pub(crate) enum AnyEngine<'g> {
 
 impl<'g> AnyEngine<'g> {
     pub(crate) fn new(g: &'g BipartiteGraph, opts: &MbeOptions) -> Self {
+        let bound = opts.bound.clone();
         match opts.algorithm {
-            Algorithm::Mbet => {
-                AnyEngine::Mbet(Box::new(MbetEngine::new(g, opts.mbet, opts.kernel)))
-            }
-            alg => AnyEngine::Baseline(BaselineEngine::new(g, alg)),
+            Algorithm::Mbet => AnyEngine::Mbet(Box::new(
+                MbetEngine::new(g, opts.mbet, opts.kernel).with_bound(bound),
+            )),
+            alg => AnyEngine::Baseline(BaselineEngine::new(g, alg).with_bound(bound)),
         }
     }
 

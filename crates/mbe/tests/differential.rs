@@ -4,10 +4,11 @@
 //! pit the engines against *each other* on structured inputs two orders
 //! of magnitude larger, where bookkeeping bugs (arena reuse, trie
 //! clearing, scratch pooling, fast-path boundaries) actually surface.
-//! The run-control proptests at the bottom are the budget/cancellation
-//! contract: stopped runs stop for the stated reason, emit exactly what
-//! the budget allows, and never deadlock or double-emit — serial or
-//! parallel.
+//! The proptests at the bottom are the budget/cancellation contract —
+//! stopped runs stop for the stated reason, emit exactly what the budget
+//! allows, and never deadlock or double-emit, serial or parallel — and
+//! the bounded-run contract: thresholds cut every engine and driver
+//! without changing what qualifies.
 
 use bigraph::BipartiteGraph;
 use mbe::{Algorithm, Biclique, Enumeration, MbeOptions, MbetConfig, Stats, StopReason};
@@ -159,6 +160,55 @@ fn top_k_matches_full_sort_at_scale() {
         let want: Vec<usize> = scores.iter().copied().take(k).collect();
         assert_eq!(got, want, "k={k}");
         assert!(stats.bound_pruned > 0 || k >= all.len());
+    }
+}
+
+#[test]
+fn top_k_matches_full_sort_threaded() {
+    let g = structured(33, 300, 200, 1800);
+    let mut scores: Vec<usize> =
+        collect(&g, MbeOptions::default()).iter().map(|b| b.edges()).collect();
+    scores.sort_unstable_by(|a, b| b.cmp(a));
+    for threads in 2..=4 {
+        for split in [false, true] {
+            let mut opts = MbeOptions::default().threads(threads);
+            if split {
+                opts.split_height = 0;
+                opts.split_size = 0;
+            }
+            for k in [1, 7, 50] {
+                let report = Enumeration::new(&g).options(opts.clone()).top_k(k).unwrap();
+                assert!(report.is_complete());
+                let got: Vec<usize> = report.bicliques.iter().map(|b| b.edges()).collect();
+                let want: Vec<usize> = scores.iter().copied().take(k).collect();
+                assert_eq!(got, want, "threads={threads} split={split} k={k}");
+                for b in &report.bicliques {
+                    assert!(mbe::verify::is_maximal_biclique(&g, &b.left, &b.right));
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn thresholds_run_per_worker() {
+    let g = structured(21, 300, 200, 1800);
+    let all = collect(&g, MbeOptions::default());
+    for threads in [1, 3] {
+        let (sinks, report) = Enumeration::new(&g)
+            .threads(threads)
+            .thresholds(mbe::SizeThresholds::new(3, 4))
+            .run_per_worker(|_| mbe::CollectSink::new())
+            .unwrap();
+        assert!(report.is_complete());
+        assert!(report.checkpoint.is_none());
+        let mut got: Vec<Biclique> = sinks.into_iter().flat_map(|s| s.into_vec()).collect();
+        got.sort();
+        let mut want: Vec<Biclique> =
+            all.iter().filter(|b| b.left.len() >= 3 && b.right.len() >= 4).cloned().collect();
+        want.sort();
+        assert_eq!(got, want, "threads={threads}");
+        assert_eq!(report.count(), want.len() as u64);
     }
 }
 
@@ -465,5 +515,57 @@ proptest! {
         for b in &report.bicliques {
             prop_assert!(mbe::verify::is_maximal_biclique(&g, &b.left, &b.right));
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Thresholds are a bound on every engine and driver: any algorithm,
+    /// 1–4 workers, with or without forced splitting, emits exactly the
+    /// post-filtered full enumeration, the counter identity closes, and
+    /// a top-k run under the same thresholds ranks within that set.
+    #[test]
+    fn thresholds_match_post_filter_on_every_engine_and_driver(
+        g in random_graph(),
+        min_l in 1usize..4,
+        min_r in 1usize..4,
+        alg in 0usize..4,
+        threads in 1usize..5,
+        split in 0u8..2,
+    ) {
+        let alg = Algorithm::all()[alg];
+        let mut want: Vec<Biclique> = Enumeration::new(&g)
+            .collect()
+            .unwrap()
+            .bicliques
+            .into_iter()
+            .filter(|b| b.left.len() >= min_l && b.right.len() >= min_r)
+            .collect();
+        want.sort();
+        let split = split == 1;
+        let mut opts = MbeOptions::new(alg).threads(threads);
+        if split {
+            opts.split_height = 0;
+            opts.split_size = 0;
+        }
+        let thr = mbe::SizeThresholds::new(min_l, min_r);
+        let report = Enumeration::new(&g).options(opts.clone()).thresholds(thr).collect().unwrap();
+        prop_assert!(report.is_complete());
+        let mut got = report.bicliques;
+        got.sort();
+        prop_assert_eq!(&got, &want, "{:?} threads={} split={}", alg, threads, split);
+        let s = &report.stats;
+        prop_assert_eq!(s.nodes, s.emitted + s.nonmaximal + s.undersized);
+        prop_assert_eq!(s.emitted, want.len() as u64);
+
+        // Top-k composes with the same thresholds.
+        let top = Enumeration::new(&g).options(opts).thresholds(thr).top_k(3).unwrap();
+        let mut scores: Vec<usize> = want.iter().map(Biclique::edges).collect();
+        scores.sort_unstable_by(|a, b| b.cmp(a));
+        scores.truncate(3);
+        let top_scores: Vec<usize> = top.bicliques.iter().map(Biclique::edges).collect();
+        prop_assert_eq!(top_scores, scores, "top-3 {:?} threads={} split={}", alg, threads, split);
+        prop_assert!(top.bicliques.iter().all(|b| want.contains(b)));
     }
 }

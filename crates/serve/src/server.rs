@@ -830,7 +830,9 @@ fn handle_query(shared: &Arc<Shared>, stream: &mut TcpStream, q: &QueryRequest) 
     let response = match result {
         Some(QueryOutcome::Local(Ok(report))) => {
             if cacheable(&report) {
-                let value = CachedResult::from_report(&report, q.params.count_only);
+                // A top-k reply always carries its bicliques, count-only or not.
+                let count_only = q.params.count_only && q.params.top_k.is_none();
+                let value = CachedResult::from_report(&report, count_only);
                 shared.cache.lock().unwrap_or_else(PoisonError::into_inner).insert(
                     fingerprint,
                     key,

@@ -197,6 +197,31 @@ fn repeated_query_is_served_from_cache_without_new_work() {
     assert_eq!(summary.queries, 3);
 }
 
+/// (b'): a top-k query returns its bicliques even when `count_only` is
+/// set, and its cache hit must return the same ones.
+#[test]
+fn cached_top_k_count_only_query_keeps_its_bicliques() {
+    let mut rng = StdRng::seed_from_u64(7);
+    let g = gen::er::gnm(&mut rng, 30, 30, 200);
+    let (handle, join) = start(ServerConfig::default(), &[("g", &g)]);
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let params = QueryParams { top_k: Some(3), count_only: true, ..QueryParams::default() };
+
+    let miss = client.query(request("g", params.clone())).unwrap();
+    assert!(!miss.cached);
+    assert_eq!(miss.stop, StopReason::Completed);
+    assert_eq!(miss.total, 3);
+    assert_eq!(miss.bicliques.len(), 3);
+
+    let hit = client.query(request("g", params)).unwrap();
+    assert!(hit.cached, "identical repeat must hit the cache");
+    assert_eq!(hit.total, miss.total);
+    assert_eq!(hit.bicliques, miss.bicliques);
+
+    handle.shutdown();
+    join.join();
+}
+
 /// (c): with one worker and one queue slot, a third concurrent query is
 /// rejected with the typed busy response immediately instead of waiting.
 #[test]
