@@ -9,6 +9,16 @@
 //! strictly increasing local-id row (CSR) and as packed bitmap words
 //! over the left universe.
 //!
+//! Rows are built by one scatter over the left side's adjacency: the
+//! right vertices are tagged with their local ids in a table indexed by
+//! global right id, and `N(u)` is walked for each `u ∈ left` in rank
+//! order — once to count each row's length, once to write `u`'s local
+//! id into the row of every tagged neighbour. For a root that touches
+//! exactly the `Σ_{u ∈ N(v)} |N(u)|` pairs its 2-hop walk reads, rather
+//! than one sorted intersection of length `deg(w) + |N(v)|` per right
+//! vertex `w`; rows come out strictly increasing because `u` is visited
+//! in rank order.
+//!
 //! The payoff is in the inner loop: a node at depth `d` used to
 //! intersect each candidate's *full global* adjacency (length
 //! `deg(w)`) against the current `L`; on the local graph the same
@@ -73,9 +83,14 @@ pub struct LocalGraph {
     words_per_row: usize,
     /// The kernel policy this localization was built under.
     kernel: Kernel,
-    /// Row-building scratch, kept so localization allocates nothing
-    /// steady-state.
+    /// Per-row write cursors of the fill pass, kept so localization
+    /// allocates nothing steady-state.
     scratch: Vec<u32>,
+    /// Indexed by global right id: `local id + 1` for each vertex of
+    /// `rights` while [`LocalGraph::localize`] runs, 0 otherwise. Grown
+    /// to the graph's `|V|` on first use (4 bytes per right vertex) and
+    /// reset to zero at the end of every call.
+    tag: Vec<u32>,
 }
 
 impl LocalGraph {
@@ -90,6 +105,7 @@ impl LocalGraph {
             words_per_row: 0,
             kernel,
             scratch: Vec::new(),
+            tag: Vec::new(),
         }
     }
 
@@ -101,6 +117,12 @@ impl LocalGraph {
     /// Each right vertex `w` gets the row `N(w) ∩ left`, expressed in
     /// local left ids; bitmap rows are packed according to the
     /// [`Kernel`] policy and the size heuristic.
+    ///
+    /// The rows are one scatter over `N(u)` for `u ∈ left` (see the
+    /// module docs), costing `Σ_{u ∈ left} deg(u)`: for a root, the
+    /// pairs of its 2-hop walk; for a split or resumed node, at most its
+    /// root's walk, since `left ⊆ N(root)` and neighbours outside
+    /// `rights` are skipped by the tag check.
     pub fn localize(&mut self, g: &BipartiteGraph, left: &[u32], rights: &[u32]) {
         debug_assert!(setops::is_strictly_increasing(left));
         debug_assert!(setops::is_strictly_increasing(rights));
@@ -120,24 +142,57 @@ impl LocalGraph {
             }
         };
 
-        self.offsets.clear();
-        self.offsets.push(0);
-        self.adj.clear();
         self.bits.clear();
         if build_bits {
             self.bits.resize(rights.len() * self.words_per_row, 0);
         }
 
+        if self.tag.len() < g.num_v() as usize {
+            self.tag.resize(g.num_v() as usize, 0);
+        }
         for (j, &w) in rights.iter().enumerate() {
-            setops::intersect_ranks(g.nbr_v(w), &self.left, &mut self.scratch);
-            self.adj.extend_from_slice(&self.scratch);
-            self.offsets.push(self.adj.len() as u32);
-            if build_bits {
-                let base = j * self.words_per_row;
-                for &lid in &self.scratch {
-                    self.bits[base + (lid >> 6) as usize] |= 1u64 << (lid & 63);
+            self.tag[w as usize] = j as u32 + 1;
+        }
+
+        // Count pass: row `j`'s hits land in `offsets[j + 1]`, and the
+        // prefix sum turns the counts into row boundaries.
+        self.offsets.clear();
+        self.offsets.resize(rights.len() + 1, 0);
+        for &u in left {
+            for &w in g.nbr_u(u) {
+                let t = self.tag[w as usize];
+                if t != 0 {
+                    self.offsets[t as usize] += 1;
                 }
             }
+        }
+        for j in 1..self.offsets.len() {
+            self.offsets[j] += self.offsets[j - 1];
+        }
+
+        // Fill pass: `u` is visited in rank order, so each row comes
+        // out strictly increasing.
+        self.scratch.clear();
+        self.scratch.extend_from_slice(&self.offsets[..rights.len()]);
+        self.adj.clear();
+        self.adj.resize(self.offsets[rights.len()] as usize, 0);
+        for (lid, &u) in left.iter().enumerate() {
+            for &w in g.nbr_u(u) {
+                let t = self.tag[w as usize] as usize;
+                if t == 0 {
+                    continue;
+                }
+                let cursor = &mut self.scratch[t - 1];
+                self.adj[*cursor as usize] = lid as u32;
+                *cursor += 1;
+                if build_bits {
+                    self.bits[(t - 1) * self.words_per_row + lid / 64] |= 1u64 << (lid % 64);
+                }
+            }
+        }
+
+        for &w in rights {
+            self.tag[w as usize] = 0;
         }
     }
 
@@ -207,7 +262,11 @@ impl LocalGraph {
         SetView::Bits(&self.bits[base..base + self.words_per_row])
     }
 
-    /// Whether bitmap rows were built for this localization.
+    /// Whether bitmap rows were built for this localization: never under
+    /// `SortedOnly`; under `BitmapOnly` always, and under `Adaptive` when
+    /// `|left| ≥ 2·GALLOP_RATIO`, `ceil(|left|/64) ≤ 64` and
+    /// `|rights| · ceil(|left|/64) ≤ 2²¹` — in both cases only when
+    /// `left` and `rights` are non-empty (zero words pack nothing).
     pub fn has_bits(&self) -> bool {
         !self.bits.is_empty()
     }
@@ -226,13 +285,15 @@ impl LocalGraph {
     ///
     /// Asserts: both id vectors strictly increasing; every row strictly
     /// increasing with ids inside the left universe; every row equal to
-    /// the global intersection `N(w) ∩ left` mapped through the
-    /// relabeling; and, when bitmaps were built, each packed row
-    /// decoding to exactly its sorted row.
+    /// a naive oracle independent of the scatter — the local ids `i`
+    /// with `left[i] ∈ N(w)`, each found by binary search in `N(w)`;
+    /// when bitmaps were built, each packed row decoding to exactly its
+    /// sorted row; and the tag table all-zero again.
     pub fn check_consistency(&self, g: &BipartiteGraph) {
         assert!(setops::is_strictly_increasing(&self.left), "left ids not sorted");
         assert!(setops::is_strictly_increasing(&self.right), "right ids not sorted");
         assert_eq!(self.offsets.len(), self.right.len() + 1);
+        assert!(self.tag.iter().all(|&t| t == 0), "tag table not reset");
         let mut want = Vec::new();
         for (j, &w) in self.right.iter().enumerate() {
             let row = self.row(j as u32);
@@ -241,7 +302,12 @@ impl LocalGraph {
                 row.iter().all(|&lid| (lid as usize) < self.left.len()),
                 "row {j} escapes the left universe"
             );
-            setops::intersect_ranks(g.nbr_v(w), &self.left, &mut want);
+            let nbrs = g.nbr_v(w);
+            want.clear();
+            want.extend(
+                (0..self.left.len() as u32)
+                    .filter(|&i| nbrs.binary_search(&self.left[i as usize]).is_ok()),
+            );
             assert_eq!(row, &want[..], "row {j} disagrees with N({w}) ∩ left");
             if !self.bits.is_empty() {
                 let base = j * self.words_per_row;
@@ -259,6 +325,8 @@ impl LocalGraph {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn localized(g: &BipartiteGraph, left: &[u32], rights: &[u32], kernel: Kernel) -> LocalGraph {
         let mut lg = LocalGraph::new(kernel);
@@ -310,7 +378,97 @@ mod tests {
         lg.check_consistency(&g);
     }
 
+    /// A random `nu × nv` graph, each edge present with `density`.
+    fn random_graph(rng: &mut StdRng, nu: u32, nv: u32, density: f64) -> BipartiteGraph {
+        let mut edges = Vec::new();
+        for u in 0..nu {
+            for v in 0..nv {
+                if rng.gen_bool(density) {
+                    edges.push((u, v));
+                }
+            }
+        }
+        BipartiteGraph::from_edges(nu, nv, &edges).unwrap()
+    }
+
+    /// A random strictly increasing subset of `0..n`.
+    fn random_subset(rng: &mut StdRng, n: u32, keep: f64) -> Vec<u32> {
+        (0..n).filter(|_| rng.gen_bool(keep)).collect()
+    }
+
+    /// The packing rule [`LocalGraph::has_bits`] documents.
+    fn packs(kernel: Kernel, left: usize, rights: usize) -> bool {
+        let words = left.div_ceil(64);
+        let allowed = match kernel {
+            Kernel::SortedOnly => false,
+            Kernel::BitmapOnly => true,
+            Kernel::Adaptive => {
+                left >= MIN_BITS_LEFT
+                    && words <= MAX_BITS_WORDS_PER_ROW
+                    && rights * words <= MAX_BITS_TOTAL_WORDS
+            }
+        };
+        allowed && left > 0 && rights > 0
+    }
+
+    #[test]
+    fn adaptive_packs_a_large_left_universe() {
+        // Dense enough that N(v) passes MIN_BITS_LEFT and N²(v) is all
+        // of V: a root the adaptive policy packs.
+        let mut rng = StdRng::seed_from_u64(5);
+        let g = random_graph(&mut rng, 200, 12, 0.5);
+        let v = (0..12).max_by_key(|&v| g.nbr_v(v).len()).unwrap();
+        assert!(g.nbr_v(v).len() >= MIN_BITS_LEFT);
+        let rights: Vec<u32> = (0..12).collect();
+        let lg = localized(&g, g.nbr_v(v), &rights, Kernel::Adaptive);
+        lg.check_consistency(&g);
+        assert!(lg.has_bits());
+    }
+
     proptest! {
+        /// The scatter against the naive oracle at universes where
+        /// `Adaptive` packs, on root shapes and on arbitrary
+        /// `left`/`rights` subsets (split, resumed and OCT nodes, whose
+        /// left side reaches right vertices outside `rights`), with one
+        /// localizer reused across two graphs of different `|V|`.
+        #[test]
+        fn scatter_matches_oracle_at_bitmap_scale(
+            seed in 0u64..u64::MAX,
+            nu in 64u32..300,
+            nv in (2u32..120, 2u32..120),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let density = rng.gen_range(0.05..0.6);
+            // The smaller graph first: the tag table grows on the second
+            // call and outsizes the graph on the third.
+            let graphs = [
+                random_graph(&mut rng, nu, nv.0.min(nv.1), density),
+                random_graph(&mut rng, nu, nv.0.max(nv.1) + 1, density),
+            ];
+            for kernel in [Kernel::Adaptive, Kernel::SortedOnly, Kernel::BitmapOnly] {
+                let mut lg = LocalGraph::new(kernel);
+                for g in [&graphs[0], &graphs[1], &graphs[0]] {
+                    let v = rng.gen_range(0..g.num_v());
+                    let mut th = crate::two_hop::TwoHop::new(g.num_v() as usize);
+                    let mut root_rights = Vec::new();
+                    th.of_v(g, v, &mut root_rights);
+                    root_rights.push(v);
+                    root_rights.sort_unstable();
+                    let keep_l = rng.gen_range(0.2..1.0);
+                    let keep_r = rng.gen_range(0.05..1.0);
+                    let shapes = [
+                        (g.nbr_v(v).to_vec(), root_rights),
+                        (random_subset(&mut rng, nu, keep_l), random_subset(&mut rng, g.num_v(), keep_r)),
+                    ];
+                    for (left, rights) in &shapes {
+                        lg.localize(g, left, rights);
+                        lg.check_consistency(g);
+                        prop_assert_eq!(lg.has_bits(), packs(kernel, left.len(), rights.len()));
+                    }
+                }
+            }
+        }
+
         #[test]
         fn localization_is_consistent(
             edges in proptest::collection::vec((0u32..14, 0u32..12), 0..140),

@@ -42,7 +42,8 @@
 //! pinned: they redistribute work without changing the emitted set.
 //!
 //! Corrupted input — truncation, bit flips, a foreign magic, an unknown
-//! version, or a fingerprint mismatch — is rejected with a typed
+//! version, a fingerprint mismatch, or a frontier task that does not fit
+//! the graph ([`Checkpoint::matches`]) — is rejected with a typed
 //! [`CheckpointError`], never a panic.
 
 use std::fmt;
@@ -294,11 +295,40 @@ impl Checkpoint {
         Checkpoint::from_bytes(&bytes)
     }
 
-    /// Validates that this checkpoint was taken on `g`.
+    /// Validates that this checkpoint was taken on `g` and that every
+    /// frontier task fits it, so resuming can neither index outside the
+    /// graph nor feed an engine an unsorted set.
+    ///
+    /// A task fits when its ids lie inside `g`'s sides (the ordered graph
+    /// a resume runs on has the same sizes), its `l` is non-empty, and
+    /// its `l`, `r_parent`, `p` and `q` are strictly increasing. iMBEA
+    /// records `p` and `q` in its branching order (fewest local
+    /// neighbours first), so under that algorithm they need only be free
+    /// of repeats. The fingerprint is checked first; a task that does not
+    /// fit is `Malformed("frontier task")`.
     pub fn matches(&self, g: &BipartiteGraph) -> Result<(), CheckpointError> {
         let found = graph_fingerprint(g);
         if found != self.fingerprint {
             return Err(CheckpointError::GraphMismatch { expected: self.fingerprint, found });
+        }
+        let (nu, nv) = (g.num_u(), g.num_v());
+        let fits = |task: &ResumeTask| match task {
+            ResumeTask::Root(v) => *v < nv,
+            ResumeTask::Node { l, r_parent, v, p, q } => {
+                let candidates = |s: &[u32]| match self.algorithm {
+                    Algorithm::Imbea => distinct_below(s, nv),
+                    _ => ascending_below(s, nv),
+                };
+                !l.is_empty()
+                    && ascending_below(l, nu)
+                    && ascending_below(r_parent, nv)
+                    && *v < nv
+                    && candidates(p)
+                    && candidates(q)
+            }
+        };
+        if !self.frontier.iter().all(fits) {
+            return Err(CheckpointError::Malformed("frontier task"));
         }
         Ok(())
     }
@@ -391,6 +421,18 @@ impl Checkpoint {
         }
         Ok(merged)
     }
+}
+
+/// `true` iff `ids` is strictly increasing and every id is below `n`.
+fn ascending_below(ids: &[u32], n: u32) -> bool {
+    setops::is_strictly_increasing(ids) && ids.last().is_none_or(|&x| x < n)
+}
+
+/// `true` iff `ids` holds no repeat and every id is below `n`.
+fn distinct_below(ids: &[u32], n: u32) -> bool {
+    let mut sorted = ids.to_vec();
+    sorted.sort_unstable();
+    ascending_below(&sorted, n)
 }
 
 /// The checkpoint a run of `opts` over `g` would produce if stopped
@@ -685,9 +727,58 @@ mod tests {
     fn matches_rejects_wrong_graph() {
         let g1 = BipartiteGraph::from_edges(2, 2, &[(0, 0), (1, 1)]).unwrap();
         let g2 = BipartiteGraph::from_edges(2, 2, &[(0, 0), (1, 0)]).unwrap();
-        let ckpt = Checkpoint { fingerprint: graph_fingerprint(&g1), ..sample() };
+        // `sample()`'s frontier names vertices a 2×2 graph lacks.
+        let ckpt = Checkpoint {
+            fingerprint: graph_fingerprint(&g1),
+            frontier: vec![ResumeTask::Root(1)],
+            ..sample()
+        };
         assert!(ckpt.matches(&g1).is_ok());
         assert!(matches!(ckpt.matches(&g2), Err(CheckpointError::GraphMismatch { .. })));
+    }
+
+    #[test]
+    fn matches_rejects_frontier_tasks_that_do_not_fit_the_graph() {
+        let g = BipartiteGraph::from_edges(4, 4, &[(0, 0), (1, 1), (2, 2), (3, 3)]).unwrap();
+        let node = |l: Vec<u32>, r_parent: Vec<u32>, v: u32, p: Vec<u32>, q: Vec<u32>| {
+            ResumeTask::Node { l, r_parent, v, p, q }
+        };
+        let with = |algorithm: Algorithm, task: ResumeTask| Checkpoint {
+            fingerprint: graph_fingerprint(&g),
+            algorithm,
+            frontier: vec![ResumeTask::Root(0), task],
+            ..sample()
+        };
+        let fine = node(vec![0, 3], vec![1], 0, vec![2, 3], vec![1]);
+        assert!(with(Algorithm::Mbet, fine).matches(&g).is_ok());
+        let bad = [
+            ResumeTask::Root(4),
+            node(vec![], vec![], 0, vec![], vec![]),
+            node(vec![0, 4], vec![], 0, vec![], vec![]),
+            node(vec![1, 0], vec![], 0, vec![], vec![]),
+            node(vec![0], vec![2, 2], 0, vec![], vec![]),
+            node(vec![0], vec![], 4, vec![], vec![]),
+            node(vec![0], vec![], 0, vec![1, 4], vec![]),
+            node(vec![0], vec![], 0, vec![], vec![9]),
+            node(vec![0], vec![], 0, vec![3, 1], vec![]),
+            node(vec![0], vec![], 0, vec![], vec![2, 2]),
+        ];
+        for task in bad {
+            for alg in [Algorithm::Mbet, Algorithm::Mbea, Algorithm::MineLmbc] {
+                assert_eq!(
+                    with(alg, task.clone()).matches(&g),
+                    Err(CheckpointError::Malformed("frontier task")),
+                    "{alg:?} {task:?}"
+                );
+            }
+        }
+        // iMBEA keeps `p`/`q` in branching order: unsorted is fine,
+        // repeats and out-of-range ids are not.
+        let imbea =
+            |p: Vec<u32>, q: Vec<u32>| with(Algorithm::Imbea, node(vec![0], vec![], 0, p, q));
+        assert!(imbea(vec![3, 1], vec![2, 0]).matches(&g).is_ok());
+        assert!(imbea(vec![3, 3], vec![]).matches(&g).is_err());
+        assert!(imbea(vec![], vec![1, 4]).matches(&g).is_err());
     }
 
     #[test]

@@ -80,9 +80,11 @@ pub fn check_local_key(_key: &[u32], _l_new: &[u32]) {}
 
 /// Asserts the relabeling invariants of a freshly built
 /// [`bigraph::LocalGraph`]: sorted id maps, rows strictly increasing
-/// inside the left universe, each row equal to the global intersection
-/// it localizes, and (when built) bitmap rows decoding to exactly their
-/// sorted rows. Called once per localization.
+/// inside the left universe, each row equal to a naive oracle of the
+/// global intersection it localizes (a binary search of every left
+/// vertex in `N(w)`, independent of the scatter that built the row),
+/// (when built) bitmap rows decoding to exactly their sorted rows, and
+/// the scatter's tag table reset. Called once per localization.
 #[cfg(feature = "debug-invariants")]
 pub fn check_localization(g: &BipartiteGraph, local: &bigraph::LocalGraph) {
     local.check_consistency(g);

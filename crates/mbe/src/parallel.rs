@@ -396,6 +396,25 @@ fn panic_payload(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// Records the first contained panic of the run; later ones are
+/// dropped (the pool is already stopping).
+fn note_panic(
+    slot: &Mutex<Option<PanicInfo>>,
+    task: impl FnOnce() -> String,
+    payload: &(dyn std::any::Any + Send),
+) {
+    let mut slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
+    if slot.is_none() {
+        *slot = Some(PanicInfo { task: task(), payload: panic_payload(payload) });
+    }
+}
+
+/// A short human-readable description of a root task, built only on
+/// panic.
+fn describe_root(v: u32) -> String {
+    format!("root task v={v}")
+}
+
 /// A short human-readable description of a task, built only on panic.
 fn describe_task(t: &NodeTask) -> String {
     format!("node task v={} |L|={} |P|={} |Q|={}", t.v, t.l.len(), t.p.len(), t.q.len())
@@ -464,9 +483,24 @@ fn worker_loop<'g, S: BicliqueSink>(
             Task::Root(v) => (*v, TaskKind::Root),
             Task::Node(t) => (t.v, TaskKind::Node),
         };
+        // Building a root reads the graph around `v`, so it is contained
+        // like the task itself: a panic here must stop the pool, not end
+        // this worker with the task still pending.
         let task = match task {
             Task::Node(t) => Some(t),
-            Task::Root(v) => builder.build(v).map(NodeTask::from_root),
+            Task::Root(v) => {
+                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| builder.build(v))) {
+                    Ok(root) => root.map(NodeTask::from_root),
+                    Err(payload) => {
+                        note_panic(panic_slot, || describe_root(v), payload.as_ref());
+                        // The builder's 2-hop marks may be mid-update.
+                        builder = TaskBuilder::new(h);
+                        pending.fetch_sub(1, Ordering::SeqCst);
+                        state.note_stop(StopReason::WorkerPanicked);
+                        continue;
+                    }
+                }
+            }
         };
         let flow = match task {
             None => ControlFlow::Continue(()), // isolated root — nothing to do
@@ -563,14 +597,7 @@ fn worker_loop<'g, S: BicliqueSink>(
                         // per-worker task sum still equals the merged
                         // total.
                         record_task(wm, 0, 0, elapsed);
-                        let mut slot = panic_slot.lock().unwrap_or_else(PoisonError::into_inner);
-                        if slot.is_none() {
-                            *slot = Some(PanicInfo {
-                                task: describe_task(&task),
-                                payload: panic_payload(payload.as_ref()),
-                            });
-                        }
-                        drop(slot);
+                        note_panic(panic_slot, || describe_task(&task), payload.as_ref());
                         // The panicked task is NOT captured: it may have
                         // partially emitted, and re-running it would risk
                         // duplicates. Rebuild the engine before reuse.
@@ -651,6 +678,7 @@ mod tests {
     use super::*;
     use crate::sink::CountSink;
     use crate::{Algorithm, Enumeration};
+    use std::sync::mpsc::RecvTimeoutError;
 
     fn g0() -> BipartiteGraph {
         BipartiteGraph::from_edges(
@@ -750,6 +778,36 @@ mod tests {
             .unwrap();
         assert_eq!(report.stop, StopReason::Cancelled);
         assert!(report.bicliques.is_empty());
+    }
+
+    /// A panic while building a root task is contained like any task
+    /// panic: the pool stops and reports it rather than waiting forever
+    /// for the task the panicking worker never finished. The frontier
+    /// bypasses `Checkpoint::matches`, which would reject it.
+    #[test]
+    fn root_build_panic_stops_the_pool() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let run = std::thread::spawn(move || {
+            let g = g0();
+            let frontier = [ResumeTask::Root(g.num_v() + 1)];
+            let opts = MbeOptions::new(Algorithm::Mbet).threads(2);
+            let out =
+                par_run(&g, &opts, &RunControl::new(), Some(&frontier), ObsCtx::noop(), |_| {
+                    CountSink::default()
+                })
+                .map(|par| (par.out.stop, par.out.panic.map(|p| p.task)));
+            let _ = tx.send(out);
+        });
+        // A hang fails here instead of blocking the suite.
+        let out = rx.recv_timeout(std::time::Duration::from_secs(60));
+        assert!(!matches!(out, Err(RecvTimeoutError::Timeout)), "the pool hung");
+        assert!(run.join().is_ok(), "par_run let the panic escape");
+        let (stop, task) = match out {
+            Ok(Ok(done)) => done,
+            other => panic!("par_run failed: {other:?}"),
+        };
+        assert_eq!(stop, StopReason::WorkerPanicked);
+        assert_eq!(task.as_deref(), Some("root task v=5"));
     }
 
     fn node(l: usize, p: usize) -> NodeTask {

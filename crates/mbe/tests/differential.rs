@@ -251,6 +251,17 @@ fn kernels_agree_at_scale() {
             got.sort();
             assert_eq!(got, reference, "threads={threads} {kernel:?}");
         }
+        // Zero split thresholds split every node that has children, so
+        // every split child re-localizes through `run_node` on a left
+        // side narrower than its root's.
+        for kernel in [mbe::Kernel::Adaptive, mbe::Kernel::SortedOnly, mbe::Kernel::BitmapOnly] {
+            let mut opts = MbeOptions::default().threads(threads).kernel(kernel);
+            opts.split_height = 0;
+            opts.split_size = 0;
+            let mut got = collect(&g, opts);
+            got.sort();
+            assert_eq!(got, reference, "split, threads={threads} {kernel:?}");
+        }
     }
 }
 
@@ -407,28 +418,41 @@ proptest! {
         }
     }
 
-    /// The checkpoint/resume contract on random graphs: stop a run with a
-    /// budget, round-trip the checkpoint through the on-disk byte format,
-    /// resume it at an arbitrary worker count, and the two segments form a
-    /// duplicate-free partition of the uninterrupted run's biclique set.
+    /// The checkpoint/resume contract on random graphs: stop a run of any
+    /// engine with a budget, round-trip the checkpoint through the on-disk
+    /// byte format, resume it at an arbitrary worker count, and the two
+    /// segments form a duplicate-free partition of the uninterrupted run's
+    /// biclique set. Every engine's frontier must pass
+    /// `Checkpoint::matches`, iMBEA's unsorted candidate lists included.
     #[test]
     fn checkpoint_roundtrip_resume_equals_complete_run(
         g in random_graph(),
         k in 1u64..8,
         threads in 1usize..5,
+        alg in 0usize..4,
     ) {
+        let alg = Algorithm::all()[alg];
         let full: std::collections::HashSet<Biclique> =
             Enumeration::new(&g).collect().unwrap().bicliques.into_iter().collect();
-        let stopped = Enumeration::new(&g).threads(threads).max_bicliques(k).collect().unwrap();
+        let stopped = Enumeration::new(&g)
+            .algorithm(alg)
+            .threads(threads)
+            .max_bicliques(k)
+            .collect()
+            .unwrap();
         match stopped.checkpoint.clone() {
             None => prop_assert!(stopped.is_complete(), "only complete runs lack a checkpoint"),
             Some(ckpt) => {
                 prop_assert_eq!(ckpt.emitted, stopped.bicliques.len() as u64);
                 let restored = mbe::Checkpoint::from_bytes(&ckpt.to_bytes()).unwrap();
                 prop_assert_eq!(&restored, &ckpt);
-                let resumed =
-                    Enumeration::new(&g).threads(threads).resume(restored).collect().unwrap();
-                prop_assert!(resumed.is_complete(), "threads={}", threads);
+                let resumed = Enumeration::new(&g)
+                    .algorithm(alg)
+                    .threads(threads)
+                    .resume(restored)
+                    .collect()
+                    .unwrap();
+                prop_assert!(resumed.is_complete(), "{:?} threads={}", alg, threads);
                 let mut union: std::collections::HashSet<Biclique> =
                     std::collections::HashSet::with_capacity(full.len());
                 for b in stopped.bicliques.iter().chain(resumed.bicliques.iter()) {

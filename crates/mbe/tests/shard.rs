@@ -8,7 +8,8 @@
 use bigraph::BipartiteGraph;
 use mbe::checkpoint::initial_checkpoint;
 use mbe::{
-    Algorithm, Biclique, Checkpoint, Enumeration, MbeOptions, QueryParams, ResumeTask, StopReason,
+    Algorithm, Biclique, Checkpoint, Enumeration, MbeError, MbeOptions, QueryParams, Report,
+    ResumeTask, StopReason,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -127,4 +128,51 @@ fn merged_shards_resume_like_the_original() {
     let merged = Checkpoint::merge(&shards).unwrap();
     let reference = complete_run(&g, &opts);
     assert_eq!(union_of_shards(&g, &[merged], 1), reference);
+}
+
+/// Resumes `ckpt` on `g` at `threads` on a thread of its own, so a resume
+/// that hangs fails the test instead of blocking it. A panicking resume
+/// reads as `None`.
+fn resume_under_watchdog(
+    g: BipartiteGraph,
+    ckpt: Checkpoint,
+    threads: usize,
+) -> Option<Result<Report, MbeError>> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let run = std::thread::spawn(move || {
+        let _ = tx.send(Enumeration::new(&g).threads(threads).resume(ckpt).collect());
+    });
+    let out = rx.recv_timeout(std::time::Duration::from_secs(60));
+    assert!(!matches!(out, Err(std::sync::mpsc::RecvTimeoutError::Timeout)), "resume hung");
+    run.join().ok().and(out.ok())
+}
+
+/// A decoded frontier that does not fit the graph is refused before any
+/// driver runs: an out-of-range root, a left side naming a missing
+/// vertex, an unsorted left side and an out-of-range candidate each come
+/// back as a checkpoint error, serially and threaded, with no panic and
+/// no hang.
+#[test]
+fn frontier_tasks_outside_the_graph_are_refused() {
+    let g = graph(5, 4, 4, 6);
+    let base = initial_checkpoint(&g, &MbeOptions::default());
+    let node =
+        |l: Vec<u32>, p: Vec<u32>| ResumeTask::Node { l, r_parent: vec![], v: 0, p, q: vec![] };
+    let hostile = [
+        ResumeTask::Root(99),
+        node(vec![0, 77], vec![]),
+        node(vec![1, 0], vec![]),
+        node(vec![0], vec![1, 50]),
+    ];
+    for task in hostile {
+        let bytes = Checkpoint { frontier: vec![task.clone()], ..base.clone() }.to_bytes();
+        let ckpt = Checkpoint::from_bytes(&bytes).unwrap();
+        for threads in [1, 2] {
+            match resume_under_watchdog(g.clone(), ckpt.clone(), threads) {
+                Some(Err(MbeError::Checkpoint(_))) => {}
+                Some(other) => panic!("{task:?} at {threads} threads: {other:?}"),
+                None => panic!("{task:?} at {threads} threads: the resume panicked"),
+            }
+        }
+    }
 }

@@ -94,8 +94,9 @@ pub mod errcode {
     pub const LOAD_FAILED: u8 = 5;
     /// The name is registered to a different graph (fingerprint mismatch).
     pub const NAME_CONFLICT: u8 = 6;
-    /// A shard-scoped query carried a checkpoint that does not decode or
-    /// does not match the named graph.
+    /// A shard-scoped query carried a checkpoint that does not decode,
+    /// does not match the named graph, or names a frontier task the
+    /// graph cannot hold.
     pub const BAD_SHARD: u8 = 7;
     /// A coordinator exhausted its worker pool (all dead or quarantined)
     /// and local fallback is disabled.
@@ -193,8 +194,9 @@ pub struct QueryRequest {
 
 /// The `QUERY_SHARD` request body: a query scoped to a checkpoint
 /// frontier. The worker validates the checkpoint against the named
-/// graph's fingerprint ([`errcode::BAD_SHARD`] on mismatch) and resumes
-/// from it, so the reply covers exactly the shard's subtrees.
+/// graph — its fingerprint and every frontier task
+/// ([`errcode::BAD_SHARD`] when either does not fit) — and resumes from
+/// it, so the reply covers exactly the shard's subtrees.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardRequest {
     /// Registry name of the graph to query.

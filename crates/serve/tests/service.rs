@@ -11,7 +11,9 @@
 //!     cancelled reply and the server exits cleanly;
 //! (e) a finished query is answered at once, not at the connection's
 //!     next socket poll, and a client that disconnects mid-query still
-//!     cancels its run.
+//!     cancels its run;
+//! (f) a shard whose frontier does not fit the graph is refused with
+//!     `BAD_SHARD` before it reaches the pool, which keeps serving.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -20,7 +22,7 @@ use bigraph::order::VertexOrder;
 use bigraph::BipartiteGraph;
 use mbe::checkpoint::{graph_fingerprint, initial_checkpoint};
 use mbe::service::QueryParams;
-use mbe::{Biclique, Checkpoint, Enumeration, MbeOptions, StopReason};
+use mbe::{Biclique, Checkpoint, Enumeration, MbeOptions, ResumeTask, StopReason};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serve::{
@@ -455,6 +457,45 @@ fn client_disconnect_mid_query_cancels_the_run() {
     });
     wait_until("the abandoned query to stop", || probe.stats().unwrap().inflight == 0);
     assert_eq!(probe.stats().unwrap().queries, 0, "no one was left to answer");
+
+    handle.shutdown();
+    join.join();
+}
+
+/// (f): a `QUERY_SHARD` naming a root the graph lacks is refused with
+/// `BAD_SHARD`, and a valid `QUERY` on the same one-worker server is
+/// still answered — the bad shard never reached (and killed) the pool's
+/// only worker. Every reply is awaited under a client deadline.
+#[test]
+fn shard_with_a_frontier_outside_the_graph_is_refused() {
+    let g = crown(8);
+    let cfg = ServerConfig { workers: 1, cache_bytes: 0, ..ServerConfig::default() };
+    let (handle, join) = start(cfg, &[("g", &g)]);
+    let mut client = Client::connect(handle.addr()).unwrap().wait(Duration::from_secs(30));
+
+    let params = QueryParams::default();
+    let opts = MbeOptions::new(params.algorithm).order(params.order);
+    let hostile =
+        Checkpoint { frontier: vec![ResumeTask::Root(99)], ..initial_checkpoint(&g, &opts) };
+    let shard = ShardRequest {
+        graph: "g".to_string(),
+        params,
+        max_return: u32::MAX,
+        checkpoint: hostile.to_bytes(),
+        trace: None,
+    };
+    match client.query_shard(shard) {
+        Err(ServeError::Remote { code, .. }) => {
+            assert_eq!(code, serve::protocol::errcode::BAD_SHARD)
+        }
+        other => panic!("expected a bad-shard error, got {other:?}"),
+    }
+
+    let reply = client
+        .query(request("g", QueryParams { count_only: true, ..QueryParams::default() }))
+        .unwrap();
+    assert_eq!(reply.stop, StopReason::Completed);
+    assert_eq!(reply.emitted, (1 << 8) - 2);
 
     handle.shutdown();
     join.join();

@@ -89,40 +89,6 @@ pub fn is_subset_gallop(small: &[u32], large: &[u32]) -> bool {
     true
 }
 
-/// Ranks within `l` of `a ∩ l` when `|a| ≪ |l|`: each element of `a`
-/// gallops through `l` and its landing index is the rank.
-pub fn intersect_ranks_gallop_probe(a: &[u32], l: &[u32], out: &mut Vec<u32>) {
-    out.clear();
-    let mut pos = 0;
-    for &x in a {
-        pos = gallop_to(l, x, pos);
-        if pos == l.len() {
-            break;
-        }
-        if l[pos] == x {
-            out.push(pos as u32);
-            pos += 1;
-        }
-    }
-}
-
-/// Ranks within `l` of `a ∩ l` when `|l| ≪ |a|`: each element of `l`
-/// gallops through `a`, and hits record their own index in `l`.
-pub fn intersect_ranks_gallop_scan(a: &[u32], l: &[u32], out: &mut Vec<u32>) {
-    out.clear();
-    let mut pos = 0;
-    for (j, &y) in l.iter().enumerate() {
-        pos = gallop_to(a, y, pos);
-        if pos == a.len() {
-            break;
-        }
-        if a[pos] == y {
-            out.push(j as u32);
-            pos += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,17 +144,6 @@ mod tests {
                 is_subset_gallop(&a, &b),
                 crate::merge::is_subset_merge(&a, &b)
             );
-        }
-
-        #[test]
-        fn rank_kernels_match_merge(a in sorted_set(600), l in sorted_set(600)) {
-            let mut want = Vec::new();
-            crate::merge::intersect_ranks_merge(&a, &l, &mut want);
-            let mut got = Vec::new();
-            intersect_ranks_gallop_probe(&a, &l, &mut got);
-            prop_assert_eq!(&got, &want);
-            intersect_ranks_gallop_scan(&a, &l, &mut got);
-            prop_assert_eq!(&got, &want);
         }
 
         #[test]

@@ -25,7 +25,6 @@
 pub mod bitmap;
 pub mod gallop;
 pub mod merge;
-pub mod multi;
 pub mod view;
 
 pub use bitmap::Bitmap;
@@ -93,27 +92,6 @@ pub fn union_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
 /// `a \ b` into `out` (cleared first). Both strictly increasing.
 pub fn difference_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
     merge::difference_merge_into(a, b, out);
-}
-
-/// Ranks (positions) within `l` of the elements of `a ∩ l`, strictly
-/// increasing, into `out` (cleared first).
-///
-/// Dispatches between the linear two-pointer scan and galloping from
-/// either side based on the length ratio — the same policy as
-/// [`intersect_into`], extended to rank output. This is the kernel
-/// behind candidate keying and local-graph row construction, where one
-/// operand (a full adjacency list) is often far longer than the other
-/// (the current `L`).
-pub fn intersect_ranks(a: &[u32], l: &[u32], out: &mut Vec<u32>) {
-    if ratio_exceeds(a.len(), l.len()) {
-        // `a` is much shorter: probe its elements into `l`.
-        gallop::intersect_ranks_gallop_probe(a, l, out);
-    } else if ratio_exceeds(l.len(), a.len()) {
-        // `l` is much shorter: scan it, galloping through `a`.
-        gallop::intersect_ranks_gallop_scan(a, l, out);
-    } else {
-        merge::intersect_ranks_merge(a, l, out);
-    }
 }
 
 /// `true` iff the two strictly increasing slices share no element.
@@ -196,24 +174,6 @@ mod tests {
         assert_eq!(intersect_first(&[1, 9], &[2, 5]), None);
         assert!(is_disjoint(&[1, 9], &[2, 5]));
         assert!(!is_disjoint(&[1, 9], &[9]));
-    }
-
-    #[test]
-    fn intersect_ranks_all_dispatch_paths() {
-        let l = [2u32, 5, 9, 12];
-        let mut out = Vec::new();
-        // Comparable lengths: merge path.
-        intersect_ranks(&[5, 9, 40], &l, &mut out);
-        assert_eq!(out, [1, 2]);
-        // `a` ≫ `l`: scan `l` galloping through `a`.
-        let big: Vec<u32> = (0..10_000).collect();
-        intersect_ranks(&big, &l, &mut out);
-        assert_eq!(out, [0, 1, 2, 3]);
-        // `a` ≪ `l`: probe `a` into `l`.
-        intersect_ranks(&[3, 9_998], &big, &mut out);
-        assert_eq!(out, [3, 9_998]);
-        intersect_ranks(&[], &l, &mut out);
-        assert!(out.is_empty());
     }
 
     #[test]

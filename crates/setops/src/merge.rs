@@ -86,27 +86,6 @@ pub fn union_merge_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
     out.extend_from_slice(&b[j..]);
 }
 
-/// Ranks (positions) within `l` of the elements of `a ∩ l`, strictly
-/// increasing, into `out` (cleared first). Linear two-pointer scan.
-pub fn intersect_ranks_merge(a: &[u32], l: &[u32], out: &mut Vec<u32>) {
-    debug_assert!(crate::is_strictly_increasing(a));
-    debug_assert!(crate::is_strictly_increasing(l));
-    out.clear();
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < l.len() {
-        let (x, y) = (a[i], l[j]);
-        if x < y {
-            i += 1;
-        } else if x > y {
-            j += 1;
-        } else {
-            out.push(j as u32);
-            i += 1;
-            j += 1;
-        }
-    }
-}
-
 /// `a \ b → out`. `out` is cleared first.
 pub fn difference_merge_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
     debug_assert!(crate::is_strictly_increasing(a));

@@ -127,25 +127,6 @@ impl<'a> SetView<'a> {
             }
         }
     }
-
-    /// Ranks (positions) within `probe` of the elements of
-    /// `self ∩ probe`, strictly increasing, into `out` (cleared first).
-    ///
-    /// The `SetView` form of [`crate::intersect_ranks`].
-    #[inline]
-    pub fn intersect_ranks(&self, probe: &[u32], out: &mut Vec<u32>) {
-        match *self {
-            SetView::Sorted(s) => crate::intersect_ranks(s, probe, out),
-            SetView::Bits(_) => {
-                out.clear();
-                for (i, &x) in probe.iter().enumerate() {
-                    if self.contains(x) {
-                        out.push(i as u32);
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -181,9 +162,6 @@ mod tests {
             bv.intersect_into(&probe, &mut b_out);
             prop_assert_eq!(&s_out, &b_out);
             prop_assert!(crate::is_strictly_increasing(&s_out));
-            sv.intersect_ranks(&probe, &mut s_out);
-            bv.intersect_ranks(&probe, &mut b_out);
-            prop_assert_eq!(&s_out, &b_out);
         }
 
         #[test]
