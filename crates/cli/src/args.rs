@@ -4,23 +4,31 @@
 //!
 //! ```text
 //! mbe-cli stats <file>
-//! mbe-cli enumerate <file> [--algorithm A] [--order O] [--threads N]
-//!                          [--min-left A] [--min-right B] [--top-k K]
-//!                          [--count-only] [--max-print M]
-//!                          [--timeout SECS] [--max-bicliques N]
-//!                          [--trace FILE] [--metrics] [--progress SECS]
+//! mbe-cli enumerate <file> [run flags]
+//! mbe-cli oct-enumerate <file> [run flags]
 //! mbe-cli generate <preset ABBREV | chung-lu NU NV E | gnm NU NV M>
 //!                  [--seed S] [--scale X] --output FILE
 //! mbe-cli serve <addr> [--workers N] [--queue N] [--cache-mb MB]
 //!                      [--default-timeout SECS] [--trace-dir DIR]
 //!                      [--metrics-addr ADDR] [--load NAME=FILE]...
 //! mbe-cli client <addr> <load NAME FILE | list | stats [--watch SECS]
-//!                        | metrics | shutdown | query GRAPH [flags]>
+//!                        | metrics | shutdown | query GRAPH [run flags]>
 //! mbe-cli presets
+//!
+//! run flags: [--algorithm A] [--order O] [--threads N] [--min-left A]
+//!            [--min-right B] [--top-k K] [--count-only] [--max-print M]
+//!            [--timeout SECS] [--max-bicliques N] [--max-oct K]
+//!            [--checkpoint FILE] [--resume FILE] [--trace FILE]
+//!            [--metrics] [--progress SECS]
 //! ```
+//!
+//! One parser reads the run flags of all three commands; each command
+//! then refuses the flags that do not apply to it.
+
+use std::time::Duration;
 
 use bigraph::order::VertexOrder;
-use mbe::Algorithm;
+use mbe::{Algorithm, QueryParams};
 
 /// A parsed command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,43 +39,11 @@ pub enum Command {
     Butterflies { file: String },
     /// `core <file> <alpha> <beta> [--output FILE]`
     Core { file: String, alpha: usize, beta: usize, output: Option<String> },
-    /// `enumerate <file> ...`
-    Enumerate {
-        file: String,
-        algorithm: Algorithm,
-        order: VertexOrder,
-        threads: usize,
-        min_left: usize,
-        min_right: usize,
-        top_k: Option<usize>,
-        count_only: bool,
-        max_print: usize,
-        timeout: Option<f64>,
-        max_bicliques: Option<u64>,
-        checkpoint: Option<String>,
-        resume: Option<String>,
-        trace: Option<String>,
-        metrics: bool,
-        progress: Option<f64>,
-    },
-    /// `oct-enumerate <file> ...` — maximal induced bicliques of a
-    /// *general* graph via odd-cycle-transversal decomposition.
-    OctEnumerate {
-        file: String,
-        algorithm: Algorithm,
-        order: VertexOrder,
-        threads: usize,
-        max_oct: u32,
-        count_only: bool,
-        max_print: usize,
-        timeout: Option<f64>,
-        max_bicliques: Option<u64>,
-        checkpoint: Option<String>,
-        resume: Option<String>,
-        trace: Option<String>,
-        metrics: bool,
-        progress: Option<f64>,
-    },
+    /// `enumerate <file> [run flags]`
+    Enumerate { file: String, flags: RunFlags },
+    /// `oct-enumerate <file> [run flags]` — maximal induced bicliques of
+    /// a *general* graph via odd-cycle-transversal decomposition.
+    OctEnumerate { file: String, flags: RunFlags },
     /// `generate ...`
     Generate { model: GenModel, seed: u64, scale: f64, output: String },
     /// `serve <addr> ...`
@@ -112,20 +88,31 @@ pub enum ClientAction {
     Metrics,
     /// `shutdown` — graceful server shutdown.
     Shutdown,
-    /// `query GRAPH [flags]` — run (or replay from cache) a query.
-    Query {
-        graph: String,
-        algorithm: Algorithm,
-        order: VertexOrder,
-        threads: usize,
-        min_left: usize,
-        min_right: usize,
-        top_k: Option<usize>,
-        count_only: bool,
-        max_bicliques: Option<u64>,
-        timeout: Option<f64>,
-        max_print: usize,
-    },
+    /// `query GRAPH [run flags]` — run (or replay from cache) a query.
+    Query { graph: String, flags: RunFlags },
+}
+
+/// The run flags shared by `enumerate`, `oct-enumerate` and
+/// `client query`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunFlags {
+    /// What to run: engine, order, threads, bounds, budget, deadline and
+    /// `--count-only`. `client query` sends it as is.
+    pub params: QueryParams,
+    /// `--max-print M`: cap on printed bicliques (default 20).
+    pub max_print: usize,
+    /// `--max-oct K`; `None` leaves the OCT driver's default.
+    pub max_oct: Option<u32>,
+    /// `--checkpoint PATH`: where a stopped run writes its checkpoint.
+    pub checkpoint: Option<String>,
+    /// `--resume PATH`: the checkpoint to continue from.
+    pub resume: Option<String>,
+    /// `--trace PATH`: the JSONL event trace.
+    pub trace: Option<String>,
+    /// `--metrics`: print the per-worker metrics table.
+    pub metrics: bool,
+    /// `--progress SECS`: the live progress line's interval.
+    pub progress: Option<f64>,
 }
 
 /// What `generate` should produce.
@@ -169,8 +156,7 @@ pub fn parse(args: &[String]) -> Command {
             None => err("butterflies requires a file argument"),
         },
         "core" => parse_core(&args[1..]),
-        "enumerate" => parse_enumerate(&args[1..]),
-        "oct-enumerate" => parse_oct_enumerate(&args[1..]),
+        "enumerate" | "oct-enumerate" => parse_local_run(cmd, &args[1..]),
         "generate" => parse_generate(&args[1..]),
         "serve" => parse_serve(&args[1..]),
         "client" => parse_client(&args[1..]),
@@ -182,232 +168,117 @@ fn err(msg: &str) -> Command {
     Command::Help { error: Some(msg.to_string()) }
 }
 
-fn parse_enumerate(args: &[String]) -> Command {
-    let Some(file) = args.first() else {
-        return err("enumerate requires a file argument");
+/// `enumerate FILE` or `oct-enumerate FILE`, then the run flags. Each
+/// refuses the flags that do not apply to its graph kind.
+fn parse_local_run(cmd: &str, args: &[String]) -> Command {
+    let Some((file, rest)) = args.split_first() else {
+        return err(&format!("{cmd} requires a file argument"));
     };
-    let mut out = Command::Enumerate {
-        file: file.clone(),
-        algorithm: Algorithm::Mbet,
-        order: VertexOrder::AscendingDegree,
-        threads: 1,
-        min_left: 1,
-        min_right: 1,
-        top_k: None,
-        count_only: false,
-        max_print: 20,
-        timeout: None,
-        max_bicliques: None,
-        checkpoint: None,
-        resume: None,
-        trace: None,
-        metrics: false,
-        progress: None,
+    let flags = match parse_run_flags(cmd, rest) {
+        Ok(flags) => flags,
+        Err(msg) => return err(&msg),
     };
-    let Command::Enumerate {
-        algorithm,
-        order,
-        threads,
-        min_left,
-        min_right,
-        top_k,
-        count_only,
-        max_print,
-        timeout,
-        max_bicliques,
-        checkpoint,
-        resume,
-        trace,
-        metrics,
-        progress,
-        ..
-    } = &mut out
-    else {
-        unreachable!()
-    };
-
-    let mut it = args[1..].iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--count-only" => *count_only = true,
-            "--algorithm" => match it.next().map(String::as_str) {
-                Some("mbet") => *algorithm = Algorithm::Mbet,
-                Some("mbea") => *algorithm = Algorithm::Mbea,
-                Some("imbea") => *algorithm = Algorithm::Imbea,
-                Some("minelmbc") => *algorithm = Algorithm::MineLmbc,
-                other => return err(&format!("bad --algorithm {other:?}")),
-            },
-            "--order" => match it.next().map(String::as_str) {
-                Some("asc") => *order = VertexOrder::AscendingDegree,
-                Some("desc") => *order = VertexOrder::DescendingDegree,
-                Some("unilateral") => *order = VertexOrder::Unilateral,
-                Some("natural") => *order = VertexOrder::Natural,
-                Some(s) if s.starts_with("random:") => match s["random:".len()..].parse() {
-                    Ok(seed) => *order = VertexOrder::Random(seed),
-                    Err(_) => return err("bad random seed in --order"),
-                },
-                other => return err(&format!("bad --order {other:?}")),
-            },
-            "--threads" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => *threads = n,
-                None => return err("--threads needs a number"),
-            },
-            "--min-left" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => *min_left = n,
-                None => return err("--min-left needs a number"),
-            },
-            "--min-right" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => *min_right = n,
-                None => return err("--min-right needs a number"),
-            },
-            "--top-k" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => *top_k = Some(n),
-                None => return err("--top-k needs a number"),
-            },
-            "--max-print" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => *max_print = n,
-                None => return err("--max-print needs a number"),
-            },
-            "--timeout" => match it.next().and_then(|s| s.parse::<f64>().ok()) {
-                Some(secs) if secs > 0.0 && secs.is_finite() => *timeout = Some(secs),
-                _ => return err("--timeout needs a positive number of seconds"),
-            },
-            "--max-bicliques" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n > 0 => *max_bicliques = Some(n),
-                _ => return err("--max-bicliques needs a positive number"),
-            },
-            "--checkpoint" => match it.next() {
-                Some(p) => *checkpoint = Some(p.clone()),
-                None => return err("--checkpoint needs a path"),
-            },
-            "--resume" => match it.next() {
-                Some(p) => *resume = Some(p.clone()),
-                None => return err("--resume needs a path"),
-            },
-            "--trace" => match it.next() {
-                Some(p) => *trace = Some(p.clone()),
-                None => return err("--trace needs a path"),
-            },
-            "--metrics" => *metrics = true,
-            "--progress" => match it.next().and_then(|s| s.parse::<f64>().ok()) {
-                Some(secs) if secs > 0.0 && secs.is_finite() => *progress = Some(secs),
-                _ => return err("--progress needs a positive number of seconds"),
-            },
-            other => return err(&format!("unknown enumerate flag `{other}`")),
-        }
+    let file = file.clone();
+    match cmd {
+        "enumerate" if flags.max_oct.is_some() => err("--max-oct applies only to oct-enumerate"),
+        "enumerate" => Command::Enumerate { file, flags },
+        // Serve's `wrong-kind` rule for general graphs.
+        _ if flags.params.bounded() => err("oct-enumerate takes no --min-left/--min-right \
+             above 1 or --top-k: those bounds apply only to bipartite graphs"),
+        _ => Command::OctEnumerate { file, flags },
     }
-    if (*min_left > 1 || *min_right > 1 || top_k.is_some())
-        && (checkpoint.is_some() || resume.is_some())
-    {
-        return err("--checkpoint/--resume do not apply to thresholded (--min-left/--min-right \
-             above 1) or --top-k runs, which are not checkpointable");
-    }
-    out
 }
 
-fn parse_oct_enumerate(args: &[String]) -> Command {
-    let Some(file) = args.first() else {
-        return err("oct-enumerate requires a file argument");
-    };
-    let mut out = Command::OctEnumerate {
-        file: file.clone(),
-        algorithm: Algorithm::Mbet,
-        order: VertexOrder::AscendingDegree,
-        threads: 1,
-        max_oct: 12,
-        count_only: false,
+/// Parses the run flags that follow `cmd`'s positional argument, and
+/// refuses `--checkpoint`/`--resume` on a bounded run.
+fn parse_run_flags(cmd: &str, args: &[String]) -> Result<RunFlags, String> {
+    let mut flags = RunFlags {
+        params: QueryParams::default(),
         max_print: 20,
-        timeout: None,
-        max_bicliques: None,
+        max_oct: None,
         checkpoint: None,
         resume: None,
         trace: None,
         metrics: false,
         progress: None,
     };
-    let Command::OctEnumerate {
-        algorithm,
-        order,
-        threads,
-        max_oct,
-        count_only,
-        max_print,
-        timeout,
-        max_bicliques,
-        checkpoint,
-        resume,
-        trace,
-        metrics,
-        progress,
-        ..
-    } = &mut out
-    else {
-        unreachable!()
-    };
-
-    let mut it = args[1..].iter();
+    let p = &mut flags.params;
+    let mut it = args.iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--count-only" => *count_only = true,
-            "--algorithm" => match it.next().map(String::as_str) {
-                Some("mbet") => *algorithm = Algorithm::Mbet,
-                Some("mbea") => *algorithm = Algorithm::Mbea,
-                Some("imbea") => *algorithm = Algorithm::Imbea,
-                Some("minelmbc") => *algorithm = Algorithm::MineLmbc,
-                other => return err(&format!("bad --algorithm {other:?}")),
-            },
-            "--order" => match it.next().map(String::as_str) {
-                Some("asc") => *order = VertexOrder::AscendingDegree,
-                Some("desc") => *order = VertexOrder::DescendingDegree,
-                Some("unilateral") => *order = VertexOrder::Unilateral,
-                Some("natural") => *order = VertexOrder::Natural,
-                Some(s) if s.starts_with("random:") => match s["random:".len()..].parse() {
-                    Ok(seed) => *order = VertexOrder::Random(seed),
-                    Err(_) => return err("bad random seed in --order"),
-                },
-                other => return err(&format!("bad --order {other:?}")),
-            },
-            "--threads" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => *threads = n,
-                None => return err("--threads needs a number"),
-            },
-            "--max-oct" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n <= 14 => *max_oct = n,
-                _ => return err("--max-oct needs a number <= 14"),
-            },
-            "--max-print" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => *max_print = n,
-                None => return err("--max-print needs a number"),
-            },
-            "--timeout" => match it.next().and_then(|s| s.parse::<f64>().ok()) {
-                Some(secs) if secs > 0.0 && secs.is_finite() => *timeout = Some(secs),
-                _ => return err("--timeout needs a positive number of seconds"),
-            },
-            "--max-bicliques" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n > 0 => *max_bicliques = Some(n),
-                _ => return err("--max-bicliques needs a positive number"),
-            },
-            "--checkpoint" => match it.next() {
-                Some(p) => *checkpoint = Some(p.clone()),
-                None => return err("--checkpoint needs a path"),
-            },
-            "--resume" => match it.next() {
-                Some(p) => *resume = Some(p.clone()),
-                None => return err("--resume needs a path"),
-            },
-            "--trace" => match it.next() {
-                Some(p) => *trace = Some(p.clone()),
-                None => return err("--trace needs a path"),
-            },
-            "--metrics" => *metrics = true,
-            "--progress" => match it.next().and_then(|s| s.parse::<f64>().ok()) {
-                Some(secs) if secs > 0.0 && secs.is_finite() => *progress = Some(secs),
-                _ => return err("--progress needs a positive number of seconds"),
-            },
-            other => return err(&format!("unknown oct-enumerate flag `{other}`")),
+            "--count-only" => p.count_only = true,
+            "--metrics" => flags.metrics = true,
+            "--algorithm" => {
+                p.algorithm = match it.next().map(String::as_str) {
+                    Some("mbet") => Algorithm::Mbet,
+                    Some("mbea") => Algorithm::Mbea,
+                    Some("imbea") => Algorithm::Imbea,
+                    Some("minelmbc") => Algorithm::MineLmbc,
+                    other => return Err(format!("bad --algorithm {other:?}")),
+                }
+            }
+            "--order" => {
+                p.order = match it.next().map(String::as_str) {
+                    Some("asc") => VertexOrder::AscendingDegree,
+                    Some("desc") => VertexOrder::DescendingDegree,
+                    Some("unilateral") => VertexOrder::Unilateral,
+                    Some("natural") => VertexOrder::Natural,
+                    Some(s) if s.starts_with("random:") => match s["random:".len()..].parse() {
+                        Ok(seed) => VertexOrder::Random(seed),
+                        Err(_) => return Err("bad random seed in --order".into()),
+                    },
+                    other => return Err(format!("bad --order {other:?}")),
+                }
+            }
+            "--threads" => p.threads = next_parsed(&mut it).ok_or("--threads needs a number")?,
+            "--min-left" => p.min_left = next_parsed(&mut it).ok_or("--min-left needs a number")?,
+            "--min-right" => {
+                p.min_right = next_parsed(&mut it).ok_or("--min-right needs a number")?;
+            }
+            "--top-k" => p.top_k = Some(next_parsed(&mut it).ok_or("--top-k needs a number")?),
+            "--max-bicliques" => {
+                let n = next_parsed(&mut it).filter(|&n: &u64| n > 0);
+                p.max_bicliques = Some(n.ok_or("--max-bicliques needs a positive number")?);
+            }
+            "--timeout" => {
+                let limit = next_secs(&mut it).and_then(|s| Duration::try_from_secs_f64(s).ok());
+                p.timeout = Some(limit.ok_or("--timeout needs a positive number of seconds")?);
+            }
+            "--max-print" => {
+                flags.max_print = next_parsed(&mut it).ok_or("--max-print needs a number")?;
+            }
+            "--max-oct" => {
+                let k = next_parsed(&mut it).filter(|&k| k <= oct::MAX_OCT_LIMIT);
+                flags.max_oct = Some(k.ok_or("--max-oct needs a number <= 14")?);
+            }
+            "--checkpoint" => {
+                flags.checkpoint = Some(it.next().ok_or("--checkpoint needs a path")?.clone());
+            }
+            "--resume" => flags.resume = Some(it.next().ok_or("--resume needs a path")?.clone()),
+            "--trace" => flags.trace = Some(it.next().ok_or("--trace needs a path")?.clone()),
+            "--progress" => {
+                let secs = next_secs(&mut it);
+                flags.progress = Some(secs.ok_or("--progress needs a positive number of seconds")?);
+            }
+            other => return Err(format!("unknown {cmd} flag `{other}`")),
         }
     }
-    out
+    if flags.params.bounded() && (flags.checkpoint.is_some() || flags.resume.is_some()) {
+        return Err("--checkpoint/--resume do not apply to thresholded (--min-left/--min-right \
+             above 1) or --top-k runs, which are not checkpointable"
+            .into());
+    }
+    Ok(flags)
+}
+
+/// The next argument, parsed as a `T`.
+fn next_parsed<'a, T: std::str::FromStr>(it: &mut impl Iterator<Item = &'a String>) -> Option<T> {
+    it.next().and_then(|s| s.parse().ok())
+}
+
+/// The next argument as a positive, finite number of seconds.
+fn next_secs<'a>(it: &mut impl Iterator<Item = &'a String>) -> Option<f64> {
+    next_parsed(it).filter(|secs: &f64| *secs > 0.0 && secs.is_finite())
 }
 
 fn parse_core(args: &[String]) -> Command {
@@ -605,10 +476,27 @@ fn parse_client(args: &[String]) -> Command {
         },
         Some("metrics") => ClientAction::Metrics,
         Some("shutdown") => ClientAction::Shutdown,
-        Some("query") => match parse_client_query(&args[2..]) {
-            Ok(action) => action,
-            Err(msg) => return err(&msg),
-        },
+        Some("query") => {
+            let Some(graph) = args.get(2) else {
+                return err("client query requires a graph name");
+            };
+            let flags = match parse_run_flags("client query", &args[3..]) {
+                Ok(flags) => flags,
+                Err(msg) => return err(&msg),
+            };
+            // The server runs the query: flags of a local run do not apply.
+            if flags.checkpoint.is_some()
+                || flags.resume.is_some()
+                || flags.trace.is_some()
+                || flags.metrics
+                || flags.progress.is_some()
+                || flags.max_oct.is_some()
+            {
+                return err("client query takes no --checkpoint, --resume, --trace, --metrics, \
+                     --progress or --max-oct: those apply only to a local run");
+            }
+            ClientAction::Query { graph: graph.clone(), flags }
+        }
         other => {
             return err(&format!(
                 "client needs an action \
@@ -632,95 +520,6 @@ fn parse_client_stats(args: &[String]) -> Result<ClientAction, String> {
         }
     }
     Ok(ClientAction::Stats { watch })
-}
-
-fn parse_client_query(args: &[String]) -> Result<ClientAction, String> {
-    let Some(graph) = args.first() else {
-        return Err("client query requires a graph name".to_string());
-    };
-    let mut action = ClientAction::Query {
-        graph: graph.clone(),
-        algorithm: Algorithm::Mbet,
-        order: VertexOrder::AscendingDegree,
-        threads: 1,
-        min_left: 1,
-        min_right: 1,
-        top_k: None,
-        count_only: false,
-        max_bicliques: None,
-        timeout: None,
-        max_print: 20,
-    };
-    let ClientAction::Query {
-        algorithm,
-        order,
-        threads,
-        min_left,
-        min_right,
-        top_k,
-        count_only,
-        max_bicliques,
-        timeout,
-        max_print,
-        ..
-    } = &mut action
-    else {
-        unreachable!()
-    };
-    let mut it = args[1..].iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--count-only" => *count_only = true,
-            "--algorithm" => match it.next().map(String::as_str) {
-                Some("mbet") => *algorithm = Algorithm::Mbet,
-                Some("mbea") => *algorithm = Algorithm::Mbea,
-                Some("imbea") => *algorithm = Algorithm::Imbea,
-                Some("minelmbc") => *algorithm = Algorithm::MineLmbc,
-                other => return Err(format!("bad --algorithm {other:?}")),
-            },
-            "--order" => match it.next().map(String::as_str) {
-                Some("asc") => *order = VertexOrder::AscendingDegree,
-                Some("desc") => *order = VertexOrder::DescendingDegree,
-                Some("unilateral") => *order = VertexOrder::Unilateral,
-                Some("natural") => *order = VertexOrder::Natural,
-                Some(s) if s.starts_with("random:") => match s["random:".len()..].parse() {
-                    Ok(seed) => *order = VertexOrder::Random(seed),
-                    Err(_) => return Err("bad random seed in --order".to_string()),
-                },
-                other => return Err(format!("bad --order {other:?}")),
-            },
-            "--threads" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => *threads = n,
-                None => return Err("--threads needs a number".to_string()),
-            },
-            "--min-left" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => *min_left = n,
-                None => return Err("--min-left needs a number".to_string()),
-            },
-            "--min-right" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => *min_right = n,
-                None => return Err("--min-right needs a number".to_string()),
-            },
-            "--top-k" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => *top_k = Some(n),
-                None => return Err("--top-k needs a number".to_string()),
-            },
-            "--max-bicliques" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n > 0 => *max_bicliques = Some(n),
-                _ => return Err("--max-bicliques needs a positive number".to_string()),
-            },
-            "--timeout" => match it.next().and_then(|s| s.parse::<f64>().ok()) {
-                Some(secs) if secs > 0.0 && secs.is_finite() => *timeout = Some(secs),
-                _ => return Err("--timeout needs a positive number of seconds".to_string()),
-            },
-            "--max-print" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => *max_print = n,
-                None => return Err("--max-print needs a number".to_string()),
-            },
-            other => return Err(format!("unknown client query flag `{other}`")),
-        }
-    }
-    Ok(action)
 }
 
 fn parse_triple<'a>(it: &mut impl Iterator<Item = &'a String>) -> Option<(u32, u32, usize)> {
@@ -763,8 +562,8 @@ USAGE:
                            --top-k: those runs are not checkpointable)
         --resume PATH      continue a stopped run from a checkpoint
                            written by --checkpoint; the checkpoint pins
-                           the original algorithm/order (only --threads
-                           may change)
+                           the original algorithm/order (only --threads,
+                           --count-only and --max-bicliques apply)
         --trace PATH       write a JSONL event trace of the run to PATH
                            (schema documented in DESIGN.md §8; validate
                            with `cargo run -p xtask -- trace-check PATH`)
@@ -774,6 +573,8 @@ USAGE:
         --progress SECS    print a live progress line (emitted, rate,
                            ETA when a budget is set) to stderr every
                            SECS seconds
+      These are the run flags; `oct-enumerate` and `client query` parse
+      the same ones. `enumerate` refuses --max-oct.
       Interactive runs can be cancelled by typing `q` + Enter (or
       closing stdin); partial results are reported with the stop reason.
 
@@ -786,7 +587,8 @@ USAGE:
       results are deduplicated and maximality-filtered globally.
         --algorithm mbet|mbea|imbea|minelmbc   inner engine (default mbet)
         --order asc|desc|unilateral|natural|random:SEED
-        --threads N        worker threads for each inner run
+        --threads N        worker threads for each inner run (0 = all
+                           cores)
         --max-oct K        refuse transversals larger than K (default 12,
                            max 14; the sweep is 3^K assignments)
         --count-only       print only the count and stats
@@ -803,6 +605,8 @@ USAGE:
         --metrics          per-worker metrics folded across assignment
                            units, printed to stderr
         --progress SECS    live progress line on stderr
+      Refuses --min-left/--min-right above 1 and --top-k: those bounds
+      apply only to bipartite graphs (a server answers `wrong-kind`).
       Interactive runs can be cancelled by typing `q` + Enter; the stop
       lands between assignment units and is checkpointable.
 
@@ -854,10 +658,13 @@ USAGE:
                                (per-opcode counters and latency, shard
                                retries/re-steals, worker health)
         shutdown               ask the server to drain and exit
-        query GRAPH [flags]    run a query; flags mirror `enumerate`
-                               (--algorithm --order --threads --min-left
-                               --min-right --top-k --count-only
-                               --max-bicliques --timeout --max-print)
+        query GRAPH [flags]    run a query with the run flags of
+                               `enumerate` (--algorithm --order --threads
+                               --min-left --min-right --top-k --count-only
+                               --max-bicliques --timeout --max-print);
+                               --checkpoint, --resume, --trace, --metrics,
+                               --progress and --max-oct are refused: they
+                               apply only to a local run
 
   mbe-cli presets
       List the calibrated benchmark-dataset analogues.
@@ -904,34 +711,25 @@ mod tests {
     #[test]
     fn parses_enumerate_defaults_and_flags() {
         match p("enumerate g.txt") {
-            Command::Enumerate { file, algorithm, threads, count_only, .. } => {
+            Command::Enumerate { file, flags } => {
                 assert_eq!(file, "g.txt");
-                assert_eq!(algorithm, Algorithm::Mbet);
-                assert_eq!(threads, 1);
-                assert!(!count_only);
+                assert_eq!(flags.params.algorithm, Algorithm::Mbet);
+                assert_eq!(flags.params.threads, 1);
+                assert!(!flags.params.count_only);
             }
             other => panic!("{other:?}"),
         }
         match p("enumerate g.txt --algorithm imbea --order random:9 --threads 4 \
                  --min-left 3 --min-right 2 --top-k 5 --count-only")
         {
-            Command::Enumerate {
-                algorithm,
-                order,
-                threads,
-                min_left,
-                min_right,
-                top_k,
-                count_only,
-                ..
-            } => {
-                assert_eq!(algorithm, Algorithm::Imbea);
-                assert_eq!(order, VertexOrder::Random(9));
-                assert_eq!(threads, 4);
-                assert_eq!(min_left, 3);
-                assert_eq!(min_right, 2);
-                assert_eq!(top_k, Some(5));
-                assert!(count_only);
+            Command::Enumerate { flags, .. } => {
+                assert_eq!(flags.params.algorithm, Algorithm::Imbea);
+                assert_eq!(flags.params.order, VertexOrder::Random(9));
+                assert_eq!(flags.params.threads, 4);
+                assert_eq!(flags.params.min_left, 3);
+                assert_eq!(flags.params.min_right, 2);
+                assert_eq!(flags.params.top_k, Some(5));
+                assert!(flags.params.count_only);
             }
             other => panic!("{other:?}"),
         }
@@ -940,16 +738,16 @@ mod tests {
     #[test]
     fn parses_run_control_flags() {
         match p("enumerate g.txt --timeout 2.5 --max-bicliques 100") {
-            Command::Enumerate { timeout, max_bicliques, .. } => {
-                assert_eq!(timeout, Some(2.5));
-                assert_eq!(max_bicliques, Some(100));
+            Command::Enumerate { flags, .. } => {
+                assert_eq!(flags.params.timeout, Some(Duration::from_secs_f64(2.5)));
+                assert_eq!(flags.params.max_bicliques, Some(100));
             }
             other => panic!("{other:?}"),
         }
         match p("enumerate g.txt") {
-            Command::Enumerate { timeout, max_bicliques, .. } => {
-                assert_eq!(timeout, None);
-                assert_eq!(max_bicliques, None);
+            Command::Enumerate { flags, .. } => {
+                assert_eq!(flags.params.timeout, None);
+                assert_eq!(flags.params.max_bicliques, None);
             }
             other => panic!("{other:?}"),
         }
@@ -970,16 +768,16 @@ mod tests {
     #[test]
     fn parses_checkpoint_flags() {
         match p("enumerate g.txt --checkpoint c.mbck --resume old.mbck") {
-            Command::Enumerate { checkpoint, resume, .. } => {
-                assert_eq!(checkpoint, Some("c.mbck".into()));
-                assert_eq!(resume, Some("old.mbck".into()));
+            Command::Enumerate { flags, .. } => {
+                assert_eq!(flags.checkpoint, Some("c.mbck".into()));
+                assert_eq!(flags.resume, Some("old.mbck".into()));
             }
             other => panic!("{other:?}"),
         }
         match p("enumerate g.txt") {
-            Command::Enumerate { checkpoint, resume, .. } => {
-                assert_eq!(checkpoint, None);
-                assert_eq!(resume, None);
+            Command::Enumerate { flags, .. } => {
+                assert_eq!(flags.checkpoint, None);
+                assert_eq!(flags.resume, None);
             }
             other => panic!("{other:?}"),
         }
@@ -1010,8 +808,8 @@ mod tests {
         }
         // Thresholds of 1 do not bound the run, so checkpointing stays on.
         match p("enumerate g.txt --min-left 1 --min-right 1 --checkpoint c.mbck") {
-            Command::Enumerate { checkpoint, .. } => {
-                assert_eq!(checkpoint, Some("c.mbck".into()));
+            Command::Enumerate { flags, .. } => {
+                assert_eq!(flags.checkpoint, Some("c.mbck".into()));
             }
             other => panic!("{other:?}"),
         }
@@ -1020,18 +818,18 @@ mod tests {
     #[test]
     fn parses_observability_flags() {
         match p("enumerate g.txt --trace t.jsonl --metrics --progress 0.5") {
-            Command::Enumerate { trace, metrics, progress, .. } => {
-                assert_eq!(trace, Some("t.jsonl".into()));
-                assert!(metrics);
-                assert_eq!(progress, Some(0.5));
+            Command::Enumerate { flags, .. } => {
+                assert_eq!(flags.trace, Some("t.jsonl".into()));
+                assert!(flags.metrics);
+                assert_eq!(flags.progress, Some(0.5));
             }
             other => panic!("{other:?}"),
         }
         match p("enumerate g.txt") {
-            Command::Enumerate { trace, metrics, progress, .. } => {
-                assert_eq!(trace, None);
-                assert!(!metrics);
-                assert_eq!(progress, None);
+            Command::Enumerate { flags, .. } => {
+                assert_eq!(flags.trace, None);
+                assert!(!flags.metrics);
+                assert_eq!(flags.progress, None);
             }
             other => panic!("{other:?}"),
         }
@@ -1052,12 +850,12 @@ mod tests {
     #[test]
     fn parses_oct_enumerate() {
         match p("oct-enumerate g.txt") {
-            Command::OctEnumerate { file, algorithm, threads, max_oct, count_only, .. } => {
+            Command::OctEnumerate { file, flags } => {
                 assert_eq!(file, "g.txt");
-                assert_eq!(algorithm, Algorithm::Mbet);
-                assert_eq!(threads, 1);
-                assert_eq!(max_oct, 12);
-                assert!(!count_only);
+                assert_eq!(flags.params.algorithm, Algorithm::Mbet);
+                assert_eq!(flags.params.threads, 1);
+                assert_eq!(flags.max_oct, None, "the driver's default applies");
+                assert!(!flags.params.count_only);
             }
             other => panic!("{other:?}"),
         }
@@ -1066,35 +864,20 @@ mod tests {
                  --checkpoint c.mbok --resume old.mbok --trace t.jsonl --metrics \
                  --progress 0.5 --max-print 3")
         {
-            Command::OctEnumerate {
-                algorithm,
-                order,
-                threads,
-                max_oct,
-                count_only,
-                timeout,
-                max_bicliques,
-                checkpoint,
-                resume,
-                trace,
-                metrics,
-                progress,
-                max_print,
-                ..
-            } => {
-                assert_eq!(algorithm, Algorithm::Imbea);
-                assert_eq!(order, VertexOrder::Random(9));
-                assert_eq!(threads, 4);
-                assert_eq!(max_oct, 10);
-                assert!(count_only);
-                assert_eq!(timeout, Some(2.5));
-                assert_eq!(max_bicliques, Some(100));
-                assert_eq!(checkpoint, Some("c.mbok".into()));
-                assert_eq!(resume, Some("old.mbok".into()));
-                assert_eq!(trace, Some("t.jsonl".into()));
-                assert!(metrics);
-                assert_eq!(progress, Some(0.5));
-                assert_eq!(max_print, 3);
+            Command::OctEnumerate { flags, .. } => {
+                assert_eq!(flags.params.algorithm, Algorithm::Imbea);
+                assert_eq!(flags.params.order, VertexOrder::Random(9));
+                assert_eq!(flags.params.threads, 4);
+                assert_eq!(flags.max_oct, Some(10));
+                assert!(flags.params.count_only);
+                assert_eq!(flags.params.timeout, Some(Duration::from_secs_f64(2.5)));
+                assert_eq!(flags.params.max_bicliques, Some(100));
+                assert_eq!(flags.checkpoint, Some("c.mbok".into()));
+                assert_eq!(flags.resume, Some("old.mbok".into()));
+                assert_eq!(flags.trace, Some("t.jsonl".into()));
+                assert!(flags.metrics);
+                assert_eq!(flags.progress, Some(0.5));
+                assert_eq!(flags.max_print, 3);
             }
             other => panic!("{other:?}"),
         }
@@ -1103,7 +886,9 @@ mod tests {
             "oct-enumerate g --max-oct 15",
             "oct-enumerate g --max-oct nope",
             "oct-enumerate g --min-left 2",
+            "oct-enumerate g --min-right 2",
             "oct-enumerate g --top-k 3",
+            "oct-enumerate g --top-k 3 --count-only",
             "oct-enumerate g --timeout 0",
             "oct-enumerate g --bogus",
         ] {
@@ -1285,29 +1070,15 @@ mod tests {
         match p("client :1 query web --algorithm imbea --order random:3 --min-left 2 \
                  --count-only --max-bicliques 50 --timeout 2.5 --max-print 5")
         {
-            Command::Client {
-                action:
-                    ClientAction::Query {
-                        graph,
-                        algorithm,
-                        order,
-                        min_left,
-                        count_only,
-                        max_bicliques,
-                        timeout,
-                        max_print,
-                        ..
-                    },
-                ..
-            } => {
+            Command::Client { action: ClientAction::Query { graph, flags }, .. } => {
                 assert_eq!(graph, "web");
-                assert_eq!(algorithm, Algorithm::Imbea);
-                assert_eq!(order, VertexOrder::Random(3));
-                assert_eq!(min_left, 2);
-                assert!(count_only);
-                assert_eq!(max_bicliques, Some(50));
-                assert_eq!(timeout, Some(2.5));
-                assert_eq!(max_print, 5);
+                assert_eq!(flags.params.algorithm, Algorithm::Imbea);
+                assert_eq!(flags.params.order, VertexOrder::Random(3));
+                assert_eq!(flags.params.min_left, 2);
+                assert!(flags.params.count_only);
+                assert_eq!(flags.params.max_bicliques, Some(50));
+                assert_eq!(flags.params.timeout, Some(Duration::from_secs_f64(2.5)));
+                assert_eq!(flags.max_print, 5);
             }
             other => panic!("{other:?}"),
         }
@@ -1318,6 +1089,12 @@ mod tests {
             "client :1 load a b extra",
             "client :1 query",
             "client :1 query g --timeout 0",
+            "client :1 query g --checkpoint c.mbck",
+            "client :1 query g --resume old.mbck",
+            "client :1 query g --trace t.jsonl",
+            "client :1 query g --metrics",
+            "client :1 query g --progress 1",
+            "client :1 query g --max-oct 3",
             "client :1 stats --watch 0",
             "client :1 stats --watch nope",
             "client :1 stats --wat",
@@ -1335,6 +1112,8 @@ mod tests {
             "enumerate f --algorithm nope",
             "enumerate f --threads abc",
             "enumerate f --bogus",
+            "enumerate f --max-oct 3",
+            "enumerate f --timeout 1e300",
             "generate preset BX", // missing --output
             "generate nope -o f",
             "generate chung-lu 1 2 -o f",

@@ -8,11 +8,13 @@ mod args;
 mod interrupt;
 mod observe;
 
-use args::{ClientAction, Command, GenModel};
+use args::{ClientAction, Command, GenModel, RunFlags};
+use bigraph::order::VertexOrder;
 use bigraph::BipartiteGraph;
+use mbe::service::run_query;
 use mbe::{
-    Algorithm, Enumeration, FanoutObserver, JsonlTraceObserver, RunControl, SizeThresholds,
-    StopReason,
+    Algorithm, Checkpoint, Enumeration, FanoutObserver, JsonlTraceObserver, QueryParams,
+    RunControl, StopReason,
 };
 use rand::SeedableRng;
 use std::process::ExitCode;
@@ -131,87 +133,22 @@ fn main() -> ExitCode {
                 }
             }
         }
-        Command::Enumerate {
-            file,
-            algorithm,
-            order,
-            threads,
-            min_left,
-            min_right,
-            top_k,
-            count_only,
-            max_print,
-            timeout,
-            max_bicliques,
-            checkpoint,
-            resume,
-            trace,
-            metrics,
-            progress,
-        } => match bigraph::io::read_edge_list_path(&file) {
-            Ok(g) => {
-                let mut control = RunControl::new();
-                if let Some(secs) = timeout {
-                    control = control.timeout(std::time::Duration::from_secs_f64(secs));
-                }
-                if let Some(n) = max_bicliques {
-                    control = control.max_emitted(n);
-                }
-                interrupt::register(&control);
-                let obs = ObsFlags { trace, metrics, progress, budget: max_bicliques };
-                run_enumerate(
-                    &g, algorithm, order, threads, min_left, min_right, top_k, count_only,
-                    max_print, control, checkpoint, resume, obs,
-                )
-            }
+        Command::Enumerate { file, flags } => match bigraph::io::read_edge_list_path(&file) {
+            Ok(g) => run_enumerate(&g, &flags),
             Err(e) => {
                 eprintln!("error: {e}");
                 ExitCode::FAILURE
             }
         },
-        Command::OctEnumerate {
-            file,
-            algorithm,
-            order,
-            threads,
-            max_oct,
-            count_only,
-            max_print,
-            timeout,
-            max_bicliques,
-            checkpoint,
-            resume,
-            trace,
-            metrics,
-            progress,
-        } => match bigraph::general::read_general_edge_list_path(&file) {
-            Ok(g) => {
-                let mut control = RunControl::new();
-                if let Some(secs) = timeout {
-                    control = control.timeout(std::time::Duration::from_secs_f64(secs));
+        Command::OctEnumerate { file, flags } => {
+            match bigraph::general::read_general_edge_list_path(&file) {
+                Ok(g) => run_oct_enumerate(&g, &flags),
+                Err(e) => {
+                    eprintln!("error: {e}");
+                    ExitCode::FAILURE
                 }
-                interrupt::register(&control);
-                let obs = ObsFlags { trace, metrics, progress, budget: max_bicliques };
-                run_oct_enumerate(
-                    &g,
-                    algorithm,
-                    order,
-                    threads,
-                    max_oct,
-                    count_only,
-                    max_print,
-                    max_bicliques,
-                    control,
-                    checkpoint,
-                    resume,
-                    obs,
-                )
             }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
+        }
         Command::Serve {
             addr,
             workers,
@@ -455,33 +392,11 @@ fn run_client(addr: &str, action: ClientAction) -> ExitCode {
         ClientAction::Shutdown => client.shutdown().map(|()| {
             println!("server is shutting down");
         }),
-        ClientAction::Query {
-            graph,
-            algorithm,
-            order,
-            threads,
-            min_left,
-            min_right,
-            top_k,
-            count_only,
-            max_bicliques,
-            timeout,
-            max_print,
-        } => {
-            let params = mbe::service::QueryParams {
-                algorithm,
-                order,
-                threads,
-                min_left,
-                min_right,
-                top_k,
-                max_bicliques,
-                timeout: timeout.map(std::time::Duration::from_secs_f64),
-                count_only,
-            };
+        ClientAction::Query { graph, flags } => {
             // Only fetch what will be printed; the reply's `total` still
             // reports how many the server holds.
-            let max_return = u32::try_from(max_print).unwrap_or(u32::MAX);
+            let max_return = u32::try_from(flags.max_print).unwrap_or(u32::MAX);
+            let params = flags.params;
             return run_client_query(
                 client,
                 serve::QueryRequest { graph, params, max_return, trace: None },
@@ -522,13 +437,7 @@ fn run_client_query(mut client: serve::Client, request: serve::QueryRequest) -> 
             println!("degraded: local fallback enumerated the remainder after worker loss");
         }
     }
-    for b in &reply.bicliques {
-        println!("  L={:?} R={:?}", b.left, b.right);
-    }
-    let shown = reply.bicliques.len() as u64;
-    if reply.total > shown {
-        println!("  … {} more (raise --max-print)", reply.total - shown);
-    }
+    print_bicliques(&reply.bicliques, reply.total as usize, "L", "R");
     if let Some(bytes) = &reply.checkpoint {
         eprintln!(
             "note: the stopped run returned a {}-byte checkpoint — \
@@ -670,114 +579,43 @@ fn print_metrics(m: &serve::MetricsSnapshot) {
     println!("shutting down : {}", m.shutting_down);
 }
 
-/// The observability flags of `enumerate`, bundled to keep
-/// [`run_enumerate`]'s signature in check.
-struct ObsFlags {
-    trace: Option<String>,
-    metrics: bool,
-    progress: Option<f64>,
-    budget: Option<u64>,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_enumerate(
-    g: &BipartiteGraph,
-    algorithm: Algorithm,
-    order: bigraph::order::VertexOrder,
-    threads: usize,
-    min_left: usize,
-    min_right: usize,
-    top_k: Option<usize>,
-    count_only: bool,
-    max_print: usize,
-    control: RunControl,
-    checkpoint: Option<String>,
-    resume: Option<String>,
-    obs: ObsFlags,
-) -> ExitCode {
+fn run_enumerate(g: &BipartiteGraph, flags: &RunFlags) -> ExitCode {
+    let params = &flags.params;
+    let control = local_control(params);
     println!(
         "graph: |U|={} |V|={} |E|={}  algorithm={}",
         g.num_u(),
         g.num_v(),
         g.num_edges(),
-        algorithm.label()
+        params.algorithm.label()
     );
-
-    // Build the observers before the Enumeration so their borrows
-    // outlive the run; the fanout combines --trace and --progress into
-    // the builder's single observer slot.
-    let trace_obs = match &obs.trace {
-        Some(path) => match JsonlTraceObserver::create(path) {
-            Ok(o) => Some(o),
-            Err(e) => {
-                eprintln!("error: cannot create trace file {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
+    let Some(observers) = Observers::open(flags) else {
+        return ExitCode::FAILURE;
     };
-    let progress_obs = obs.progress.map(|secs| {
-        observe::StderrProgress::new(std::time::Duration::from_secs_f64(secs), obs.budget)
-    });
-    let mut fan = FanoutObserver::new();
-    if let Some(t) = &trace_obs {
-        fan.push(Box::new(t));
-    }
-    if let Some(p) = &progress_obs {
-        fan.push(Box::new(p));
-    }
-
-    let mut run =
-        Enumeration::new(g).algorithm(algorithm).order(order).threads(threads).control(control);
+    let fan = observers.fanout();
+    let mut run = Enumeration::new(g).control(control);
     if !fan.is_empty() {
         run = run.observer(&fan);
-        if progress_obs.is_some() {
+        if observers.progress.is_some() {
             // The progress line is sample-driven; tighten the cadence so
             // it stays live on slow graphs.
             run = run.sample_every(64);
         }
     }
-    if min_left > 1 || min_right > 1 {
-        run = run.thresholds(SizeThresholds::new(min_left, min_right));
-    }
-    if let Some(path) = &resume {
-        match mbe::Checkpoint::load(path) {
-            Ok(ckpt) => {
-                eprintln!(
-                    "note: resuming from {path} ({} bicliques emitted before the stop)",
-                    ckpt.emitted
-                );
-                // The checkpoint pins algorithm/order/mbet; resume()
-                // overrides whatever the flags requested.
-                if ckpt.algorithm != algorithm || ckpt.order != order {
-                    eprintln!(
-                        "note: the checkpoint pins algorithm={} — \
-                         --algorithm/--order are ignored on resume",
-                        ckpt.algorithm.label()
-                    );
-                }
-                run = run.resume(ckpt);
-            }
-            Err(e) => {
-                eprintln!("error: cannot resume from {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    match load_resume(flags, |path| Checkpoint::load(path), |c| (c.emitted, c.algorithm, c.order)) {
+        Ok(Some(ckpt)) => run = run.resume(ckpt),
+        Ok(None) => {}
+        Err(()) => return ExitCode::FAILURE,
     }
 
-    let mut exit = ExitCode::SUCCESS;
-    let report = match top_k {
-        Some(k) => run.top_k(k),
-        None if count_only => run.count(),
-        None => run.collect(),
-    };
-    let report = match report {
+    let mut ok = true;
+    let report = match run_query(run, params) {
         Ok(r) => r,
         Err(mbe::MbeError::WorkerPanic { task, payload, report }) => {
             // The driver contained the panic: the partial report (and any
             // checkpoint) is still valid, so print it before failing.
             eprintln!("error: a worker panicked in {task}: {payload}");
-            exit = ExitCode::FAILURE;
+            ok = false;
             *report
         }
         Err(e) => {
@@ -785,27 +623,13 @@ fn run_enumerate(
             return ExitCode::FAILURE;
         }
     };
-    print_stop_note(report.stop);
-    if let Some(path) = &checkpoint {
-        match &report.checkpoint {
-            Some(ckpt) => match ckpt.save(path) {
-                Ok(()) => eprintln!(
-                    "note: checkpoint written to {path} — continue with `--resume {path}`"
-                ),
-                Err(e) => {
-                    eprintln!("error: failed to write checkpoint to {path}: {e}");
-                    exit = ExitCode::FAILURE;
-                }
-            },
-            None => eprintln!("note: run completed — no checkpoint written to {path}"),
-        }
-    }
-    let qualifier = if min_left > 1 || min_right > 1 {
-        format!(" with |L|>={min_left} |R|>={min_right}")
+    ok &= save_checkpoint(flags, report.stop, report.checkpoint.as_ref(), |c, path| c.save(path));
+    let qualifier = if params.thresholded() {
+        format!(" with |L|>={} |R|>={}", params.min_left, params.min_right)
     } else {
         String::new()
     };
-    if top_k.is_some() {
+    if params.top_k.is_some() {
         println!(
             "top {} bicliques by edges{} ({:?}, {} bound-pruned branches):",
             report.bicliques.len(),
@@ -813,7 +637,7 @@ fn run_enumerate(
             report.stats.elapsed,
             report.stats.bound_pruned
         );
-        for b in report.bicliques.iter().take(max_print) {
+        for b in report.bicliques.iter().take(flags.max_print) {
             println!(
                 "  |L|={} |R|={} edges={}  L={:?} R={:?}",
                 b.left.len(),
@@ -834,28 +658,12 @@ fn run_enumerate(
             report.stats.nonmaximal,
             report.stats.batched
         );
-    }
-    if !count_only && top_k.is_none() {
-        for b in report.bicliques.iter().take(max_print) {
-            println!("  L={:?} R={:?}", b.left, b.right);
-        }
-        if report.bicliques.len() > max_print {
-            println!("  … {} more (raise --max-print)", report.bicliques.len() - max_print);
+        if !params.count_only {
+            let shown = &report.bicliques[..report.bicliques.len().min(flags.max_print)];
+            print_bicliques(shown, report.bicliques.len(), "L", "R");
         }
     }
-    if obs.metrics {
-        observe::print_worker_metrics(&report.metrics);
-    }
-    if let (Some(path), Some(t)) = (&obs.trace, &trace_obs) {
-        match t.take_error() {
-            Some(e) => {
-                eprintln!("error: trace write to {path} failed: {e}");
-                exit = ExitCode::FAILURE;
-            }
-            None => eprintln!("note: trace written to {path}"),
-        }
-    }
-    exit
+    observers.finish(flags, &report.metrics, ok)
 }
 
 /// The general-graph analogue of [`run_enumerate`]: the OCT driver with
@@ -863,107 +671,50 @@ fn run_enumerate(
 /// to the driver (which counts deduplicated final emissions) rather
 /// than to the control (which would gate raw per-assignment candidates
 /// before dedup).
-#[allow(clippy::too_many_arguments)]
-fn run_oct_enumerate(
-    g: &bigraph::general::GeneralGraph,
-    algorithm: Algorithm,
-    order: bigraph::order::VertexOrder,
-    threads: usize,
-    max_oct: u32,
-    count_only: bool,
-    max_print: usize,
-    max_bicliques: Option<u64>,
-    control: RunControl,
-    checkpoint: Option<String>,
-    resume: Option<String>,
-    obs: ObsFlags,
-) -> ExitCode {
+fn run_oct_enumerate(g: &bigraph::general::GeneralGraph, flags: &RunFlags) -> ExitCode {
+    let params = &flags.params;
+    let control = local_control(params);
     println!(
         "general graph: |V|={} |E|={}  algorithm={} (OCT driver)",
         g.num_vertices(),
         g.num_edges(),
-        algorithm.label()
+        params.algorithm.label()
     );
-
-    let trace_obs = match &obs.trace {
-        Some(path) => match JsonlTraceObserver::create(path) {
-            Ok(o) => Some(o),
-            Err(e) => {
-                eprintln!("error: cannot create trace file {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
+    let Some(observers) = Observers::open(flags) else {
+        return ExitCode::FAILURE;
     };
-    let progress_obs = obs.progress.map(|secs| {
-        observe::StderrProgress::new(std::time::Duration::from_secs_f64(secs), obs.budget)
-    });
-    let mut fan = FanoutObserver::new();
-    if let Some(t) = &trace_obs {
-        fan.push(Box::new(t));
-    }
-    if let Some(p) = &progress_obs {
-        fan.push(Box::new(p));
-    }
-
+    let fan = observers.fanout();
     let mut run = oct::OctEnumeration::new(g)
-        .algorithm(algorithm)
-        .order(order)
-        .threads(threads)
-        .max_oct(max_oct)
+        .algorithm(params.algorithm)
+        .order(params.order)
+        .threads(params.threads)
+        .max_oct(flags.max_oct.unwrap_or(oct::DEFAULT_MAX_OCT))
         .control(control);
-    if let Some(n) = max_bicliques {
+    if let Some(n) = params.max_bicliques {
         run = run.max_bicliques(n);
     }
     if !fan.is_empty() {
         run = run.observer(&fan);
     }
-    if let Some(path) = &resume {
-        match oct::OctCheckpoint::load(path) {
-            Ok(ckpt) => {
-                eprintln!(
-                    "note: resuming from {path} ({} bicliques emitted before the stop)",
-                    ckpt.emitted
-                );
-                if ckpt.algorithm != algorithm || ckpt.order != order {
-                    eprintln!(
-                        "note: the checkpoint pins algorithm={} — \
-                         --algorithm/--order are ignored on resume",
-                        ckpt.algorithm.label()
-                    );
-                }
-                run = run.resume(ckpt);
-            }
-            Err(e) => {
-                eprintln!("error: cannot resume from {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    match load_resume(
+        flags,
+        |path| oct::OctCheckpoint::load(path),
+        |c| (c.emitted, c.algorithm, c.order),
+    ) {
+        Ok(Some(ckpt)) => run = run.resume(ckpt),
+        Ok(None) => {}
+        Err(()) => return ExitCode::FAILURE,
     }
 
-    let mut exit = ExitCode::SUCCESS;
-    let report = match if count_only { run.count() } else { run.collect() } {
+    let report = match if params.count_only { run.count() } else { run.collect() } {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
     };
-    print_stop_note(report.stop);
-    if let Some(path) = &checkpoint {
-        match &report.checkpoint {
-            Some(ckpt) => match ckpt.save(path) {
-                Ok(()) => eprintln!(
-                    "note: checkpoint written to {path} — continue with `--resume {path}`"
-                ),
-                Err(e) => {
-                    eprintln!("error: failed to write checkpoint to {path}: {e}");
-                    exit = ExitCode::FAILURE;
-                }
-            },
-            None => eprintln!("note: run completed — no checkpoint written to {path}"),
-        }
-    }
+    let ok =
+        save_checkpoint(flags, report.stop, report.checkpoint.as_ref(), |c, path| c.save(path));
     println!(
         "decomposition: |OCT|={} |X|={} |Y|={} ({} valid assignments, {} units, {} inner runs)",
         report.stats.oct_size,
@@ -982,27 +733,152 @@ fn run_oct_enumerate(
         report.stats.duplicates,
         report.stats.nonmaximal
     );
-    if !count_only {
-        for b in report.bicliques.iter().take(max_print) {
-            println!("  A={:?} B={:?}", b.left, b.right);
-        }
-        if report.bicliques.len() > max_print {
-            println!("  … {} more (raise --max-print)", report.bicliques.len() - max_print);
-        }
+    if !params.count_only {
+        let shown = &report.bicliques[..report.bicliques.len().min(flags.max_print)];
+        print_bicliques(shown, report.bicliques.len(), "A", "B");
     }
-    if obs.metrics {
-        observe::print_worker_metrics(&report.metrics);
+    observers.finish(flags, &report.metrics, ok)
+}
+
+/// The run control of a local run: `--timeout` as a deadline from now,
+/// cancelled by `q` + Enter.
+fn local_control(params: &QueryParams) -> RunControl {
+    let mut control = RunControl::new();
+    if let Some(limit) = params.timeout {
+        control = control.timeout(limit);
     }
-    if let (Some(path), Some(t)) = (&obs.trace, &trace_obs) {
-        match t.take_error() {
-            Some(e) => {
-                eprintln!("error: trace write to {path} failed: {e}");
-                exit = ExitCode::FAILURE;
+    interrupt::register(&control);
+    control
+}
+
+/// The observers of a local run: the `--trace` file and the `--progress`
+/// line. Built before the run so their borrows outlive it.
+struct Observers {
+    trace: Option<JsonlTraceObserver>,
+    progress: Option<observe::StderrProgress>,
+}
+
+impl Observers {
+    /// Opens what `flags` ask for; `None` (with the error printed) when
+    /// the trace file cannot be created.
+    fn open(flags: &RunFlags) -> Option<Observers> {
+        let trace = match &flags.trace {
+            Some(path) => match JsonlTraceObserver::create(path) {
+                Ok(t) => Some(t),
+                Err(e) => {
+                    eprintln!("error: cannot create trace file {path}: {e}");
+                    return None;
+                }
+            },
+            None => None,
+        };
+        let progress = flags.progress.map(|secs| {
+            let every = std::time::Duration::from_secs_f64(secs);
+            observe::StderrProgress::new(every, flags.params.max_bicliques)
+        });
+        Some(Observers { trace, progress })
+    }
+
+    /// The fan-out that feeds both to the run's one observer slot.
+    fn fanout(&self) -> FanoutObserver<'_> {
+        let mut fan = FanoutObserver::new();
+        if let Some(t) = &self.trace {
+            fan.push(Box::new(t));
+        }
+        if let Some(p) = &self.progress {
+            fan.push(Box::new(p));
+        }
+        fan
+    }
+
+    /// The end of a local run: the `--metrics` table, then the trace
+    /// note, or its write error. Fails unless `ok` and the trace wrote.
+    fn finish(
+        &self,
+        flags: &RunFlags,
+        metrics: &mbe::metrics::RunMetrics,
+        mut ok: bool,
+    ) -> ExitCode {
+        if flags.metrics {
+            observe::print_worker_metrics(metrics);
+        }
+        if let (Some(path), Some(t)) = (&flags.trace, &self.trace) {
+            match t.take_error() {
+                Some(e) => {
+                    eprintln!("error: trace write to {path} failed: {e}");
+                    ok = false;
+                }
+                None => eprintln!("note: trace written to {path}"),
             }
-            None => eprintln!("note: trace written to {path}"),
+        }
+        if ok {
+            ExitCode::SUCCESS
+        } else {
+            ExitCode::FAILURE
         }
     }
-    exit
+}
+
+/// Loads the `--resume` checkpoint with `load` and notes what it pins
+/// (`pins` gives its emitted count, algorithm and order). `Err` (with
+/// the error printed) when it cannot be read.
+fn load_resume<C, E: std::fmt::Display>(
+    flags: &RunFlags,
+    load: impl FnOnce(&String) -> Result<C, E>,
+    pins: impl FnOnce(&C) -> (u64, Algorithm, VertexOrder),
+) -> Result<Option<C>, ()> {
+    let Some(path) = &flags.resume else {
+        return Ok(None);
+    };
+    let ckpt = load(path).map_err(|e| eprintln!("error: cannot resume from {path}: {e}"))?;
+    let (emitted, algorithm, order) = pins(&ckpt);
+    eprintln!("note: resuming from {path} ({emitted} bicliques emitted before the stop)");
+    // The checkpoint pins algorithm/order; the run keeps them whatever
+    // the flags requested.
+    if algorithm != flags.params.algorithm || order != flags.params.order {
+        eprintln!(
+            "note: the checkpoint pins algorithm={} — \
+             --algorithm/--order are ignored on resume",
+            algorithm.label()
+        );
+    }
+    Ok(Some(ckpt))
+}
+
+/// Notes an early stop, then writes the run's checkpoint to
+/// `--checkpoint PATH` with `save`. `false` when the write failed.
+fn save_checkpoint<C, E: std::fmt::Display>(
+    flags: &RunFlags,
+    stop: StopReason,
+    checkpoint: Option<&C>,
+    save: impl FnOnce(&C, &String) -> Result<(), E>,
+) -> bool {
+    print_stop_note(stop);
+    let Some(path) = &flags.checkpoint else {
+        return true;
+    };
+    match checkpoint.map(|c| save(c, path)) {
+        Some(Ok(())) => {
+            eprintln!("note: checkpoint written to {path} — continue with `--resume {path}`")
+        }
+        Some(Err(e)) => {
+            eprintln!("error: failed to write checkpoint to {path}: {e}");
+            return false;
+        }
+        None => eprintln!("note: run completed — no checkpoint written to {path}"),
+    }
+    true
+}
+
+/// Prints `shown` with the given side labels, then how many of `total`
+/// were left out.
+fn print_bicliques(shown: &[mbe::Biclique], total: usize, left: &str, right: &str) {
+    for b in shown {
+        println!("  {left}={:?} {right}={:?}", b.left, b.right);
+    }
+    if total > shown.len() {
+        println!("  … {} more (raise --max-print)", total - shown.len());
+    }
 }
 
 /// One line of context when a run stopped early, on stderr so it never

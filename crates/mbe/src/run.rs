@@ -629,6 +629,11 @@ impl<'g> Enumeration<'g> {
         self
     }
 
+    /// `true` once [`Enumeration::resume`] has set a checkpoint.
+    pub(crate) fn is_resumed(&self) -> bool {
+        self.resume.is_some()
+    }
+
     /// Injects deterministic faults (scripted sink errors / panics) into
     /// this run — test-only machinery behind the `fault-injection`
     /// feature; see [`crate::faults`].

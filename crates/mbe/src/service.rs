@@ -23,14 +23,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bigraph::order::VertexOrder;
-use bigraph::BipartiteGraph;
 
 use crate::filtered::SizeThresholds;
 use crate::metrics::CacheCounters;
-use crate::obs::Observer;
-use crate::run::{Enumeration, MbeError, Report, RunControl, StopReason};
+use crate::run::{Enumeration, MbeError, Report, StopReason};
 use crate::sink::Biclique;
-use crate::{Algorithm, MbeOptions};
+use crate::Algorithm;
 
 /// Parameters of one service query — the wire-independent form shared by
 /// the TCP protocol, the cache key, and the execution bridge.
@@ -88,14 +86,20 @@ impl QueryParams {
         self.min_left > 1 || self.min_right > 1
     }
 
+    /// `true` iff this query is a bounded run: size thresholds above 1,
+    /// or top-k. Bounded runs are not checkpointable (their bound is not
+    /// pinned in a checkpoint), and they apply only to bipartite graphs.
+    pub fn bounded(&self) -> bool {
+        self.thresholded() || self.top_k.is_some()
+    }
+
     /// `true` iff this query can be split across workers by frontier
-    /// sharding. Thresholded and top-k runs are not checkpointable (their
-    /// bound is not pinned in a checkpoint), and an emission budget is a
-    /// whole-run property a per-shard budget cannot express — all three
-    /// run undistributed (locally at a coordinator, without the degraded
-    /// flag: that is policy, not failure).
+    /// sharding. A bounded run is not checkpointable, and an emission
+    /// budget is a whole-run property a per-shard budget cannot express —
+    /// both run undistributed (locally at a coordinator, without the
+    /// degraded flag: that is policy, not failure).
     pub fn shardable(&self) -> bool {
-        !self.thresholded() && self.top_k.is_none() && self.max_bicliques.is_none()
+        !self.bounded() && self.max_bicliques.is_none()
     }
 
     /// The canonical cache-key string: a stable, human-readable encoding
@@ -128,57 +132,33 @@ impl QueryParams {
     }
 }
 
-/// Runs the query described by `params` against `g` under `control`.
+/// Applies `params` to `run` and finishes it with the terminal they
+/// pick: `top_k`, `count` or `collect`.
 ///
-/// This is the single bridge from service parameters to the enumeration
-/// builder: every query goes through [`Enumeration`] with the requested
-/// engine/order/threads/budget/thresholds, finishing with the `top_k`,
-/// `count` or `collect` terminal. The deadline and
-/// cancellation flag carried by `control` apply as-is — the service maps
-/// per-request deadlines onto the control at admission time, so queued
-/// time counts against the deadline.
-pub fn run_query<'g>(
-    g: &'g BipartiteGraph,
-    params: &QueryParams,
-    control: RunControl,
-    observer: Option<&'g dyn Observer>,
-) -> Result<Report, MbeError> {
-    let opts = MbeOptions::new(params.algorithm).order(params.order).threads(params.threads);
-    let mut run = Enumeration::new(g).options(opts).control(control);
+/// This is the one bridge from service parameters to an [`Enumeration`].
+/// The caller starts the run with its graph, [`crate::RunControl`] and
+/// observer, and optionally [`Enumeration::resume`], a sampling cadence
+/// or a fault plan. The control's deadline and cancellation flag apply
+/// as-is: the service maps per-request deadlines onto the control at
+/// admission time, so queued time counts against the deadline.
+///
+/// A resumed run keeps the algorithm, vertex order and MBET toggles its
+/// checkpoint pins. Only `threads`, `count_only` and the emission budget
+/// apply to it; the report covers exactly the checkpoint's frontier, and
+/// a non-completed stop carries the remaining frontier's checkpoint.
+pub fn run_query(run: Enumeration<'_>, params: &QueryParams) -> Result<Report, MbeError> {
+    let mut run = run.threads(params.threads);
     if let Some(n) = params.max_bicliques {
         run = run.max_bicliques(n);
     }
-    if params.thresholded() {
-        run = run.thresholds(SizeThresholds::new(params.min_left, params.min_right));
-    }
-    if let Some(obs) = observer {
-        run = run.observer(obs);
-    }
-    match params.top_k {
-        Some(k) => run.top_k(k),
-        None if params.count_only => run.count(),
-        None => run.collect(),
-    }
-}
-
-/// Resumes one frontier shard of the query described by `params`.
-///
-/// The coordinator's worker-side bridge: `ckpt` (usually a part of a
-/// [`crate::checkpoint::initial_checkpoint`] split) pins the
-/// result-affecting options, so only the execution hints of `params`
-/// (`threads`, `count_only`) apply. The report covers exactly the
-/// shard's subtrees; a non-completed stop carries the shard's own
-/// remaining-frontier checkpoint, which is what re-steal re-queues.
-pub fn run_shard<'g>(
-    g: &'g BipartiteGraph,
-    params: &QueryParams,
-    ckpt: crate::Checkpoint,
-    control: RunControl,
-    observer: Option<&'g dyn Observer>,
-) -> Result<Report, MbeError> {
-    let mut run = Enumeration::new(g).threads(params.threads).control(control).resume(ckpt);
-    if let Some(obs) = observer {
-        run = run.observer(obs);
+    if !run.is_resumed() {
+        run = run.algorithm(params.algorithm).order(params.order);
+        if params.thresholded() {
+            run = run.thresholds(SizeThresholds::new(params.min_left, params.min_right));
+        }
+        if let Some(k) = params.top_k {
+            return run.top_k(k);
+        }
     }
     if params.count_only {
         run.count()
@@ -201,8 +181,8 @@ pub fn cacheable(report: &Report) -> bool {
 /// cache retains.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CachedResult {
-    /// The collected bicliques; `None` for count-only queries.
-    pub bicliques: Option<Arc<Vec<Biclique>>>,
+    /// The bicliques the run returned (none for a count-only run).
+    pub bicliques: Arc<Vec<Biclique>>,
     /// Delivered emission count of the original run.
     pub emitted: u64,
     /// Wall-clock time the original (uncached) run took.
@@ -218,9 +198,9 @@ const BICLIQUE_OVERHEAD: usize = 48;
 impl CachedResult {
     /// Captures a completed report as a cacheable value. Callers should
     /// check [`cacheable`] first; this only copies data.
-    pub fn from_report(report: &Report, count_only: bool) -> CachedResult {
+    pub fn from_report(report: &Report) -> CachedResult {
         CachedResult {
-            bicliques: if count_only { None } else { Some(Arc::new(report.bicliques.clone())) },
+            bicliques: Arc::new(report.bicliques.clone()),
             emitted: report.stats.emitted,
             elapsed: report.stats.elapsed,
         }
@@ -232,12 +212,10 @@ impl CachedResult {
     /// factor, it is not an allocator audit.
     pub fn cost_bytes(&self) -> usize {
         let mut cost = ENTRY_OVERHEAD;
-        if let Some(bs) = &self.bicliques {
-            for b in bs.iter() {
-                cost = cost
-                    .saturating_add(BICLIQUE_OVERHEAD)
-                    .saturating_add(4 * (b.left.len() + b.right.len()));
-            }
+        for b in self.bicliques.iter() {
+            cost = cost
+                .saturating_add(BICLIQUE_OVERHEAD)
+                .saturating_add(4 * (b.left.len() + b.right.len()));
         }
         cost
     }
@@ -360,6 +338,7 @@ impl ResultCache {
 mod tests {
     use super::*;
     use crate::checkpoint::graph_fingerprint;
+    use bigraph::BipartiteGraph;
 
     fn small_graph() -> BipartiteGraph {
         BipartiteGraph::from_edges(
@@ -374,7 +353,7 @@ mod tests {
         let b =
             Biclique::new((0..ids_per_side as u32).collect(), (0..ids_per_side as u32).collect());
         CachedResult {
-            bicliques: Some(Arc::new(vec![b; n_bicliques])),
+            bicliques: Arc::new(vec![b; n_bicliques]),
             emitted: n_bicliques as u64,
             elapsed: Duration::from_millis(1),
         }
@@ -409,7 +388,7 @@ mod tests {
     fn run_query_matches_direct_enumeration() {
         let g = small_graph();
         let direct = Enumeration::new(&g).collect().unwrap();
-        let served = run_query(&g, &QueryParams::default(), RunControl::new(), None).unwrap();
+        let served = run_query(Enumeration::new(&g), &QueryParams::default()).unwrap();
         assert!(served.is_complete());
         let mut a = direct.bicliques.clone();
         let mut b = served.bicliques.clone();
@@ -419,10 +398,8 @@ mod tests {
         assert!(cacheable(&served));
 
         let counted = run_query(
-            &g,
+            Enumeration::new(&g),
             &QueryParams { count_only: true, ..Default::default() },
-            RunControl::new(),
-            None,
         )
         .unwrap();
         assert_eq!(counted.stats.emitted, served.stats.emitted);
@@ -433,22 +410,16 @@ mod tests {
     fn run_query_thresholded_and_top_k_modes() {
         let g = small_graph();
         let thr = run_query(
-            &g,
+            Enumeration::new(&g),
             &QueryParams { min_left: 2, min_right: 2, threads: 4, ..Default::default() },
-            RunControl::new(),
-            None,
         )
         .unwrap();
         assert!(thr.is_complete(), "thresholded query forced serial, not rejected");
         assert!(thr.bicliques.iter().all(|b| b.left.len() >= 2 && b.right.len() >= 2));
 
-        let top = run_query(
-            &g,
-            &QueryParams { top_k: Some(1), ..Default::default() },
-            RunControl::new(),
-            None,
-        )
-        .unwrap();
+        let top =
+            run_query(Enumeration::new(&g), &QueryParams { top_k: Some(1), ..Default::default() })
+                .unwrap();
         assert_eq!(top.bicliques.len(), 1);
         let full = Enumeration::new(&g).collect().unwrap();
         let best = full.bicliques.iter().map(Biclique::edges).max().unwrap();
@@ -459,10 +430,8 @@ mod tests {
     fn stopped_runs_are_not_cacheable() {
         let g = small_graph();
         let stopped = run_query(
-            &g,
+            Enumeration::new(&g),
             &QueryParams { max_bicliques: Some(1), ..Default::default() },
-            RunControl::new(),
-            None,
         )
         .unwrap();
         assert_eq!(stopped.stop, StopReason::EmitBudget);
@@ -529,14 +498,12 @@ mod tests {
     fn count_only_results_cache_without_payload() {
         let g = small_graph();
         let report = run_query(
-            &g,
+            Enumeration::new(&g),
             &QueryParams { count_only: true, ..Default::default() },
-            RunControl::new(),
-            None,
         )
         .unwrap();
-        let cached = CachedResult::from_report(&report, true);
-        assert!(cached.bicliques.is_none());
+        let cached = CachedResult::from_report(&report);
+        assert!(cached.bicliques.is_empty());
         assert_eq!(cached.emitted, report.stats.emitted);
         assert_eq!(cached.cost_bytes(), ENTRY_OVERHEAD);
     }

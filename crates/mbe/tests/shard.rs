@@ -42,12 +42,9 @@ fn complete_run(g: &BipartiteGraph, opts: &MbeOptions) -> Vec<Biclique> {
 fn union_of_shards(g: &BipartiteGraph, shards: &[Checkpoint], threads: usize) -> Vec<Biclique> {
     let mut union: Vec<Biclique> = Vec::new();
     for shard in shards {
-        let report = mbe::service::run_shard(
-            g,
+        let report = mbe::service::run_query(
+            Enumeration::new(g).resume(shard.clone()),
             &QueryParams { threads, ..QueryParams::default() },
-            shard.clone(),
-            mbe::RunControl::new(),
-            None,
         )
         .unwrap();
         assert_eq!(report.stop, StopReason::Completed, "shard must run to completion");

@@ -217,7 +217,8 @@ impl<'g> OctEnumeration<'g> {
         self
     }
 
-    /// Worker threads for each inner enumeration (1 = serial).
+    /// Worker threads for each inner enumeration (1 = serial, 0 = all
+    /// cores).
     pub fn threads(mut self, t: usize) -> Self {
         self.threads = t;
         self
@@ -285,9 +286,6 @@ impl<'g> OctEnumeration<'g> {
         let started = Instant::now();
         if self.max_oct > MAX_OCT_LIMIT {
             return Err(OctError::InvalidConfig("max_oct above the supported limit"));
-        }
-        if self.threads == 0 {
-            return Err(OctError::InvalidConfig("threads must be at least 1"));
         }
         let fingerprint = self.g.fingerprint();
         let decomp = decompose(self.g);

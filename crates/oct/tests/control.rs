@@ -173,11 +173,18 @@ fn checkpoint_serialization_roundtrip_preserves_resume() {
 fn invalid_configs_rejected() {
     let g = test_graph(12);
     assert!(matches!(
-        OctEnumeration::new(&g).threads(0).collect(),
-        Err(OctError::InvalidConfig(_))
-    ));
-    assert!(matches!(
         OctEnumeration::new(&g).max_oct(15).collect(),
         Err(OctError::InvalidConfig(_))
     ));
+}
+
+#[test]
+fn zero_threads_means_all_cores() {
+    let g = test_graph(12);
+    let mut serial = keys_of(&OctEnumeration::new(&g).threads(1).collect().expect("serial run"));
+    let mut all_cores =
+        keys_of(&OctEnumeration::new(&g).threads(0).collect().expect("threads(0) runs"));
+    serial.sort();
+    all_cores.sort();
+    assert_eq!(all_cores, serial);
 }

@@ -34,8 +34,8 @@ use std::time::{Duration, Instant};
 
 use bigraph::BipartiteGraph;
 use mbe::checkpoint::initial_checkpoint;
-use mbe::service::{run_shard, QueryParams};
-use mbe::{Biclique, Checkpoint, MbeOptions, RunControl, StopReason};
+use mbe::service::{run_query, QueryParams};
+use mbe::{Biclique, Checkpoint, Enumeration, MbeOptions, RunControl, StopReason};
 
 use crate::client::Client;
 use crate::health::HealthBoard;
@@ -375,7 +375,8 @@ impl Coordinator {
         board.merge_local(partials, partial_emitted);
         let merged = Checkpoint::merge(&checkpoints)
             .map_err(|e| DistError::Internal(format!("cannot merge remaining shards: {e}")))?;
-        let report = run_shard(graph, params, merged, control.clone(), None)
+        let run = Enumeration::new(graph).control(control.clone()).resume(merged);
+        let report = run_query(run, params)
             .map_err(|e| DistError::Internal(format!("local fallback failed: {e}")))?;
         let stopped = report.stop;
         let ckpt = report.checkpoint.as_ref().map(Checkpoint::to_bytes);

@@ -294,10 +294,13 @@ pub struct QueryReply {
     pub total: u64,
     /// The returned bicliques (possibly truncated; empty for count-only).
     pub bicliques: Vec<Biclique>,
-    /// A stopped run's serialized [`mbe::Checkpoint`]
-    /// ([`mbe::Checkpoint::to_bytes`]) — present whenever the run stopped
-    /// early and was checkpointable, so a cancelled or shut-down query
-    /// can be resumed elsewhere.
+    /// A stopped run's serialized checkpoint — present whenever the run
+    /// stopped early and was checkpointable, so a cancelled or shut-down
+    /// query can be resumed elsewhere. A bipartite run or a coordinator
+    /// sends [`mbe::Checkpoint`] bytes (`MBCK`,
+    /// [`mbe::Checkpoint::to_bytes`]); a general-graph run sends
+    /// [`oct::OctCheckpoint`] bytes (`MBOK`,
+    /// [`oct::OctCheckpoint::to_bytes`]).
     pub checkpoint: Option<Vec<u8>>,
     /// How a coordinator distributed the run — present only on replies a
     /// coordinator assembled by scatter/gather (never on worker or

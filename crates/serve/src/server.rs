@@ -35,17 +35,17 @@ use bigraph::general::read_general_edge_list_path_with_limits;
 use bigraph::io::{read_edge_list_path_with_limits, ReadLimits};
 use bigraph::{BipartiteGraph, GeneralGraph};
 use mbe::obs::TaskInfo;
-use mbe::service::{cacheable, run_query, CachedResult, QueryParams, ResultCache};
+use mbe::service::{run_query, CachedResult, QueryParams, ResultCache};
 use mbe::{
-    CacheCounters, Checkpoint, Enumeration, FanoutObserver, JsonlTraceObserver, MbeError, Observer,
-    Report, RunControl, StopReason,
+    Biclique, CacheCounters, Checkpoint, Enumeration, FanoutObserver, JsonlTraceObserver, MbeError,
+    Observer, RunControl, StopReason,
 };
-use oct::{OctCheckpoint, OctEnumeration, OctError, OctReport};
+use oct::{OctCheckpoint, OctEnumeration};
 
 use crate::admission::{Admission, QueueWait, SubmitError};
-use crate::coordinator::{Coordinator, CoordinatorConfig, DistError, DistOutcome};
+use crate::coordinator::{Coordinator, CoordinatorConfig};
 use crate::protocol::{
-    errcode, QueryReply, QueryRequest, Reply, Request, Response, ServerStats, ShardRequest,
+    errcode, DistSummary, QueryReply, QueryRequest, Reply, Request, Response, ServerStats,
     TraceContext,
 };
 use crate::registry::{GraphData, GraphRegistry};
@@ -158,7 +158,7 @@ struct Shared {
     inflight: Mutex<HashMap<u64, RunControl>>,
     /// Present iff this server runs coordinator mode. Long-lived so
     /// worker quarantine persists across queries.
-    coord: Option<Coordinator>,
+    coord: Option<Arc<Coordinator>>,
     /// The server-wide telemetry registry (see [`crate::telemetry`]).
     metrics: ServerMetrics,
     task_counter: TaskCounter,
@@ -230,7 +230,7 @@ impl Server {
         let shared = Arc::new(Shared {
             admission: Admission::new(cfg.workers, cfg.queue_capacity),
             cache: Mutex::new(ResultCache::new(cfg.cache_bytes)),
-            coord: cfg.coordinator.clone().map(Coordinator::new),
+            coord: cfg.coordinator.clone().map(|c| Arc::new(Coordinator::new(c))),
             cfg,
             addr,
             registry: GraphRegistry::new(),
@@ -405,8 +405,16 @@ fn dispatch(shared: &Arc<Shared>, stream: &mut TcpStream, payload: &[u8]) -> Vec
             let infos = shared.registry.list().iter().map(|e| e.info()).collect();
             vec![Response::Ok(Reply::Graphs(infos))]
         }
-        Request::Query(q) => handle_query(shared, stream, &q),
-        Request::QueryShard(s) => handle_shard_query(shared, stream, &s),
+        Request::Query(q) => handle_query(shared, stream, &q, None),
+        Request::QueryShard(s) => {
+            let q = QueryRequest {
+                graph: s.graph,
+                params: s.params,
+                max_return: s.max_return,
+                trace: s.trace,
+            };
+            handle_query(shared, stream, &q, Some(&s.checkpoint))
+        }
         // Nothing is in flight on this connection (queries hold the loop
         // until they answer), so an idle CANCEL is a trivial ack.
         Request::Cancel => vec![Response::Ok(Reply::Cancelled)],
@@ -540,7 +548,7 @@ fn metrics_snapshot(shared: &Shared) -> MetricsSnapshot {
     let inflight = shared.inflight.lock().unwrap_or_else(PoisonError::into_inner).len() as u64;
     let cache = shared.cache.lock().unwrap_or_else(PoisonError::into_inner).counters();
     let wait = shared.admission.queue_wait();
-    let workers = shared.coord.as_ref().map(Coordinator::worker_status).unwrap_or_default();
+    let workers = shared.coord.as_ref().map(|c| c.worker_status()).unwrap_or_default();
     let m = &shared.metrics;
     MetricsSnapshot {
         uptime_us: m.uptime_us(),
@@ -638,107 +646,157 @@ fn answer_metrics_http(mut stream: TcpStream, shared: &Arc<Shared>) -> io::Resul
     stream.write_all(body.as_bytes())
 }
 
-/// Clips a result to the smaller of the request's and the server's cap.
-fn clip(bicliques: &[mbe::Biclique], req_max: u32, cfg_max: u32) -> Vec<mbe::Biclique> {
-    bicliques.iter().take(req_max.min(cfg_max) as usize).cloned().collect()
+/// What an admitted query runs, decided at validation.
+enum QueryJob {
+    /// A bipartite run on this server; a shard resumes its checkpoint.
+    Bipartite { graph: Arc<BipartiteGraph>, resume: Option<Checkpoint> },
+    /// A shardable `QUERY` at a coordinator, fanned out to its workers.
+    Fanout { coord: Arc<Coordinator>, graph: Arc<BipartiteGraph>, name: String },
+    /// A `QUERY` on a general graph, run by the OCT driver.
+    General { graph: Arc<GeneralGraph> },
 }
 
-fn reply_from_cached(hit: &CachedResult, q: &QueryRequest, cfg: &ServerConfig) -> QueryReply {
-    let (total, bicliques) = match &hit.bicliques {
-        Some(bs) => (bs.len() as u64, clip(bs, q.max_return, cfg.max_return)),
-        None => (0, Vec::new()),
-    };
-    QueryReply {
-        stop: StopReason::Completed,
-        cached: true,
-        emitted: hit.emitted,
-        elapsed_us: hit.elapsed.as_micros() as u64,
-        total,
-        bicliques,
-        checkpoint: None,
-        dist: None,
+/// A query's answer in the one shape every reply is built from: a local
+/// run's report, a coordinator's merged outcome, or a cache hit.
+struct Answer {
+    stop: StopReason,
+    cached: bool,
+    emitted: u64,
+    elapsed_us: u64,
+    /// Everything the run returned. A reply clips a copy; the cache
+    /// shares this allocation.
+    bicliques: Arc<Vec<Biclique>>,
+    /// `MBCK` bytes from the bipartite engine or a coordinator, `MBOK`
+    /// bytes from the OCT driver.
+    checkpoint: Option<Vec<u8>>,
+    dist: Option<DistSummary>,
+}
+
+impl Answer {
+    /// The answer of a run on this server.
+    fn local(
+        stop: StopReason,
+        emitted: u64,
+        elapsed: Duration,
+        bicliques: Vec<Biclique>,
+        checkpoint: Option<Vec<u8>>,
+    ) -> Answer {
+        Answer {
+            stop,
+            cached: false,
+            emitted,
+            elapsed_us: elapsed.as_micros() as u64,
+            bicliques: Arc::new(bicliques),
+            checkpoint,
+            dist: None,
+        }
     }
 }
 
-fn reply_from_report(report: &Report, q: &QueryRequest, cfg: &ServerConfig) -> QueryReply {
-    QueryReply {
-        stop: report.stop,
-        cached: false,
-        emitted: report.stats.emitted,
-        elapsed_us: report.stats.elapsed.as_micros() as u64,
-        total: report.bicliques.len() as u64,
-        bicliques: clip(&report.bicliques, q.max_return, cfg.max_return),
-        checkpoint: report.checkpoint.as_ref().map(Checkpoint::to_bytes),
-        dist: None,
-    }
-}
+/// A typed refusal: an [`errcode`] and its message.
+type Refusal = (u8, String);
 
-/// The reply a coordinator assembles from a merged distributed run — the
-/// only reply shape that carries a [`crate::protocol::DistSummary`].
-fn reply_from_dist(outcome: &DistOutcome, q: &QueryRequest, cfg: &ServerConfig) -> QueryReply {
-    QueryReply {
-        stop: outcome.stop,
-        cached: false,
-        emitted: outcome.emitted,
-        elapsed_us: outcome.elapsed_us,
-        total: outcome.bicliques.len() as u64,
-        bicliques: clip(&outcome.bicliques, q.max_return, cfg.max_return),
-        checkpoint: outcome.checkpoint.clone(),
-        dist: Some(outcome.dist),
-    }
-}
-
-/// A worker's reply to one `QUERY_SHARD`. Shards bypass the result cache
-/// in both directions: a shard is a fragment of a query, not a canonical
-/// query of its own. Only the *request's* `max_return` applies — never
-/// this server's `cfg.max_return`: shard replies are coordinator-facing,
-/// and a config-clipped reply would silently drop bicliques from the
-/// merged distributed result (DESIGN §8c documents this contract).
-fn shard_reply(report: &Report, s: &ShardRequest) -> QueryReply {
-    QueryReply {
-        stop: report.stop,
-        cached: false,
-        emitted: report.stats.emitted,
-        elapsed_us: report.stats.elapsed.as_micros() as u64,
-        total: report.bicliques.len() as u64,
-        bicliques: clip(&report.bicliques, s.max_return, u32::MAX),
-        checkpoint: report.checkpoint.as_ref().map(Checkpoint::to_bytes),
-        dist: None,
-    }
-}
-
-/// The query pipeline: cache lookup, admission, execution on a worker,
-/// and a wait loop that keeps servicing this connection's pipelined
-/// `CANCEL`/`SHUTDOWN` frames while the worker runs.
-fn handle_query(shared: &Arc<Shared>, stream: &mut TcpStream, q: &QueryRequest) -> Vec<Response> {
+/// Turns a query into the job it runs and its cache key
+/// (`(fingerprint, key)`), or into the refusal it gets. `shard` holds a
+/// `QUERY_SHARD`'s checkpoint bytes. A shard gets no key: shards bypass
+/// the cache both ways, being fragments of a query rather than queries
+/// of their own. A general graph's key is prefixed `oct;`, so a general
+/// result can never be replayed for a bipartite query (or vice versa),
+/// even if the two fingerprints ever collided.
+fn validate(
+    shared: &Shared,
+    q: &QueryRequest,
+    shard: Option<&[u8]>,
+) -> Result<(QueryJob, Option<(u64, String)>), Refusal> {
     if shared.shutdown.load(Ordering::SeqCst) {
-        return vec![Response::Err {
-            code: errcode::SHUTTING_DOWN,
-            message: "server is shutting down".into(),
-        }];
+        return Err((errcode::SHUTTING_DOWN, "server is shutting down".into()));
     }
     let Some(entry) = shared.registry.get(&q.graph) else {
-        return vec![Response::Err {
-            code: errcode::UNKNOWN_GRAPH,
-            message: format!("no graph named '{}' (LOAD it first)", q.graph),
-        }];
-    };
-    let fingerprint = entry.fingerprint;
-    let graph = match &entry.data {
-        GraphData::Bipartite(g) => Arc::clone(g),
-        GraphData::General(g) => {
-            return handle_oct_query(shared, stream, q, fingerprint, Arc::clone(g))
-        }
+        let message = format!("no graph named '{}' (LOAD it first)", q.graph);
+        return Err((errcode::UNKNOWN_GRAPH, message));
     };
     let key = q.params.canonical_key();
+    match (&entry.data, shard) {
+        (GraphData::Bipartite(graph), None) => {
+            // Shardable queries fan out at a coordinator; bounded and
+            // budgeted ones always run locally (that is policy, not
+            // degradation — no `degraded` flag).
+            let graph = Arc::clone(graph);
+            let job = match &shared.coord {
+                Some(coord) if q.params.shardable() => {
+                    QueryJob::Fanout { coord: Arc::clone(coord), graph, name: q.graph.clone() }
+                }
+                _ => QueryJob::Bipartite { graph, resume: None },
+            };
+            Ok((job, Some((entry.fingerprint, key))))
+        }
+        (GraphData::Bipartite(graph), Some(bytes)) => {
+            let ckpt = Checkpoint::from_bytes(bytes)
+                .map_err(|e| (errcode::BAD_SHARD, format!("malformed shard checkpoint: {e}")))?;
+            ckpt.matches(graph).map_err(|e| {
+                let message = format!("shard does not match graph '{}': {e}", q.graph);
+                (errcode::BAD_SHARD, message)
+            })?;
+            Ok((QueryJob::Bipartite { graph: Arc::clone(graph), resume: Some(ckpt) }, None))
+        }
+        // Frontier shards are fragments of the bipartite engine's root
+        // set; general graphs run whole through the OCT driver and are
+        // never sharded, so a shard aimed at one is a kind error, not a
+        // bad shard.
+        (GraphData::General(_), Some(_)) => Err((
+            errcode::WRONG_KIND,
+            format!("'{}' is a general graph; shards require a bipartite graph", q.graph),
+        )),
+        // Thresholds and top-k are bipartite-engine bounds: refused
+        // rather than silently ignored.
+        (GraphData::General(_), None) if q.params.bounded() => Err((
+            errcode::WRONG_KIND,
+            format!(
+                "'{}' is a general graph; min-left/min-right thresholds and top-k \
+                 apply only to bipartite graphs",
+                q.graph
+            ),
+        )),
+        // The OCT driver's per-assignment checkpoints are not frontier
+        // shards, so even a coordinator runs a general query locally.
+        (GraphData::General(graph), None) => Ok((
+            QueryJob::General { graph: Arc::clone(graph) },
+            Some((entry.fingerprint, format!("oct;{key}"))),
+        )),
+    }
+}
+
+/// The one query pipeline, for `QUERY` and `QUERY_SHARD` alike: validate,
+/// answer from the cache, admit, execute on a worker, reply. While the
+/// worker runs, the connection keeps servicing its pipelined
+/// `CANCEL`/`SHUTDOWN` frames.
+fn handle_query(
+    shared: &Arc<Shared>,
+    stream: &mut TcpStream,
+    q: &QueryRequest,
+    shard: Option<&[u8]>,
+) -> Vec<Response> {
+    let (job, key) = match validate(shared, q, shard) {
+        Ok(valid) => valid,
+        Err((code, message)) => return vec![Response::Err { code, message }],
+    };
 
     // Cache first: hits are never queued, so they can't be rejected Busy.
-    {
-        let mut cache = shared.cache.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(hit) = cache.lookup(fingerprint, &key) {
-            drop(cache);
+    if let Some((fingerprint, key)) = &key {
+        let hit =
+            shared.cache.lock().unwrap_or_else(PoisonError::into_inner).lookup(*fingerprint, key);
+        if let Some(hit) = hit {
             shared.queries.fetch_add(1, Ordering::Relaxed);
-            return vec![Response::Ok(Reply::Query(reply_from_cached(&hit, q, &shared.cfg)))];
+            let answer = Answer {
+                stop: StopReason::Completed,
+                cached: true,
+                emitted: hit.emitted,
+                elapsed_us: hit.elapsed.as_micros() as u64,
+                bicliques: hit.bicliques,
+                checkpoint: None,
+                dist: None,
+            };
+            return vec![reply(q, shard.is_some(), &shared.cfg, answer)];
         }
     }
 
@@ -754,70 +812,24 @@ fn handle_query(shared: &Arc<Shared>, stream: &mut TcpStream, q: &QueryRequest) 
     let id = shared.next_request.fetch_add(1, Ordering::Relaxed);
     shared.inflight.lock().unwrap_or_else(PoisonError::into_inner).insert(id, control.clone());
     if shared.shutdown.load(Ordering::SeqCst) {
-        // Shutdown raced between the top check and registration; its
+        // Shutdown raced between validation and registration; its
         // cancel sweep may have missed this control.
         control.cancel();
     }
 
-    // Shardable queries route through the coordinator when one is
-    // configured; thresholded / top-k / budgeted queries always run
-    // locally (that is policy, not degradation — no `degraded` flag).
-    let distribute = shared.coord.is_some() && q.params.shardable();
-    let (tx, rx) = sync_channel::<QueryOutcome>(1);
-    let job = {
+    let (tx, rx) = sync_channel(1);
+    let work = {
         let shared = Arc::clone(shared);
-        let graph = Arc::clone(&graph);
-        let graph_name = q.graph.clone();
         let params = q.params.clone();
         let control = control.clone();
         let trace_ctx = q.trace;
         Box::new(move || {
-            let result = match shared.coord.as_ref().filter(|_| distribute) {
-                Some(coord) => {
-                    let span = open_span_log(&shared, id);
-                    let dist = coord.run(
-                        &graph,
-                        &graph_name,
-                        &params,
-                        &control,
-                        deadline,
-                        Some(&shared.metrics),
-                        span.as_ref(),
-                    );
-                    // Fold the run's provenance into the registry here —
-                    // the one place both exist — so the Prometheus
-                    // counters always agree with the `DistSummary` the
-                    // client saw. (Dispatches, stranded claims, and
-                    // fallbacks are counted live at their event sites.)
-                    if let Ok(outcome) = &dist {
-                        ServerMetrics::add(&shared.metrics.dist_queries, 1);
-                        ServerMetrics::add(
-                            &shared.metrics.shard_retries,
-                            u64::from(outcome.dist.retries),
-                        );
-                        ServerMetrics::add(
-                            &shared.metrics.shard_resteals,
-                            u64::from(outcome.dist.resteals),
-                        );
-                        ServerMetrics::add(
-                            &shared.metrics.shard_speculated,
-                            u64::from(outcome.dist.speculated),
-                        );
-                    }
-                    if let Some(e) = span.as_ref().and_then(SpanLog::take_error) {
-                        eprintln!("mbe-serve: span log write failed: {e}");
-                    }
-                    QueryOutcome::Dist(dist)
-                }
-                None => {
-                    QueryOutcome::Local(execute(&shared, &graph, &params, control, id, trace_ctx))
-                }
-            };
+            let result = execute(&shared, job, &params, control, deadline, id, trace_ctx);
             shared.inflight.lock().unwrap_or_else(PoisonError::into_inner).remove(&id);
             let _ = tx.send(result);
         })
     };
-    if let Err(err) = shared.admission.submit(job) {
+    if let Err(err) = shared.admission.submit(work) {
         shared.inflight.lock().unwrap_or_else(PoisonError::into_inner).remove(&id);
         return vec![reject(shared, err)];
     }
@@ -828,41 +840,16 @@ fn handle_query(shared: &Arc<Shared>, stream: &mut TcpStream, q: &QueryRequest) 
 
     shared.queries.fetch_add(1, Ordering::Relaxed);
     let response = match result {
-        Some(QueryOutcome::Local(Ok(report))) => {
-            if cacheable(&report) {
-                // A top-k reply always carries its bicliques, count-only or not.
-                let count_only = q.params.count_only && q.params.top_k.is_none();
-                let value = CachedResult::from_report(&report, count_only);
-                shared.cache.lock().unwrap_or_else(PoisonError::into_inner).insert(
-                    fingerprint,
-                    key,
-                    value,
-                );
-            }
-            Response::Ok(Reply::Query(reply_from_report(&report, q, &shared.cfg)))
-        }
-        // A contained worker panic still carries the partial report:
-        // surface it as a reply (stop = worker-panicked) so the client
-        // keeps the checkpoint and partial results.
-        Some(QueryOutcome::Local(Err(MbeError::WorkerPanic { report, .. }))) => {
-            Response::Ok(Reply::Query(reply_from_report(&report, q, &shared.cfg)))
-        }
-        Some(QueryOutcome::Local(Err(e))) => {
-            Response::Err { code: errcode::INTERNAL, message: e.to_string() }
-        }
-        Some(QueryOutcome::Dist(Ok(outcome))) => {
-            let reply = reply_from_dist(&outcome, q, &shared.cfg);
-            // A complete merged result is cacheable under the same key a
-            // local run would use; later hits answer with `dist: None`.
-            if outcome.stop == StopReason::Completed {
+        Some(Ok(answer)) => {
+            // The one cache rule: a completed answer whose job has a key
+            // is stored with the bicliques it returned. A stopped run is a
+            // prefix of the full answer decided by *when* it stopped, so
+            // it is never replayed.
+            if let (Some((fingerprint, key)), StopReason::Completed) = (key, answer.stop) {
                 let value = CachedResult {
-                    bicliques: if q.params.count_only {
-                        None
-                    } else {
-                        Some(Arc::new(outcome.bicliques))
-                    },
-                    emitted: outcome.emitted,
-                    elapsed: Duration::from_micros(outcome.elapsed_us),
+                    bicliques: Arc::clone(&answer.bicliques),
+                    emitted: answer.emitted,
+                    elapsed: Duration::from_micros(answer.elapsed_us),
                 };
                 shared.cache.lock().unwrap_or_else(PoisonError::into_inner).insert(
                     fingerprint,
@@ -870,185 +857,136 @@ fn handle_query(shared: &Arc<Shared>, stream: &mut TcpStream, q: &QueryRequest) 
                     value,
                 );
             }
-            Response::Ok(Reply::Query(reply))
+            reply(q, shard.is_some(), &shared.cfg, answer)
         }
-        Some(QueryOutcome::Dist(Err(e))) => {
-            Response::Err { code: e.code(), message: e.to_string() }
+        Some(Err((code, message))) => Response::Err { code, message },
+        None => {
+            let worker = if shard.is_some() { "shard" } else { "query" };
+            let message = format!("{worker} worker disappeared without a result");
+            Response::Err { code: errcode::INTERNAL, message }
         }
-        None => Response::Err {
-            code: errcode::INTERNAL,
-            message: "query worker disappeared without a result".into(),
-        },
     };
     let mut out = vec![response];
     out.extend(pipelined);
     out
 }
 
-/// How one admitted query job resolved: locally or via the coordinator.
-enum QueryOutcome {
-    Local(Result<Report, MbeError>),
-    Dist(Result<DistOutcome, DistError>),
+/// The one reply builder. A `QUERY` reply is clipped to the smaller of
+/// the request's and the server's cap. A `QUERY_SHARD` reply is clipped
+/// to the request's cap alone: shard replies are coordinator-facing, and
+/// a config-clipped reply would silently drop bicliques from the merged
+/// distributed result (DESIGN §8c documents this contract).
+fn reply(q: &QueryRequest, shard: bool, cfg: &ServerConfig, answer: Answer) -> Response {
+    let cap = if shard { q.max_return } else { q.max_return.min(cfg.max_return) };
+    let body = QueryReply {
+        stop: answer.stop,
+        cached: answer.cached,
+        emitted: answer.emitted,
+        elapsed_us: answer.elapsed_us,
+        total: answer.bicliques.len() as u64,
+        bicliques: answer.bicliques.iter().take(cap as usize).cloned().collect(),
+        checkpoint: answer.checkpoint,
+        dist: answer.dist,
+    };
+    Response::Ok(if shard { Reply::Shard(body) } else { Reply::Query(body) })
 }
 
-/// The reply for one completed (or stopped) OCT driver run. The reply
-/// rides the ordinary `QUERY` tag — the client asked a question about a
-/// named graph and gets bicliques back; which engine answered is the
-/// server's business.
-fn reply_from_oct(report: &OctReport, q: &QueryRequest, cfg: &ServerConfig) -> QueryReply {
-    QueryReply {
-        stop: report.stop,
-        cached: false,
-        emitted: report.stats.emitted,
-        elapsed_us: report.stats.elapsed.as_micros() as u64,
-        total: report.bicliques.len() as u64,
-        bicliques: clip(&report.bicliques, q.max_return, cfg.max_return),
-        checkpoint: report.checkpoint.as_ref().map(OctCheckpoint::to_bytes),
-        dist: None,
-    }
-}
-
-/// `QUERY` on a general graph: the same cache → admission → execute →
-/// reply pipeline as [`handle_query`], with the OCT driver as the
-/// engine. Differences, all deliberate:
-///
-/// - cache keys are prefixed `oct;` so a general result can never be
-///   replayed for a bipartite query (or vice versa), even if the two
-///   fingerprint digests ever collided;
-/// - size thresholds and `top_k` are bipartite-engine features — they
-///   answer `WRONG_KIND` instead of being silently ignored;
-/// - the query always runs locally: the OCT driver's per-assignment
-///   checkpoints are not frontier shards, so coordinator mode does not
-///   distribute it (policy, not degradation).
-fn handle_oct_query(
-    shared: &Arc<Shared>,
-    stream: &mut TcpStream,
-    q: &QueryRequest,
-    fingerprint: u64,
-    graph: Arc<GeneralGraph>,
-) -> Vec<Response> {
-    if q.params.thresholded() || q.params.top_k.is_some() {
-        return vec![Response::Err {
-            code: errcode::WRONG_KIND,
-            message: format!(
-                "'{}' is a general graph; min-left/min-right thresholds and top-k \
-                 apply only to bipartite graphs",
-                q.graph
-            ),
-        }];
-    }
-    let key = format!("oct;{}", q.params.canonical_key());
-    {
-        let mut cache = shared.cache.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(hit) = cache.lookup(fingerprint, &key) {
-            drop(cache);
-            shared.queries.fetch_add(1, Ordering::Relaxed);
-            return vec![Response::Ok(Reply::Query(reply_from_cached(&hit, q, &shared.cfg)))];
-        }
-    }
-
-    let deadline =
-        q.params.timeout.or(shared.cfg.default_timeout).map(|limit| Instant::now() + limit);
-    let mut control = RunControl::new();
-    if let Some(at) = deadline {
-        control = control.deadline(at);
-    }
-    let id = shared.next_request.fetch_add(1, Ordering::Relaxed);
-    shared.inflight.lock().unwrap_or_else(PoisonError::into_inner).insert(id, control.clone());
-    if shared.shutdown.load(Ordering::SeqCst) {
-        control.cancel();
-    }
-
-    let (tx, rx) = sync_channel::<Result<OctReport, OctError>>(1);
-    let job = {
-        let shared = Arc::clone(shared);
-        let params = q.params.clone();
-        let control = control.clone();
-        let trace_ctx = q.trace;
-        Box::new(move || {
-            let result = execute_oct(&shared, &graph, &params, control, id, trace_ctx);
-            shared.inflight.lock().unwrap_or_else(PoisonError::into_inner).remove(&id);
-            let _ = tx.send(result);
-        })
-    };
-    if let Err(err) = shared.admission.submit(job) {
-        shared.inflight.lock().unwrap_or_else(PoisonError::into_inner).remove(&id);
-        return vec![reject(shared, err)];
-    }
-
-    let Some((result, pipelined)) = wait_for_result(shared, stream, &control, &rx) else {
-        return Vec::new();
-    };
-
-    shared.queries.fetch_add(1, Ordering::Relaxed);
-    let response = match result {
-        Some(Ok(report)) => {
-            if report.stop == StopReason::Completed {
-                let value = CachedResult {
-                    bicliques: if q.params.count_only {
-                        None
-                    } else {
-                        Some(Arc::new(report.bicliques.clone()))
-                    },
-                    emitted: report.stats.emitted,
-                    elapsed: report.stats.elapsed,
-                };
-                shared.cache.lock().unwrap_or_else(PoisonError::into_inner).insert(
-                    fingerprint,
-                    key,
-                    value,
-                );
-            }
-            Response::Ok(Reply::Query(reply_from_oct(&report, q, &shared.cfg)))
-        }
-        Some(Err(e)) => Response::Err { code: errcode::INTERNAL, message: e.to_string() },
-        None => Response::Err {
-            code: errcode::INTERNAL,
-            message: "query worker disappeared without a result".into(),
-        },
-    };
-    let mut out = vec![response];
-    out.extend(pipelined);
-    out
-}
-
-/// Runs one admitted general-graph query on the current (worker) thread
-/// through the OCT driver, with the same task-counter and trace plumbing
-/// as [`execute`]. A `threads: 0` hint ("all cores") is resolved here —
-/// the driver requires an explicit positive count.
-fn execute_oct(
+/// Runs one admitted job on the current (worker) thread. A local run
+/// reports to the server-wide task counter and, when tracing is
+/// configured, to a per-request JSONL trace stamped with the request's
+/// distributed trace context. A fan-out enumerates nothing here: it
+/// writes the coordinator's span log.
+fn execute(
     shared: &Shared,
-    graph: &GeneralGraph,
+    job: QueryJob,
     params: &QueryParams,
     control: RunControl,
+    deadline: Option<Instant>,
     id: u64,
     trace_ctx: Option<TraceContext>,
-) -> Result<OctReport, OctError> {
-    let trace = open_trace(shared, id, trace_ctx);
+) -> Result<Answer, Refusal> {
+    let trace = match job {
+        QueryJob::Fanout { .. } => None,
+        _ => open_trace(shared, id, trace_ctx),
+    };
     let mut fan = FanoutObserver::new();
     fan.push(Box::new(&shared.task_counter));
     if let Some(t) = &trace {
         fan.push(Box::new(t));
     }
-    let threads = if params.threads == 0 {
-        std::thread::available_parallelism().map_or(1, usize::from)
-    } else {
-        params.threads
+    let answer = match job {
+        QueryJob::Bipartite { graph, resume } => {
+            let mut run = Enumeration::new(&graph).control(control).observer(&fan);
+            if let Some(ckpt) = resume {
+                run = run.resume(ckpt);
+                // The coordinator fault harness stages deterministic
+                // worker crashes on shard executions.
+                #[cfg(feature = "fault-injection")]
+                if let Some(plan) = &shared.cfg.fault_plan {
+                    run = run.faults(plan.clone());
+                }
+            }
+            let report = match run_query(run, params) {
+                // A contained worker panic still carries the partial
+                // report: answer with it (stop = worker-panicked) so the
+                // client keeps the checkpoint and partial results.
+                Err(MbeError::WorkerPanic { report, .. }) => Ok(*report),
+                result => result,
+            };
+            report.map_err(|e| (errcode::INTERNAL, e.to_string())).map(|r| {
+                let checkpoint = r.checkpoint.as_ref().map(Checkpoint::to_bytes);
+                Answer::local(r.stop, r.stats.emitted, r.stats.elapsed, r.bicliques, checkpoint)
+            })
+        }
+        QueryJob::General { graph } => {
+            let mut run = OctEnumeration::new(&graph)
+                .algorithm(params.algorithm)
+                .order(params.order)
+                .threads(params.threads)
+                .control(control)
+                .observer(&fan);
+            if let Some(n) = params.max_bicliques {
+                run = run.max_bicliques(n);
+            }
+            let report = if params.count_only { run.count() } else { run.collect() };
+            report.map_err(|e| (errcode::INTERNAL, e.to_string())).map(|r| {
+                let checkpoint = r.checkpoint.as_ref().map(OctCheckpoint::to_bytes);
+                Answer::local(r.stop, r.stats.emitted, r.stats.elapsed, r.bicliques, checkpoint)
+            })
+        }
+        QueryJob::Fanout { coord, graph, name } => {
+            let span = open_span_log(shared, id);
+            let m = &shared.metrics;
+            let dist = coord.run(&graph, &name, params, &control, deadline, Some(m), span.as_ref());
+            if let Some(e) = span.as_ref().and_then(SpanLog::take_error) {
+                eprintln!("mbe-serve: span log write failed: {e}");
+            }
+            dist.map_err(|e| (e.code(), e.to_string())).map(|outcome| {
+                // Fold the run's provenance into the registry here — the
+                // one place both exist — so the Prometheus counters always
+                // agree with the `DistSummary` the client saw.
+                // (Dispatches, stranded claims, and fallbacks are counted
+                // live at their event sites.)
+                ServerMetrics::add(&m.dist_queries, 1);
+                ServerMetrics::add(&m.shard_retries, u64::from(outcome.dist.retries));
+                ServerMetrics::add(&m.shard_resteals, u64::from(outcome.dist.resteals));
+                ServerMetrics::add(&m.shard_speculated, u64::from(outcome.dist.speculated));
+                Answer {
+                    stop: outcome.stop,
+                    cached: false,
+                    emitted: outcome.emitted,
+                    elapsed_us: outcome.elapsed_us,
+                    bicliques: Arc::new(outcome.bicliques),
+                    checkpoint: outcome.checkpoint,
+                    dist: Some(outcome.dist),
+                }
+            })
+        }
     };
-    let mut run = OctEnumeration::new(graph)
-        .algorithm(params.algorithm)
-        .order(params.order)
-        .threads(threads)
-        .control(control)
-        .observer(&fan);
-    if let Some(n) = params.max_bicliques {
-        run = run.max_bicliques(n);
-    }
-    let result = if params.count_only { run.count() } else { run.collect() };
     if let Some(t) = &trace {
         let _ = t.flush();
     }
-    result
+    answer
 }
 
 /// The typed response for a refused admission.
@@ -1139,166 +1077,6 @@ fn input_waiting(stream: &TcpStream) -> io::Result<bool> {
         }
         Err(e) => Err(e),
     }
-}
-
-/// The worker half of coordinator mode: validates and resumes one
-/// frontier shard. Same admission, cancellation, and shutdown-drain
-/// semantics as a full query, but the reply rides the `QUERY_SHARD` tag
-/// and the result cache is bypassed in both directions.
-fn handle_shard_query(
-    shared: &Arc<Shared>,
-    stream: &mut TcpStream,
-    s: &ShardRequest,
-) -> Vec<Response> {
-    if shared.shutdown.load(Ordering::SeqCst) {
-        return vec![Response::Err {
-            code: errcode::SHUTTING_DOWN,
-            message: "server is shutting down".into(),
-        }];
-    }
-    let Some(entry) = shared.registry.get(&s.graph) else {
-        return vec![Response::Err {
-            code: errcode::UNKNOWN_GRAPH,
-            message: format!("no graph named '{}' (LOAD it first)", s.graph),
-        }];
-    };
-    // Frontier shards are fragments of the bipartite engine's root set;
-    // general graphs run whole through the OCT driver and are never
-    // sharded, so a shard aimed at one is a kind error, not a bad shard.
-    let Some(graph) = entry.bipartite().map(Arc::clone) else {
-        return vec![Response::Err {
-            code: errcode::WRONG_KIND,
-            message: format!("'{}' is a general graph; shards require a bipartite graph", s.graph),
-        }];
-    };
-    let ckpt = match Checkpoint::from_bytes(&s.checkpoint) {
-        Ok(c) => c,
-        Err(e) => {
-            return vec![Response::Err {
-                code: errcode::BAD_SHARD,
-                message: format!("malformed shard checkpoint: {e}"),
-            }]
-        }
-    };
-    if let Err(e) = ckpt.matches(&graph) {
-        return vec![Response::Err {
-            code: errcode::BAD_SHARD,
-            message: format!("shard does not match graph '{}': {e}", s.graph),
-        }];
-    }
-
-    let deadline =
-        s.params.timeout.or(shared.cfg.default_timeout).map(|limit| Instant::now() + limit);
-    let mut control = RunControl::new();
-    if let Some(at) = deadline {
-        control = control.deadline(at);
-    }
-    let id = shared.next_request.fetch_add(1, Ordering::Relaxed);
-    shared.inflight.lock().unwrap_or_else(PoisonError::into_inner).insert(id, control.clone());
-    if shared.shutdown.load(Ordering::SeqCst) {
-        control.cancel();
-    }
-
-    let (tx, rx) = sync_channel::<Result<Report, MbeError>>(1);
-    let job = {
-        let shared = Arc::clone(shared);
-        let graph = Arc::clone(&graph);
-        let params = s.params.clone();
-        let control = control.clone();
-        let trace_ctx = s.trace;
-        Box::new(move || {
-            let result = execute_shard(&shared, &graph, &params, ckpt, control, id, trace_ctx);
-            shared.inflight.lock().unwrap_or_else(PoisonError::into_inner).remove(&id);
-            let _ = tx.send(result);
-        })
-    };
-    if let Err(err) = shared.admission.submit(job) {
-        shared.inflight.lock().unwrap_or_else(PoisonError::into_inner).remove(&id);
-        return vec![reject(shared, err)];
-    }
-
-    let Some((result, pipelined)) = wait_for_result(shared, stream, &control, &rx) else {
-        return Vec::new();
-    };
-
-    shared.queries.fetch_add(1, Ordering::Relaxed);
-    let response = match result {
-        Some(Ok(report)) => Response::Ok(Reply::Shard(shard_reply(&report, s))),
-        // Same contained-panic contract as QUERY: the partial report and
-        // checkpoint go back so the coordinator can re-steal the rest.
-        Some(Err(MbeError::WorkerPanic { report, .. })) => {
-            Response::Ok(Reply::Shard(shard_reply(&report, s)))
-        }
-        Some(Err(e)) => Response::Err { code: errcode::INTERNAL, message: e.to_string() },
-        None => Response::Err {
-            code: errcode::INTERNAL,
-            message: "shard worker disappeared without a result".into(),
-        },
-    };
-    let mut out = vec![response];
-    out.extend(pipelined);
-    out
-}
-
-/// Runs one admitted query on the current (worker) thread, composing the
-/// server-wide task counter with an optional per-request JSONL trace
-/// (stamped with the request's distributed trace context, if it carried
-/// one).
-fn execute(
-    shared: &Shared,
-    graph: &BipartiteGraph,
-    params: &QueryParams,
-    control: RunControl,
-    id: u64,
-    trace_ctx: Option<TraceContext>,
-) -> Result<Report, MbeError> {
-    let trace = open_trace(shared, id, trace_ctx);
-    let mut fan = FanoutObserver::new();
-    fan.push(Box::new(&shared.task_counter));
-    if let Some(t) = &trace {
-        fan.push(Box::new(t));
-    }
-    let result = run_query(graph, params, control, Some(&fan));
-    drop(fan);
-    if let Some(t) = &trace {
-        let _ = t.flush();
-    }
-    result
-}
-
-/// Runs one admitted shard on the current (worker) thread: the resume
-/// path of [`execute`], plus the scripted-fault hook the coordinator
-/// harness uses to stage deterministic worker crashes.
-fn execute_shard(
-    shared: &Shared,
-    graph: &BipartiteGraph,
-    params: &QueryParams,
-    ckpt: Checkpoint,
-    control: RunControl,
-    id: u64,
-    trace_ctx: Option<TraceContext>,
-) -> Result<Report, MbeError> {
-    let trace = open_trace(shared, id, trace_ctx);
-    let mut fan = FanoutObserver::new();
-    fan.push(Box::new(&shared.task_counter));
-    if let Some(t) = &trace {
-        fan.push(Box::new(t));
-    }
-    let run = Enumeration::new(graph)
-        .threads(params.threads)
-        .control(control)
-        .resume(ckpt)
-        .observer(&fan);
-    #[cfg(feature = "fault-injection")]
-    let run = match &shared.cfg.fault_plan {
-        Some(plan) => run.faults(plan.clone()),
-        None => run,
-    };
-    let result = if params.count_only { run.count() } else { run.collect() };
-    if let Some(t) = &trace {
-        let _ = t.flush();
-    }
-    result
 }
 
 /// Opens the per-request JSONL trace when tracing is configured

@@ -18,16 +18,18 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+use bigraph::general::GeneralGraph;
 use bigraph::order::VertexOrder;
 use bigraph::BipartiteGraph;
 use mbe::checkpoint::{graph_fingerprint, initial_checkpoint};
 use mbe::service::QueryParams;
 use mbe::{Biclique, Checkpoint, Enumeration, MbeOptions, ResumeTask, StopReason};
+use oct::OctCheckpoint;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serve::{
-    Client, QueryRequest, Request, ServeError, Server, ServerConfig, ServerHandle, ServerSummary,
-    ShardRequest,
+    Client, QueryReply, QueryRequest, Reply, Request, Response, ServeError, Server, ServerConfig,
+    ServerHandle, ServerSummary, ShardRequest,
 };
 
 /// Crown graph S(n) — K(n,n) minus a perfect matching — with 2^n − 2
@@ -75,6 +77,102 @@ fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
     while !cond() {
         assert!(Instant::now() < deadline, "timed out waiting for {what}");
         std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// The job kinds a long query can run as.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    /// `QUERY` on a bipartite graph.
+    Bipartite,
+    /// `QUERY` on a general graph, answered by the OCT driver.
+    General,
+    /// `QUERY_SHARD` carrying the whole frontier of a bipartite graph.
+    Shard,
+}
+
+const KINDS: [Kind; 3] = [Kind::Bipartite, Kind::General, Kind::Shard];
+
+/// A default-config server with a long query of every kind on hand:
+/// crown(22) preloaded as `slow`, and crown(18) loaded over the wire as
+/// the general graph `slow-general`. A crown has no odd cycle, so the OCT
+/// driver runs it as one long inner run. Its `MBOK` checkpoint keeps one
+/// dedup key per emitted biclique; at n = 18 even a complete run's keys
+/// (about 20 MB) stay under the client's 64 MiB frame cap. Returns the
+/// bipartite graph.
+fn start_slow() -> (ServerHandle, ServerJoin, BipartiteGraph) {
+    static FILES: AtomicU64 = AtomicU64::new(0);
+    let slow = crown(22);
+    let (handle, join) = start(ServerConfig::default(), &[("slow", &slow)]);
+    let file = FILES.fetch_add(1, Ordering::Relaxed);
+    let path = std::env::temp_dir().join(format!("serve-slow-{}-{file}.txt", std::process::id()));
+    bigraph::general::write_general_edge_list_path(&general_crown(), &path).unwrap();
+    Client::connect(handle.addr())
+        .unwrap()
+        .load_general("slow-general", path.to_string_lossy().as_ref())
+        .unwrap();
+    let _ = std::fs::remove_file(&path);
+    (handle, join, slow)
+}
+
+/// Crown(18) written as a general graph: left vertices `0..18`, right
+/// vertices `18..36`.
+fn general_crown() -> GeneralGraph {
+    let n = 18;
+    let edges: Vec<(u32, u32)> =
+        (0..n).flat_map(|u| (0..n).filter(move |&v| v != u).map(move |v| (u, n + v))).collect();
+    GeneralGraph::from_edges(2 * n, &edges).unwrap()
+}
+
+/// A count-only request of `kind` that runs for seconds on [`start_slow`].
+fn long_request(kind: Kind, slow: &BipartiteGraph) -> Request {
+    let params = QueryParams { count_only: true, ..QueryParams::default() };
+    match kind {
+        Kind::Bipartite => Request::Query(request("slow", params)),
+        Kind::General => Request::Query(request("slow-general", params)),
+        Kind::Shard => {
+            let opts = MbeOptions::new(params.algorithm).order(params.order);
+            Request::QueryShard(ShardRequest {
+                graph: "slow".to_string(),
+                params,
+                max_return: u32::MAX,
+                checkpoint: initial_checkpoint(slow, &opts).to_bytes(),
+                trace: None,
+            })
+        }
+    }
+}
+
+/// The reply to a [`long_request`], under the tag its kind answers with.
+fn long_reply(kind: Kind, response: Response) -> QueryReply {
+    match (kind, response) {
+        (Kind::Shard, Response::Ok(Reply::Shard(reply))) => reply,
+        (Kind::Bipartite | Kind::General, Response::Ok(Reply::Query(reply))) => reply,
+        (kind, other) => panic!("{kind:?}: unexpected response {other:?}"),
+    }
+}
+
+/// A cancelled reply carries the checkpoint its kind writes: `MBOK`
+/// bytes with every dedup key so far from the OCT driver, `MBCK` bytes
+/// pinned to `slow` with unexplored frontier otherwise.
+fn assert_cancelled_with_checkpoint(kind: Kind, reply: &QueryReply, slow: &BipartiteGraph) {
+    assert_eq!(reply.stop, StopReason::Cancelled, "{kind:?}");
+    assert!(!reply.cached, "{kind:?}");
+    let bytes = reply.checkpoint.as_ref().expect("a drained query must carry its checkpoint");
+    match kind {
+        Kind::General => {
+            let checkpoint = OctCheckpoint::from_bytes(bytes).unwrap();
+            assert_eq!(checkpoint.fingerprint, general_crown().fingerprint());
+            assert_eq!(checkpoint.emitted, reply.emitted);
+            assert_eq!(checkpoint.keys.len() as u64, reply.emitted, "one dedup key per emission");
+        }
+        Kind::Bipartite | Kind::Shard => {
+            let checkpoint = Checkpoint::from_bytes(bytes).unwrap();
+            assert_eq!(checkpoint.fingerprint, graph_fingerprint(slow), "pins the queried graph");
+            assert_eq!(checkpoint.stop, StopReason::Cancelled);
+            assert_eq!(checkpoint.emitted, reply.emitted);
+            assert!(!checkpoint.frontier.is_empty(), "mid-run stop leaves unexplored frontier");
+        }
     }
 }
 
@@ -281,71 +379,64 @@ fn overflowing_the_admission_queue_returns_typed_busy() {
     assert_eq!(summary.busy_rejected, 1);
 }
 
-/// (d): `SHUTDOWN` mid-query — the long query comes back as a cancelled,
-/// checkpoint-bearing reply; the server drains and exits cleanly.
+/// (d): `SHUTDOWN` mid-query — for every job kind, the long query comes
+/// back as a cancelled, checkpoint-bearing reply; the server drains and
+/// exits cleanly.
 #[test]
 fn shutdown_during_long_query_returns_checkpoint_and_exits() {
-    let slow = crown(22);
-    let fingerprint = graph_fingerprint(&slow);
-    let (handle, join) = start(ServerConfig::default(), &[("slow", &slow)]);
-    let addr = handle.addr();
+    for kind in KINDS {
+        let (handle, join, slow) = start_slow();
+        let addr = handle.addr();
 
-    let long = std::thread::spawn(move || {
-        let mut client = Client::connect(addr).unwrap();
-        client
-            .query(request("slow", QueryParams { count_only: true, ..QueryParams::default() }))
-            .unwrap()
-    });
-    let mut second = Client::connect(addr).unwrap();
-    wait_until("the long query to start", || second.stats().unwrap().inflight >= 1);
-    assert!(!handle.is_shutting_down());
-    second.shutdown().unwrap();
+        let request = long_request(kind, &slow);
+        let long = std::thread::spawn(move || {
+            let mut client = Client::connect(addr).unwrap();
+            client.call(&request).unwrap()
+        });
+        let mut second = Client::connect(addr).unwrap();
+        wait_until("the long query to start", || second.stats().unwrap().inflight >= 1);
+        assert!(!handle.is_shutting_down());
+        second.shutdown().unwrap();
 
-    let reply = long.join().unwrap();
-    assert_eq!(reply.stop, StopReason::Cancelled);
-    assert!(!reply.cached);
-    let bytes = reply.checkpoint.expect("a drained query must carry its checkpoint");
-    let checkpoint = Checkpoint::from_bytes(&bytes).unwrap();
-    assert_eq!(checkpoint.fingerprint, fingerprint, "checkpoint pins the queried graph");
-    assert_eq!(checkpoint.stop, StopReason::Cancelled);
-    assert_eq!(checkpoint.emitted, reply.emitted);
-    assert!(!checkpoint.frontier.is_empty(), "mid-run stop leaves unexplored frontier tasks");
+        let reply = long_reply(kind, long.join().unwrap());
+        assert_cancelled_with_checkpoint(kind, &reply, &slow);
 
-    let summary = join.join();
-    assert_eq!(summary.queries, 1, "the drained query was the only one answered");
-    // The listener is gone: no new connections are accepted.
-    wait_until("the port to close", || Client::connect(addr).is_err());
+        let summary = join.join();
+        assert_eq!(summary.queries, 1, "{kind:?}: the drained query was the only one answered");
+        // The listener is gone: no new connections are accepted.
+        wait_until("the port to close", || Client::connect(addr).is_err());
+    }
 }
 
 /// Per-connection cancellation: a `CANCEL` injected through a
-/// [`serve::Canceller`] stops that connection's in-flight query.
+/// [`serve::Canceller`] stops that connection's in-flight query, whatever
+/// its job kind.
 #[test]
 fn canceller_stops_own_inflight_query() {
-    let slow = crown(22);
-    let (handle, join) = start(ServerConfig::default(), &[("slow", &slow)]);
-    let addr = handle.addr();
+    for kind in KINDS {
+        let (handle, join, slow) = start_slow();
+        let addr = handle.addr();
+        let mut probe = Client::connect(addr).unwrap();
 
-    let client = Client::connect(addr).unwrap();
-    let mut canceller = client.canceller().unwrap();
-    let worker = std::thread::spawn(move || {
-        let mut client = client;
-        client
-            .query(request("slow", QueryParams { count_only: true, ..QueryParams::default() }))
-            .unwrap()
-    });
-    // Make it likely the query is mid-run; correctness doesn't depend on
-    // it (an early CANCEL is read by the query's wait loop either way).
-    std::thread::sleep(Duration::from_millis(30));
-    canceller.cancel().unwrap();
-    let reply = worker.join().unwrap();
-    assert_eq!(reply.stop, StopReason::Cancelled);
-    assert!(reply.checkpoint.is_some());
+        let client = Client::connect(addr).unwrap();
+        let mut canceller = client.canceller().unwrap();
+        let request = long_request(kind, &slow);
+        let worker = std::thread::spawn(move || {
+            let mut client = client;
+            client.call(&request).unwrap()
+        });
+        wait_until("the query to start", || probe.stats().unwrap().inflight >= 1);
+        canceller.cancel().unwrap();
+        let reply = long_reply(kind, worker.join().unwrap());
+        assert_cancelled_with_checkpoint(kind, &reply, &slow);
 
-    // The connection (and server) survive a cancelled query.
-    let mut probe = Client::connect(addr).unwrap();
-    assert_eq!(probe.stats().unwrap().queries, 1);
-    handle.shutdown();
-    join.join();
+        // The connection (and server) survive a cancelled query.
+        let stats = probe.stats().unwrap();
+        assert_eq!(stats.queries, 1, "{kind:?}");
+        assert_eq!(stats.inflight, 0, "{kind:?}");
+        handle.shutdown();
+        join.join();
+    }
 }
 
 /// (e): replies do not wait for the poll. With a 2 s poll interval, a
@@ -433,33 +524,34 @@ fn connection_serves_again_after_a_query_that_outlived_socket_checks() {
     join.join();
 }
 
-/// (e): a client that drops its connection mid-query cancels the run; the
-/// query leaves the in-flight set instead of running to completion.
+/// (e): a client that drops its connection mid-query cancels the run,
+/// whatever its job kind; the query leaves the in-flight set instead of
+/// running to completion.
 #[test]
 fn client_disconnect_mid_query_cancels_the_run() {
-    let slow = crown(22);
-    let (handle, join) = start(ServerConfig::default(), &[("slow", &slow)]);
-    let addr = handle.addr();
-    let mut probe = Client::connect(addr).unwrap();
+    for kind in KINDS {
+        let (handle, join, slow) = start_slow();
+        let addr = handle.addr();
+        let mut probe = Client::connect(addr).unwrap();
 
-    let abandon = AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        scope.spawn(|| {
-            let mut client = Client::connect(addr).unwrap();
-            let query = request("slow", QueryParams { count_only: true, ..QueryParams::default() });
-            let outcome =
-                client.call_until(&Request::Query(query), &|| abandon.load(Ordering::SeqCst));
-            assert!(matches!(outcome, Err(ServeError::Aborted)), "got {outcome:?}");
-            // `client` drops here, closing the connection mid-query.
+        let abandon = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut client = Client::connect(addr).unwrap();
+                let outcome = client
+                    .call_until(&long_request(kind, &slow), &|| abandon.load(Ordering::SeqCst));
+                assert!(matches!(outcome, Err(ServeError::Aborted)), "{kind:?}: got {outcome:?}");
+                // `client` drops here, closing the connection mid-query.
+            });
+            wait_until("the query to start", || probe.stats().unwrap().inflight >= 1);
+            abandon.store(true, Ordering::SeqCst);
         });
-        wait_until("the query to start", || probe.stats().unwrap().inflight >= 1);
-        abandon.store(true, Ordering::SeqCst);
-    });
-    wait_until("the abandoned query to stop", || probe.stats().unwrap().inflight == 0);
-    assert_eq!(probe.stats().unwrap().queries, 0, "no one was left to answer");
+        wait_until("the abandoned query to stop", || probe.stats().unwrap().inflight == 0);
+        assert_eq!(probe.stats().unwrap().queries, 0, "{kind:?}: no one was left to answer");
 
-    handle.shutdown();
-    join.join();
+        handle.shutdown();
+        join.join();
+    }
 }
 
 /// (f): a `QUERY_SHARD` naming a root the graph lacks is refused with
