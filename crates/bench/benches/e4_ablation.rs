@@ -3,7 +3,8 @@
 //! each disabling one technique).
 //!
 //! Variants: full MBET; w/o equivalence batching; w/o trie-based
-//! maximality checking (falls back to per-`q` subset scans); w/o
+//! maximality checking (falls back to per-`q` subset scans, and keeps
+//! every excluded vertex instead of the excluded antichain); w/o
 //! trie-based absorption filtering; all off (≡ MBEA's branch structure).
 
 use mbe::{Algorithm, MbeOptions, MbetConfig};

@@ -649,14 +649,17 @@ fn run_enumerate(g: &BipartiteGraph, flags: &RunFlags) -> ExitCode {
         }
     } else {
         println!(
-            "{} maximal bicliques{} in {:?} (tasks={} nodes={} nonmaximal={} batched={})",
+            "{} maximal bicliques{} in {:?} (tasks={} nodes={} nonmaximal={} batched={} \
+             excluded_keyed={} excluded_kept={})",
             report.count(),
             qualifier,
             report.stats.elapsed,
             report.stats.tasks,
             report.stats.nodes,
             report.stats.nonmaximal,
-            report.stats.batched
+            report.stats.batched,
+            report.stats.excluded_keyed,
+            report.stats.excluded_kept
         );
         if !params.count_only {
             let shown = &report.bicliques[..report.bicliques.len().min(flags.max_print)];

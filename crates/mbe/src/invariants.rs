@@ -7,10 +7,11 @@
 //! subsets of their node's `L`, every per-root localization relabels
 //! consistently (sorted id maps, rows matching the global intersections,
 //! bitmap rows decoding to their sorted rows), the `Scratch` arenas hand
-//! out non-overlapping spans,
-//! the counter identity `nodes = emitted + nonmaximal + undersized`
-//! closes for every engine, the parallel driver drains its `pending`
-//! ledger and emits exactly the serial count, and a stopped (cancelled / budgeted /
+//! out non-overlapping spans, every excluded key a trie-path node drops
+//! is contained in one it keeps, the counter identity
+//! `nodes = emitted + nonmaximal + undersized` closes for every engine,
+//! the parallel driver drains its `pending` ledger and emits exactly the
+//! serial count, and a stopped (cancelled / budgeted /
 //! expired) run's collected output is a duplicate-free subset of the
 //! complete run's. With the feature enabled, each of those is
 //! asserted *during* every run — on every node, every key, every drain.
@@ -129,6 +130,41 @@ pub fn check_spans<I: IntoIterator<Item = (u32, u32)>>(arena_len: usize, spans: 
 #[cfg(not(feature = "debug-invariants"))]
 #[inline(always)]
 pub fn check_spans<I: IntoIterator<Item = (u32, u32)>>(_arena_len: usize, _spans: I) {}
+
+/// Asserts that a trie-path node's excluded antichain never changes a
+/// maximality decision: every dropped key is a subset of some kept key
+/// (equality counts), and no kept key is a subset of another, so the
+/// kept keys are exactly the maximal distinct ones.
+#[cfg(feature = "debug-invariants")]
+pub fn check_excluded_antichain<'a>(
+    kept: impl IntoIterator<Item = &'a [u32]>,
+    dropped: impl IntoIterator<Item = &'a [u32]>,
+) {
+    let kept: Vec<&[u32]> = kept.into_iter().collect();
+    for (i, a) in kept.iter().enumerate() {
+        for (j, b) in kept.iter().enumerate() {
+            assert!(
+                i == j || !setops::is_subset(a, b),
+                "invariant: kept excluded key {a:?} is contained in kept key {b:?}"
+            );
+        }
+    }
+    for d in dropped {
+        assert!(
+            kept.iter().any(|k| setops::is_subset(d, k)),
+            "invariant: dropped excluded key {d:?} is contained in no kept key"
+        );
+    }
+}
+
+/// No-op stub (enable `debug-invariants` for the real check).
+#[cfg(not(feature = "debug-invariants"))]
+#[inline(always)]
+pub fn check_excluded_antichain<'a>(
+    _kept: impl IntoIterator<Item = &'a [u32]>,
+    _dropped: impl IntoIterator<Item = &'a [u32]>,
+) {
+}
 
 /// Asserts the cross-engine counter identity `nodes = emitted +
 /// nonmaximal + undersized`: every expanded enumeration node either dies
@@ -383,6 +419,29 @@ mod tests {
     #[should_panic(expected = "inverted")]
     fn check_spans_rejects_inverted() {
         check_spans(10, [(4, 2)]);
+    }
+
+    #[test]
+    fn excluded_antichain_accepts_maximal_keys() {
+        let kept: [&[u32]; 2] = [&[0, 1, 2], &[2, 3]];
+        let dropped: [&[u32]; 3] = [&[0, 1], &[3], &[0, 1, 2]];
+        check_excluded_antichain(kept, dropped);
+        check_excluded_antichain(std::iter::empty(), std::iter::empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "contained in no kept key")]
+    fn excluded_antichain_rejects_undominated_drop() {
+        let kept: [&[u32]; 1] = [&[0, 1]];
+        let dropped: [&[u32]; 1] = [&[1, 2]];
+        check_excluded_antichain(kept, dropped);
+    }
+
+    #[test]
+    #[should_panic(expected = "is contained in kept key")]
+    fn excluded_antichain_rejects_nested_kept_keys() {
+        let kept: [&[u32]; 2] = [&[1], &[0, 1]];
+        check_excluded_antichain(kept, std::iter::empty());
     }
 
     #[test]

@@ -148,7 +148,9 @@ pub struct MbetConfig {
     /// local neighborhoods (§3.2 of DESIGN.md).
     pub batching: bool,
     /// Answer the maximality question with one superset walk over the
-    /// excluded-vertex trie instead of per-`q` subset scans.
+    /// excluded-vertex trie instead of per-`q` subset scans, and keep
+    /// only the excluded vertices whose key no other excluded key
+    /// contains (the excluded antichain).
     pub trie_maximality: bool,
     /// Find the candidates absorbed into `R'` with one superset walk over
     /// the candidate trie instead of per-candidate subset scans.

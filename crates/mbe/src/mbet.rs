@@ -25,7 +25,9 @@
 //!    The same argument deduplicates the excluded set, and, at the top
 //!    level, whole root tasks ([`crate::task::root_representatives`]).
 //! 2. **Maximality** — "is some excluded vertex adjacent to all of `L'`?"
-//!    is one superset walk over the excluded trie.
+//!    is one superset walk over the excluded trie. That trie holds an
+//!    antichain: an excluded key contained in another can never decide a
+//!    check below this node, so it is dropped before the trie is built.
 //! 3. **Absorption** — "which candidates are adjacent to all of `L'`?" is
 //!    a key-length test, shared per group rather than per candidate.
 //!
@@ -97,6 +99,45 @@ struct Scratch {
     child_q: Vec<u32>,
     /// The node's `L` translated back to global ids for emission.
     emit_l: Vec<u32>,
+}
+
+impl Scratch {
+    /// Reduces `q_list` to one vertex per maximal distinct key and leaves
+    /// exactly those keys in `ctrie_q` (which must be empty on entry).
+    ///
+    /// Every descendant's `L''` is a subset of this node's `L'`, so when
+    /// `key(q) ⊆ key(q')`, `L'' ⊆ N(q)` implies `L'' ⊆ N(q')`: `q` can
+    /// never decide a maximality check that `q'` would not. Longest keys
+    /// go first, so a key is kept iff no kept key contains it (equality
+    /// counts). Only a quarter to a third of the keys survive, so scanning
+    /// the kept ones beats a superset walk over `ctrie_q` (EXPERIMENTS.md,
+    /// "Excluded antichain"). The kept list is restored to vertex order,
+    /// which keeps every child's `q`, and so every checkpointed `q`,
+    /// ascending.
+    fn keep_excluded_antichain(&mut self) {
+        debug_assert!(self.ctrie_q.is_empty());
+        self.q_list.sort_unstable_by_key(|q| (std::cmp::Reverse(q.key.1 - q.key.0), q.v));
+        // Partition in place: kept entries to the front, dropped ones to
+        // the tail (where the invariant check can still see them).
+        let mut kept = 0;
+        for i in 0..self.q_list.len() {
+            let q = self.q_list[i];
+            let key = slice(&self.keyar, q.key);
+            let kept_keys = &self.q_list[..kept];
+            if !kept_keys.iter().any(|k| setops::is_subset(key, slice(&self.keyar, k.key))) {
+                self.ctrie_q.insert(key, q.v);
+                self.q_list.swap(kept, i);
+                kept += 1;
+            }
+        }
+        let (keep, dropped) = self.q_list.split_at(kept);
+        crate::invariants::check_excluded_antichain(
+            keep.iter().map(|q| slice(&self.keyar, q.key)),
+            dropped.iter().map(|q| slice(&self.keyar, q.key)),
+        );
+        self.q_list.truncate(kept);
+        self.q_list.sort_unstable_by_key(|q| q.v);
+    }
 }
 
 /// The prefix-tree enumeration engine.
@@ -336,12 +377,14 @@ impl<'g> MbetEngine<'g> {
         s.groups.clear();
         s.q_list.clear();
 
-        // ---- Excluded vertices: key them, dedupe equivalents, and check
-        // this node's maximality along the way. A key is the vertex's
-        // localized row clipped to `L'` — local left ids, so keys of one
-        // node share an id space and one representation check
-        // (`check_local_key`) covers both kernels.
+        // ---- Excluded vertices: key them, check this node's maximality
+        // along the way, then keep only the keys that matter below. A key
+        // is the vertex's localized row clipped to `L'` — local left ids,
+        // so keys of one node share an id space and one representation
+        // check (`check_local_key`) covers both kernels.
+        let antichain = self.cfg.trie_maximality;
         let mut covered = false;
+        let mut keyed = 0u64;
         for &q in traversed {
             self.local.row_view(q, l_new.len()).intersect_into(l_new, &mut s.keybuf);
             crate::invariants::check_local_key(&s.keybuf, l_new);
@@ -352,12 +395,11 @@ impl<'g> MbetEngine<'g> {
                 covered = true; // q adjacent to all of L'
                 break;
             }
-            let existed = if self.cfg.trie_maximality || self.cfg.batching {
-                s.ctrie_q.insert(&s.keybuf, q)
-            } else {
-                false
-            };
-            if !(existed && self.cfg.batching) {
+            keyed += 1;
+            // Under trie maximality the antichain below also dedupes, so
+            // only batching alone dedupes here.
+            let existed = !antichain && self.cfg.batching && s.ctrie_q.insert(&s.keybuf, q);
+            if !existed {
                 let start = s.keyar.len() as u32;
                 s.keyar.extend_from_slice(&s.keybuf);
                 s.q_list.push(Excluded { v: q, key: (start, s.keyar.len() as u32) });
@@ -368,6 +410,11 @@ impl<'g> MbetEngine<'g> {
             self.pool[depth] = s;
             return ControlFlow::Continue(());
         }
+        stats.excluded_keyed += keyed;
+        if antichain {
+            s.keep_excluded_antichain();
+        }
+        stats.excluded_kept += s.q_list.len() as u64;
 
         // ---- Candidates: trie-group them by local neighborhood.
         for &w in untraversed {
@@ -554,7 +601,12 @@ impl<'g> MbetEngine<'g> {
                 }
             }
 
-            // The representative becomes excluded for later groups.
+            // The representative becomes excluded for later groups —
+            // unless its branch died at the check: a kept key then
+            // already contains its key.
+            if non_maximal && antichain {
+                continue;
+            }
             let existed = if self.cfg.trie_maximality || self.cfg.batching {
                 s.ctrie_q.insert(key, grp.rep)
             } else {
@@ -935,6 +987,42 @@ mod tests {
         }
         assert!(engine.peak_trie_nodes() > 1);
         crate::verify::assert_matches_brute_force(&g, &sink.into_vec());
+    }
+
+    #[test]
+    fn nested_excluded_keys_keep_only_the_maximal_one() {
+        // Root v3 sees all of u0..u5. The earlier right vertices v0..v2
+        // reach it as excluded vertices with nested keys {u0} ⊂ {u0,u1} ⊂
+        // {u0,u1,u2}, and its five candidates v4..v8 (one more than the
+        // small-node threshold) send it down the trie path.
+        let mut edges = vec![(0u32, 0u32), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2)];
+        edges.extend((0..6).map(|u| (u, 3)));
+        for v in 4..9u32 {
+            edges.push((v - 3, v));
+            edges.push(((v - 2) % 6, v));
+        }
+        let g = BipartiteGraph::from_edges(6, 9, &edges).unwrap();
+        assert_eq!(SMALL_NODE_CANDIDATES, 4);
+
+        let mut engine = MbetEngine::new(&g, MbetConfig::default(), Kernel::Adaptive);
+        let mut stats = Stats::default();
+        let root = TaskBuilder::new(&g).build(3).unwrap();
+        assert_eq!((root.q0.len(), root.p0.len()), (3, 5));
+        assert!(engine.run_task(&root, &mut CollectSink::new(), &mut stats).is_continue());
+        // Only the root runs the trie path: three keys in, one kept.
+        assert_eq!((stats.excluded_keyed, stats.excluded_kept), (3, 1));
+
+        let (got, on) = run_mbet(&g, MbetConfig::default());
+        crate::verify::assert_matches_brute_force(&g, &got);
+        assert!(on.excluded_kept < on.excluded_keyed, "{on:?}");
+        // Without trie maximality nothing is pruned, and no decision moves.
+        let (got_off, off) =
+            run_mbet(&g, MbetConfig { trie_maximality: false, ..Default::default() });
+        assert_eq!(got_off, got);
+        assert_eq!(
+            (off.nodes, off.emitted, off.nonmaximal, off.batched),
+            (on.nodes, on.emitted, on.nonmaximal, on.batched)
+        );
     }
 
     #[test]

@@ -32,6 +32,14 @@ pub struct Stats {
     pub batched: u64,
     /// Candidates absorbed into `R'` without branching.
     pub absorbed: u64,
+    /// Excluded vertices keyed at MBET trie-path nodes that passed the
+    /// maximality check: those whose key (`N(q) ∩ L'`) is non-empty and
+    /// short of all of `L'`. Counted before the excluded antichain.
+    pub excluded_keyed: u64,
+    /// Of `excluded_keyed`, those the node kept for its branches: one per
+    /// maximal distinct key under trie maximality, one per distinct key
+    /// under batching alone, every one with both off.
+    pub excluded_kept: u64,
     /// Root tasks processed.
     pub tasks: u64,
     /// Subtrees cut by the bound of a thresholded or top-k run before
@@ -64,6 +72,8 @@ impl Stats {
         self.nonmaximal += other.nonmaximal;
         self.batched += other.batched;
         self.absorbed += other.absorbed;
+        self.excluded_keyed += other.excluded_keyed;
+        self.excluded_kept += other.excluded_kept;
         self.tasks += other.tasks;
         self.bound_pruned += other.bound_pruned;
         self.undersized += other.undersized;
@@ -242,6 +252,8 @@ mod tests {
             nonmaximal: 3,
             batched: 4,
             absorbed: 5,
+            excluded_keyed: 9,
+            excluded_kept: 4,
             tasks: 6,
             bound_pruned: 7,
             undersized: 8,
@@ -253,6 +265,8 @@ mod tests {
             nonmaximal: 30,
             batched: 40,
             absorbed: 50,
+            excluded_keyed: 90,
+            excluded_kept: 40,
             tasks: 60,
             bound_pruned: 70,
             undersized: 80,
@@ -264,6 +278,8 @@ mod tests {
         assert_eq!(a.nonmaximal, 33);
         assert_eq!(a.batched, 44);
         assert_eq!(a.absorbed, 55);
+        assert_eq!(a.excluded_keyed, 99);
+        assert_eq!(a.excluded_kept, 44);
         assert_eq!(a.tasks, 66);
         assert_eq!(a.bound_pruned, 77);
         assert_eq!(a.undersized, 88);

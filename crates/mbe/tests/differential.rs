@@ -10,35 +10,12 @@
 //! the bounded-run contract: thresholds cut every engine and driver
 //! without changing what qualifies.
 
+mod common;
+
 use bigraph::BipartiteGraph;
+use common::structured;
 use mbe::{Algorithm, Biclique, Enumeration, MbeOptions, MbetConfig, Stats, StopReason};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-/// A structured random graph: power-law background plus planted blocks,
-/// the shape real MBE inputs have.
-fn structured(seed: u64, nu: u32, nv: u32, edges: usize) -> BipartiteGraph {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut all: Vec<(u32, u32)> = Vec::new();
-    // Skewed background: quadratic bias toward low ids.
-    for _ in 0..edges {
-        let u = (rng.gen::<f64>().powi(2) * nu as f64) as u32 % nu;
-        let v = (rng.gen::<f64>().powi(2) * nv as f64) as u32 % nv;
-        all.push((u, v));
-    }
-    // A few complete blocks with shared vertices.
-    for b in 0..5u32 {
-        let us: Vec<u32> = (0..4).map(|i| (b * 3 + i * 7) % nu).collect();
-        let vs: Vec<u32> = (0..5).map(|i| (b * 5 + i * 11) % nv).collect();
-        for &u in &us {
-            for &v in &vs {
-                all.push((u, v));
-            }
-        }
-    }
-    BipartiteGraph::from_edges(nu, nv, &all).unwrap()
-}
 
 fn collect(g: &BipartiteGraph, opts: MbeOptions) -> Vec<Biclique> {
     Enumeration::new(g).options(opts).collect().unwrap().bicliques
@@ -68,14 +45,27 @@ fn engines_agree_on_structured_graphs() {
 fn mbet_toggles_agree_at_scale() {
     let g = structured(99, 400, 250, 2500);
     let (want, _) = count(&g, MbeOptions::new(Algorithm::Mbea));
+    let mut stats = Vec::new();
     for mask in 0u8..8 {
         let cfg = MbetConfig {
             batching: mask & 1 != 0,
             trie_maximality: mask & 2 != 0,
             trie_absorption: mask & 4 != 0,
         };
-        let (got, _) = count(&g, MbeOptions::new(Algorithm::Mbet).mbet(cfg));
+        let (got, s) = count(&g, MbeOptions::new(Algorithm::Mbet).mbet(cfg));
         assert_eq!(got, want, "{cfg:?}");
+        stats.push(s);
+    }
+    // Trie maximality (and the excluded antichain it gates) never moves a
+    // decision: runs that differ only in it walk the same tree.
+    for mask in [0usize, 1, 4, 5] {
+        let (off, on) = (&stats[mask], &stats[mask | 2]);
+        assert_eq!(
+            (off.nodes, off.nonmaximal, off.batched, off.emitted),
+            (on.nodes, on.nonmaximal, on.batched, on.emitted),
+            "mask={mask}"
+        );
+        assert!(on.excluded_kept < off.excluded_kept, "mask={mask}: {on:?} vs {off:?}");
     }
 }
 
@@ -313,6 +303,52 @@ fn resume_crosses_relabeled_roots_under_kernel_change() {
             }
             assert_eq!(union, full, "{kernel:?} threads={threads}");
         }
+    }
+}
+
+/// Total `q` entries over a checkpoint's interior-node tasks.
+fn frontier_q_total(ckpt: &mbe::Checkpoint) -> usize {
+    ckpt.frontier
+        .iter()
+        .map(|t| match t {
+            mbe::ResumeTask::Node { q, .. } => q.len(),
+            mbe::ResumeTask::Root(_) => 0,
+        })
+        .sum()
+}
+
+#[test]
+fn checkpoint_with_unpruned_excluded_sets_resumes_exactly() {
+    // The fixture holds the `MBCK` bytes of this serial run, stopped at
+    // the same budget by the engine before it kept each trie-path node's
+    // excluded set an antichain: its interior nodes carry dominated
+    // excluded vertices too. The format is unchanged, so it must resume.
+    const BUDGET: u64 = 924;
+    let g = structured(77, 300, 200, 1800);
+    let full: std::collections::HashSet<Biclique> =
+        collect(&g, MbeOptions::default()).into_iter().collect();
+    let old = mbe::Checkpoint::from_bytes(include_bytes!("data/structured77_budget924.mbck"))
+        .expect("fixture decodes");
+    assert_eq!(old.emitted, BUDGET);
+    let stopped = Enumeration::new(&g).max_bicliques(BUDGET).collect().unwrap();
+    assert_eq!(stopped.bicliques.len() as u64, BUDGET);
+    let new = stopped.checkpoint.clone().expect("budget-stopped run must checkpoint");
+    assert!(
+        frontier_q_total(&new) < frontier_q_total(&old),
+        "the fixture must carry the larger excluded sets ({} vs {})",
+        frontier_q_total(&new),
+        frontier_q_total(&old)
+    );
+    // Resuming validates every task first (`Checkpoint::matches` wants
+    // each `q` ascending), then must finish the run exactly.
+    for ckpt in [old, new] {
+        let resumed = Enumeration::new(&g).resume(ckpt).collect().unwrap();
+        assert!(resumed.is_complete());
+        let mut union = std::collections::HashSet::with_capacity(full.len());
+        for b in stopped.bicliques.iter().chain(&resumed.bicliques) {
+            assert!(union.insert(b.clone()), "duplicate across segments: {b:?}");
+        }
+        assert_eq!(union, full);
     }
 }
 
