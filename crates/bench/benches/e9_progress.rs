@@ -6,12 +6,42 @@
 //! Series: MBET, MBET in the bounded-memory MBETM mode (node-budgeted
 //! R-trie output store), and iMBEA. Each row is the time to reach a
 //! decile of the total output — the streaming view that matters when
-//! the full output does not fit anywhere. Built on
-//! [`mbe::progress::ProgressSink`].
+//! the full output does not fit anywhere. The samples come from the
+//! enumeration's own emission sampling ([`mbe::Observer::on_emit_sample`]
+//! every [`mbe::Enumeration::sample_every`] emissions).
 
-use mbe::progress::ProgressSink;
-use mbe::{Algorithm, CountSink, Enumeration, MbeOptions, TrieSink};
-use std::time::Duration;
+use mbe::{Algorithm, CountSink, Enumeration, MbeOptions, Observer, TrieSink};
+use std::sync::{Mutex, PoisonError};
+use std::time::{Duration, Instant};
+
+/// Records `(emitted, elapsed since creation)` at every emission sample
+/// of a serial run.
+struct Samples {
+    start: Instant,
+    taken: Mutex<Vec<(u64, Duration)>>,
+}
+
+impl Samples {
+    fn new() -> Self {
+        Samples { start: Instant::now(), taken: Mutex::new(Vec::new()) }
+    }
+
+    /// Times at which each 10% decile of `total` was first reached
+    /// (`None` where the sampling grid skipped the decile).
+    fn deciles(&self, total: u64) -> Vec<Option<Duration>> {
+        let taken = self.taken.lock().unwrap_or_else(PoisonError::into_inner);
+        (1..=10)
+            .map(|i| taken.iter().find(|&&(emitted, _)| emitted >= total * i / 10).map(|s| s.1))
+            .collect()
+    }
+}
+
+impl Observer for Samples {
+    fn on_emit_sample(&self, _worker: usize, emitted: u64) {
+        let elapsed = self.start.elapsed();
+        self.taken.lock().unwrap_or_else(PoisonError::into_inner).push((emitted, elapsed));
+    }
+}
 
 fn main() {
     bench::header("E9", "progress over time on the large dataset", "large-dataset figure");
@@ -42,29 +72,19 @@ fn main() {
         ("MBETM(16k)", Algorithm::Mbet, Some(1usize << 14)),
         ("iMBEA", Algorithm::Imbea, None),
     ] {
-        let (deciles, total_time, evictions) = match budget {
-            None => {
-                let mut sink = ProgressSink::new(CountSink::default(), sample_every);
-                let report = Enumeration::new(&g)
-                    .algorithm(alg)
-                    .run(&mut sink)
-                    .expect("valid configuration");
-                assert_eq!(report.stats.emitted, total, "{label}");
-                (decile_times(&sink, total), report.stats.elapsed, None)
-            }
+        let samples = Samples::new();
+        let run = Enumeration::new(&g).algorithm(alg).observer(&samples).sample_every(sample_every);
+        let (report, evictions) = match budget {
+            None => (run.run(&mut CountSink::default()), None),
             Some(b) => {
-                let mut sink = ProgressSink::new(TrieSink::with_node_budget(b), sample_every);
-                let report = Enumeration::new(&g)
-                    .algorithm(alg)
-                    .run(&mut sink)
-                    .expect("valid configuration");
-                assert_eq!(report.stats.emitted, total, "{label}");
-                let deciles = decile_times(&sink, total);
-                let ev = sink.into_inner().trie().evictions();
-                (deciles, report.stats.elapsed, Some(ev))
+                let mut sink = TrieSink::with_node_budget(b);
+                (run.run(&mut sink), Some(sink.trie().evictions()))
             }
         };
-        rows.push(Row { label, deciles, total_time, evictions });
+        let report = report.expect("valid configuration");
+        assert_eq!(report.stats.emitted, total, "{label}");
+        let deciles = samples.deciles(total);
+        rows.push(Row { label, deciles, total_time: report.stats.elapsed, evictions });
     }
 
     print!("{:<12}", "% emitted");
@@ -92,10 +112,4 @@ fn main() {
             None => println!("{}: total {:?}", row.label, row.total_time),
         }
     }
-}
-
-/// Times at which each 10% decile of `total` was first reached (`None`
-/// where the sampling grid skipped the decile).
-fn decile_times<S: mbe::BicliqueSink>(sink: &ProgressSink<S>, total: u64) -> Vec<Option<Duration>> {
-    (1..=10).map(|i| sink.time_to_fraction(total, i, 10)).collect()
 }

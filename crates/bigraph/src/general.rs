@@ -120,24 +120,16 @@ impl GeneralGraph {
     /// Two structurally identical graphs hash equal; used to pin
     /// checkpoints and service cache entries to their graph.
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut mix = |x: u64| {
-            for byte in x.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        mix(self.num_vertices() as u64);
+        let mut h = crate::codec::Fnv::default();
+        h.write_u64(self.num_vertices() as u64);
         for v in 0..self.num_vertices() {
             let nbrs = self.nbr(v);
-            mix(nbrs.len() as u64);
+            h.write_u64(nbrs.len() as u64);
             for &w in nbrs {
-                mix(w as u64);
+                h.write_u64(w as u64);
             }
         }
-        h
+        h.finish()
     }
 
     /// Views a bipartite graph as a general graph: left vertex `u`

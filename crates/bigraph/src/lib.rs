@@ -7,6 +7,8 @@
 //!
 //! The crate also provides:
 //!
+//! * [`codec`] — the byte codec the checkpoint formats and the serve wire
+//!   share (FNV-1a, a strict bounded reader, the checksummed envelope);
 //! * [`io`] — plain edge-list readers/writers (KONECT-style comments
 //!   tolerated);
 //! * [`order`] — the vertex orderings that MBE algorithms impose on `V`
@@ -23,6 +25,7 @@
 
 pub mod builder;
 pub mod butterfly;
+pub mod codec;
 pub mod core;
 pub mod general;
 pub mod io;

@@ -68,7 +68,9 @@ impl Preset {
         let nu = ((self.real.num_u as f64 * s).round() as u32).max(4);
         let nv = ((self.real.num_v as f64 * s).round() as u32).max(4);
         let edges = ((self.real.num_edges as f64 * s * self.edge_fraction).round() as usize).max(8);
-        let mut rng = StdRng::seed_from_u64(seed ^ fxhash(self.abbrev));
+        // Hashing the abbreviation gives each preset its own stream for
+        // the same user seed.
+        let mut rng = StdRng::seed_from_u64(seed ^ bigraph::codec::fnv1a(self.abbrev.as_bytes()));
 
         let mut cfg = ChungLuConfig::new(nu, nv, edges);
         cfg.gamma_u = self.gamma.0;
@@ -91,12 +93,6 @@ impl Preset {
         let (g, _) = plant(&mut rng, &base, &planted_cfg);
         g
     }
-}
-
-/// Tiny deterministic string hash so each preset gets its own stream for
-/// the same user seed.
-fn fxhash(s: &str) -> u64 {
-    s.bytes().fold(0xcbf29ce484222325u64, |h, b| (h ^ b as u64).wrapping_mul(0x100000001b3))
 }
 
 /// The 13 benchmark-dataset analogues, in ascending published-B order

@@ -34,6 +34,10 @@
 //! checksum   u64       FNV-1a over every preceding byte
 //! ```
 //!
+//! The magic, the body and the checksum are the shared envelope of
+//! [`bigraph::codec`] (`seal`/`open`: the magic is checked before the
+//! checksum); the order tag is its `order_tag` codec.
+//!
 //! Frontier tasks are expressed in the *internal ordered* id space; this
 //! is sound because [`bigraph::order::apply`] is deterministic for a
 //! fixed `(graph, order)` pair — which is why a checkpoint pins the
@@ -50,6 +54,7 @@ use std::fmt;
 use std::io::{Read, Write};
 use std::path::Path;
 
+use bigraph::codec::{self, put_u32, put_u32_list, put_u64, put_u8, CodecError, Fnv};
 use bigraph::order::VertexOrder;
 use bigraph::BipartiteGraph;
 
@@ -159,12 +164,24 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
+impl From<CodecError> for CheckpointError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Truncated(_) => CheckpointError::Truncated,
+            CodecError::Invalid(what) => CheckpointError::Malformed(what),
+            CodecError::Trailing => CheckpointError::Malformed("trailing bytes"),
+            CodecError::BadMagic => CheckpointError::BadMagic,
+            CodecError::ChecksumMismatch => CheckpointError::ChecksumMismatch,
+        }
+    }
+}
+
 /// Order-independent fingerprint of a graph's structure: FNV-1a over the
 /// side sizes and the full `V`-side adjacency in id order. Two graphs
 /// with equal edge sets (same input ids) fingerprint equal; resuming a
 /// checkpoint validates this before trusting the frontier ids.
 pub fn graph_fingerprint(g: &BipartiteGraph) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Fnv::default();
     h.write_u64(g.num_u() as u64);
     h.write_u64(g.num_v() as u64);
     for v in 0..g.num_v() {
@@ -181,100 +198,81 @@ impl Checkpoint {
     /// Serializes to the versioned, checksummed byte format documented at
     /// the module level.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.frontier.len() * 32);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&self.fingerprint.to_le_bytes());
-        out.push(encode_algorithm(self.algorithm));
-        let (order_tag, order_seed) = encode_order(self.order);
-        out.push(order_tag);
-        out.extend_from_slice(&order_seed.to_le_bytes());
-        out.push(encode_mbet(self.mbet));
-        out.extend_from_slice(&self.emitted.to_le_bytes());
-        out.push(self.stop.encode());
-        out.extend_from_slice(&(self.frontier.len() as u64).to_le_bytes());
-        for task in &self.frontier {
-            match task {
-                ResumeTask::Root(v) => {
-                    out.push(0);
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-                ResumeTask::Node { l, r_parent, v, p, q } => {
-                    out.push(1);
-                    out.extend_from_slice(&v.to_le_bytes());
-                    for list in [l, r_parent, p, q] {
-                        out.extend_from_slice(&(list.len() as u32).to_le_bytes());
-                        for &x in list.iter() {
-                            out.extend_from_slice(&x.to_le_bytes());
+        codec::seal(&MAGIC, 64 + self.frontier.len() * 32, |out| {
+            put_u32(out, VERSION);
+            put_u64(out, self.fingerprint);
+            put_u8(out, self.algorithm.tag());
+            let (order_tag, order_seed) = codec::order_tag(self.order);
+            put_u8(out, order_tag);
+            put_u64(out, order_seed);
+            put_u8(out, encode_mbet(self.mbet));
+            put_u64(out, self.emitted);
+            put_u8(out, self.stop.encode());
+            put_u64(out, self.frontier.len() as u64);
+            for task in &self.frontier {
+                match task {
+                    ResumeTask::Root(v) => {
+                        put_u8(out, 0);
+                        put_u32(out, *v);
+                    }
+                    ResumeTask::Node { l, r_parent, v, p, q } => {
+                        put_u8(out, 1);
+                        put_u32(out, *v);
+                        for list in [l, r_parent, p, q] {
+                            put_u32_list(out, list);
                         }
                     }
                 }
             }
-        }
-        let checksum = fnv_bytes(&out);
-        out.extend_from_slice(&checksum.to_le_bytes());
-        out
+        })
     }
 
     /// Deserializes and validates bytes produced by
     /// [`Checkpoint::to_bytes`]. Every malformation — truncation, bit
     /// flips, unknown versions — comes back as a typed
-    /// [`CheckpointError`]; this function never panics on hostile input.
+    /// [`CheckpointError`]; this function never panics on hostile input,
+    /// and whatever it accepts re-encodes to the same bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
-        // Checksum first: it covers everything, so any corruption —
-        // including of the magic/version fields — surfaces as exactly one
-        // of BadMagic (wrong file type), Truncated, or ChecksumMismatch.
-        if bytes.len() < MAGIC.len() {
-            return Err(CheckpointError::Truncated);
-        }
-        if bytes[..MAGIC.len()] != MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        let payload_len = bytes.len().checked_sub(8).ok_or(CheckpointError::Truncated)?;
-        let (payload, tail) = bytes.split_at(payload_len);
-        let stored = u64::from_le_bytes(tail.try_into().map_err(|_| CheckpointError::Truncated)?);
-        if fnv_bytes(payload) != stored {
-            return Err(CheckpointError::ChecksumMismatch);
-        }
-
-        let mut r = Reader { buf: payload, pos: MAGIC.len() };
-        let version = r.u32()?;
+        // The checksum covers everything, so any corruption — including
+        // of the version field — surfaces as exactly one of BadMagic
+        // (wrong file type), Truncated, or ChecksumMismatch.
+        let mut r = codec::open(&MAGIC, bytes)?;
+        let version = r.u32("version")?;
         if version != VERSION {
             return Err(CheckpointError::UnsupportedVersion(version));
         }
-        let fingerprint = r.u64()?;
-        let algorithm = decode_algorithm(r.u8()?)?;
-        let order = decode_order(r.u8()?, r.u64()?)?;
-        let mbet = decode_mbet(r.u8()?)?;
-        let emitted = r.u64()?;
-        let stop = StopReason::decode(r.u8()?).ok_or(CheckpointError::Malformed("stop reason"))?;
+        let fingerprint = r.u64("fingerprint")?;
+        let algorithm = Algorithm::from_tag(r.u8("algorithm")?)?;
+        let order = codec::order_from_tag(r.u8("order")?, r.u64("order seed")?)?;
+        let mbet = decode_mbet(r.u8("mbet config")?)?;
+        let emitted = r.u64("emitted")?;
+        let stop = StopReason::decode(r.u8("stop reason")?)
+            .ok_or(CheckpointError::Malformed("stop reason"))?;
         if stop.is_complete() {
             return Err(CheckpointError::Malformed("checkpoint for a completed run"));
         }
-        let n_tasks = r.u64()?;
+        let n_tasks = r.u64("frontier length")?;
         // Each task costs at least 5 bytes; a length prefix promising more
         // than the remaining input is hostile, not just truncated.
-        if n_tasks > (payload.len() as u64) / 5 {
+        if n_tasks > (r.remaining() / 5) as u64 {
             return Err(CheckpointError::Malformed("frontier length"));
         }
         let mut frontier = Vec::with_capacity(n_tasks as usize);
         for _ in 0..n_tasks {
-            match r.u8()? {
-                0 => frontier.push(ResumeTask::Root(r.u32()?)),
+            match r.u8("task tag")? {
+                0 => frontier.push(ResumeTask::Root(r.u32("root")?)),
                 1 => {
-                    let v = r.u32()?;
-                    let l = r.u32_vec()?;
-                    let r_parent = r.u32_vec()?;
-                    let p = r.u32_vec()?;
-                    let q = r.u32_vec()?;
+                    let v = r.u32("node")?;
+                    let l = r.u32_list("l")?;
+                    let r_parent = r.u32_list("r_parent")?;
+                    let p = r.u32_list("p")?;
+                    let q = r.u32_list("q")?;
                     frontier.push(ResumeTask::Node { l, r_parent, v, p, q });
                 }
                 _ => return Err(CheckpointError::Malformed("task tag")),
             }
         }
-        if r.pos != payload.len() {
-            return Err(CheckpointError::Malformed("trailing bytes"));
-        }
+        r.finish()?;
         Ok(Checkpoint { fingerprint, algorithm, order, mbet, emitted, stop, frontier })
     }
 
@@ -463,46 +461,6 @@ pub fn initial_checkpoint(g: &BipartiteGraph, opts: &MbeOptions) -> Checkpoint {
 // ---------------------------------------------------------------------------
 // Field codecs.
 
-fn encode_algorithm(alg: Algorithm) -> u8 {
-    match alg {
-        Algorithm::MineLmbc => 1,
-        Algorithm::Mbea => 2,
-        Algorithm::Imbea => 3,
-        Algorithm::Mbet => 4,
-    }
-}
-
-fn decode_algorithm(word: u8) -> Result<Algorithm, CheckpointError> {
-    match word {
-        1 => Ok(Algorithm::MineLmbc),
-        2 => Ok(Algorithm::Mbea),
-        3 => Ok(Algorithm::Imbea),
-        4 => Ok(Algorithm::Mbet),
-        _ => Err(CheckpointError::Malformed("algorithm")),
-    }
-}
-
-fn encode_order(order: VertexOrder) -> (u8, u64) {
-    match order {
-        VertexOrder::Natural => (1, 0),
-        VertexOrder::AscendingDegree => (2, 0),
-        VertexOrder::DescendingDegree => (3, 0),
-        VertexOrder::Unilateral => (4, 0),
-        VertexOrder::Random(seed) => (5, seed),
-    }
-}
-
-fn decode_order(tag: u8, seed: u64) -> Result<VertexOrder, CheckpointError> {
-    match (tag, seed) {
-        (1, 0) => Ok(VertexOrder::Natural),
-        (2, 0) => Ok(VertexOrder::AscendingDegree),
-        (3, 0) => Ok(VertexOrder::DescendingDegree),
-        (4, 0) => Ok(VertexOrder::Unilateral),
-        (5, seed) => Ok(VertexOrder::Random(seed)),
-        _ => Err(CheckpointError::Malformed("vertex order")),
-    }
-}
-
 fn encode_mbet(cfg: MbetConfig) -> u8 {
     (cfg.batching as u8) | (cfg.trie_maximality as u8) << 1 | (cfg.trie_absorption as u8) << 2
 }
@@ -516,92 +474,6 @@ fn decode_mbet(word: u8) -> Result<MbetConfig, CheckpointError> {
         trie_maximality: word & 2 != 0,
         trie_absorption: word & 4 != 0,
     })
-}
-
-// ---------------------------------------------------------------------------
-// FNV-1a (64-bit) — used both for the graph fingerprint and the trailing
-// checksum; hand-rolled so the format needs no dependencies.
-
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write_u8(&mut self, b: u8) {
-        self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-
-    fn write_u32(&mut self, x: u32) {
-        for b in x.to_le_bytes() {
-            self.write_u8(b);
-        }
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        for b in x.to_le_bytes() {
-            self.write_u8(b);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-fn fnv_bytes(bytes: &[u8]) -> u64 {
-    let mut h = Fnv::new();
-    for &b in bytes {
-        h.write_u8(b);
-    }
-    h.finish()
-}
-
-// ---------------------------------------------------------------------------
-// Bounds-checked little-endian reader.
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl Reader<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], CheckpointError> {
-        let end = self.pos.checked_add(n).ok_or(CheckpointError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(CheckpointError::Truncated);
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, CheckpointError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, CheckpointError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().map_err(|_| CheckpointError::Truncated)?))
-    }
-
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().map_err(|_| CheckpointError::Truncated)?))
-    }
-
-    fn u32_vec(&mut self) -> Result<Vec<u32>, CheckpointError> {
-        let n = self.u32()? as usize;
-        // Reject length prefixes promising more items than bytes remain —
-        // the allocation must be bounded by the input size.
-        if n > (self.buf.len() - self.pos) / 4 {
-            return Err(CheckpointError::Truncated);
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.u32()?);
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -691,7 +563,7 @@ mod tests {
         let mut bytes = sample().to_bytes();
         bytes[4..8].copy_from_slice(&99u32.to_le_bytes());
         let len = bytes.len();
-        let sum = fnv_bytes(&bytes[..len - 8]);
+        let sum = codec::fnv1a(&bytes[..len - 8]);
         bytes[len - 8..].copy_from_slice(&sum.to_le_bytes());
         assert_eq!(Checkpoint::from_bytes(&bytes), Err(CheckpointError::UnsupportedVersion(99)));
     }
@@ -706,7 +578,7 @@ mod tests {
         let n_tasks_at = bytes.len() - 8 - 8; // before checksum, the u64 count
         bytes[n_tasks_at..n_tasks_at + 8].copy_from_slice(&(1u64 << 60).to_le_bytes());
         let len = bytes.len();
-        let sum = fnv_bytes(&bytes[..len - 8]);
+        let sum = codec::fnv1a(&bytes[..len - 8]);
         bytes[len - 8..].copy_from_slice(&sum.to_le_bytes());
         assert!(matches!(
             Checkpoint::from_bytes(&bytes),

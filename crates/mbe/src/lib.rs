@@ -87,7 +87,6 @@ pub mod mbet;
 pub mod metrics;
 pub mod obs;
 pub mod parallel;
-pub mod progress;
 pub mod run;
 pub mod service;
 pub mod sink;
@@ -106,6 +105,7 @@ pub use sink::{Biclique, BicliqueSink, CollectSink, CountSink, FnSink, TrieSink}
 
 pub use setops::Kernel;
 
+use bigraph::codec::CodecError;
 use bigraph::order::VertexOrder;
 
 /// Which enumeration engine to run.
@@ -135,6 +135,29 @@ impl Algorithm {
     /// All algorithms, in the order the experiment tables report them.
     pub fn all() -> [Algorithm; 4] {
         [Algorithm::MineLmbc, Algorithm::Mbea, Algorithm::Imbea, Algorithm::Mbet]
+    }
+
+    /// The byte that names this algorithm in `MBCK`, `MBOK` and on the
+    /// serve wire (1–4).
+    pub fn tag(self) -> u8 {
+        match self {
+            Algorithm::MineLmbc => 1,
+            Algorithm::Mbea => 2,
+            Algorithm::Imbea => 3,
+            Algorithm::Mbet => 4,
+        }
+    }
+
+    /// Inverse of [`Algorithm::tag`]: any other byte is
+    /// [`CodecError::Invalid`].
+    pub fn from_tag(tag: u8) -> Result<Algorithm, CodecError> {
+        match tag {
+            1 => Ok(Algorithm::MineLmbc),
+            2 => Ok(Algorithm::Mbea),
+            3 => Ok(Algorithm::Imbea),
+            4 => Ok(Algorithm::Mbet),
+            _ => Err(CodecError::Invalid("algorithm")),
+        }
     }
 }
 

@@ -13,6 +13,8 @@
 //! * [`JsonlTraceObserver`] — writes one hand-rolled JSON object per
 //!   event (schema [`TRACE_SCHEMA_VERSION`]) so runs can be replayed and
 //!   diffed offline; validated by `cargo run -p xtask -- trace-check`.
+//!   Its lines go through [`JsonLines`], the one JSONL writer, which the
+//!   serve coordinator's span log shares.
 //! * [`FanoutObserver`] — composes several observers into one.
 //!
 //! # Hot-path contract
@@ -469,61 +471,48 @@ impl<S: BicliqueSink> BicliqueSink for RecordingSink<'_, S> {
     }
 }
 
-/// Mutable state of a [`JsonlTraceObserver`], serialized by one mutex so
-/// event timestamps are taken and written atomically (concurrent hooks
+/// Mutable state of a [`JsonLines`] writer, serialized by one mutex so
+/// event timestamps are taken and written atomically (concurrent events
 /// cannot interleave out of timestamp order).
-struct TraceInner {
+struct LinesInner {
     out: std::io::BufWriter<std::fs::File>,
-    start: Instant,
-    /// Wall-clock UNIX-epoch µs captured at creation: the `anchor`
-    /// field of the `run_start` header line (schema v2).
-    anchor_us: u64,
-    /// Distributed trace context stamped onto the header line, set via
-    /// [`JsonlTraceObserver::set_trace_context`] before the run starts.
-    trace: Option<(u64, u64)>,
     last_us: u64,
     buf: String,
     error: Option<std::io::Error>,
 }
 
-/// Writes every hook as one JSONL event (hand-rolled, no serde — the
-/// same vendored-only constraint as `checkpoint.rs`).
+/// The one JSON-lines event writer, shared by the run trace
+/// ([`JsonlTraceObserver`]) and the coordinator's span log.
 ///
-/// One line per event, e.g.:
+/// Every line is a flat object that starts with the schema version
+/// `"v"` ([`TRACE_SCHEMA_VERSION`]), a microsecond timestamp `"t_us"`
+/// relative to creation (monotone non-decreasing: timestamps are
+/// assigned under the writer lock), and the event name `"ev"`; the
+/// caller appends the rest with [`field_u64`] and [`field_str`].
 ///
-/// ```text
-/// {"v":2,"t_us":1423,"ev":"task_finish","w":0,"task":5,"kind":"root","us":87,"nodes":12,"emitted":4,"depth":3}
-/// ```
-///
-/// Every line carries the schema version `"v"` ([`TRACE_SCHEMA_VERSION`]),
-/// a microsecond timestamp `"t_us"` relative to observer creation
-/// (monotone non-decreasing: timestamps are assigned under the writer
-/// lock), and the event name `"ev"`. Validate a trace with
-/// `cargo run -p xtask -- trace-check <path>`; the full event catalogue
-/// is in DESIGN.md §8.
-///
-/// Output is buffered and flushed at `on_run_end` (which fires on panic
-/// containment too) and on drop. Write errors never panic the run: the
-/// first one is parked and retrievable via
-/// [`take_error`](JsonlTraceObserver::take_error).
-pub struct JsonlTraceObserver {
-    inner: Mutex<TraceInner>,
+/// Output is buffered. Write errors never panic: the first one — of an
+/// event write or of [`flush`](JsonLines::flush) — is parked, later
+/// events are dropped, and [`take_error`](JsonLines::take_error) returns
+/// it. Dropping the writer flushes what is left.
+pub struct JsonLines {
+    start: Instant,
+    anchor_us: u64,
+    inner: Mutex<LinesInner>,
 }
 
-impl JsonlTraceObserver {
-    /// Creates (truncating) `path` and returns an observer tracing to it.
+impl JsonLines {
+    /// Creates (truncating) `path`.
     pub fn create(path: &str) -> std::io::Result<Self> {
         let file = std::fs::File::create(path)?;
         let anchor_us = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_micros().min(u64::MAX as u128) as u64)
             .unwrap_or(0);
-        Ok(JsonlTraceObserver {
-            inner: Mutex::new(TraceInner {
+        Ok(JsonLines {
+            start: Instant::now(),
+            anchor_us,
+            inner: Mutex::new(LinesInner {
                 out: std::io::BufWriter::new(file),
-                start: Instant::now(),
-                anchor_us,
-                trace: None,
                 last_us: 0,
                 buf: String::with_capacity(160),
                 error: None,
@@ -531,38 +520,23 @@ impl JsonlTraceObserver {
         })
     }
 
-    /// Stamps a distributed trace context onto this trace: the
-    /// `run_start` header line will carry `"trace"` and `"parent"`
-    /// fields, making the file joinable against a coordinator span log
-    /// by trace id. Must be called before the run starts (the header is
-    /// written by `on_run_start`).
-    pub fn set_trace_context(&self, trace_id: u64, parent_span: u64) {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner).trace =
-            Some((trace_id, parent_span));
-    }
-
-    /// Takes the first write error encountered, if any (subsequent
-    /// events after an error are dropped).
-    pub fn take_error(&self) -> Option<std::io::Error> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner).error.take()
-    }
-
-    /// Flushes buffered events to the file.
-    pub fn flush(&self) -> std::io::Result<()> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner).out.flush()
+    /// Wall-clock UNIX-epoch microseconds captured at creation: the
+    /// `anchor` that aligns this file's `t_us` with other processes'.
+    pub fn anchor_us(&self) -> u64 {
+        self.anchor_us
     }
 
     /// Appends one event line: the common prelude, then `fields`
     /// (each written as `,"key":value` into the shared buffer).
-    fn event(&self, ev: &str, fields: impl FnOnce(&mut String)) {
+    pub fn event(&self, ev: &str, fields: impl FnOnce(&mut String)) {
         use std::fmt::Write as _;
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         if inner.error.is_some() {
             return;
         }
-        // Timestamp under the lock: concurrent hooks serialize here, so
+        // Timestamp under the lock: concurrent events serialize here, so
         // lines land in non-decreasing t_us order by construction.
-        let us = inner.start.elapsed().as_micros().min(u64::MAX as u128) as u64;
+        let us = self.start.elapsed().as_micros().min(u64::MAX as u128) as u64;
         let us = us.max(inner.last_us);
         inner.last_us = us;
         let mut buf = std::mem::take(&mut inner.buf);
@@ -575,9 +549,25 @@ impl JsonlTraceObserver {
         }
         inner.buf = buf;
     }
+
+    /// Flushes buffered lines to the file, parking a failure for
+    /// [`take_error`](JsonLines::take_error).
+    pub fn flush(&self) {
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Err(e) = inner.out.flush() {
+            if inner.error.is_none() {
+                inner.error = Some(e);
+            }
+        }
+    }
+
+    /// Takes the first write error encountered, if any.
+    pub fn take_error(&self) -> Option<std::io::Error> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner).error.take()
+    }
 }
 
-impl Drop for JsonlTraceObserver {
+impl Drop for JsonLines {
     fn drop(&mut self) {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let _ = inner.out.flush();
@@ -585,28 +575,70 @@ impl Drop for JsonlTraceObserver {
 }
 
 /// Appends `,"key":value` for a numeric value.
-fn field_u64(buf: &mut String, key: &str, value: u64) {
+pub fn field_u64(buf: &mut String, key: &str, value: u64) {
     use std::fmt::Write as _;
     let _ = write!(buf, ",\"{key}\":{value}");
 }
 
 /// Appends `,"key":"value"` for a static label (labels are fixed ASCII
 /// identifiers, so no JSON escaping is needed).
-fn field_str(buf: &mut String, key: &str, value: &str) {
+pub fn field_str(buf: &mut String, key: &str, value: &str) {
     use std::fmt::Write as _;
     let _ = write!(buf, ",\"{key}\":\"{value}\"");
 }
 
+/// Writes every hook as one JSONL event through [`JsonLines`]
+/// (hand-rolled, no serde — the same vendored-only constraint as
+/// `checkpoint.rs`).
+///
+/// One line per event, e.g.:
+///
+/// ```text
+/// {"v":2,"t_us":1423,"ev":"task_finish","w":0,"task":5,"kind":"root","us":87,"nodes":12,"emitted":4,"depth":3}
+/// ```
+///
+/// Validate a trace with `cargo run -p xtask -- trace-check <path>`; the
+/// full event catalogue is in DESIGN.md §8.
+///
+/// Output is flushed at `on_run_end` (which fires on panic containment
+/// too) and on drop. Write errors never panic the run: the first one,
+/// including a failed run-end flush, is parked and retrievable via
+/// [`take_error`](JsonlTraceObserver::take_error).
+pub struct JsonlTraceObserver {
+    lines: JsonLines,
+    /// Distributed trace context stamped onto the header line, set via
+    /// [`JsonlTraceObserver::set_trace_context`] before the run starts.
+    trace: Mutex<Option<(u64, u64)>>,
+}
+
+impl JsonlTraceObserver {
+    /// Creates (truncating) `path` and returns an observer tracing to it.
+    pub fn create(path: &str) -> std::io::Result<Self> {
+        Ok(JsonlTraceObserver { lines: JsonLines::create(path)?, trace: Mutex::new(None) })
+    }
+
+    /// Stamps a distributed trace context onto this trace: the
+    /// `run_start` header line will carry `"trace"` and `"parent"`
+    /// fields, making the file joinable against a coordinator span log
+    /// by trace id. Must be called before the run starts (the header is
+    /// written by `on_run_start`).
+    pub fn set_trace_context(&self, trace_id: u64, parent_span: u64) {
+        *self.trace.lock().unwrap_or_else(PoisonError::into_inner) = Some((trace_id, parent_span));
+    }
+
+    /// Takes the first write error encountered, if any (subsequent
+    /// events after an error are dropped).
+    pub fn take_error(&self) -> Option<std::io::Error> {
+        self.lines.take_error()
+    }
+}
+
 impl Observer for JsonlTraceObserver {
     fn on_run_start(&self, ctx: &RunContext) {
-        // The anchor and trace context are read outside `event`'s
-        // closure to keep the lock acquisition single (the closure runs
-        // under the same lock).
-        let (anchor_us, trace) = {
-            let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-            (inner.anchor_us, inner.trace)
-        };
-        self.event("run_start", |b| {
+        // Read outside `event`'s closure, which runs under the writer lock.
+        let anchor_us = self.lines.anchor_us();
+        let trace = *self.trace.lock().unwrap_or_else(PoisonError::into_inner);
+        self.lines.event("run_start", |b| {
             field_str(b, "alg", ctx.algorithm.label());
             field_u64(b, "threads", ctx.threads as u64);
             field_u64(b, "resumed", ctx.resumed as u64);
@@ -619,17 +651,17 @@ impl Observer for JsonlTraceObserver {
     }
 
     fn on_run_end(&self, stop: StopReason, stats: &Stats) {
-        self.event("run_end", |b| {
+        self.lines.event("run_end", |b| {
             field_str(b, "stop", stop.label());
             field_u64(b, "nodes", stats.nodes);
             field_u64(b, "emitted", stats.emitted);
             field_u64(b, "tasks", stats.tasks);
         });
-        let _ = self.flush();
+        self.lines.flush();
     }
 
     fn on_segment_start(&self, seg: &SegmentInfo) {
-        self.event("segment_start", |b| {
+        self.lines.event("segment_start", |b| {
             field_str(b, "driver", seg.driver.label());
             field_u64(b, "workers", seg.workers as u64);
             field_u64(b, "seeded", seg.seeded_tasks);
@@ -638,7 +670,7 @@ impl Observer for JsonlTraceObserver {
     }
 
     fn on_segment_end(&self, stop: StopReason, stats: &Stats) {
-        self.event("segment_end", |b| {
+        self.lines.event("segment_end", |b| {
             field_str(b, "stop", stop.label());
             field_u64(b, "nodes", stats.nodes);
             field_u64(b, "emitted", stats.emitted);
@@ -646,7 +678,7 @@ impl Observer for JsonlTraceObserver {
     }
 
     fn on_task_start(&self, worker: usize, task: &TaskInfo) {
-        self.event("task_start", |b| {
+        self.lines.event("task_start", |b| {
             field_u64(b, "w", worker as u64);
             field_u64(b, "task", task.v as u64);
             field_str(b, "kind", task.kind.label());
@@ -654,7 +686,7 @@ impl Observer for JsonlTraceObserver {
     }
 
     fn on_task_finish(&self, worker: usize, task: &TaskInfo, elapsed: Duration, delta: &TaskDelta) {
-        self.event("task_finish", |b| {
+        self.lines.event("task_finish", |b| {
             field_u64(b, "w", worker as u64);
             field_u64(b, "task", task.v as u64);
             field_str(b, "kind", task.kind.label());
@@ -666,26 +698,26 @@ impl Observer for JsonlTraceObserver {
     }
 
     fn on_steal(&self, worker: usize) {
-        self.event("steal", |b| field_u64(b, "w", worker as u64));
+        self.lines.event("steal", |b| field_u64(b, "w", worker as u64));
     }
 
     fn on_idle(&self, worker: usize) {
-        self.event("idle", |b| field_u64(b, "w", worker as u64));
+        self.lines.event("idle", |b| field_u64(b, "w", worker as u64));
     }
 
     fn on_emit_sample(&self, worker: usize, emitted: u64) {
-        self.event("sample", |b| {
+        self.lines.event("sample", |b| {
             field_u64(b, "w", worker as u64);
             field_u64(b, "emitted", emitted);
         });
     }
 
     fn on_stop(&self, reason: StopReason) {
-        self.event("stop", |b| field_str(b, "reason", reason.label()));
+        self.lines.event("stop", |b| field_str(b, "reason", reason.label()));
     }
 
     fn on_checkpoint(&self, tasks: u64, emitted: u64) {
-        self.event("checkpoint", |b| {
+        self.lines.event("checkpoint", |b| {
             field_u64(b, "tasks", tasks);
             field_u64(b, "emitted", emitted);
         });

@@ -88,7 +88,9 @@ impl StopReason {
         }
     }
 
-    pub(crate) fn encode(self) -> u8 {
+    /// The byte that names this stop reason in `MBCK` checkpoints and on
+    /// the serve wire (1–7).
+    pub fn encode(self) -> u8 {
         match self {
             StopReason::Completed => 1,
             StopReason::Cancelled => 2,
@@ -100,7 +102,9 @@ impl StopReason {
         }
     }
 
-    pub(crate) fn decode(word: u8) -> Option<StopReason> {
+    /// Inverse of [`StopReason::encode`]; `None` for a byte no encoder
+    /// writes.
+    pub fn decode(word: u8) -> Option<StopReason> {
         match word {
             1 => Some(StopReason::Completed),
             2 => Some(StopReason::Cancelled),

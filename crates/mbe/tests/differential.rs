@@ -352,6 +352,15 @@ fn checkpoint_with_unpruned_excluded_sets_resumes_exactly() {
     }
 }
 
+#[test]
+fn checkpoint_fixture_reencodes_byte_identically() {
+    // Decoding and re-encoding the recorded `MBCK` bytes must give the
+    // same bytes back: the format has one encoding per checkpoint.
+    let bytes = include_bytes!("data/structured77_budget924.mbck");
+    let ckpt = mbe::Checkpoint::from_bytes(bytes).expect("fixture decodes");
+    assert_eq!(ckpt.to_bytes(), bytes.as_slice());
+}
+
 // ---------------------------------------------------------------------------
 // Run-control contract, property-tested.
 

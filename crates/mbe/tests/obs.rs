@@ -271,6 +271,53 @@ fn jsonl_trace_covers_a_parallel_run() {
     assert_eq!(finishes as u64, report.stats.tasks);
 }
 
+/// `line` with the values of its wall-clock fields (`t_us`, `anchor`,
+/// `us`) replaced by 0.
+fn zero_clock(line: &str) -> String {
+    let mut out = line.to_string();
+    for key in ["\"t_us\":", "\"anchor\":", "\"us\":"] {
+        if let Some(at) = out.find(key) {
+            let start = at + key.len();
+            let digits = out[start..].bytes().take_while(u8::is_ascii_digit).count();
+            out.replace_range(start..start + digits, "0");
+        }
+    }
+    out
+}
+
+#[test]
+fn run_trace_lines_match_the_recorded_fixture() {
+    // A serial budget stop: run, segment, task, sample, stop and
+    // checkpoint events in one deterministic trace.
+    let path = temp_trace("fixture");
+    let trace = mbe::JsonlTraceObserver::create(path.to_str().unwrap()).unwrap();
+    let report = Enumeration::new(&demo_graph())
+        .sample_every(2)
+        .max_bicliques(5)
+        .observer(&trace)
+        .collect()
+        .unwrap();
+    assert_eq!(report.stop, StopReason::EmitBudget);
+    assert!(trace.take_error().is_none());
+    drop(trace);
+    let content = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    let lines: Vec<String> = content.lines().map(zero_clock).collect();
+    let expected: Vec<&str> = include_str!("data/demo_budget5.trace.jsonl").lines().collect();
+    assert_eq!(lines, expected);
+}
+
+/// A trace smaller than the writer's buffer reaches the file only at the
+/// run-end flush; a failure there must still be reported.
+#[cfg(target_os = "linux")]
+#[test]
+fn trace_to_a_full_device_reports_the_final_write_error() {
+    let trace = mbe::JsonlTraceObserver::create("/dev/full").unwrap();
+    let report = Enumeration::new(&demo_graph()).observer(&trace).count().unwrap();
+    assert!(report.is_complete());
+    assert!(trace.take_error().is_some(), "the run-end flush failed and must be reported");
+}
+
 #[cfg(feature = "fault-injection")]
 mod faults {
     use super::*;

@@ -9,16 +9,28 @@
 //! under a later one after resume is recognized and suppressed, even
 //! though the two discoveries happened in different processes.
 //!
-//! The byte format mirrors the hardening rules of `mbe::checkpoint`:
-//! magic + version header, FNV-1a trailer checksum, and hostile length
-//! prefixes rejected before any allocation is sized by them.
+//! The bytes are `MBOK`, a `u8` version, then the fields below, sealed
+//! in the envelope `mbe::checkpoint` also uses ([`bigraph::codec::seal`]:
+//! the magic is checked before the FNV-1a trailer). Hostile length
+//! prefixes are rejected before any allocation is sized by them, and
+//! decoding is strict: whatever decodes re-encodes to the same bytes.
+//!
+//! ```text
+//! version    u8        currently 1
+//! fingerprint u64      GeneralGraph::fingerprint
+//! algorithm  u8        Algorithm::tag
+//! order      u8 + u64  bigraph::codec::order_tag (seed 0 unless random)
+//! next_code  u64, next_kind u8 (0 or 1), emitted u64
+//! n_keys     u64, then per key a u32-length-prefixed u32 list
+//! ```
 
+use bigraph::codec::{self, put_u32_list, put_u64, put_u8, CodecError};
 use bigraph::general::GeneralGraph;
 use bigraph::order::VertexOrder;
 use mbe::Algorithm;
 use std::path::Path;
 
-const MAGIC: &[u8; 4] = b"MBOK";
+const MAGIC: [u8; 4] = *b"MBOK";
 const VERSION: u8 = 1;
 
 /// Why a checkpoint could not be decoded, validated, or applied.
@@ -72,6 +84,18 @@ impl From<std::io::Error> for OctCheckpointError {
     }
 }
 
+impl From<CodecError> for OctCheckpointError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Truncated(_) => OctCheckpointError::Truncated,
+            CodecError::Invalid(what) => OctCheckpointError::Corrupt(what),
+            CodecError::Trailing => OctCheckpointError::Corrupt("trailing bytes"),
+            CodecError::BadMagic => OctCheckpointError::BadMagic,
+            CodecError::ChecksumMismatch => OctCheckpointError::ChecksumMismatch,
+        }
+    }
+}
+
 /// A resumable position of the OCT driver. See the module docs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OctCheckpoint {
@@ -92,150 +116,45 @@ pub struct OctCheckpoint {
     pub keys: Vec<Vec<u32>>,
 }
 
-fn alg_tag(a: Algorithm) -> u8 {
-    match a {
-        Algorithm::MineLmbc => 1,
-        Algorithm::Mbea => 2,
-        Algorithm::Imbea => 3,
-        Algorithm::Mbet => 4,
-    }
-}
-
-fn alg_from(tag: u8) -> Result<Algorithm, OctCheckpointError> {
-    Ok(match tag {
-        1 => Algorithm::MineLmbc,
-        2 => Algorithm::Mbea,
-        3 => Algorithm::Imbea,
-        4 => Algorithm::Mbet,
-        _ => return Err(OctCheckpointError::Corrupt("unknown algorithm tag")),
-    })
-}
-
-fn order_parts(o: VertexOrder) -> (u8, u64) {
-    match o {
-        VertexOrder::Natural => (1, 0),
-        VertexOrder::AscendingDegree => (2, 0),
-        VertexOrder::DescendingDegree => (3, 0),
-        VertexOrder::Unilateral => (4, 0),
-        VertexOrder::Random(seed) => (5, seed),
-    }
-}
-
-fn order_from(tag: u8, seed: u64) -> Result<VertexOrder, OctCheckpointError> {
-    Ok(match tag {
-        1 => VertexOrder::Natural,
-        2 => VertexOrder::AscendingDegree,
-        3 => VertexOrder::DescendingDegree,
-        4 => VertexOrder::Unilateral,
-        5 => VertexOrder::Random(seed),
-        _ => return Err(OctCheckpointError::Corrupt("unknown order tag")),
-    })
-}
-
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], OctCheckpointError> {
-        if self.buf.len() - self.pos < n {
-            return Err(OctCheckpointError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, OctCheckpointError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, OctCheckpointError> {
-        let s = self.take(4)?;
-        Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, OctCheckpointError> {
-        let s = self.take(8)?;
-        Ok(u64::from_le_bytes([s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]]))
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-}
-
 impl OctCheckpoint {
     /// Serializes to the `MBOK` byte format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out =
-            Vec::with_capacity(64 + self.keys.iter().map(|k| 4 + 4 * k.len()).sum::<usize>());
-        out.extend_from_slice(MAGIC);
-        out.push(VERSION);
-        out.extend_from_slice(&self.fingerprint.to_le_bytes());
-        out.push(alg_tag(self.algorithm));
-        let (otag, seed) = order_parts(self.order);
-        out.push(otag);
-        out.extend_from_slice(&seed.to_le_bytes());
-        out.extend_from_slice(&self.next_code.to_le_bytes());
-        out.push(self.next_kind);
-        out.extend_from_slice(&self.emitted.to_le_bytes());
-        out.extend_from_slice(&(self.keys.len() as u64).to_le_bytes());
-        for key in &self.keys {
-            out.extend_from_slice(&(key.len() as u32).to_le_bytes());
-            for &v in key {
-                out.extend_from_slice(&v.to_le_bytes());
+        let keys = self.keys.iter().map(|k| 4 + 4 * k.len()).sum::<usize>();
+        codec::seal(&MAGIC, 48 + keys, |out| {
+            put_u8(out, VERSION);
+            put_u64(out, self.fingerprint);
+            put_u8(out, self.algorithm.tag());
+            let (order_tag, seed) = codec::order_tag(self.order);
+            put_u8(out, order_tag);
+            put_u64(out, seed);
+            put_u64(out, self.next_code);
+            put_u8(out, self.next_kind);
+            put_u64(out, self.emitted);
+            put_u64(out, self.keys.len() as u64);
+            for key in &self.keys {
+                put_u32_list(out, key);
             }
-        }
-        let sum = fnv(&out);
-        out.extend_from_slice(&sum.to_le_bytes());
-        out
+        })
     }
 
     /// Decodes and verifies a serialized checkpoint. Hostile length
     /// prefixes are rejected before any allocation is sized by them.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, OctCheckpointError> {
-        if bytes.len() < MAGIC.len() + 1 + 8 {
-            return Err(OctCheckpointError::Truncated);
-        }
-        let (payload, trailer) = bytes.split_at(bytes.len() - 8);
-        let want = u64::from_le_bytes([
-            trailer[0], trailer[1], trailer[2], trailer[3], trailer[4], trailer[5], trailer[6],
-            trailer[7],
-        ]);
-        if fnv(payload) != want {
-            return Err(OctCheckpointError::ChecksumMismatch);
-        }
-        let mut r = Reader { buf: payload, pos: 0 };
-        if r.take(4)? != MAGIC {
-            return Err(OctCheckpointError::BadMagic);
-        }
-        let version = r.u8()?;
+        let mut r = codec::open(&MAGIC, bytes)?;
+        let version = r.u8("version")?;
         if version != VERSION {
             return Err(OctCheckpointError::BadVersion(version));
         }
-        let fingerprint = r.u64()?;
-        let algorithm = alg_from(r.u8()?)?;
-        let otag = r.u8()?;
-        let seed = r.u64()?;
-        let order = order_from(otag, seed)?;
-        let next_code = r.u64()?;
-        let next_kind = r.u8()?;
+        let fingerprint = r.u64("fingerprint")?;
+        let algorithm = Algorithm::from_tag(r.u8("algorithm")?)?;
+        let order = codec::order_from_tag(r.u8("order")?, r.u64("order seed")?)?;
+        let next_code = r.u64("next code")?;
+        let next_kind = r.u8("next kind")?;
         if next_kind > 1 {
             return Err(OctCheckpointError::Corrupt("unit kind out of range"));
         }
-        let emitted = r.u64()?;
-        let n_keys = r.u64()?;
+        let emitted = r.u64("emitted")?;
+        let n_keys = r.u64("key count")?;
         // Each key costs at least 4 bytes (its length prefix); a count
         // larger than the payload could carry is hostile.
         if n_keys > (r.remaining() / 4) as u64 {
@@ -243,22 +162,13 @@ impl OctCheckpoint {
         }
         let mut keys = Vec::with_capacity(n_keys as usize);
         for _ in 0..n_keys {
-            let len = r.u32()? as usize;
-            if len > r.remaining() / 4 {
-                return Err(OctCheckpointError::Corrupt("key length exceeds payload"));
-            }
-            let mut key = Vec::with_capacity(len);
-            for _ in 0..len {
-                key.push(r.u32()?);
-            }
+            let key = r.u32_list("key")?;
             if !key.windows(2).all(|w| w[0] < w[1]) {
                 return Err(OctCheckpointError::Corrupt("key not strictly increasing"));
             }
             keys.push(key);
         }
-        if r.remaining() != 0 {
-            return Err(OctCheckpointError::Corrupt("trailing bytes"));
-        }
+        r.finish()?;
         Ok(OctCheckpoint { fingerprint, algorithm, order, next_code, next_kind, emitted, keys })
     }
 
@@ -333,7 +243,7 @@ mod tests {
         bytes.truncate(bytes.len() - 8); // drop checksum
         let n = bytes.len();
         bytes[n - 8..].copy_from_slice(&u64::MAX.to_le_bytes()); // n_keys
-        let sum = fnv(&bytes);
+        let sum = codec::fnv1a(&bytes);
         bytes.extend_from_slice(&sum.to_le_bytes());
         assert!(matches!(
             OctCheckpoint::from_bytes(&bytes),
@@ -346,18 +256,39 @@ mod tests {
         let mut bytes = sample().to_bytes();
         bytes[0] = b'X';
         let n = bytes.len();
-        let sum = fnv(&bytes[..n - 8]);
+        let sum = codec::fnv1a(&bytes[..n - 8]);
         bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
         assert!(matches!(OctCheckpoint::from_bytes(&bytes), Err(OctCheckpointError::BadMagic)));
+        // The magic is checked before the checksum: a foreign file is bad
+        // magic, whatever its trailer.
+        assert!(matches!(
+            OctCheckpoint::from_bytes(&[b'A'; 64]),
+            Err(OctCheckpointError::BadMagic)
+        ));
 
         let mut bytes = sample().to_bytes();
         bytes[4] = 99;
         let n = bytes.len();
-        let sum = fnv(&bytes[..n - 8]);
+        let sum = codec::fnv1a(&bytes[..n - 8]);
         bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
         assert!(matches!(
             OctCheckpoint::from_bytes(&bytes),
             Err(OctCheckpointError::BadVersion(99))
+        ));
+    }
+
+    #[test]
+    fn seed_on_a_non_random_order_is_corrupt() {
+        // It would decode as the seedless order and re-encode differently,
+        // so it is refused even behind a valid checksum.
+        let mut bytes = OctCheckpoint { order: VertexOrder::Natural, ..sample() }.to_bytes();
+        bytes[15] = 7; // the order seed's low byte
+        let n = bytes.len();
+        let sum = codec::fnv1a(&bytes[..n - 8]);
+        bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
+        assert!(matches!(
+            OctCheckpoint::from_bytes(&bytes),
+            Err(OctCheckpointError::Corrupt("vertex order"))
         ));
     }
 

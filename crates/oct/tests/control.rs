@@ -170,6 +170,26 @@ fn checkpoint_serialization_roundtrip_preserves_resume() {
 }
 
 #[test]
+fn checkpoint_fixture_reencodes_and_resumes_exactly() {
+    // `mbe-cli generate oct-planted 20 20 80 4 --seed 5`, then
+    // `mbe-cli oct-enumerate G --order random:7 --max-bicliques 40
+    // --checkpoint FIXTURE`: the `MBOK` bytes of a budget-stopped run.
+    let bytes = include_bytes!("../../mbe/tests/data/octplanted5_random7_budget40.mbok");
+    let ckpt = OctCheckpoint::from_bytes(bytes).expect("fixture decodes");
+    assert_eq!(ckpt.to_bytes(), bytes.as_slice(), "one encoding per checkpoint");
+    assert_eq!(ckpt.emitted, 40);
+    assert_eq!(ckpt.order, bigraph::order::VertexOrder::Random(7));
+
+    let mut rng = StdRng::seed_from_u64(5);
+    let (g, _) = gen::near_bipartite(&mut rng, &gen::NearBipartiteConfig::new(20, 20, 80, 4));
+    assert!(ckpt.matches(&g));
+    let complete = OctEnumeration::new(&g).collect().expect("complete run");
+    let resumed = OctEnumeration::new(&g).resume(ckpt).collect().expect("resumed run");
+    assert!(resumed.is_complete());
+    assert_eq!(resumed.stats.emitted, complete.stats.emitted);
+}
+
+#[test]
 fn invalid_configs_rejected() {
     let g = test_graph(12);
     assert!(matches!(

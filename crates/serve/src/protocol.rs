@@ -27,14 +27,16 @@
 
 use std::time::Duration;
 
-use mbe::histogram::Histogram;
+use mbe::histogram::{Histogram, BUCKETS};
 use mbe::service::QueryParams;
 use mbe::{Algorithm, Biclique, CacheCounters, StopReason};
 
+use bigraph::codec::{self, put_bool, put_bytes, put_str, put_u32, put_u32_list, put_u64, put_u8};
+use bigraph::codec::{CodecError, Reader};
 use bigraph::order::VertexOrder;
 
 use crate::telemetry::{MetricsSnapshot, OpSnapshot, WorkerStatus};
-use crate::wire::{put_bytes, put_str, put_u32, put_u64, put_u8, Reader, WireError};
+use crate::wire::WireError;
 
 /// Version byte every payload starts with.
 pub const PROTOCOL_VERSION: u8 = 1;
@@ -361,109 +363,31 @@ pub struct ServerStats {
     pub shutting_down: bool,
 }
 
-fn algorithm_to_u8(a: Algorithm) -> u8 {
-    match a {
-        Algorithm::MineLmbc => 1,
-        Algorithm::Mbea => 2,
-        Algorithm::Imbea => 3,
-        Algorithm::Mbet => 4,
-    }
+/// A vertex order as the checkpoint codec's tag shifted down by one (the
+/// wire's tags are 0-based) plus its seed.
+fn put_order(buf: &mut Vec<u8>, o: VertexOrder) {
+    let (tag, seed) = codec::order_tag(o);
+    put_u8(buf, tag - 1);
+    put_u64(buf, seed);
 }
 
-fn algorithm_from_u8(v: u8) -> Result<Algorithm, WireError> {
-    match v {
-        1 => Ok(Algorithm::MineLmbc),
-        2 => Ok(Algorithm::Mbea),
-        3 => Ok(Algorithm::Imbea),
-        4 => Ok(Algorithm::Mbet),
-        _ => Err(WireError::Malformed("algorithm")),
-    }
+fn order_from_reader(r: &mut Reader<'_>) -> Result<VertexOrder, CodecError> {
+    let tag = r.u8("order tag")?.wrapping_add(1);
+    codec::order_from_tag(tag, r.u64("order seed")?).map_err(|_| CodecError::Invalid("order tag"))
 }
 
-fn order_to_bytes(buf: &mut Vec<u8>, o: VertexOrder) {
-    match o {
-        VertexOrder::Natural => {
-            put_u8(buf, 0);
-            put_u64(buf, 0);
-        }
-        VertexOrder::AscendingDegree => {
-            put_u8(buf, 1);
-            put_u64(buf, 0);
-        }
-        VertexOrder::DescendingDegree => {
-            put_u8(buf, 2);
-            put_u64(buf, 0);
-        }
-        VertexOrder::Unilateral => {
-            put_u8(buf, 3);
-            put_u64(buf, 0);
-        }
-        VertexOrder::Random(seed) => {
-            put_u8(buf, 4);
-            put_u64(buf, seed);
-        }
-    }
-}
-
-fn order_from_reader(r: &mut Reader<'_>) -> Result<VertexOrder, WireError> {
-    let tag = r.u8("order tag")?;
-    let seed = r.u64("order seed")?;
-    match tag {
-        0 => Ok(VertexOrder::Natural),
-        1 => Ok(VertexOrder::AscendingDegree),
-        2 => Ok(VertexOrder::DescendingDegree),
-        3 => Ok(VertexOrder::Unilateral),
-        4 => Ok(VertexOrder::Random(seed)),
-        _ => Err(WireError::Malformed("order tag")),
-    }
-}
-
-fn stop_to_u8(s: StopReason) -> u8 {
-    match s {
-        StopReason::Completed => 1,
-        StopReason::Cancelled => 2,
-        StopReason::Deadline => 3,
-        StopReason::EmitBudget => 4,
-        StopReason::NodeBudget => 5,
-        StopReason::SinkStopped => 6,
-        StopReason::WorkerPanicked => 7,
-    }
-}
-
-fn stop_from_u8(v: u8) -> Result<StopReason, WireError> {
-    match v {
-        1 => Ok(StopReason::Completed),
-        2 => Ok(StopReason::Cancelled),
-        3 => Ok(StopReason::Deadline),
-        4 => Ok(StopReason::EmitBudget),
-        5 => Ok(StopReason::NodeBudget),
-        6 => Ok(StopReason::SinkStopped),
-        7 => Ok(StopReason::WorkerPanicked),
-        _ => Err(WireError::Malformed("stop reason")),
-    }
-}
-
-/// `Option<u64>` as a presence byte plus the value.
+/// `Option<u64>` as a presence byte plus the value (0 when absent).
 fn put_opt_u64(buf: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        Some(x) => {
-            put_u8(buf, 1);
-            put_u64(buf, x);
-        }
-        None => {
-            put_u8(buf, 0);
-            put_u64(buf, 0);
-        }
-    }
+    put_bool(buf, v.is_some());
+    put_u64(buf, v.unwrap_or(0));
 }
 
-fn opt_u64_from_reader(r: &mut Reader<'_>, what: &'static str) -> Result<Option<u64>, WireError> {
-    let present = r.u8(what)?;
-    let value = r.u64(what)?;
-    match present {
-        0 => Ok(None),
-        1 => Ok(Some(value)),
-        _ => Err(WireError::Malformed(what)),
+fn opt_u64_from_reader(r: &mut Reader<'_>, what: &'static str) -> Result<Option<u64>, CodecError> {
+    let present = r.bool(what)?;
+    match (present, r.u64(what)?) {
+        (true, value) => Ok(Some(value)),
+        (false, 0) => Ok(None),
+        (false, _) => Err(CodecError::Invalid(what)),
     }
 }
 
@@ -479,35 +403,35 @@ fn put_opt_trace(buf: &mut Vec<u8>, t: Option<TraceContext>) {
 }
 
 /// Decodes the optional trailing trace context: end-of-payload means
-/// absent (a minor-0 encoder), otherwise a presence byte governs.
-fn opt_trace_from_reader(r: &mut Reader<'_>) -> Result<Option<TraceContext>, WireError> {
+/// absent, otherwise the presence byte must be 1 (no encoder writes an
+/// explicit "absent" byte).
+fn opt_trace_from_reader(r: &mut Reader<'_>) -> Result<Option<TraceContext>, CodecError> {
     if r.remaining() == 0 {
         return Ok(None);
     }
     match r.u8("trace present")? {
-        0 => Ok(None),
         1 => Ok(Some(TraceContext {
             trace_id: r.u64("trace id")?,
             parent_span: r.u64("parent span")?,
         })),
-        _ => Err(WireError::Malformed("trace present")),
+        _ => Err(CodecError::Invalid("trace present")),
     }
 }
 
 fn put_params(buf: &mut Vec<u8>, p: &QueryParams) {
-    put_u8(buf, algorithm_to_u8(p.algorithm));
-    order_to_bytes(buf, p.order);
+    put_u8(buf, p.algorithm.tag());
+    put_order(buf, p.order);
     put_u32(buf, p.threads as u32);
     put_u32(buf, p.min_left as u32);
     put_u32(buf, p.min_right as u32);
     put_opt_u64(buf, p.top_k.map(|k| k as u64));
     put_opt_u64(buf, p.max_bicliques);
     put_opt_u64(buf, p.timeout.map(|d| d.as_millis() as u64));
-    put_u8(buf, u8::from(p.count_only));
+    put_bool(buf, p.count_only);
 }
 
-fn params_from_reader(r: &mut Reader<'_>) -> Result<QueryParams, WireError> {
-    let algorithm = algorithm_from_u8(r.u8("algorithm")?)?;
+fn params_from_reader(r: &mut Reader<'_>) -> Result<QueryParams, CodecError> {
+    let algorithm = Algorithm::from_tag(r.u8("algorithm")?)?;
     let order = order_from_reader(r)?;
     let threads = r.u32("threads")? as usize;
     let min_left = r.u32("min_left")? as usize;
@@ -515,11 +439,7 @@ fn params_from_reader(r: &mut Reader<'_>) -> Result<QueryParams, WireError> {
     let top_k = opt_u64_from_reader(r, "top_k")?.map(|k| k as usize);
     let max_bicliques = opt_u64_from_reader(r, "max_bicliques")?;
     let timeout = opt_u64_from_reader(r, "timeout_ms")?.map(Duration::from_millis);
-    let count_only = match r.u8("count_only")? {
-        0 => false,
-        1 => true,
-        _ => return Err(WireError::Malformed("count_only")),
-    };
+    let count_only = r.bool("count_only")?;
     Ok(QueryParams {
         algorithm,
         order,
@@ -541,7 +461,7 @@ fn put_graph_info(buf: &mut Vec<u8>, g: &GraphInfo) {
     put_u64(buf, g.num_edges);
 }
 
-fn graph_info_from_reader(r: &mut Reader<'_>) -> Result<GraphInfo, WireError> {
+fn graph_info_from_reader(r: &mut Reader<'_>) -> Result<GraphInfo, CodecError> {
     Ok(GraphInfo {
         name: r.str("graph name")?.to_string(),
         fingerprint: r.u64("fingerprint")?,
@@ -552,34 +472,12 @@ fn graph_info_from_reader(r: &mut Reader<'_>) -> Result<GraphInfo, WireError> {
 }
 
 fn put_biclique(buf: &mut Vec<u8>, b: &Biclique) {
-    put_u32(buf, b.left.len() as u32);
-    for &u in &b.left {
-        put_u32(buf, u);
-    }
-    put_u32(buf, b.right.len() as u32);
-    for &v in &b.right {
-        put_u32(buf, v);
-    }
+    put_u32_list(buf, &b.left);
+    put_u32_list(buf, &b.right);
 }
 
-fn biclique_from_reader(r: &mut Reader<'_>) -> Result<Biclique, WireError> {
-    let nl = r.u32("left len")? as usize;
-    if nl > r.remaining() / 4 {
-        return Err(WireError::Malformed("left len"));
-    }
-    let mut left = Vec::with_capacity(nl);
-    for _ in 0..nl {
-        left.push(r.u32("left id")?);
-    }
-    let nr = r.u32("right len")? as usize;
-    if nr > r.remaining() / 4 {
-        return Err(WireError::Malformed("right len"));
-    }
-    let mut right = Vec::with_capacity(nr);
-    for _ in 0..nr {
-        right.push(r.u32("right id")?);
-    }
-    Ok(Biclique { left, right })
+fn biclique_from_reader(r: &mut Reader<'_>) -> Result<Biclique, CodecError> {
+    Ok(Biclique { left: r.u32_list("left len")?, right: r.u32_list("right len")? })
 }
 
 fn put_stats(buf: &mut Vec<u8>, s: &ServerStats) {
@@ -600,10 +498,10 @@ fn put_stats(buf: &mut Vec<u8>, s: &ServerStats) {
     put_u64(buf, s.queue_wait_total_us);
     put_u64(buf, s.queue_wait_max_us);
     put_u64(buf, s.jobs_executed);
-    put_u8(buf, u8::from(s.shutting_down));
+    put_bool(buf, s.shutting_down);
 }
 
-fn stats_from_reader(r: &mut Reader<'_>) -> Result<ServerStats, WireError> {
+fn stats_from_reader(r: &mut Reader<'_>) -> Result<ServerStats, CodecError> {
     Ok(ServerStats {
         graphs: r.u64("graphs")?,
         inflight: r.u64("inflight")?,
@@ -624,7 +522,7 @@ fn stats_from_reader(r: &mut Reader<'_>) -> Result<ServerStats, WireError> {
         queue_wait_total_us: r.u64("queue_wait_total_us")?,
         queue_wait_max_us: r.u64("queue_wait_max_us")?,
         jobs_executed: r.u64("jobs_executed")?,
-        shutting_down: r.u8("shutting_down")? != 0,
+        shutting_down: r.bool("shutting_down")?,
     })
 }
 
@@ -637,15 +535,16 @@ fn put_histogram(buf: &mut Vec<u8>, h: &Histogram) {
     }
 }
 
-fn histogram_from_reader(r: &mut Reader<'_>) -> Result<Histogram, WireError> {
+fn histogram_from_reader(r: &mut Reader<'_>) -> Result<Histogram, CodecError> {
     let sum = r.u64("histogram sum")?;
-    let n = r.u32("histogram buckets")? as usize;
-    if n > r.remaining() / 8 {
-        return Err(WireError::Malformed("histogram buckets"));
+    // Every encoder writes all `BUCKETS`; any other count would decode
+    // to a histogram that re-encodes differently.
+    if r.u32("histogram buckets")? as usize != BUCKETS {
+        return Err(CodecError::Invalid("histogram buckets"));
     }
-    let mut buckets = Vec::with_capacity(n);
-    for _ in 0..n {
-        buckets.push(r.u64("histogram bucket")?);
+    let mut buckets = [0u64; BUCKETS];
+    for slot in &mut buckets {
+        *slot = r.u64("histogram bucket")?;
     }
     Ok(Histogram::from_parts(&buckets, sum))
 }
@@ -686,22 +585,22 @@ fn put_metrics(buf: &mut Vec<u8>, m: &MetricsSnapshot) {
     put_u64(buf, m.worker_readmissions);
     put_u32(buf, m.workers.len() as u32);
     for w in &m.workers {
-        put_u8(buf, u8::from(w.healthy));
+        put_bool(buf, w.healthy);
         put_u64(buf, w.consecutive_failures);
         put_u64(buf, w.successes);
         put_u64(buf, w.failures);
         put_u64(buf, w.quarantines);
         put_u64(buf, w.readmissions);
     }
-    put_u8(buf, u8::from(m.shutting_down));
+    put_bool(buf, m.shutting_down);
 }
 
-fn metrics_from_reader(r: &mut Reader<'_>) -> Result<MetricsSnapshot, WireError> {
+fn metrics_from_reader(r: &mut Reader<'_>) -> Result<MetricsSnapshot, CodecError> {
     let uptime_us = r.u64("uptime_us")?;
     let n_ops = r.u32("op count")? as usize;
     // ≥ 28 wire bytes per op row (two u64s + histogram header).
     if n_ops > r.remaining() / 28 {
-        return Err(WireError::Malformed("op count"));
+        return Err(CodecError::Truncated("op count"));
     }
     let mut ops = Vec::with_capacity(n_ops);
     for _ in 0..n_ops {
@@ -739,12 +638,12 @@ fn metrics_from_reader(r: &mut Reader<'_>) -> Result<MetricsSnapshot, WireError>
     let n_workers = r.u32("worker count")? as usize;
     // ≥ 41 wire bytes per worker row (a flag byte + five u64s).
     if n_workers > r.remaining() / 41 {
-        return Err(WireError::Malformed("worker count"));
+        return Err(CodecError::Truncated("worker count"));
     }
     let mut workers = Vec::with_capacity(n_workers);
     for _ in 0..n_workers {
         workers.push(WorkerStatus {
-            healthy: r.u8("worker.healthy")? != 0,
+            healthy: r.bool("worker.healthy")?,
             consecutive_failures: r.u64("worker.consecutive_failures")?,
             successes: r.u64("worker.successes")?,
             failures: r.u64("worker.failures")?,
@@ -752,7 +651,7 @@ fn metrics_from_reader(r: &mut Reader<'_>) -> Result<MetricsSnapshot, WireError>
             readmissions: r.u64("worker.readmissions")?,
         });
     }
-    let shutting_down = r.u8("shutting_down")? != 0;
+    let shutting_down = r.bool("shutting_down")?;
     Ok(MetricsSnapshot {
         uptime_us,
         ops,
@@ -789,8 +688,8 @@ fn metrics_from_reader(r: &mut Reader<'_>) -> Result<MetricsSnapshot, WireError>
 
 /// The `QUERY`/`QUERY_SHARD` reply body, shared by both reply tags.
 fn put_query_reply(buf: &mut Vec<u8>, q: &QueryReply) {
-    put_u8(buf, stop_to_u8(q.stop));
-    put_u8(buf, u8::from(q.cached));
+    put_u8(buf, q.stop.encode());
+    put_bool(buf, q.cached);
     put_u64(buf, q.emitted);
     put_u64(buf, q.elapsed_us);
     put_u64(buf, q.total);
@@ -813,15 +712,15 @@ fn put_query_reply(buf: &mut Vec<u8>, q: &QueryReply) {
             put_u32(buf, d.retries);
             put_u32(buf, d.resteals);
             put_u32(buf, d.speculated);
-            put_u8(buf, u8::from(d.degraded));
+            put_bool(buf, d.degraded);
         }
         None => put_u8(buf, 0),
     }
 }
 
 fn query_reply_from_reader(r: &mut Reader<'_>) -> Result<QueryReply, WireError> {
-    let stop = stop_from_u8(r.u8("stop")?)?;
-    let cached = r.u8("cached")? != 0;
+    let stop = StopReason::decode(r.u8("stop")?).ok_or(WireError::Malformed("stop reason"))?;
+    let cached = r.bool("cached")?;
     let emitted = r.u64("emitted")?;
     let elapsed_us = r.u64("elapsed_us")?;
     let total = r.u64("total")?;
@@ -845,7 +744,7 @@ fn query_reply_from_reader(r: &mut Reader<'_>) -> Result<QueryReply, WireError> 
             retries: r.u32("dist.retries")?,
             resteals: r.u32("dist.resteals")?,
             speculated: r.u32("dist.speculated")?,
-            degraded: r.u8("dist.degraded")? != 0,
+            degraded: r.bool("dist.degraded")?,
         }),
         _ => return Err(WireError::Malformed("dist present")),
     };
@@ -1161,14 +1060,62 @@ mod tests {
         assert_eq!(decoded, expected);
         assert_eq!(expected.encode(), old);
 
-        // An explicit absent-marker byte (0) also reads as None, and a
-        // bad presence byte is rejected rather than skipped.
-        let mut explicit = expected.encode();
-        explicit.push(0);
-        assert_eq!(Request::decode(&explicit).unwrap(), expected);
-        let mut bad = expected.encode();
-        bad.push(7);
-        assert!(Request::decode(&bad).is_err());
+        // No encoder writes an explicit absent-marker byte (0), so it is
+        // rejected like any other bad presence byte rather than skipped.
+        for marker in [0, 7] {
+            let mut bad = expected.encode();
+            bad.push(marker);
+            assert!(Request::decode(&bad).is_err(), "marker {marker}");
+        }
+    }
+
+    /// Decoding is strict: bytes no encoder writes are rejected, so every
+    /// accepted payload re-encodes byte-identically.
+    #[test]
+    fn non_canonical_payloads_are_rejected() {
+        let query = Request::Query(QueryRequest {
+            graph: "g".into(),
+            params: QueryParams::default(),
+            max_return: 5,
+            trace: None,
+        })
+        .encode();
+        // Layout: version, opcode, "g" (4 + 1), algorithm, order tag,
+        // order seed (8), threads, min_left, min_right (4 each), then the
+        // three optional u64s (presence byte + 8 value bytes each).
+        let seed = 2 + 5 + 2;
+        let optionals = seed + 8 + 12;
+        let mut patches = vec![seed, seed + 7];
+        for field in 0..3 {
+            patches.extend([optionals + 9 * field + 1, optionals + 9 * field + 8]);
+        }
+        for at in patches {
+            let mut bytes = query.clone();
+            bytes[at] ^= 1;
+            assert!(Request::decode(&bytes).is_err(), "byte {at} was accepted");
+        }
+
+        // Every bool is 0 or 1: STATS's `shutting_down` is its last byte.
+        let stats = Response::Ok(Reply::Stats(ServerStats::default())).encode();
+        for byte in 2..=u8::MAX {
+            let mut bytes = stats.clone();
+            *bytes.last_mut().unwrap() = byte;
+            assert!(Response::decode(&bytes).is_err(), "shutting_down = {byte}");
+        }
+
+        // A histogram carries exactly `BUCKETS` buckets.
+        let mut metrics = Vec::new();
+        put_u8(&mut metrics, PROTOCOL_VERSION);
+        put_u8(&mut metrics, status::OK);
+        put_u8(&mut metrics, opcode::METRICS);
+        put_metrics(&mut metrics, &MetricsSnapshot::default());
+        assert!(Response::decode(&metrics).is_ok());
+        // Header, uptime, no op rows, three u64s, then `queue_wait`'s sum.
+        let first_count = 3 + 8 + 4 + 3 * 8 + 8;
+        assert_eq!(metrics[first_count..first_count + 4], (BUCKETS as u32).to_le_bytes());
+        metrics[first_count] -= 1;
+        metrics.truncate(metrics.len() - 8);
+        assert!(Response::decode(&metrics).is_err());
     }
 
     #[test]
@@ -1389,10 +1336,10 @@ mod tests {
             StopReason::SinkStopped,
             StopReason::WorkerPanicked,
         ] {
-            assert_eq!(stop_from_u8(stop_to_u8(stop)).unwrap(), stop);
+            assert_eq!(StopReason::decode(stop.encode()), Some(stop));
         }
-        assert!(stop_from_u8(0).is_err());
-        assert!(stop_from_u8(8).is_err());
+        assert_eq!(StopReason::decode(0), None);
+        assert_eq!(StopReason::decode(8), None);
     }
 
     #[test]

@@ -983,8 +983,8 @@ fn execute(
             })
         }
     };
-    if let Some(t) = &trace {
-        let _ = t.flush();
+    if let Some(e) = trace.as_ref().and_then(JsonlTraceObserver::take_error) {
+        eprintln!("mbe-serve: trace write failed: {e}");
     }
     answer
 }

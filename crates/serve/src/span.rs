@@ -4,8 +4,9 @@
 //! this module records the *coordinator's* side of a distributed query
 //! — which shard attempts were dispatched where, retried, re-stolen,
 //! speculated, merged, or discarded — as the same hand-rolled JSONL
-//! shape (schema [`mbe::obs::TRACE_SCHEMA_VERSION`], flat objects,
-//! unsigned ints and escape-free strings, monotone `t_us`).
+//! shape, written by the same [`mbe::obs::JsonLines`] writer (schema
+//! [`mbe::obs::TRACE_SCHEMA_VERSION`], flat objects, unsigned ints and
+//! escape-free strings, monotone `t_us`).
 //!
 //! Every dispatched attempt is assigned a **span id**, carried to the
 //! worker inside the request's [`crate::protocol::TraceContext`]; the
@@ -15,52 +16,22 @@
 //! `coord_start` (with the trace id and a wall-clock `anchor`), the
 //! last `coord_end`.
 
-use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
-use std::time::Instant;
 
-use mbe::obs::TRACE_SCHEMA_VERSION;
-
-/// Mutable writer state, serialized by one mutex so timestamps are
-/// taken and written atomically (mirrors `JsonlTraceObserver`).
-struct SpanInner {
-    out: std::io::BufWriter<std::fs::File>,
-    start: Instant,
-    anchor_us: u64,
-    last_us: u64,
-    buf: String,
-    error: Option<std::io::Error>,
-}
+use mbe::obs::{field_str, field_u64, JsonLines};
 
 /// A JSONL span log for one distributed query.
 pub(crate) struct SpanLog {
     trace_id: u64,
     next_span: AtomicU64,
-    inner: Mutex<SpanInner>,
+    lines: JsonLines,
 }
 
 impl SpanLog {
     /// Creates (truncating) `path` and writes nothing yet; the caller
     /// opens the log with [`SpanLog::coord_start`].
     pub(crate) fn create(path: &str, trace_id: u64) -> std::io::Result<Self> {
-        let file = std::fs::File::create(path)?;
-        let anchor_us = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_micros().min(u64::MAX as u128) as u64)
-            .unwrap_or(0);
-        Ok(SpanLog {
-            trace_id,
-            next_span: AtomicU64::new(1),
-            inner: Mutex::new(SpanInner {
-                out: std::io::BufWriter::new(file),
-                start: Instant::now(),
-                anchor_us,
-                last_us: 0,
-                buf: String::with_capacity(160),
-                error: None,
-            }),
-        })
+        Ok(SpanLog { trace_id, next_span: AtomicU64::new(1), lines: JsonLines::create(path)? })
     }
 
     /// The query-scoped trace id every event (and every worker trace)
@@ -71,37 +42,14 @@ impl SpanLog {
 
     /// Takes the first write error encountered, if any.
     pub(crate) fn take_error(&self) -> Option<std::io::Error> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner).error.take()
-    }
-
-    /// Appends one event line (same prelude/fields shape as the worker
-    /// trace writer).
-    fn event(&self, ev: &str, fields: impl FnOnce(&mut String)) {
-        use std::fmt::Write as _;
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        if inner.error.is_some() {
-            return;
-        }
-        let us = inner.start.elapsed().as_micros().min(u64::MAX as u128) as u64;
-        let us = us.max(inner.last_us);
-        inner.last_us = us;
-        let mut buf = std::mem::take(&mut inner.buf);
-        buf.clear();
-        let _ = write!(buf, "{{\"v\":{TRACE_SCHEMA_VERSION},\"t_us\":{us},\"ev\":\"{ev}\"");
-        fields(&mut buf);
-        buf.push_str("}\n");
-        if let Err(e) = inner.out.write_all(buf.as_bytes()) {
-            inner.error = Some(e);
-        }
-        inner.buf = buf;
+        self.lines.take_error()
     }
 
     /// Header line: trace id, wall-clock anchor, fan-out shape.
     pub(crate) fn coord_start(&self, shards: u64, workers: u64) {
-        let anchor_us = self.inner.lock().unwrap_or_else(PoisonError::into_inner).anchor_us;
-        self.event("coord_start", |b| {
+        self.lines.event("coord_start", |b| {
             field_u64(b, "trace", self.trace_id);
-            field_u64(b, "anchor", anchor_us);
+            field_u64(b, "anchor", self.lines.anchor_us());
             field_u64(b, "shards", shards);
             field_u64(b, "workers", workers);
         });
@@ -111,7 +59,7 @@ impl SpanLog {
     /// span id carried to that worker as its parent span.
     pub(crate) fn dispatch(&self, shard: u64, epoch: u64, worker: u64) -> u64 {
         let span = self.next_span.fetch_add(1, Ordering::Relaxed);
-        self.event("dispatch", |b| {
+        self.lines.event("dispatch", |b| {
             field_u64(b, "shard", shard);
             field_u64(b, "epoch", epoch);
             field_u64(b, "worker", worker);
@@ -122,7 +70,7 @@ impl SpanLog {
 
     /// A completed remote attempt's result was accepted into the board.
     pub(crate) fn merge(&self, shard: u64, epoch: u64, span: u64, emitted: u64) {
-        self.event("merge", |b| {
+        self.lines.event("merge", |b| {
             field_u64(b, "shard", shard);
             field_u64(b, "epoch", epoch);
             field_u64(b, "span", span);
@@ -133,7 +81,7 @@ impl SpanLog {
     /// A remote result arrived too late (stale epoch or already done)
     /// and was discarded.
     pub(crate) fn discard(&self, shard: u64, epoch: u64, span: u64) {
-        self.event("discard", |b| {
+        self.lines.event("discard", |b| {
             field_u64(b, "shard", shard);
             field_u64(b, "epoch", epoch);
             field_u64(b, "span", span);
@@ -142,7 +90,7 @@ impl SpanLog {
 
     /// A failed attempt was re-queued for another try (same epoch).
     pub(crate) fn retry(&self, shard: u64, epoch: u64) {
-        self.event("retry", |b| {
+        self.lines.event("retry", |b| {
             field_u64(b, "shard", shard);
             field_u64(b, "epoch", epoch);
         });
@@ -151,7 +99,7 @@ impl SpanLog {
     /// A partial result advanced the shard's checkpoint and re-queued
     /// the remainder under a bumped epoch.
     pub(crate) fn resteal(&self, shard: u64, epoch: u64) {
-        self.event("resteal", |b| {
+        self.lines.event("resteal", |b| {
             field_u64(b, "shard", shard);
             field_u64(b, "epoch", epoch);
         });
@@ -159,7 +107,7 @@ impl SpanLog {
 
     /// A straggler shard was re-queued for speculative duplication.
     pub(crate) fn speculate(&self, shard: u64, epoch: u64) {
-        self.event("speculate", |b| {
+        self.lines.event("speculate", |b| {
             field_u64(b, "shard", shard);
             field_u64(b, "epoch", epoch);
         });
@@ -168,7 +116,7 @@ impl SpanLog {
     /// The coordinator claimed `claimed` unfinished shards and ran their
     /// merged remainder locally (no worker trace backs that work).
     pub(crate) fn fallback(&self, claimed: u64) {
-        self.event("fallback", |b| field_u64(b, "claimed", claimed));
+        self.lines.event("fallback", |b| field_u64(b, "claimed", claimed));
     }
 
     /// Footer line: outcome and fan-out counters; flushes the file.
@@ -180,44 +128,21 @@ impl SpanLog {
         speculated: u64,
         degraded: bool,
     ) {
-        self.event("coord_end", |b| {
+        self.lines.event("coord_end", |b| {
             field_str(b, "stop", stop);
             field_u64(b, "retries", retries);
             field_u64(b, "resteals", resteals);
             field_u64(b, "speculated", speculated);
             field_u64(b, "degraded", u64::from(degraded));
         });
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Err(e) = inner.out.flush() {
-            if inner.error.is_none() {
-                inner.error = Some(e);
-            }
-        }
+        self.lines.flush();
     }
-}
-
-impl Drop for SpanLog {
-    fn drop(&mut self) {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        let _ = inner.out.flush();
-    }
-}
-
-/// Appends `,"key":value` for a numeric value.
-fn field_u64(buf: &mut String, key: &str, value: u64) {
-    use std::fmt::Write as _;
-    let _ = write!(buf, ",\"{key}\":{value}");
-}
-
-/// Appends `,"key":"value"` for a static label.
-fn field_str(buf: &mut String, key: &str, value: &str) {
-    use std::fmt::Write as _;
-    let _ = write!(buf, ",\"{key}\":\"{value}\"");
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mbe::obs::TRACE_SCHEMA_VERSION;
 
     #[test]
     fn span_log_shape_is_versioned_monotone_and_bounded() {
@@ -267,5 +192,49 @@ mod tests {
         // The fallback claim is recorded, and merges carry their spans.
         assert!(text.contains("\"ev\":\"fallback\",\"claimed\":1"));
         assert!(text.contains(&format!("\"span\":{s1}")));
+    }
+
+    /// `line` with the values of its wall-clock fields (`t_us`,
+    /// `anchor`) replaced by 0.
+    fn zero_clock(line: &str) -> String {
+        let mut out = line.to_string();
+        for key in ["\"t_us\":", "\"anchor\":"] {
+            if let Some(at) = out.find(key) {
+                let start = at + key.len();
+                let digits = out[start..].bytes().take_while(u8::is_ascii_digit).count();
+                out.replace_range(start..start + digits, "0");
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn span_log_lines_match_the_recorded_fixture() {
+        let path = std::env::temp_dir()
+            .join(format!("mbe-span-fixture-{}.jsonl", std::process::id()))
+            .to_string_lossy()
+            .into_owned();
+        let log = SpanLog::create(&path, 42).unwrap();
+        log.coord_start(3, 2);
+        let s1 = log.dispatch(0, 0, 0);
+        let s2 = log.dispatch(1, 0, 1);
+        log.retry(1, 0);
+        log.resteal(1, 1);
+        let s3 = log.dispatch(1, 1, 0);
+        log.merge(0, 0, s1, 10);
+        log.merge(1, 1, s3, 5);
+        log.discard(1, 0, s2);
+        log.speculate(2, 0);
+        let s4 = log.dispatch(2, 0, 1);
+        log.discard(2, 0, s4);
+        log.fallback(1);
+        log.coord_end("completed", 1, 1, 1, true);
+        assert!(log.take_error().is_none());
+        drop(log);
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let lines: Vec<String> = text.lines().map(zero_clock).collect();
+        let expected: Vec<&str> = include_str!("../tests/data/coord_span.jsonl").lines().collect();
+        assert_eq!(lines, expected);
     }
 }

@@ -3,8 +3,9 @@
 //! Every protocol message travels as one *frame*: a little-endian `u32`
 //! byte length followed by that many payload bytes. The payload's first
 //! byte is the protocol version, its second the opcode/status — see
-//! [`crate::protocol`]. This module owns the byte level only: framing,
-//! bounded reads, and the integer/string/blob primitives.
+//! [`crate::protocol`]. This module owns framing; the integer, string
+//! and blob primitives inside a payload are [`bigraph::codec`]'s, whose
+//! errors map to [`WireError::Malformed`].
 //!
 //! Reads are written against sockets with a short read timeout (the
 //! server's poll loop): a timeout with *zero* bytes read is a normal
@@ -16,6 +17,8 @@
 use std::fmt;
 use std::io::{Read, Write};
 use std::time::{Duration, Instant};
+
+use bigraph::codec::CodecError;
 
 /// Hard upper bound any frame reader should accept (callers usually
 /// configure less). Keeps a hostile length prefix from allocating wildly.
@@ -63,6 +66,17 @@ impl std::error::Error for WireError {}
 impl From<std::io::Error> for WireError {
     fn from(e: std::io::Error) -> Self {
         WireError::Io(e)
+    }
+}
+
+/// Every payload decode failure is `Malformed`, naming the field.
+impl From<CodecError> for WireError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Truncated(what) | CodecError::Invalid(what) => WireError::Malformed(what),
+            CodecError::Trailing => WireError::Malformed("trailing bytes after message"),
+            CodecError::BadMagic | CodecError::ChecksumMismatch => WireError::Malformed("envelope"),
+        }
     }
 }
 
@@ -161,100 +175,10 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), WireError>
     Ok(())
 }
 
-/// Appends a `u8`.
-pub fn put_u8(buf: &mut Vec<u8>, v: u8) {
-    buf.push(v);
-}
-
-/// Appends a little-endian `u32`.
-pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends a little-endian `u64`.
-pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends a length-prefixed byte blob.
-pub fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
-    put_u32(buf, bytes.len() as u32);
-    buf.extend_from_slice(bytes);
-}
-
-/// Appends a length-prefixed UTF-8 string.
-pub fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_bytes(buf, s.as_bytes());
-}
-
-/// Cursor over a payload, with bounds-checked primitive reads.
-pub struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    /// A reader over the whole payload.
-    pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len().saturating_sub(self.pos)
-    }
-
-    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], WireError> {
-        let end = self.pos.checked_add(n).ok_or(WireError::Malformed(what))?;
-        let slice = self.buf.get(self.pos..end).ok_or(WireError::Malformed(what))?;
-        self.pos = end;
-        Ok(slice)
-    }
-
-    /// Reads a `u8`.
-    pub fn u8(&mut self, what: &'static str) -> Result<u8, WireError> {
-        Ok(self.take(1, what)?.first().copied().unwrap_or(0))
-    }
-
-    /// Reads a little-endian `u32`.
-    pub fn u32(&mut self, what: &'static str) -> Result<u32, WireError> {
-        let b = self.take(4, what)?;
-        let arr: [u8; 4] = b.try_into().map_err(|_| WireError::Malformed(what))?;
-        Ok(u32::from_le_bytes(arr))
-    }
-
-    /// Reads a little-endian `u64`.
-    pub fn u64(&mut self, what: &'static str) -> Result<u64, WireError> {
-        let b = self.take(8, what)?;
-        let arr: [u8; 8] = b.try_into().map_err(|_| WireError::Malformed(what))?;
-        Ok(u64::from_le_bytes(arr))
-    }
-
-    /// Reads a length-prefixed byte blob.
-    pub fn bytes(&mut self, what: &'static str) -> Result<&'a [u8], WireError> {
-        let len = self.u32(what)? as usize;
-        self.take(len, what)
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn str(&mut self, what: &'static str) -> Result<&'a str, WireError> {
-        std::str::from_utf8(self.bytes(what)?).map_err(|_| WireError::Malformed(what))
-    }
-
-    /// Asserts the payload was fully consumed (trailing garbage is a
-    /// protocol violation, not padding).
-    pub fn finish(self) -> Result<(), WireError> {
-        if self.remaining() == 0 {
-            Ok(())
-        } else {
-            Err(WireError::Malformed("trailing bytes after message"))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bigraph::codec::{put_bytes, put_str, put_u32, put_u64, put_u8, Reader};
 
     #[test]
     fn primitives_roundtrip() {
@@ -275,17 +199,18 @@ mod tests {
 
     #[test]
     fn reader_rejects_truncation_and_trailing_bytes() {
+        let malformed = |e: CodecError| matches!(WireError::from(e), WireError::Malformed(_));
         let mut buf = Vec::new();
         put_u32(&mut buf, 100); // blob claims 100 bytes, none follow
         let mut r = Reader::new(&buf);
-        assert!(matches!(r.bytes("blob").unwrap_err(), WireError::Malformed(_)));
+        assert!(malformed(r.bytes("blob").unwrap_err()));
 
         let mut r = Reader::new(&[1, 2]);
         assert_eq!(r.u8("x").unwrap(), 1);
-        assert!(matches!(r.finish().unwrap_err(), WireError::Malformed(_)));
+        assert!(malformed(r.finish().unwrap_err()));
 
         let mut r = Reader::new(&[0xFF, 0xFF, 0xFF, 0xFF]); // 4 GiB string
-        assert!(matches!(r.str("s").unwrap_err(), WireError::Malformed(_)));
+        assert!(malformed(r.str("s").unwrap_err()));
     }
 
     #[test]

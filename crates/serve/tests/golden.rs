@@ -10,6 +10,12 @@
 //! `elapsed_us` is set to 0 before encoding. The table stores the
 //! encoded length and a 64-bit FNV-1a digest of each reply. When a reply
 //! changes, the assertion prints the whole actual table.
+//!
+//! A second table pins the codec alone: the encoding of fixed values of
+//! every request opcode and every response and reply kind
+//! (`common/mod.rs`), checked the same way.
+
+mod common;
 
 use gen::near_bipartite::{near_bipartite, NearBipartiteConfig};
 use mbe::checkpoint::initial_checkpoint;
@@ -135,4 +141,61 @@ fn query_replies_match_the_recorded_bytes() {
     join.join().unwrap();
     let _ = std::fs::remove_file(&path);
     assert_eq!(actual, GOLDEN, "reply bytes changed; actual table above");
+}
+
+/// `(sample, encoded length, FNV-1a digest)` recorded from the encoder
+/// for every value in `common::sample_requests` and
+/// `common::sample_responses`, in that order.
+const CODEC: &[(&str, usize, u64)] = &[
+    ("LOAD", 26, 0x6553_cd77_cc8d_ce87),
+    ("LIST", 2, 0x082f_2407_b4e8_902a),
+    ("QUERY default", 61, 0x703e_bec8_2ced_d0b7),
+    ("QUERY every field", 79, 0x179e_d216_16fd_bff2),
+    ("QUERY natural", 61, 0x0106_f47d_f850_46d4),
+    ("QUERY desc", 61, 0xd9bd_dc69_eb30_7ce5),
+    ("QUERY unilateral", 61, 0x1792_73aa_358b_5940),
+    ("CANCEL", 2, 0x082f_1e07_b4e8_85f8),
+    ("STATS", 2, 0x082f_1f07_b4e8_87ab),
+    ("SHUTDOWN", 2, 0x082f_2007_b4e8_895e),
+    ("QUERY_SHARD", 71, 0x0e98_7550_2625_9d52),
+    ("QUERY_SHARD traced", 85, 0xe5f0_75df_9065_1111),
+    ("METRICS", 2, 0x082f_1a07_b4e8_7f2c),
+    ("LOAD_GENERAL", 28, 0xaf9f_0ea9_cba2_1925),
+    ("OK LOAD", 42, 0x63d5_895d_fd77_27b1),
+    ("OK LIST", 86, 0x2aba_aeee_d623_51d1),
+    ("OK LIST empty", 7, 0xcb96_64df_5f52_6c92),
+    ("OK QUERY completed", 79, 0x0725_599c_dd75_7ae3),
+    ("OK QUERY cached", 79, 0x7ecd_7b5c_0c9a_adb4),
+    ("OK QUERY cancelled + checkpoint", 87, 0x3b58_b1cd_56bd_2f81),
+    ("OK QUERY deadline", 79, 0xac7b_dfd0_9961_aa1d),
+    ("OK QUERY emit-budget", 79, 0x90ba_a528_39b5_a6de),
+    ("OK QUERY node-budget", 79, 0xad00_d2c6_cb96_ccff),
+    ("OK QUERY sink-stopped", 79, 0x3780_08de_b571_b9b8),
+    ("OK QUERY worker-panic", 79, 0x599d_5a96_4693_94a9),
+    ("OK QUERY distributed", 100, 0xc78f_478f_7cb9_d974),
+    ("OK CANCEL", 3, 0xd0a3_9318_6727_2a40),
+    ("OK STATS", 140, 0xa4c4_045e_cdeb_01ad),
+    ("OK STATS idle", 140, 0x60fa_4105_110a_5709),
+    ("OK SHUTDOWN", 3, 0xd0a3_9518_6727_2da6),
+    ("OK QUERY_SHARD", 100, 0xf171_548c_c6af_6a28),
+    ("OK METRICS", 5766, 0x0e45_845f_cba3_e3dd),
+    ("OK METRICS empty", 752, 0x531e_8175_d7d9_e6df),
+    ("OK LOAD_GENERAL", 43, 0x5a8d_ece9_315b_021a),
+    ("ERR", 48, 0xc4a1_77e3_371c_86a3),
+    ("BUSY", 10, 0x8001_b97e_2110_4cea),
+];
+
+#[test]
+fn every_opcode_and_reply_kind_encodes_to_the_recorded_bytes() {
+    let row = |name, bytes: Vec<u8>| (name, bytes.len(), fnv1a(&bytes));
+    let actual: Vec<(&str, usize, u64)> = common::sample_requests()
+        .into_iter()
+        .map(|(name, request)| row(name, request.encode()))
+        .chain(
+            common::sample_responses()
+                .into_iter()
+                .map(|(name, response)| row(name, response.encode())),
+        )
+        .collect();
+    assert_eq!(actual, CODEC, "encoded bytes changed; actual table above");
 }

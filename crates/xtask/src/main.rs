@@ -71,11 +71,13 @@ use std::path::{Path, PathBuf};
 /// observer hooks and metrics recording run inside every task loop; the
 /// serve request path (framing, codec, dispatch) qualifies because a
 /// panic there kills a connection thread mid-reply and strands the
-/// client. `admission.rs` stays out: its pool setup intentionally
+/// client — `bigraph`'s `codec.rs` included, since its `Reader` decodes
+/// every request and reply. `admission.rs` stays out: its pool setup intentionally
 /// panics on spawn failure before any request is accepted.
 const HOT_PATHS: &[&str] = &[
     "crates/setops/src/",
     "crates/ptree/src/",
+    "crates/bigraph/src/codec.rs",
     "crates/mbe/src/mbet.rs",
     "crates/mbe/src/parallel.rs",
     "crates/mbe/src/obs.rs",
