@@ -44,6 +44,10 @@ pub struct BaselineEngine<'g> {
     frontier: Vec<ResumeTask>,
     /// Deepest recursion the last `run_task`/`run_node` call reached.
     task_depth: usize,
+    /// Split mode for the node a task starts at: its children are queued
+    /// on the frontier instead of expanded. Set by the drivers' task
+    /// runner before each task.
+    pub(crate) split: bool,
 }
 
 impl<'g> BaselineEngine<'g> {
@@ -58,6 +62,7 @@ impl<'g> BaselineEngine<'g> {
             cbuf2: Vec::new(),
             frontier: Vec::new(),
             task_depth: 0,
+            split: false,
         }
     }
 
@@ -87,14 +92,14 @@ impl<'g> BaselineEngine<'g> {
         self.expand(0, &task.l0, &[], task.v, &task.p0, &task.q0, sink, stats)
     }
 
-    /// Takes the frontier captured by the last stopped call (empty if it
-    /// ran to completion).
+    /// Takes the frontier the last call left: the children a split node
+    /// queued, or what a stopped call left unexplored.
     pub(crate) fn take_frontier(&mut self) -> Vec<ResumeTask> {
         std::mem::take(&mut self.frontier)
     }
 
-    /// Runs an arbitrary unchecked node (used by the parallel driver's
-    /// split tasks). Semantics identical to [`Self::run_task`].
+    /// Runs an arbitrary unchecked node (a queued split child or a
+    /// checkpointed one). Semantics identical to [`Self::run_task`].
     #[allow(clippy::too_many_arguments)]
     pub fn run_node(
         &mut self,
@@ -116,7 +121,8 @@ impl<'g> BaselineEngine<'g> {
     ///
     /// `untraversed` are the parent's remaining candidates (excluding `v`),
     /// `traversed` the excluded set at this point. Emits the biclique when
-    /// maximal and recurses. Breaks iff enumeration should stop.
+    /// maximal and recurses, or in split mode at depth 0 queues the
+    /// children instead. Breaks iff enumeration should stop.
     #[allow(clippy::too_many_arguments)]
     fn expand(
         &mut self,
@@ -201,13 +207,17 @@ impl<'g> BaselineEngine<'g> {
             p_new.sort_by_key(|&w| g.nbr(w, l_new.len()).intersect_count(l_new));
         }
 
+        if depth == 0 && self.split {
+            self.queue_children(l_new, &r_new, &p_new, 0, q_now);
+            return ControlFlow::Continue(());
+        }
         let mut l_child = Vec::new();
         for i in 0..p_new.len() {
             let w = p_new[i];
             crate::task::child_l(self.g, l_new, w, &mut l_child);
             debug_assert!(!l_child.is_empty(), "candidates share a neighbor with L'");
             let l_child_owned = std::mem::take(&mut l_child);
-            if let ControlFlow::Break(r) = self.expand(
+            let flow = self.expand(
                 depth + 1,
                 &l_child_owned,
                 &r_new,
@@ -216,34 +226,32 @@ impl<'g> BaselineEngine<'g> {
                 &q_now,
                 sink,
                 stats,
-            ) {
+            );
+            q_now.push(w);
+            if let ControlFlow::Break(r) = flow {
                 // The broken child captured its own subtree; this level
                 // owes the checkpoint its untried siblings `p_new[i+1..]`.
-                self.capture_siblings(l_new, &r_new, &p_new, i, &q_now);
+                self.queue_children(l_new, &r_new, &p_new, i + 1, q_now);
                 return ControlFlow::Break(r);
             }
             l_child = l_child_owned;
-            q_now.push(w);
         }
         ControlFlow::Continue(())
     }
 
-    /// Pushes the untried sibling branches `p_new[broke_at + 1..]` as
-    /// resume tasks. Sibling `k` sees `q = q_now ∪ p_new[broke_at..k]`
-    /// (every earlier branch counts as traversed). The `p`/`q` sets are
-    /// conservative supersets — members with an empty local neighborhood
-    /// are filtered by the child's own candidate scan on resume.
-    fn capture_siblings(
+    /// Pushes the children `p_new[from..]` onto the frontier exactly as
+    /// this node would expand them: child `k` sees `q` grown by
+    /// `p_new[from..k]` (every earlier branch counts as traversed). A
+    /// split node queues every child; a stop queues the untried siblings.
+    fn queue_children(
         &mut self,
         l_parent: &[u32],
         r_new: &[u32],
         p_new: &[u32],
-        broke_at: usize,
-        q_now: &[u32],
+        from: usize,
+        mut q: Vec<u32>,
     ) {
-        let mut q_accum = q_now.to_vec();
-        q_accum.push(p_new[broke_at]);
-        for k in broke_at + 1..p_new.len() {
+        for k in from..p_new.len() {
             let w = p_new[k];
             let mut l_child = Vec::new();
             crate::task::child_l(self.g, l_parent, w, &mut l_child);
@@ -252,9 +260,9 @@ impl<'g> BaselineEngine<'g> {
                 r_parent: r_new.to_vec(),
                 v: w,
                 p: p_new[k + 1..].to_vec(),
-                q: q_accum.clone(),
+                q: q.clone(),
             });
-            q_accum.push(w);
+            q.push(w);
         }
     }
 

@@ -59,7 +59,7 @@ use bigraph::order::VertexOrder;
 use bigraph::BipartiteGraph;
 
 use crate::run::StopReason;
-use crate::task::{est_tree_size, root_reps, Roots, TaskBuilder};
+use crate::task::{est_tree, root_reps, Roots, TaskBuilder};
 use crate::{Algorithm, MbeOptions, MbetConfig};
 
 /// Format magic (`b"MBCK"`).
@@ -342,11 +342,11 @@ impl Checkpoint {
     /// would emit, duplicate-free — the invariant the coordinator's
     /// scatter/gather relies on and `tests/shard.rs` property-tests.
     ///
-    /// Cuts are balanced by the same saturating `height × candidates`
-    /// tree-size estimate the parallel driver splits on (LPT greedy:
-    /// heaviest task into the lightest shard). Empty shards are not
-    /// returned, so fewer than `k` checkpoints come back when the
-    /// frontier has fewer tasks. `k == 0` is malformed, and `g` must
+    /// Cuts are balanced by the saturating `height × candidates` tree-size
+    /// estimate over a task's `|L|` and `|P|` that the parallel driver
+    /// splits on (LPT greedy: heaviest task into the lightest shard).
+    /// Empty shards are not returned, so fewer than `k` checkpoints come
+    /// back when the frontier has fewer tasks. `k == 0` is malformed, and `g` must
     /// fingerprint-match (task weights are read off the ordered graph).
     pub fn split(&self, g: &BipartiteGraph, k: usize) -> Result<Vec<Checkpoint>, CheckpointError> {
         if k == 0 {
@@ -360,14 +360,15 @@ impl Checkpoint {
             .frontier
             .iter()
             .map(|task| {
-                match task {
+                let (l_len, p_len) = match task {
                     // An isolated root would be skipped on resume; weight 1
                     // keeps the assignment total and the estimate monotone.
-                    ResumeTask::Root(v) => builder.build(*v).map_or(1, |t| t.est_size().max(1)),
-                    ResumeTask::Node { l, p, .. } => {
-                        est_tree_size(l.len().min(p.len()), p.len()).max(1)
+                    ResumeTask::Root(v) => {
+                        builder.build(*v).map_or((0, 0), |t| (t.l0.len(), t.p0.len()))
                     }
-                }
+                    ResumeTask::Node { l, p, .. } => (l.len(), p.len()),
+                };
+                est_tree(l_len, p_len).1.max(1)
             })
             .collect();
         let mut order: Vec<usize> = (0..self.frontier.len()).collect();

@@ -206,9 +206,10 @@ pub fn check_drained(_pending: u64) {}
 /// End-of-run verification for the parallel driver: on a completed
 /// (un-stopped) run, asserts the merged per-worker counter identity and
 /// re-counts the graph serially with the same options, asserting the
-/// emitted totals agree — the parallel/serial equivalence gate. A top-k
-/// run skips the recount: what its bound prunes depends on the order
-/// the workers found their incumbents in.
+/// search counters agree — the parallel/serial equivalence gate: split
+/// or not, a threaded run searches exactly the serial run's tree. A
+/// top-k run skips the recount: what its bound prunes depends on the
+/// order the workers found their incumbents in.
 #[cfg(feature = "debug-invariants")]
 pub fn check_parallel_run(
     g: &BipartiteGraph,
@@ -226,11 +227,15 @@ pub fn check_parallel_run(
     let mut count = crate::sink::CountSink::default();
     let (serial_stats, _stop) =
         crate::run::run_serial(g, opts, &crate::run::RunControl::new(), &mut count);
-    let serial_emitted = serial_stats.emitted;
+    let counters = |s: &Stats| {
+        let search = [s.nodes, s.nonmaximal, s.emitted, s.batched, s.absorbed];
+        (search, [s.excluded_keyed, s.excluded_kept, s.undersized])
+    };
     assert_eq!(
-        merged.emitted, serial_emitted,
-        "invariant: parallel run emitted {} bicliques, serial run {}",
-        merged.emitted, serial_emitted
+        counters(merged),
+        counters(&serial_stats),
+        "invariant: a parallel run's search counters ([nodes, nonmaximal, emitted, batched, \
+         absorbed], [excluded_keyed, excluded_kept, undersized]) differ from the serial run's"
     );
 }
 

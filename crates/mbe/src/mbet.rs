@@ -157,6 +157,10 @@ pub struct MbetEngine<'g> {
     frontier: Vec<ResumeTask>,
     /// Deepest recursion the last `run_task`/`run_node` call reached.
     task_depth: usize,
+    /// Split mode for the node a task starts at: its children are queued
+    /// on the frontier, in global ids, instead of expanded. Set by the
+    /// drivers' task runner before each task.
+    pub(crate) split: bool,
     /// Reused staging buffers for the per-task localization.
     rights_buf: Vec<u32>,
     root_l: Vec<u32>,
@@ -177,6 +181,7 @@ impl<'g> MbetEngine<'g> {
             peak_trie_nodes: 0,
             frontier: Vec::new(),
             task_depth: 0,
+            split: false,
             rights_buf: Vec::new(),
             root_l: Vec::new(),
             root_p: Vec::new(),
@@ -197,8 +202,8 @@ impl<'g> MbetEngine<'g> {
         self.task_depth
     }
 
-    /// Takes the frontier captured by the last stopped call (empty if it
-    /// ran to completion).
+    /// Takes the frontier the last call left: the children a split node
+    /// queued, or what a stopped call left unexplored.
     pub(crate) fn take_frontier(&mut self) -> Vec<ResumeTask> {
         std::mem::take(&mut self.frontier)
     }
@@ -249,8 +254,8 @@ impl<'g> MbetEngine<'g> {
         flow
     }
 
-    /// Runs an arbitrary unchecked node, given in global ids (used by
-    /// the parallel driver's split tasks and checkpoint resume).
+    /// Runs an arbitrary unchecked node, given in global ids (a queued
+    /// split child or a checkpointed one).
     /// Semantics identical to [`Self::run_task`].
     #[allow(clippy::too_many_arguments)]
     pub fn run_node(
@@ -306,30 +311,30 @@ impl<'g> MbetEngine<'g> {
         self.local.right_local(w).expect("vertex missing from localization")
     }
 
-    /// A [`ResumeTask::Node`] for the current node, translated back to
-    /// global ids — checkpoints never leak local ids. `l_global` is the
-    /// already-translated `L`; `v`/`p`/`q` are local right ids.
-    fn node_resume(
-        &self,
-        l_global: &[u32],
-        r_parent: &[u32],
-        v: u32,
-        p: &[u32],
-        q: &[u32],
-    ) -> ResumeTask {
-        ResumeTask::Node {
-            l: l_global.to_vec(),
+    /// Pushes a [`ResumeTask::Node`] for a node of the current
+    /// localization onto the frontier, translated back to global ids —
+    /// queued tasks and checkpoints never leak local ids. `r_parent` is
+    /// already global. Cold: it runs only at a stop or for the children
+    /// of a split node, never inside a serial run's recursion.
+    #[cold]
+    fn push_task(&mut self, l: &[u32], r_parent: &[u32], v: u32, p: &[u32], q: &[u32]) {
+        let mut l_global = Vec::with_capacity(l.len());
+        self.local.left_to_global(l, &mut l_global);
+        let local = &self.local;
+        self.frontier.push(ResumeTask::Node {
+            l: l_global,
             r_parent: r_parent.to_vec(),
-            v: self.local.right_global(v),
-            p: p.iter().map(|&w| self.local.right_global(w)).collect(),
-            q: q.iter().map(|&w| self.local.right_global(w)).collect(),
-        }
+            v: local.right_global(v),
+            p: p.iter().map(|&w| local.right_global(w)).collect(),
+            q: q.iter().map(|&w| local.right_global(w)).collect(),
+        });
     }
 
     /// Expands the node reached by traversing `v`: `l_new` is already the
     /// child's `L`. All of `l_new`/`v`/`untraversed`/`traversed` are
     /// local ids; `r_parent` is global. Mirrors `BaselineEngine::expand`
-    /// but runs the node body through the tries.
+    /// but runs the node body through the tries. In split mode at depth
+    /// 0 it queues each child it would expand instead.
     #[allow(clippy::too_many_arguments)]
     fn expand(
         &mut self,
@@ -501,8 +506,7 @@ impl<'g> MbetEngine<'g> {
             // A Break verdict means this emission was NOT delivered (the
             // control gate rejects before forwarding), so re-running the
             // whole node on resume delivers it exactly once.
-            let resume = self.node_resume(&s.emit_l, r_parent, v, untraversed, traversed);
-            self.frontier.push(resume);
+            self.push_task(l_new, r_parent, v, untraversed, traversed);
             self.pool[depth] = s;
             return ControlFlow::Break(r);
         } else {
@@ -510,6 +514,7 @@ impl<'g> MbetEngine<'g> {
         }
 
         // ---- Branch on each group representative.
+        let split = depth == 0 && self.split;
         let mut stop = None;
         for gi in 0..s.groups.len() {
             let grp = s.groups[gi];
@@ -574,30 +579,35 @@ impl<'g> MbetEngine<'g> {
                         .map(|q| q.v),
                 );
 
-                // Move the buffers out for the recursive call (the child
-                // works in pool[depth + 1]); restore afterwards.
-                let l_child = std::mem::take(&mut s.l_child);
-                let child_p = std::mem::take(&mut s.child_p);
-                let child_q = std::mem::take(&mut s.child_q);
-                let cont = self.expand(
-                    depth + 1,
-                    &l_child,
-                    &r_new,
-                    grp.rep,
-                    &child_p,
-                    &child_q,
-                    sink,
-                    stats,
-                );
-                s.l_child = l_child;
-                s.child_p = child_p;
-                s.child_q = child_q;
-                if let ControlFlow::Break(r) = cont {
-                    // The broken child captured its own subtree; this
-                    // level owes the checkpoint its untried groups.
-                    self.capture_group_siblings(&s, &r_new, gi);
-                    stop = Some(r);
-                    break;
+                if split {
+                    // Split mode: queue exactly the child expanded below.
+                    self.push_task(key, &r_new, grp.rep, &s.child_p, &s.child_q);
+                } else {
+                    // Move the buffers out for the recursive call (the
+                    // child works in pool[depth + 1]); restore afterwards.
+                    let l_child = std::mem::take(&mut s.l_child);
+                    let child_p = std::mem::take(&mut s.child_p);
+                    let child_q = std::mem::take(&mut s.child_q);
+                    let cont = self.expand(
+                        depth + 1,
+                        &l_child,
+                        &r_new,
+                        grp.rep,
+                        &child_p,
+                        &child_q,
+                        sink,
+                        stats,
+                    );
+                    s.l_child = l_child;
+                    s.child_p = child_p;
+                    s.child_q = child_q;
+                    if let ControlFlow::Break(r) = cont {
+                        // The broken child captured its own subtree; this
+                        // level owes the checkpoint its untried groups.
+                        self.capture_group_siblings(&s, &r_new, gi);
+                        stop = Some(r);
+                        break;
+                    }
                 }
             }
 
@@ -631,34 +641,19 @@ impl<'g> MbetEngine<'g> {
     /// drops the irrelevant ones) and `q` = the current exclusions plus
     /// every earlier representative.
     fn capture_group_siblings(&mut self, s: &Scratch, r_new: &[u32], broke_at: usize) {
-        let mut q_accum: Vec<u32> = s.q_list.iter().map(|q| self.local.right_global(q.v)).collect();
-        q_accum.push(self.local.right_global(s.groups[broke_at].rep));
+        let mut q: Vec<u32> = s.q_list.iter().map(|q| q.v).collect();
+        q.push(s.groups[broke_at].rep);
+        let mut p = Vec::new();
         for j in broke_at + 1..s.groups.len() {
             let grp = s.groups[j];
-            let key = slice(&s.keyar, grp.key);
-            // xtask-allow: hot-alloc-loop (cold checkpoint-capture path; each resume task owns its data)
-            let mut l_child = Vec::new();
-            self.local.left_to_global(key, &mut l_child);
-            let mut p: Vec<u32> = slice(&s.memar, grp.members)
-                .iter()
-                .copied()
-                .filter(|&w| w != grp.rep)
-                .map(|w| self.local.right_global(w))
-                .collect();
+            p.clear();
+            p.extend(slice(&s.memar, grp.members).iter().copied().filter(|&w| w != grp.rep));
             for later in &s.groups[j + 1..] {
-                p.extend(
-                    slice(&s.memar, later.members).iter().map(|&w| self.local.right_global(w)),
-                );
+                p.extend_from_slice(slice(&s.memar, later.members));
             }
             p.sort_unstable();
-            self.frontier.push(ResumeTask::Node {
-                l: l_child,
-                r_parent: r_new.to_vec(), // xtask-allow: hot-alloc-loop (owned by the resume task)
-                v: self.local.right_global(grp.rep),
-                p,
-                q: q_accum.clone(), // xtask-allow: hot-alloc-loop (owned by the resume task)
-            });
-            q_accum.push(self.local.right_global(grp.rep));
+            self.push_task(slice(&s.keyar, grp.key), r_new, grp.rep, &p, &q);
+            q.push(grp.rep);
         }
     }
 }
@@ -677,8 +672,9 @@ impl MbetEngine<'_> {
     /// Scan-based node processing for small candidate sets. Identical
     /// semantics (and counter accounting) to `BaselineEngine`'s MBEA
     /// path — it runs the same shared expansion helpers, only against
-    /// the localized rows — but recursing back into [`Self::expand`] so
-    /// larger descendants regain the trie machinery.
+    /// the localized rows, and queues its children the same way in split
+    /// mode — but recursing back into [`Self::expand`] so larger
+    /// descendants regain the trie machinery.
     #[allow(clippy::too_many_arguments)]
     fn expand_small(
         &mut self,
@@ -718,8 +714,7 @@ impl MbetEngine<'_> {
             stats.undersized += 1;
         } else if let ControlFlow::Break(r) = sink.emit(&emit_l, &r_new) {
             // Undelivered emission: re-run the whole node on resume.
-            let resume = self.node_resume(&emit_l, r_parent, v, untraversed, traversed);
-            self.frontier.push(resume);
+            self.push_task(l_new, r_parent, v, untraversed, traversed);
             return ControlFlow::Break(r);
         } else {
             stats.emitted += 1;
@@ -729,12 +724,16 @@ impl MbetEngine<'_> {
         }
         let mut q_now: Vec<u32> = Vec::new();
         crate::task::live_excluded(&self.local, traversed, l_new, &mut q_now);
+        if depth == 0 && self.split {
+            self.queue_small_children(l_new, &r_new, &p_new, 0, q_now);
+            return ControlFlow::Continue(());
+        }
         let mut l_child = Vec::new();
         for i in 0..p_new.len() {
             let w = p_new[i];
             crate::task::child_l(&self.local, l_new, w, &mut l_child);
             let l_child_owned = std::mem::take(&mut l_child);
-            if let ControlFlow::Break(r) = self.expand(
+            let flow = self.expand(
                 depth + 1,
                 &l_child_owned,
                 &r_new,
@@ -743,45 +742,35 @@ impl MbetEngine<'_> {
                 &q_now,
                 sink,
                 stats,
-            ) {
-                self.capture_small_siblings(l_new, &r_new, &p_new, i, &q_now);
+            );
+            q_now.push(w);
+            if let ControlFlow::Break(r) = flow {
+                self.queue_small_children(l_new, &r_new, &p_new, i + 1, q_now);
                 return ControlFlow::Break(r);
             }
             l_child = l_child_owned;
-            q_now.push(w);
         }
         ControlFlow::Continue(())
     }
 
-    /// Scan-path sibling capture, mirroring the baseline engine's: pushes
-    /// `p_new[broke_at + 1..]` with `q` grown by each earlier branch, all
-    /// translated to global ids.
-    fn capture_small_siblings(
+    /// Scan-path counterpart of `BaselineEngine`'s child queue: pushes
+    /// the children `p_new[from..]`, translated to global ids, with `q`
+    /// (local ids) grown by each earlier branch. A split node queues
+    /// every child; a stop queues the untried siblings.
+    fn queue_small_children(
         &mut self,
         l_parent: &[u32],
         r_new: &[u32],
         p_new: &[u32],
-        broke_at: usize,
-        q_now: &[u32],
+        from: usize,
+        mut q: Vec<u32>,
     ) {
-        let mut q_accum: Vec<u32> = q_now.iter().map(|&q| self.local.right_global(q)).collect();
-        q_accum.push(self.local.right_global(p_new[broke_at]));
-        let mut l_local = Vec::new();
-        for k in broke_at + 1..p_new.len() {
+        let mut l_child = Vec::new();
+        for k in from..p_new.len() {
             let w = p_new[k];
-            crate::task::child_l(&self.local, l_parent, w, &mut l_local);
-            // xtask-allow: hot-alloc-loop (cold checkpoint-capture path; each resume task owns its data)
-            let mut l_child = Vec::new();
-            self.local.left_to_global(&l_local, &mut l_child);
-            self.frontier.push(ResumeTask::Node {
-                l: l_child,
-                r_parent: r_new.to_vec(), // xtask-allow: hot-alloc-loop (owned by the resume task)
-                v: self.local.right_global(w),
-                // xtask-allow: hot-alloc-loop (owned by the resume task)
-                p: p_new[k + 1..].iter().map(|&x| self.local.right_global(x)).collect(),
-                q: q_accum.clone(), // xtask-allow: hot-alloc-loop (owned by the resume task)
-            });
-            q_accum.push(self.local.right_global(w));
+            crate::task::child_l(&self.local, l_parent, w, &mut l_child);
+            self.push_task(&l_child, r_new, w, &p_new[k + 1..], &q);
+            q.push(w);
         }
     }
 }

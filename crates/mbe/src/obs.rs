@@ -116,7 +116,9 @@ pub enum TaskKind {
     Root,
     /// A checkpointed or split-off interior node replayed as a task.
     Node,
-    /// A node processed in split mode: emit once, enqueue the children.
+    /// A root or node task whose first node ran in split mode on its
+    /// engine: expanded as in a serial run, with each child it would
+    /// have recursed into queued as a `Node` task instead.
     Split,
 }
 
@@ -147,8 +149,8 @@ pub struct TaskDelta {
     pub nodes: u64,
     /// Bicliques the task delivered to the sink.
     pub emitted: u64,
-    /// Deepest recursion the task reached (0 for split-mode tasks, which
-    /// process a single node).
+    /// Deepest recursion the task reached (0 for a split task, which
+    /// expands only its first node, and for a panicked task).
     pub depth: u64,
 }
 

@@ -1,26 +1,32 @@
 //! Work-stealing parallel driver with load-aware task splitting.
 //!
-//! Root tasks (one per right vertex, see [`crate::task`]) are distributed
-//! over a crossbeam work-stealing pool. Real bipartite graphs are
-//! power-law skewed, so a handful of root tasks can dominate the runtime;
-//! following the load-aware scheme of the parallel MBE literature, a task
-//! whose estimated enumeration-tree size `min(|L|,|C|)·|C|` exceeds
-//! `opts.split_size` (and whose height bound exceeds `opts.split_height`)
-//! is *split*: the worker processes just that node — emitting its biclique
-//! — and enqueues each child branch as an independent task. Splitting
-//! recurses until estimates fall under the bounds, so no worker is left
-//! holding a monolithic subtree while others idle.
+//! The pool's unit of work is a [`ResumeTask`]: a root (one per right
+//! vertex, see [`crate::task`]) or an interior node. Roots are queued as
+//! bare vertex ids, and the worker that picks one up builds its
+//! 1-hop/2-hop universe, so that part of the preprocessing parallelizes
+//! too. Real bipartite graphs are power-law skewed, so a handful of root
+//! tasks can dominate the runtime; following the load-aware scheme of
+//! the parallel MBE literature, a task whose estimated tree height
+//! `min(|L|,|P|)` exceeds `opts.split_height` and whose size
+//! `min(|L|,|P|)·|P|` exceeds `opts.split_size` is *split*: the worker's
+//! engine expands just that node (bound, check, absorb, emit, with all of
+//! its bookkeeping) and, instead of recursing, hands back each child it
+//! would have expanded as a `Node` task, which the worker enqueues.
+//! Splitting recurses until estimates fall under the bounds, so no worker
+//! is left holding a monolithic subtree while others idle, and a
+//! threaded run searches exactly the serial run's tree.
 //!
-//! Every worker owns a private engine (scratch reuse) and a private sink;
-//! per-worker sinks and [`Stats`] are returned to the caller for merging.
+//! Every worker owns a private `task::TaskRunner` (engine scratch reuse)
+//! and a private sink; per-worker sinks and [`Stats`] are returned to the
+//! caller for merging.
 //!
-//! **Stopping.** Workers share one [`ControlState`]: emissions are gated
+//! **Stopping.** Workers share one `ControlState`: emissions are gated
 //! through it (so `max_emitted` budgets are exact even here), and the
 //! cancellation flag / deadline are additionally observed in the idle
 //! [`Backoff`] loop. Once a stop is recorded, every worker switches to
-//! *drain* mode — it keeps popping and discarding queued tasks,
-//! decrementing the pending counter, until the pool is empty — so the
-//! pending counter always reaches zero and is asserted
+//! *drain* mode — it keeps popping queued tasks into the captured
+//! frontier, decrementing the pending counter, until the pool is empty —
+//! so the pending counter always reaches zero and is asserted
 //! ([`crate::invariants::check_drained`]) on every run, stopped or not.
 
 use std::ops::ControlFlow;
@@ -29,10 +35,10 @@ use std::sync::{Mutex, PoisonError};
 
 use crate::checkpoint::ResumeTask;
 use crate::metrics::{RunMetrics, Stats, WorkerMetrics};
-use crate::obs::{DriverKind, ObsCtx, RecordingSink, SegmentInfo, TaskDelta, TaskInfo, TaskKind};
+use crate::obs::{DriverKind, ObsCtx, RecordingSink, SegmentInfo};
 use crate::run::{ControlState, ControlledSink, MbeError, RunControl, RunOutcome, StopReason};
 use crate::sink::BicliqueSink;
-use crate::task::{record_task, root_reps, AnyEngine, Bound, RootTask, Roots, TaskBuilder};
+use crate::task::{root_reps, Roots, TaskRunner};
 use crate::MbeOptions;
 use bigraph::BipartiteGraph;
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
@@ -52,50 +58,6 @@ pub(crate) struct PanicInfo {
 pub(crate) struct ParOutcome<S> {
     pub(crate) sinks: Vec<S>,
     pub(crate) out: RunOutcome,
-}
-
-/// A unit of parallel work.
-///
-/// Roots are shipped as bare vertex ids — the 1-hop/2-hop universe is
-/// computed by the worker that picks the task up, so that this heavy part
-/// of the preprocessing parallelizes too. Splitting produces explicit
-/// [`NodeTask`]s.
-enum Task {
-    Root(u32),
-    Node(NodeTask),
-}
-
-/// An unchecked enumeration node shipped between workers.
-#[derive(Debug, Clone)]
-struct NodeTask {
-    /// `L` of the node (already intersected with `N(v)`).
-    l: Vec<u32>,
-    /// `R` of the parent (the node's own `R` adds `v` and absorptions).
-    r_parent: Vec<u32>,
-    /// The vertex whose traversal created this node.
-    v: u32,
-    /// Remaining candidates of the parent.
-    p: Vec<u32>,
-    /// Excluded vertices relevant to this node.
-    q: Vec<u32>,
-}
-
-impl NodeTask {
-    fn from_root(t: RootTask) -> Self {
-        NodeTask { l: t.l0, r_parent: Vec::new(), v: t.v, p: t.p0, q: t.q0 }
-    }
-
-    fn est_height(&self) -> usize {
-        self.l.len().min(self.p.len())
-    }
-
-    fn est_size(&self) -> usize {
-        crate::task::est_tree_size(self.est_height(), self.p.len())
-    }
-
-    fn should_split(&self, opts: &MbeOptions) -> bool {
-        self.est_height() > opts.split_height && self.est_size() > opts.split_size
-    }
 }
 
 /// Parallel enumeration core used by the [`crate::Enumeration`] builder
@@ -139,7 +101,7 @@ where
     let (h, perm) = bigraph::order::apply(g, opts.order);
     let start = std::time::Instant::now();
 
-    let injector: Injector<Task> = Injector::new();
+    let injector: Injector<ResumeTask> = Injector::new();
     let pending = AtomicU64::new(0);
     let state = ControlState::with_obs(control, obs);
     let frontier: Mutex<Vec<ResumeTask>> = Mutex::new(Vec::new());
@@ -152,18 +114,9 @@ where
             // (it was captured after root batching, so no re-filtering).
             for t in tasks {
                 pending.fetch_add(1, Ordering::SeqCst);
-                injector.push(match t {
-                    ResumeTask::Root(v) => Task::Root(*v),
-                    // Once per checkpointed task at startup, cold; the
-                    // queued task owns its sets.
-                    ResumeTask::Node { l, r_parent, v, p, q } => Task::Node(NodeTask {
-                        l: l.clone(),               // xtask-allow: hot-alloc-loop (startup resume seeding)
-                        r_parent: r_parent.clone(), // xtask-allow: hot-alloc-loop (startup resume seeding)
-                        v: *v,
-                        p: p.clone(), // xtask-allow: hot-alloc-loop (startup resume seeding)
-                        q: q.clone(), // xtask-allow: hot-alloc-loop (startup resume seeding)
-                    }),
-                });
+                // Once per checkpointed task at startup, cold; the queued
+                // task owns its sets.
+                injector.push(t.clone()); // xtask-allow: hot-alloc-loop (startup resume seeding)
             }
         }
         None => {
@@ -174,7 +127,7 @@ where
             let mut roots = Roots::new(&h, reps.as_deref());
             for v in roots.by_ref() {
                 pending.fetch_add(1, Ordering::SeqCst);
-                injector.push(Task::Root(v));
+                injector.push(ResumeTask::Root(v));
             }
             seed_stats.batched = roots.batched;
         }
@@ -187,7 +140,7 @@ where
         resumed: resume.is_some(),
     });
 
-    let workers: Vec<Worker<Task>> = (0..threads).map(|_| Worker::new_lifo()).collect();
+    let workers: Vec<Worker<ResumeTask>> = (0..threads).map(|_| Worker::new_lifo()).collect();
     let stealers: Vec<_> = workers.iter().map(|w| w.stealer()).collect();
 
     let mut results: Vec<Option<(S, Stats, WorkerMetrics)>> = (0..threads).map(|_| None).collect();
@@ -213,24 +166,19 @@ where
                 .spawn(move |_| {
                     let mut sink = make_sink(wid);
                     let mut stats = Stats::default();
-                    let mut engine = AnyEngine::new(h, opts);
-                    let obs_w = obs.for_worker(wid);
                     let mut wm = WorkerMetrics::new(wid);
+                    let pool = Pool { local: &local, injector, stealers, pending };
                     worker_loop(
                         h,
                         perm,
                         opts,
-                        &local,
-                        injector,
-                        stealers,
-                        pending,
+                        &pool,
                         state,
-                        &mut engine,
                         &mut sink,
                         &mut stats,
                         frontier,
                         panic_slot,
-                        obs_w,
+                        obs.for_worker(wid),
                         &mut wm,
                     );
                     // A worker's delivered count is exactly its stats
@@ -310,77 +258,65 @@ enum TaskSource {
     Peer,
 }
 
-/// Pops the next task: local deque first, then the injector, then peers.
-/// Retries while any source reports [`Steal::Retry`] (a racing steal), so
-/// `None` means every source was *observed empty* — same semantics as the
-/// crossbeam `find(!Retry)` idiom this replaces.
-fn next_task(
-    local: &Worker<Task>,
-    injector: &Injector<Task>,
-    stealers: &[Stealer<Task>],
-) -> Option<(Task, TaskSource)> {
-    if let Some(t) = local.pop() {
-        return Some((t, TaskSource::Local));
-    }
-    loop {
-        let mut retry = false;
-        match injector.steal_batch_and_pop(local) {
-            Steal::Success(t) => return Some((t, TaskSource::Injector)),
-            Steal::Retry => retry = true,
-            Steal::Empty => {}
+/// One worker's view of the task pool: its own deque, the shared
+/// injector, the peers' stealers, and the count of queued or running
+/// tasks.
+struct Pool<'a> {
+    local: &'a Worker<ResumeTask>,
+    injector: &'a Injector<ResumeTask>,
+    stealers: &'a [Stealer<ResumeTask>],
+    pending: &'a AtomicU64,
+}
+
+impl Pool<'_> {
+    /// Pops the next task: local deque first, then the injector, then
+    /// peers. Retries while any source reports [`Steal::Retry`] (a racing
+    /// steal), so `None` means every source was *observed empty* — same
+    /// semantics as the crossbeam `find(!Retry)` idiom this replaces.
+    fn next_task(&self) -> Option<(ResumeTask, TaskSource)> {
+        if let Some(t) = self.local.pop() {
+            return Some((t, TaskSource::Local));
         }
-        for s in stealers {
-            match s.steal() {
-                Steal::Success(t) => return Some((t, TaskSource::Peer)),
+        loop {
+            let mut retry = false;
+            match self.injector.steal_batch_and_pop(self.local) {
+                Steal::Success(t) => return Some((t, TaskSource::Injector)),
                 Steal::Retry => retry = true,
                 Steal::Empty => {}
             }
-        }
-        if !retry {
-            return None;
+            for s in self.stealers {
+                match s.steal() {
+                    Steal::Success(t) => return Some((t, TaskSource::Peer)),
+                    Steal::Retry => retry = true,
+                    Steal::Empty => {}
+                }
+            }
+            if !retry {
+                return None;
+            }
         }
     }
-}
 
-/// Post-stop cleanup: pop queued tasks into the shared `frontier`
-/// (decrementing the pending counter) until the pool is empty — what used
-/// to be discarded is now exactly the checkpointable remainder. Peers
-/// still finishing a task may push split children meanwhile; they are
-/// drained too, and the loop terminates because in-flight tasks are
-/// finite and no new work is started once every worker observes the stop.
-fn drain_after_stop(
-    local: &Worker<Task>,
-    injector: &Injector<Task>,
-    stealers: &[Stealer<Task>],
-    pending: &AtomicU64,
-    frontier: &Mutex<Vec<ResumeTask>>,
-) {
-    let backoff = Backoff::new();
-    loop {
-        while let Some((task, _)) = next_task(local, injector, stealers) {
-            let captured = match task {
-                Task::Root(v) => ResumeTask::Root(v),
-                Task::Node(t) => resume_task_of(&t),
-            };
-            frontier.lock().unwrap_or_else(PoisonError::into_inner).push(captured);
-            pending.fetch_sub(1, Ordering::SeqCst);
-            backoff.reset();
+    /// Post-stop cleanup: moves queued tasks into the shared `frontier`
+    /// (decrementing the pending counter) until the pool is empty — what
+    /// used to be discarded is now exactly the checkpointable remainder.
+    /// Peers still finishing a task may push split children meanwhile;
+    /// they are drained too, and the loop terminates because in-flight
+    /// tasks are finite and no new work is started once every worker
+    /// observes the stop.
+    fn drain_into(&self, frontier: &Mutex<Vec<ResumeTask>>) {
+        let backoff = Backoff::new();
+        loop {
+            while let Some((task, _)) = self.next_task() {
+                frontier.lock().unwrap_or_else(PoisonError::into_inner).push(task);
+                self.pending.fetch_sub(1, Ordering::SeqCst);
+                backoff.reset();
+            }
+            if self.pending.load(Ordering::SeqCst) == 0 {
+                return;
+            }
+            backoff.snooze();
         }
-        if pending.load(Ordering::SeqCst) == 0 {
-            return;
-        }
-        backoff.snooze();
-    }
-}
-
-/// The resume representation of a queued node task.
-fn resume_task_of(t: &NodeTask) -> ResumeTask {
-    ResumeTask::Node {
-        l: t.l.clone(),
-        r_parent: t.r_parent.clone(),
-        v: t.v,
-        p: t.p.clone(),
-        q: t.q.clone(),
     }
 }
 
@@ -400,37 +336,32 @@ fn panic_payload(payload: &(dyn std::any::Any + Send)) -> String {
 /// dropped (the pool is already stopping).
 fn note_panic(
     slot: &Mutex<Option<PanicInfo>>,
-    task: impl FnOnce() -> String,
+    task: &ResumeTask,
     payload: &(dyn std::any::Any + Send),
 ) {
     let mut slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
     if slot.is_none() {
-        *slot = Some(PanicInfo { task: task(), payload: panic_payload(payload) });
+        *slot = Some(PanicInfo { task: describe_task(task), payload: panic_payload(payload) });
     }
 }
 
-/// A short human-readable description of a root task, built only on
-/// panic.
-fn describe_root(v: u32) -> String {
-    format!("root task v={v}")
-}
-
 /// A short human-readable description of a task, built only on panic.
-fn describe_task(t: &NodeTask) -> String {
-    format!("node task v={} |L|={} |P|={} |Q|={}", t.v, t.l.len(), t.p.len(), t.q.len())
+fn describe_task(task: &ResumeTask) -> String {
+    match task {
+        ResumeTask::Root(v) => format!("root task v={v}"),
+        ResumeTask::Node { l, v, p, q, .. } => {
+            format!("node task v={v} |L|={} |P|={} |Q|={}", l.len(), p.len(), q.len())
+        }
+    }
 }
 
 #[allow(clippy::too_many_arguments)]
-fn worker_loop<'g, S: BicliqueSink>(
-    h: &'g BipartiteGraph,
+fn worker_loop<S: BicliqueSink>(
+    h: &BipartiteGraph,
     perm: &[u32],
     opts: &MbeOptions,
-    local: &Worker<Task>,
-    injector: &Injector<Task>,
-    stealers: &[Stealer<Task>],
-    pending: &AtomicU64,
+    pool: &Pool<'_>,
     state: &ControlState<'_>,
-    engine: &mut AnyEngine<'g>,
     sink: &mut S,
     stats: &mut Stats,
     frontier: &Mutex<Vec<ResumeTask>>,
@@ -438,8 +369,7 @@ fn worker_loop<'g, S: BicliqueSink>(
     obs: ObsCtx<'_>,
     wm: &mut WorkerMetrics,
 ) {
-    let mut split_buf: Vec<NodeTask> = Vec::new();
-    let mut builder = TaskBuilder::new(h);
+    let mut runner = TaskRunner::new(h, opts, true);
     let backoff = Backoff::new();
     // Fires `on_idle` once per idle *period* (transition into idleness),
     // not per snooze; `wm.idle_wakeups` counts every snooze.
@@ -448,17 +378,17 @@ fn worker_loop<'g, S: BicliqueSink>(
     state.check_idle();
     loop {
         if state.stopped().is_some() {
-            drain_after_stop(local, injector, stealers, pending, frontier);
+            pool.drain_into(frontier);
             return;
         }
-        let Some((task, source)) = next_task(local, injector, stealers) else {
+        let Some((task, source)) = pool.next_task() else {
             // Injector and every stealer came up empty. Either the pool is
             // done (`pending` drained) or peers are still expanding nodes
             // that may yet split — back off exponentially (spin, then
             // yield) instead of burning a core on a bare yield loop. The
             // idle loop doubles as the passive cancellation/deadline
             // observation point.
-            if pending.load(Ordering::SeqCst) == 0 {
+            if pool.pending.load(Ordering::SeqCst) == 0 {
                 return;
             }
             if !idle {
@@ -477,138 +407,40 @@ fn worker_loop<'g, S: BicliqueSink>(
             obs.steal();
         }
 
-        // The task's identity for the observer: captured before the root
-        // build consumes it (splitting refines Root/Node to Split below).
-        let (origin_v, origin_kind) = match &task {
-            Task::Root(v) => (*v, TaskKind::Root),
-            Task::Node(t) => (t.v, TaskKind::Node),
+        let nodes_before = stats.nodes;
+        let result = {
+            let mut mapped = crate::sink::map_right(sink, perm);
+            let mut recording = RecordingSink::with_base(&mut mapped, obs, stats.emitted);
+            let mut controlled = ControlledSink::new(state, &mut recording);
+            runner.run(&task, &mut controlled, stats, obs, wm)
         };
-        // Building a root reads the graph around `v`, so it is contained
-        // like the task itself: a panic here must stop the pool, not end
-        // this worker with the task still pending.
-        let task = match task {
-            Task::Node(t) => Some(t),
-            Task::Root(v) => {
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| builder.build(v))) {
-                    Ok(root) => root.map(NodeTask::from_root),
-                    Err(payload) => {
-                        note_panic(panic_slot, || describe_root(v), payload.as_ref());
-                        // The builder's 2-hop marks may be mid-update.
-                        builder = TaskBuilder::new(h);
-                        pending.fetch_sub(1, Ordering::SeqCst);
-                        state.note_stop(StopReason::WorkerPanicked);
-                        continue;
-                    }
-                }
-            }
-        };
-        let flow = match task {
-            None => ControlFlow::Continue(()), // isolated root — nothing to do
-            Some(task) => {
-                stats.tasks += 1;
-                let nodes_before = stats.nodes;
-                let emitted_before = stats.emitted;
-                let was_split = task.should_split(opts);
-                let info = TaskInfo {
-                    v: origin_v,
-                    kind: if was_split { TaskKind::Split } else { origin_kind },
-                };
-                obs.task_start(&info);
-                let t0 = std::time::Instant::now();
-                // Contain per-task panics: a poisoned task must not take
-                // the whole pool down. The captured borrows (&mut sink,
-                // stats, engine, split_buf) end when the closure returns;
-                // the panic arm below rebuilds the engine (its recursion
-                // scratch may hold mid-unwind garbage) and clears the
-                // split buffer, so nothing poisoned survives the task.
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let mut mapped = crate::sink::map_right(sink, perm);
-                    let mut recording = RecordingSink::with_base(&mut mapped, obs, emitted_before);
-                    let mut controlled = ControlledSink::new(state, &mut recording);
-                    if was_split {
-                        split_buf.clear();
-                        split_node(h, &opts.bound, &task, &mut controlled, stats, &mut split_buf)
-                    } else {
-                        engine.run_node(
-                            &task.l,
-                            &task.r_parent,
-                            task.v,
-                            &task.p,
-                            &task.q,
-                            &mut controlled,
-                            stats,
-                        )
-                    }
-                }));
-                let elapsed = t0.elapsed();
-                // Split tasks process a single node outside the engine,
-                // so their recursion depth is 0 and the engine's depth
-                // field is stale — don't read it. Same for a panicked
-                // task: mid-unwind engine state is garbage.
-                let depth = match &result {
-                    Ok(_) if !was_split => engine.task_depth() as u64,
-                    _ => 0,
-                };
-                if result.is_ok() {
-                    record_task(wm, depth, engine.peak_trie_nodes() as u64, elapsed);
-                }
-                // Every task_start pairs with a task_finish, on the
-                // panic path too — a dangling start would read as a
-                // forever-running task in the trace. A panicked task
-                // reports the deltas it accumulated before unwinding.
-                obs.task_finish(
-                    &info,
-                    elapsed,
-                    &TaskDelta {
-                        nodes: stats.nodes - nodes_before,
-                        emitted: stats.emitted - emitted_before,
-                        depth,
-                    },
-                );
-                match result {
-                    Ok(ControlFlow::Continue(())) => {
-                        if was_split {
-                            pending.fetch_add(split_buf.len() as u64, Ordering::SeqCst);
-                            for child in split_buf.drain(..) {
-                                injector.push(Task::Node(child));
-                            }
+        let flow = match result {
+            Ok(flow) => {
+                // A split's children, or a stopped task's remainder.
+                let left = runner.take_frontier();
+                match flow {
+                    ControlFlow::Continue(()) => {
+                        if !left.is_empty() {
+                            pool.pending.fetch_add(left.len() as u64, Ordering::SeqCst);
+                            left.into_iter().for_each(|child| pool.injector.push(child));
                         }
                         // Task-boundary accounting feeds the node budget.
                         state.note_task(stats.nodes - nodes_before)
                     }
-                    Ok(ControlFlow::Break(r)) => {
-                        let mut fr = frontier.lock().unwrap_or_else(PoisonError::into_inner);
-                        if was_split {
-                            // split_node's only break is its single emit,
-                            // which happens before any child is built: the
-                            // emission was undelivered, so the whole task
-                            // re-runs on resume.
-                            split_buf.clear();
-                            fr.push(resume_task_of(&task));
-                        } else {
-                            fr.extend(engine.take_frontier());
-                        }
-                        drop(fr);
+                    ControlFlow::Break(r) => {
+                        frontier.lock().unwrap_or_else(PoisonError::into_inner).extend(left);
                         ControlFlow::Break(r)
-                    }
-                    Err(payload) => {
-                        // The panicked task *was* counted in `stats.tasks`
-                        // — mirror that in the worker metrics so the
-                        // per-worker task sum still equals the merged
-                        // total.
-                        record_task(wm, 0, 0, elapsed);
-                        note_panic(panic_slot, || describe_task(&task), payload.as_ref());
-                        // The panicked task is NOT captured: it may have
-                        // partially emitted, and re-running it would risk
-                        // duplicates. Rebuild the engine before reuse.
-                        *engine = AnyEngine::new(h, opts);
-                        split_buf.clear();
-                        ControlFlow::Break(StopReason::WorkerPanicked)
                     }
                 }
             }
+            // The panicked task is NOT captured: it may have partially
+            // emitted, and re-running it would risk duplicates.
+            Err(payload) => {
+                note_panic(panic_slot, &task, payload.as_ref());
+                ControlFlow::Break(StopReason::WorkerPanicked)
+            }
         };
-        pending.fetch_sub(1, Ordering::SeqCst);
+        pool.pending.fetch_sub(1, Ordering::SeqCst);
         if let ControlFlow::Break(r) = flow {
             state.note_stop(r);
             // The loop top switches to drain mode.
@@ -616,68 +448,12 @@ fn worker_loop<'g, S: BicliqueSink>(
     }
 }
 
-/// Processes one node — bound, check, absorb, emit — and pushes its
-/// children as tasks instead of recursing. Engine-agnostic (MBEA-style
-/// scans): split nodes are rare, fan-out dominates their cost. Breaks
-/// (pushing no children) iff the sink requested a stop.
-fn split_node(
-    g: &BipartiteGraph,
-    bound: &Bound,
-    t: &NodeTask,
-    sink: &mut dyn BicliqueSink,
-    stats: &mut Stats,
-    out: &mut Vec<NodeTask>,
-) -> ControlFlow<StopReason> {
-    if bound.cuts(t.l.len(), t.r_parent.len() + 1 + t.p.len()) {
-        stats.bound_pruned += 1;
-        return ControlFlow::Continue(());
-    }
-    stats.nodes += 1;
-    if crate::task::covered_by_excluded(g, &t.q, &t.l) {
-        stats.nonmaximal += 1;
-        return ControlFlow::Continue(());
-    }
-    // `absorbed` and `p_new` partition `t.p`.
-    let mut absorbed = Vec::with_capacity(t.p.len());
-    let mut p_new = Vec::with_capacity(t.p.len());
-    crate::task::partition_candidates(g, &t.p, &t.l, &mut absorbed, &mut p_new);
-    stats.absorbed += absorbed.len() as u64;
-    let r_new = crate::task::assemble_r(&t.r_parent, t.v, &absorbed);
-    crate::invariants::check_node(g, &t.l, &r_new);
-    if bound.emits(r_new.len()) {
-        sink.emit(&t.l, &r_new)?;
-        stats.emitted += 1;
-    } else {
-        stats.undersized += 1;
-    }
-
-    let mut q_now: Vec<u32> = Vec::new();
-    crate::task::live_excluded(g, &t.q, &t.l, &mut q_now);
-    let mut l_child = Vec::new();
-    for i in 0..p_new.len() {
-        let w = p_new[i];
-        crate::task::child_l(g, &t.l, w, &mut l_child);
-        // Each child task is shipped through the injector and outlives
-        // this frame — it must own its sets. Split nodes are rare
-        // (fan-out dominates), so the copies are off the hot path.
-        out.push(NodeTask {
-            l: l_child.clone(),      // xtask-allow: hot-alloc-loop (owned by the child task)
-            r_parent: r_new.clone(), // xtask-allow: hot-alloc-loop (owned by the child task)
-            v: w,
-            // xtask-allow: hot-alloc-loop (owned by the child task)
-            p: p_new[i + 1..].to_vec(),
-            q: q_now.clone(), // xtask-allow: hot-alloc-loop (owned by the child task)
-        });
-        q_now.push(w);
-    }
-    ControlFlow::Continue(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sink::CountSink;
     use crate::{Algorithm, Enumeration};
+    use bigraph::order::VertexOrder;
     use std::sync::mpsc::RecvTimeoutError;
 
     fn g0() -> BipartiteGraph {
@@ -795,29 +571,50 @@ mod tests {
                 par_run(&g, &opts, &RunControl::new(), Some(&frontier), ObsCtx::noop(), |_| {
                     CountSink::default()
                 })
-                .map(|par| (par.out.stop, par.out.panic.map(|p| p.task)));
+                .map(|par| {
+                    let tasks = (par.out.metrics.total_tasks(), par.out.stats.tasks);
+                    (par.out.stop, par.out.panic.map(|p| p.task), tasks)
+                });
             let _ = tx.send(out);
         });
         // A hang fails here instead of blocking the suite.
         let out = rx.recv_timeout(std::time::Duration::from_secs(60));
         assert!(!matches!(out, Err(RecvTimeoutError::Timeout)), "the pool hung");
         assert!(run.join().is_ok(), "par_run let the panic escape");
-        let (stop, task) = match out {
+        let (stop, task, (metric_tasks, stats_tasks)) = match out {
             Ok(Ok(done)) => done,
             other => panic!("par_run failed: {other:?}"),
         };
         assert_eq!(stop, StopReason::WorkerPanicked);
         assert_eq!(task.as_deref(), Some("root task v=5"));
+        // A root that panics while building never opened a task.
+        assert_eq!(metric_tasks, stats_tasks);
     }
 
-    fn node(l: usize, p: usize) -> NodeTask {
-        NodeTask {
-            l: (0..l as u32).collect(),
-            r_parent: Vec::new(),
-            v: 0,
-            p: (0..p as u32).collect(),
-            q: Vec::new(),
+    /// Forced splitting at 2 threads on the graph of
+    /// `mbet::tests::batching_reduces_work_on_duplicated_neighborhoods`:
+    /// the root v0 runs its first node on the engine, so its five-way
+    /// equivalence group queues one child, and the run searches the
+    /// serial run's tree.
+    #[test]
+    fn forced_split_queues_one_child_per_equivalence_group() {
+        let mut edges = vec![(0u32, 0u32), (1, 0), (2, 0)];
+        for v in 1..=5 {
+            edges.push((0, v));
+            edges.push((1, v));
         }
+        let g = BipartiteGraph::from_edges(3, 6, &edges).unwrap();
+        let opts = MbeOptions::new(Algorithm::Mbet).order(VertexOrder::Natural);
+        let serial = Enumeration::new(&g).options(opts.clone()).count().unwrap().stats;
+        let mut forced = opts.threads(2);
+        forced.split_height = 0;
+        forced.split_size = 0;
+        let split = Enumeration::new(&g).options(forced).count().unwrap().stats;
+        let counters = |s: &Stats| (s.nodes, s.nonmaximal, s.batched, s.emitted);
+        assert_eq!(counters(&serial), (3, 1, 8, 2));
+        assert_eq!(counters(&split), counters(&serial));
+        // The roots v0 and v1, plus the one child v0's group queued.
+        assert_eq!(split.tasks, 3);
     }
 
     fn thresholds(split_height: usize, split_size: usize) -> MbeOptions {
@@ -829,34 +626,30 @@ mod tests {
 
     #[test]
     fn est_size_uses_saturating_product() {
-        // 5 candidates, |L| = 3 ⇒ height 3, size 15; both via the shared
-        // saturating helper (whose usize::MAX behavior is unit-tested in
-        // `task`).
-        let t = node(3, 5);
-        assert_eq!(t.est_height(), 3);
-        assert_eq!(t.est_size(), 15);
+        // |L| = 3, 5 candidates ⇒ height 3, size 15; the saturating
+        // product is unit-tested in `task`.
+        assert_eq!(crate::task::est_tree(3, 5), (3, 15));
     }
 
     #[test]
     fn should_split_boundaries() {
-        let t = node(5, 10); // est_height = 5, est_size = 50
+        let splits = |opts: &MbeOptions| crate::task::splits(opts, 5, 10); // height 5, size 50
 
         // Zero thresholds: any task with a non-trivial estimate splits.
-        assert!(t.should_split(&thresholds(0, 0)));
+        assert!(splits(&thresholds(0, 0)));
         // Comparisons are strict: estimates equal to a threshold don't split.
-        assert!(!t.should_split(&thresholds(5, 0)));
-        assert!(!t.should_split(&thresholds(0, 50)));
-        assert!(t.should_split(&thresholds(4, 49)));
-        // usize::MAX thresholds can never be exceeded (est_size saturates
+        assert!(!splits(&thresholds(5, 0)));
+        assert!(!splits(&thresholds(0, 50)));
+        assert!(splits(&thresholds(4, 49)));
+        // usize::MAX thresholds can never be exceeded (the size saturates
         // at usize::MAX, and `>` is strict), so splitting is fully off.
-        assert!(!t.should_split(&thresholds(usize::MAX, 0)));
-        assert!(!t.should_split(&thresholds(0, usize::MAX)));
-        assert!(!t.should_split(&thresholds(usize::MAX, usize::MAX)));
+        assert!(!splits(&thresholds(usize::MAX, 0)));
+        assert!(!splits(&thresholds(0, usize::MAX)));
+        assert!(!splits(&thresholds(usize::MAX, usize::MAX)));
 
         // A task with no candidates estimates zero and never splits, even
         // at zero thresholds.
-        let leaf = node(5, 0);
-        assert_eq!(leaf.est_size(), 0);
-        assert!(!leaf.should_split(&thresholds(0, 0)));
+        assert_eq!(crate::task::est_tree(5, 0), (0, 0));
+        assert!(!crate::task::splits(&thresholds(0, 0), 5, 0));
     }
 }

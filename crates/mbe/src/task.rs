@@ -17,14 +17,16 @@
 
 use std::borrow::Cow;
 use std::ops::ControlFlow;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use crate::baseline::BaselineEngine;
 use crate::checkpoint::ResumeTask;
 use crate::mbet::MbetEngine;
 use crate::metrics::{Stats, WorkerMetrics};
-use crate::obs::{DriverKind, ObsCtx, RecordingSink, SegmentInfo, TaskInfo, TaskKind};
+use crate::obs::{DriverKind, ObsCtx, RecordingSink, SegmentInfo, TaskDelta, TaskInfo, TaskKind};
 use crate::run::{ControlState, ControlledSink, RunControl, StopReason};
 use crate::sink::BicliqueSink;
 use crate::{Algorithm, MbeOptions, SizeThresholds};
@@ -45,26 +47,22 @@ pub struct RootTask {
     pub q0: Vec<u32>,
 }
 
-impl RootTask {
-    /// Estimated enumeration-tree height, `min(|L|, |C|)` — the bound the
-    /// load-aware splitter compares against `split_height`.
-    pub fn est_height(&self) -> usize {
-        self.l0.len().min(self.p0.len())
-    }
-
-    /// Estimated enumeration-tree size, `min(|L|, |C|) · |C|` — compared
-    /// against `split_size`.
-    pub fn est_size(&self) -> usize {
-        est_tree_size(self.est_height(), self.p0.len())
-    }
+/// The load estimate of a task whose first node has `|L| = l_len` and
+/// `|P| = p_len`: the tree height `min(|L|, |P|)` and the tree size
+/// `height · |P|`. The product saturates at `usize::MAX` instead of
+/// overflowing on adversarial degree distributions, so both estimates
+/// stay monotone in both inputs.
+pub(crate) fn est_tree(l_len: usize, p_len: usize) -> (usize, usize) {
+    let height = l_len.min(p_len);
+    (height, height.saturating_mul(p_len))
 }
 
-/// Saturating `height · candidates` size estimate shared by [`RootTask`]
-/// and the parallel driver's node tasks: the product clamps at
-/// `usize::MAX` instead of overflowing on adversarial degree
-/// distributions, so splitting decisions stay monotone in both inputs.
-pub(crate) fn est_tree_size(height: usize, candidates: usize) -> usize {
-    height.saturating_mul(candidates)
+/// The split predicate of the parallel driver: a task runs its first
+/// node in split mode iff both estimates of [`est_tree`] exceed their
+/// thresholds (`opts.split_height`, `opts.split_size`).
+pub(crate) fn splits(opts: &MbeOptions, l_len: usize, p_len: usize) -> bool {
+    let (height, size) = est_tree(l_len, p_len);
+    height > opts.split_height && size > opts.split_size
 }
 
 /// Builds root tasks over one graph with reusable scratch space.
@@ -406,58 +404,24 @@ impl<'g> SerialDriver<'g> {
         obs: ObsCtx<'_>,
         wm: &mut WorkerMetrics,
     ) -> StopReason {
-        let g = self.g;
         let state = ControlState::with_obs(control, obs);
         let mut recording = RecordingSink::with_base(sink, obs, stats.emitted);
         let mut controlled = ControlledSink::new(&state, &mut recording);
         if let ControlFlow::Break(r) = state.note_task(0) {
             return r; // cancelled or expired before any work
         }
-        let mut builder = TaskBuilder::new(g);
-        let mut engine = AnyEngine::new(g, &self.opts);
+        // The serial driver never splits: every task runs its whole subtree.
+        let mut runner = TaskRunner::new(self.g, &self.opts, false);
         for task in tasks {
             let nodes_before = stats.nodes;
-            let emitted_before = stats.emitted;
-            let info = match *task {
-                ResumeTask::Root(v) => TaskInfo { v, kind: TaskKind::Root },
-                ResumeTask::Node { v, .. } => TaskInfo { v, kind: TaskKind::Node },
+            let flow = match runner.run(&task, &mut controlled, stats, obs, wm) {
+                Ok(flow) => flow,
+                // Serial runs do not contain panics; the task was closed
+                // in the trace and metrics before unwinding on.
+                Err(payload) => std::panic::resume_unwind(payload),
             };
-            let mut ran = true;
-            let t0 = std::time::Instant::now();
-            let flow = match &*task {
-                ResumeTask::Root(v) => match builder.build(*v) {
-                    Some(root) => {
-                        stats.tasks += 1;
-                        obs.task_start(&info);
-                        engine.run_task(&root, &mut controlled, stats)
-                    }
-                    None => {
-                        ran = false; // isolated root — nothing to do
-                        ControlFlow::Continue(())
-                    }
-                },
-                ResumeTask::Node { l, r_parent, v, p, q } => {
-                    stats.tasks += 1;
-                    obs.task_start(&info);
-                    engine.run_node(l, r_parent, *v, p, q, &mut controlled, stats)
-                }
-            };
-            if ran {
-                let elapsed = t0.elapsed();
-                let depth = engine.task_depth() as u64;
-                record_task(wm, depth, engine.peak_trie_nodes() as u64, elapsed);
-                obs.task_finish(
-                    &info,
-                    elapsed,
-                    &crate::obs::TaskDelta {
-                        nodes: stats.nodes - nodes_before,
-                        emitted: stats.emitted - emitted_before,
-                        depth,
-                    },
-                );
-            }
             if let ControlFlow::Break(r) = flow {
-                frontier.append(&mut engine.take_frontier());
+                frontier.append(&mut runner.take_frontier());
                 return state.note_stop(r);
             }
             if let ControlFlow::Break(r) = state.note_task(stats.nodes - nodes_before) {
@@ -465,6 +429,107 @@ impl<'g> SerialDriver<'g> {
             }
         }
         StopReason::Completed
+    }
+}
+
+/// Runs the tasks of one driver worker on one engine and one root
+/// builder, both reused across tasks. Both drivers run every task
+/// through [`TaskRunner::run`].
+pub(crate) struct TaskRunner<'g> {
+    g: &'g BipartiteGraph,
+    opts: MbeOptions,
+    engine: AnyEngine<'g>,
+    builder: TaskBuilder<'g>,
+    /// Whether a task that [`splits`] runs its first node in split mode
+    /// (the parallel driver) or always runs its whole subtree (serial).
+    split: bool,
+}
+
+impl<'g> TaskRunner<'g> {
+    pub(crate) fn new(g: &'g BipartiteGraph, opts: &MbeOptions, split: bool) -> Self {
+        TaskRunner {
+            g,
+            opts: opts.clone(),
+            engine: AnyEngine::new(g, opts),
+            builder: TaskBuilder::new(g),
+            split,
+        }
+    }
+
+    /// Runs one task: builds a root task's universe (an isolated root is
+    /// skipped and counts as no task), fires `task_start`, runs the
+    /// subtree on the engine, or only its first node in split mode,
+    /// records the task in `wm` and fires `task_finish`. A panic is
+    /// caught here, so the task is closed in the trace and the metrics
+    /// either way, and comes back as `Err` with the runner's engine and
+    /// builder rebuilt. After the call, [`take_frontier`](Self::take_frontier)
+    /// holds what the task left: the children a split queued, or the
+    /// unexplored remainder of a stopped task.
+    pub(crate) fn run(
+        &mut self,
+        task: &ResumeTask,
+        sink: &mut dyn BicliqueSink,
+        stats: &mut Stats,
+        obs: ObsCtx<'_>,
+        wm: &mut WorkerMetrics,
+    ) -> std::thread::Result<ControlFlow<StopReason>> {
+        let (nodes_before, emitted_before) = (stats.nodes, stats.emitted);
+        let mut started = None;
+        // One catch for the whole task, root build included: building a
+        // root reads the graph around `v`.
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            // Opens the task: sets split mode and fires `task_start`.
+            let mut open = |v: u32, kind: TaskKind, l_len: usize, p_len: usize| {
+                let split = self.split && splits(&self.opts, l_len, p_len);
+                self.engine.set_split(split);
+                let info = TaskInfo { v, kind: if split { TaskKind::Split } else { kind } };
+                stats.tasks += 1;
+                obs.task_start(&info);
+                started = Some((info, Instant::now()));
+            };
+            match task {
+                ResumeTask::Root(v) => {
+                    let Some(root) = self.builder.build(*v) else {
+                        return ControlFlow::Continue(()); // isolated root — nothing to do
+                    };
+                    open(root.v, TaskKind::Root, root.l0.len(), root.p0.len());
+                    self.engine.run_task(&root, sink, stats)
+                }
+                ResumeTask::Node { l, r_parent, v, p, q } => {
+                    open(*v, TaskKind::Node, l.len(), p.len());
+                    self.engine.run_node(l, r_parent, *v, p, q, sink, stats)
+                }
+            }
+        }));
+        if result.is_err() {
+            // Mid-unwind scratch (the engine's recursion, the builder's
+            // 2-hop marks) must not survive the task.
+            self.engine = AnyEngine::new(self.g, &self.opts);
+            self.builder = TaskBuilder::new(self.g);
+        }
+        if let Some((info, t0)) = started {
+            let elapsed = t0.elapsed();
+            // A panicked task reports the deltas it accumulated before
+            // unwinding, and depth 0.
+            let (depth, peak) = match result {
+                Ok(_) => (self.engine.task_depth() as u64, self.engine.peak_trie_nodes() as u64),
+                Err(_) => (0, 0),
+            };
+            record_task(wm, depth, peak, elapsed);
+            let delta = TaskDelta {
+                nodes: stats.nodes - nodes_before,
+                emitted: stats.emitted - emitted_before,
+                depth,
+            };
+            obs.task_finish(&info, elapsed, &delta);
+        }
+        result
+    }
+
+    /// Takes what the last [`run`](Self::run) left on the engine's
+    /// frontier (empty unless it split or stopped).
+    pub(crate) fn take_frontier(&mut self) -> Vec<ResumeTask> {
+        self.engine.take_frontier()
     }
 }
 
@@ -503,6 +568,15 @@ impl<'g> AnyEngine<'g> {
         }
     }
 
+    /// Sets split mode for the first node of the next task: its children
+    /// are queued on the frontier instead of expanded.
+    pub(crate) fn set_split(&mut self, split: bool) {
+        match self {
+            AnyEngine::Baseline(e) => e.split = split,
+            AnyEngine::Mbet(e) => e.split = split,
+        }
+    }
+
     pub(crate) fn run_task(
         &mut self,
         task: &RootTask,
@@ -532,8 +606,9 @@ impl<'g> AnyEngine<'g> {
         }
     }
 
-    /// Takes the frontier the engine captured while breaking out of its
-    /// last `run_task`/`run_node` call (empty unless that call broke).
+    /// Takes the frontier the engine left in its last
+    /// `run_task`/`run_node` call: the children of a split node, or the
+    /// unexplored remainder of a call that broke (empty otherwise).
     pub(crate) fn take_frontier(&mut self) -> Vec<ResumeTask> {
         match self {
             AnyEngine::Baseline(e) => e.take_frontier(),
@@ -596,7 +671,7 @@ mod tests {
         let t = b.build(3).unwrap(); // v4: N² = {v1, v2, v3}, all < 3
         assert_eq!(t.q0, [0, 1, 2]);
         assert!(t.p0.is_empty());
-        assert_eq!(t.est_height(), 0);
+        assert_eq!(est_tree(t.l0.len(), t.p0.len()).0, 0);
     }
 
     #[test]
@@ -609,19 +684,19 @@ mod tests {
 
     #[test]
     fn estimates() {
-        let t = RootTask { v: 0, l0: vec![1, 2, 3], p0: vec![4, 5], q0: vec![] };
-        assert_eq!(t.est_height(), 2);
-        assert_eq!(t.est_size(), 4);
+        // |L| = 3, |P| = 2 ⇒ height 2, size 4.
+        assert_eq!(est_tree(3, 2), (2, 4));
     }
 
     #[test]
     fn est_tree_size_saturates_at_usize_max() {
-        assert_eq!(est_tree_size(usize::MAX, 2), usize::MAX);
-        assert_eq!(est_tree_size(2, usize::MAX), usize::MAX);
-        assert_eq!(est_tree_size(usize::MAX, usize::MAX), usize::MAX);
-        assert_eq!(est_tree_size(usize::MAX, 1), usize::MAX);
-        assert_eq!(est_tree_size(usize::MAX, 0), 0);
-        assert_eq!(est_tree_size(0, usize::MAX), 0);
+        assert_eq!(est_tree(usize::MAX, usize::MAX), (usize::MAX, usize::MAX));
+        let half = usize::MAX / 2;
+        assert_eq!(est_tree(usize::MAX, half), (half, usize::MAX));
+        assert_eq!(est_tree(half, usize::MAX), (half, usize::MAX));
+        assert_eq!(est_tree(usize::MAX, 1), (1, 1));
+        assert_eq!(est_tree(usize::MAX, 0), (0, 0));
+        assert_eq!(est_tree(0, usize::MAX), (0, 0));
     }
 
     #[test]

@@ -79,12 +79,14 @@ proptest! {
     #[test]
     fn forced_task_splitting_matches(g in random_graph()) {
         let want = brute_force(&g);
-        let mut opts = MbeOptions::new(Algorithm::Mbet).threads(2);
-        opts.split_height = 0;
-        opts.split_size = 0;
-        let mut got = Enumeration::new(&g).options(opts).collect().unwrap().bicliques;
-        got.sort();
-        prop_assert_eq!(&got, &want);
+        for alg in Algorithm::all() {
+            let mut opts = MbeOptions::new(alg).threads(2);
+            opts.split_height = 0;
+            opts.split_size = 0;
+            let mut got = Enumeration::new(&g).options(opts).collect().unwrap().bicliques;
+            got.sort();
+            prop_assert_eq!(&got, &want, "{:?}", alg);
+        }
     }
 
     #[test]

@@ -69,21 +69,45 @@ fn mbet_toggles_agree_at_scale() {
     }
 }
 
+/// The search counters a complete run reports; a threaded run, split or
+/// not, searches exactly the serial run's tree and reports the same.
+fn search_counters(s: &Stats) -> [u64; 8] {
+    [
+        s.nodes,
+        s.nonmaximal,
+        s.emitted,
+        s.batched,
+        s.absorbed,
+        s.excluded_keyed,
+        s.excluded_kept,
+        s.undersized,
+    ]
+}
+
 #[test]
 fn parallel_and_split_agree_at_scale() {
     let g = structured(7, 350, 220, 2000);
-    let (want, _) = count(&g, MbeOptions::new(Algorithm::Mbet));
-    for threads in [1, 2, 4] {
-        let (got, _) = count(&g, MbeOptions::new(Algorithm::Mbet).threads(threads));
-        assert_eq!(got, want, "threads={threads}");
+    for alg in Algorithm::all() {
+        let (want, serial) = count(&g, MbeOptions::new(alg));
+        for threads in [2, 4] {
+            // Default thresholds, then zero thresholds: every node with
+            // children splits.
+            for forced in [false, true] {
+                let mut opts = MbeOptions::new(alg).threads(threads);
+                if forced {
+                    opts.split_height = 0;
+                    opts.split_size = 0;
+                }
+                let (got, stats) = count(&g, opts);
+                let at = format!("{alg:?} threads={threads} forced={forced}");
+                assert_eq!(got, want, "{at}");
+                assert_eq!(search_counters(&stats), search_counters(&serial), "{at}");
+                if forced {
+                    assert!(stats.tasks > serial.tasks, "{at}: splitting must create extra tasks");
+                }
+            }
+        }
     }
-    // Aggressive splitting.
-    let mut opts = MbeOptions::new(Algorithm::Mbet).threads(3);
-    opts.split_height = 1;
-    opts.split_size = 4;
-    let (got, stats) = count(&g, opts);
-    assert_eq!(got, want);
-    assert!(stats.tasks > g.num_v() as u64 / 2, "splitting must create extra tasks");
 }
 
 #[test]
@@ -475,28 +499,28 @@ proptest! {
         k in 1u64..8,
         threads in 1usize..5,
         alg in 0usize..4,
+        forced_split in 0u8..2,
     ) {
         let alg = Algorithm::all()[alg];
         let full: std::collections::HashSet<Biclique> =
             Enumeration::new(&g).collect().unwrap().bicliques.into_iter().collect();
-        let stopped = Enumeration::new(&g)
-            .algorithm(alg)
-            .threads(threads)
-            .max_bicliques(k)
-            .collect()
-            .unwrap();
+        // Forced splitting queues every child of every node a threaded run
+        // reaches, so a stop captures split-off children as frontier tasks.
+        let mut opts = MbeOptions::new(alg).threads(threads);
+        if forced_split == 1 {
+            opts.split_height = 0;
+            opts.split_size = 0;
+        }
+        let stopped =
+            Enumeration::new(&g).options(opts.clone()).max_bicliques(k).collect().unwrap();
         match stopped.checkpoint.clone() {
             None => prop_assert!(stopped.is_complete(), "only complete runs lack a checkpoint"),
             Some(ckpt) => {
                 prop_assert_eq!(ckpt.emitted, stopped.bicliques.len() as u64);
                 let restored = mbe::Checkpoint::from_bytes(&ckpt.to_bytes()).unwrap();
                 prop_assert_eq!(&restored, &ckpt);
-                let resumed = Enumeration::new(&g)
-                    .algorithm(alg)
-                    .threads(threads)
-                    .resume(restored)
-                    .collect()
-                    .unwrap();
+                prop_assert!(restored.matches(&g).is_ok(), "{:?} threads={}", alg, threads);
+                let resumed = Enumeration::new(&g).options(opts).resume(restored).collect().unwrap();
                 prop_assert!(resumed.is_complete(), "{:?} threads={}", alg, threads);
                 let mut union: std::collections::HashSet<Biclique> =
                     std::collections::HashSet::with_capacity(full.len());

@@ -41,6 +41,8 @@ fn injected_worker_panic_is_contained() {
         assert!(!task.is_empty(), "threads={threads}: the panicked task must be named");
         assert!(payload.contains("injected fault"), "threads={threads}: payload = {payload}");
         assert_eq!(report.stop, StopReason::WorkerPanicked, "threads={threads}");
+        // The panicked task was closed in the metrics like any other.
+        assert_eq!(report.metrics.total_tasks(), report.stats.tasks, "threads={threads}");
         // The partial report is usable: a duplicate-free set of genuine
         // maximal bicliques, plus a best-effort checkpoint.
         let unique: HashSet<&Biclique> = report.bicliques.iter().collect();

@@ -399,8 +399,8 @@ fn dispatch(shared: &Arc<Shared>, stream: &mut TcpStream, payload: &[u8]) -> Vec
     let op = op_slot(&request);
     let started = Instant::now();
     let responses = match request {
-        Request::Load { name, path } => vec![handle_load(shared, &name, &path)],
-        Request::LoadGeneral { name, path } => vec![handle_load_general(shared, &name, &path)],
+        Request::Load { name, path } => vec![handle_load(shared, &name, &path, false)],
+        Request::LoadGeneral { name, path } => vec![handle_load(shared, &name, &path, true)],
         Request::List => {
             let infos = shared.registry.list().iter().map(|e| e.info()).collect();
             vec![Response::Ok(Reply::Graphs(infos))]
@@ -450,71 +450,51 @@ fn op_slot(request: &Request) -> usize {
     }
 }
 
-fn handle_load(shared: &Shared, name: &str, path: &str) -> Response {
+/// `LOAD` (`general = false`) and `LOAD_GENERAL`: reads `path` under the
+/// server's read limits as a bipartite or a general edge list and binds
+/// it to `name`. Loading the same graph again is idempotent; a different
+/// graph under a bound name is a name conflict. Queries on a general
+/// graph route through the OCT driver.
+fn handle_load(shared: &Shared, name: &str, path: &str, general: bool) -> Response {
     if shared.shutdown.load(Ordering::SeqCst) {
         return Response::Err {
             code: errcode::SHUTTING_DOWN,
             message: "server is shutting down".into(),
         };
     }
-    let graph = match read_edge_list_path_with_limits(path, shared.cfg.read_limits) {
-        Ok(g) => g,
-        Err(e) => {
-            return Response::Err {
-                code: errcode::LOAD_FAILED,
-                message: format!("cannot load '{path}': {e}"),
-            }
-        }
+    let limits = shared.cfg.read_limits;
+    let loaded = if general {
+        read_general_edge_list_path_with_limits(path, limits)
+            .map(|g| shared.registry.insert_general(name, g))
+            .map_err(|e| e.to_string())
+    } else {
+        read_edge_list_path_with_limits(path, limits)
+            .map(|g| shared.registry.insert(name, g))
+            .map_err(|e| e.to_string())
     };
-    match shared.registry.insert(name, graph) {
-        Ok(entry) => {
-            // Coordinators remember where the graph came from and push it
-            // to workers eagerly (and again lazily on `unknown-graph`).
+    match loaded {
+        Err(e) => Response::Err {
+            code: errcode::LOAD_FAILED,
+            message: format!("cannot load '{path}': {e}"),
+        },
+        Ok(Err(conflict)) => Response::Err {
+            code: errcode::NAME_CONFLICT,
+            message: format!(
+                "'{}' is bound to fingerprint {:016x}, refusing {:016x}",
+                conflict.name, conflict.existing, conflict.offered
+            ),
+        },
+        Ok(Ok(entry)) if general => Response::Ok(Reply::LoadedGeneral(entry.info())),
+        Ok(Ok(entry)) => {
+            // Coordinators remember where a bipartite graph came from and
+            // push it to workers eagerly (and again lazily on
+            // `unknown-graph`). General queries are never sharded, so
+            // workers have no use for a general graph.
             if let Some(coord) = &shared.coord {
                 coord.note_load(name, path);
             }
             Response::Ok(Reply::Loaded(entry.info()))
         }
-        Err(conflict) => Response::Err {
-            code: errcode::NAME_CONFLICT,
-            message: format!(
-                "'{}' is bound to fingerprint {:016x}, refusing {:016x}",
-                conflict.name, conflict.existing, conflict.offered
-            ),
-        },
-    }
-}
-
-/// `LOAD_GENERAL`: same hardened read-limits and idempotency contract as
-/// [`handle_load`], but the file is parsed as a general edge list and
-/// queries on the name will route through the OCT driver. The graph is
-/// *not* announced to coordinator workers — general queries are never
-/// sharded, so workers have no use for it.
-fn handle_load_general(shared: &Shared, name: &str, path: &str) -> Response {
-    if shared.shutdown.load(Ordering::SeqCst) {
-        return Response::Err {
-            code: errcode::SHUTTING_DOWN,
-            message: "server is shutting down".into(),
-        };
-    }
-    let graph = match read_general_edge_list_path_with_limits(path, shared.cfg.read_limits) {
-        Ok(g) => g,
-        Err(e) => {
-            return Response::Err {
-                code: errcode::LOAD_FAILED,
-                message: format!("cannot load '{path}': {e}"),
-            }
-        }
-    };
-    match shared.registry.insert_general(name, graph) {
-        Ok(entry) => Response::Ok(Reply::LoadedGeneral(entry.info())),
-        Err(conflict) => Response::Err {
-            code: errcode::NAME_CONFLICT,
-            message: format!(
-                "'{}' is bound to fingerprint {:016x}, refusing {:016x}",
-                conflict.name, conflict.existing, conflict.offered
-            ),
-        },
     }
 }
 
@@ -820,7 +800,7 @@ fn handle_query(
     let (tx, rx) = sync_channel(1);
     let work = {
         let shared = Arc::clone(shared);
-        let params = q.params.clone();
+        let params = QueryParams { threads: query_threads(q.params.threads), ..q.params.clone() };
         let control = control.clone();
         let trace_ctx = q.trace;
         Box::new(move || {
@@ -869,6 +849,15 @@ fn handle_query(
     let mut out = vec![response];
     out.extend(pipelined);
     out
+}
+
+/// A query's `threads`, clamped to the cores of this host before its job
+/// is queued. `threads` is an execution hint kept out of the cache key,
+/// and `0` already means all cores, so a request for more workers than
+/// cores runs on all of them: a pool is never sized by what a client
+/// sent.
+fn query_threads(requested: usize) -> usize {
+    requested.min(std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// The one reply builder. A `QUERY` reply is clipped to the smaller of
@@ -1124,4 +1113,20 @@ fn open_span_log(shared: &Shared, id: u64) -> Option<SpanLog> {
             }
         }
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn query_threads_are_clamped_to_the_cores() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(query_threads(u32::MAX as usize), cores);
+        assert_eq!(query_threads(usize::MAX), cores);
+        assert_eq!(query_threads(cores + 1), cores);
+        assert_eq!(query_threads(1), 1);
+        // 0 (all cores) is left to the drivers.
+        assert_eq!(query_threads(0), 0);
+    }
 }

@@ -13,7 +13,9 @@
 //!     next socket poll, and a client that disconnects mid-query still
 //!     cancels its run;
 //! (f) a shard whose frontier does not fit the graph is refused with
-//!     `BAD_SHARD` before it reaches the pool, which keeps serving.
+//!     `BAD_SHARD` before it reaches the pool, which keeps serving;
+//! (g) a query or shard asking for `u32::MAX` threads runs on the
+//!     server's cores and answers exactly.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -588,6 +590,38 @@ fn shard_with_a_frontier_outside_the_graph_is_refused() {
         .unwrap();
     assert_eq!(reply.stop, StopReason::Completed);
     assert_eq!(reply.emitted, (1 << 8) - 2);
+
+    handle.shutdown();
+    join.join();
+}
+
+/// (g): `threads` is clamped to the server's cores before a job is
+/// queued, so a `QUERY` or `QUERY_SHARD` asking for `u32::MAX` workers
+/// runs on every core and answers the exact count, instead of sizing a
+/// worker pool by what the client sent.
+#[test]
+fn queries_asking_for_u32_max_threads_run_on_the_available_cores() {
+    let g = crown(10);
+    let (handle, join) = start(ServerConfig::default(), &[("g", &g)]);
+    let mut client = Client::connect(handle.addr()).unwrap().wait(Duration::from_secs(60));
+    let params =
+        QueryParams { threads: u32::MAX as usize, count_only: true, ..QueryParams::default() };
+
+    let reply = client.query(request("g", params.clone())).unwrap();
+    assert_eq!(reply.stop, StopReason::Completed);
+    assert_eq!(reply.emitted, (1 << 10) - 2);
+
+    let opts = MbeOptions::new(params.algorithm).order(params.order);
+    let shard = ShardRequest {
+        graph: "g".to_string(),
+        params,
+        max_return: 0,
+        checkpoint: initial_checkpoint(&g, &opts).to_bytes(),
+        trace: None,
+    };
+    let reply = client.query_shard(shard).unwrap();
+    assert_eq!(reply.stop, StopReason::Completed);
+    assert_eq!(reply.emitted, (1 << 10) - 2);
 
     handle.shutdown();
     join.join();
