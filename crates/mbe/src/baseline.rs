@@ -45,7 +45,7 @@ pub struct BaselineEngine<'g> {
     /// Deepest recursion the last `run_task`/`run_node` call reached.
     task_depth: usize,
     /// Split mode for the node a task starts at: its children are queued
-    /// on the frontier instead of expanded. Set by the drivers' task
+    /// on the frontier instead of expanded. Set by the pool's task
     /// runner before each task.
     pub(crate) split: bool,
 }

@@ -2,8 +2,8 @@
 //!
 //! When a run ends with a non-[`StopReason::Completed`] reason, the
 //! [`crate::Report`] carries a [`Checkpoint`]: the unexplored task
-//! frontier (the serial driver's remaining DFS work, or the parallel
-//! driver's drained work-stealing deques), the total emitted count so
+//! frontier (the in-flight tasks' untraversed subtrees, the pool's
+//! drained queues and its untaken seed), the total emitted count so
 //! far, and a fingerprint of the input graph. Feeding the checkpoint back
 //! through [`crate::Enumeration::resume`] continues the run so that
 //!
@@ -59,7 +59,7 @@ use bigraph::order::VertexOrder;
 use bigraph::BipartiteGraph;
 
 use crate::run::StopReason;
-use crate::task::{est_tree, root_reps, Roots, TaskBuilder};
+use crate::task::{est_tree, Roots, TaskBuilder};
 use crate::{Algorithm, MbeOptions, MbetConfig};
 
 /// Format magic (`b"MBCK"`).
@@ -343,7 +343,7 @@ impl Checkpoint {
     /// scatter/gather relies on and `tests/shard.rs` property-tests.
     ///
     /// Cuts are balanced by the saturating `height × candidates` tree-size
-    /// estimate over a task's `|L|` and `|P|` that the parallel driver
+    /// estimate over a task's `|L|` and `|P|` that a threaded pool
     /// splits on (LPT greedy: heaviest task into the lightest shard).
     /// Empty shards are not returned, so fewer than `k` checkpoints come
     /// back when the frontier has fewer tasks. `k == 0` is malformed, and `g` must
@@ -439,13 +439,12 @@ fn distinct_below(ids: &[u32], n: u32) -> bool {
 ///
 /// This is the seed of the coordinator's scatter phase — [`Checkpoint::split`]
 /// cuts it into shards and each shard resumes on a worker. The frontier
-/// honors root-level batching exactly as the drivers do (only MBET with
+/// honors root-level batching exactly as a run does (only MBET with
 /// batching enabled skips non-representative roots), so the shard union
 /// equals the direct run without duplicates.
 pub fn initial_checkpoint(g: &BipartiteGraph, opts: &MbeOptions) -> Checkpoint {
     let (h, _perm) = bigraph::order::apply(g, opts.order);
-    let reps = root_reps(&h, opts);
-    let frontier = Roots::new(&h, reps.as_deref()).map(ResumeTask::Root).collect();
+    let frontier = Roots::new(&h, opts).map(ResumeTask::Root).collect();
     Checkpoint {
         fingerprint: graph_fingerprint(g),
         algorithm: opts.algorithm,

@@ -12,8 +12,8 @@
 //! and drivers: the cut is the run's bound (`task::Bound`), against θ,
 //! the k-th best edge count found so far. Each worker keeps its `k` best
 //! in a `TopKSink` and raises the shared θ once its heap is full; the
-//! heaps are merged at the end (`merge_top_k`). The free functions
-//! below wrap that terminal.
+//! heaps are merged at the end (`merge_top_k`). The maximum-edge
+//! biclique is the `top_k(1)` answer.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -21,36 +21,8 @@ use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crate::metrics::Stats;
-use crate::run::{Enumeration, Report, RunControl, StopReason};
+use crate::run::StopReason;
 use crate::sink::{Biclique, BicliqueSink};
-use bigraph::BipartiteGraph;
-
-/// The maximum-edge maximal biclique, or `None` for edgeless graphs.
-// xtask-allow: tuple-return
-pub fn maximum_edge_biclique(g: &BipartiteGraph) -> (Option<Biclique>, Stats) {
-    let (mut found, stats) = top_k_by_edges(g, 1);
-    (found.pop(), stats)
-}
-
-/// The `k` maximal bicliques with the most edges (`|L|·|R|`), best
-/// first. Ties are broken arbitrarily but deterministically.
-// xtask-allow: tuple-return
-pub fn top_k_by_edges(g: &BipartiteGraph, k: usize) -> (Vec<Biclique>, Stats) {
-    let report = top_k_with_control(g, k, &RunControl::new());
-    (report.bicliques, report.stats)
-}
-
-/// [`top_k_by_edges`] under a [`RunControl`]: a serial
-/// [`Enumeration::top_k`] run, which reports how it ended via
-/// [`Report::stop`]. A stopped run's bicliques are maximal and
-/// duplicate-free but may rank below the true top-k.
-pub fn top_k_with_control(g: &BipartiteGraph, k: usize, control: &RunControl) -> Report {
-    Enumeration::new(g)
-        .control(control.clone())
-        .top_k(k)
-        .expect("a serial top-k run without a checkpoint has no error path")
-}
 
 /// Heap entry ordered so `BinaryHeap` behaves as a *min*-heap on score:
 /// `peek` is the weakest incumbent.
@@ -123,8 +95,8 @@ pub(crate) fn merge_top_k(k: usize, sinks: Vec<TopKSink>) -> Vec<Biclique> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::Enumeration;
+    use crate::{Enumeration, Report, RunControl, StopReason};
+    use bigraph::BipartiteGraph;
     use proptest::prelude::*;
 
     fn g0() -> BipartiteGraph {
@@ -149,50 +121,53 @@ mod tests {
         .unwrap()
     }
 
+    fn top_k(g: &BipartiteGraph, k: usize) -> Report {
+        Enumeration::new(g).top_k(k).unwrap()
+    }
+
     #[test]
     fn maximum_on_g0() {
         // Three maximal bicliques of G0 have 6 edges (the maximum).
-        let (best, stats) = maximum_edge_biclique(&g0());
-        let best = best.expect("non-empty graph");
-        assert_eq!(best.edges(), 6);
-        assert!(stats.nodes > 0);
+        let report = top_k(&g0(), 1);
+        assert_eq!(report.bicliques.len(), 1);
+        assert_eq!(report.bicliques[0].edges(), 6);
+        assert!(report.stats.nodes > 0);
     }
 
     #[test]
     fn top_k_ordering_and_truncation() {
-        let (top, _) = top_k_by_edges(&g0(), 3);
+        let top = top_k(&g0(), 3).bicliques;
         assert_eq!(top.len(), 3);
         assert!(top.windows(2).all(|w| w[0].edges() >= w[1].edges()));
         assert_eq!(top[0].edges(), 6);
         // Requesting more than exist returns all six.
-        let (all, _) = top_k_by_edges(&g0(), 100);
-        assert_eq!(all.len(), 6);
+        assert_eq!(top_k(&g0(), 100).bicliques.len(), 6);
         // k = 0 is empty, no search performed.
-        let (none, stats) = top_k_by_edges(&g0(), 0);
-        assert!(none.is_empty());
-        assert_eq!(stats.nodes, 0);
+        let none = top_k(&g0(), 0);
+        assert!(none.bicliques.is_empty());
+        assert_eq!(none.stats.nodes, 0);
     }
 
     #[test]
     fn empty_graph() {
         let g = BipartiteGraph::from_edges(3, 3, &[]).unwrap();
-        let (best, _) = maximum_edge_biclique(&g);
-        assert!(best.is_none());
+        let report = top_k(&g, 1);
+        assert!(report.is_complete());
+        assert!(report.bicliques.is_empty());
     }
 
     #[test]
     fn controlled_search_completes_and_matches() {
-        let report = top_k_with_control(&g0(), 3, &RunControl::new());
+        let report = Enumeration::new(&g0()).control(RunControl::new()).top_k(3).unwrap();
         assert!(report.is_complete());
-        let (plain, _) = top_k_by_edges(&g0(), 3);
-        assert_eq!(report.bicliques, plain);
+        assert_eq!(report.bicliques, top_k(&g0(), 3).bicliques);
     }
 
     #[test]
     fn pre_cancelled_search_stops_immediately() {
         let control = RunControl::new();
         control.cancel();
-        let report = top_k_with_control(&g0(), 3, &control);
+        let report = Enumeration::new(&g0()).control(control).top_k(3).unwrap();
         assert_eq!(report.stop, StopReason::Cancelled);
         assert!(report.bicliques.is_empty());
         assert_eq!(report.stats.tasks, 0);
@@ -201,7 +176,7 @@ mod tests {
     #[test]
     fn expired_deadline_reports_deadline() {
         let control = RunControl::new().timeout(std::time::Duration::ZERO);
-        let report = top_k_with_control(&g0(), 3, &control);
+        let report = Enumeration::new(&g0()).control(control).top_k(3).unwrap();
         assert_eq!(report.stop, StopReason::Deadline);
         assert!(report.bicliques.is_empty());
     }
@@ -220,9 +195,9 @@ mod tests {
             edges.push((8 + i % 4, 8 + i));
         }
         let g = BipartiteGraph::from_edges(12, 28, &edges).unwrap();
-        let (best, stats) = maximum_edge_biclique(&g);
-        assert_eq!(best.expect("block exists").edges(), 64);
-        assert!(stats.bound_pruned > 0, "bound pruning never fired");
+        let report = top_k(&g, 1);
+        assert_eq!(report.bicliques.first().expect("block exists").edges(), 64);
+        assert!(report.stats.bound_pruned > 0, "bound pruning never fired");
     }
 
     proptest! {
@@ -235,7 +210,7 @@ mod tests {
             k in 1usize..6,
         ) {
             let g = BipartiteGraph::from_edges(9, 8, &edges).unwrap();
-            let (top, _) = top_k_by_edges(&g, k);
+            let top = top_k(&g, k).bicliques;
             let all = Enumeration::new(&g).collect().unwrap().bicliques;
             let mut scores: Vec<usize> = all.iter().map(|b| b.edges()).collect();
             scores.sort_unstable_by(|a, b| b.cmp(a));

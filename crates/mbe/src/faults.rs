@@ -5,12 +5,12 @@
 //! when something goes wrong, and "something goes wrong" is hard to
 //! produce on demand with real workloads. This module scripts it exactly:
 //! a [`FaultPlan`] names the global emission index at which to panic
-//! (exercising the parallel driver's `catch_unwind` containment) or to
+//! (exercising the pool's `catch_unwind` containment) or to
 //! return a sink failure (exercising checkpoint capture), and a
 //! [`FaultySink`] wrapped around any real sink carries the plan out.
 //!
 //! The plan's counter is shared across clones, so per-worker sinks in the
-//! parallel driver count emissions *globally* — the fault fires exactly
+//! pool count emissions *globally* — the fault fires exactly
 //! once per run, on whichever worker reaches the scripted index first.
 //! That makes fault scripts deterministic in *count* (always exactly one
 //! fault after N delivered emissions) even though the parallel emission

@@ -10,8 +10,8 @@
 //! out non-overlapping spans, every excluded key a trie-path node drops
 //! is contained in one it keeps, the counter identity
 //! `nodes = emitted + nonmaximal + undersized` closes for every engine,
-//! the parallel driver drains its `pending` ledger and emits exactly the
-//! serial count, and a stopped (cancelled / budgeted /
+//! the pool drains its `pending` ledger, a threaded run searches exactly
+//! the one-worker run's tree, and a stopped (cancelled / budgeted /
 //! expired) run's collected output is a duplicate-free subset of the
 //! complete run's. With the feature enabled, each of those is
 //! asserted *during* every run — on every node, every key, every drain.
@@ -25,9 +25,9 @@
 //! ```
 //!
 //! The checks deliberately trade speed for strength (the per-node `L`
-//! re-derivation is `O(Σ_{r∈R'} deg(r))`, and every parallel run is
-//! re-counted serially); the feature is a correctness instrument, never a
-//! production default.
+//! re-derivation is `O(Σ_{r∈R'} deg(r))`, and every threaded run is
+//! re-counted on one worker); the feature is a correctness instrument,
+//! never a production default.
 
 use crate::metrics::Stats;
 use bigraph::BipartiteGraph;
@@ -191,8 +191,8 @@ pub fn check_counter_identity(stats: &Stats) {
 #[inline(always)]
 pub fn check_counter_identity(_stats: &Stats) {}
 
-/// Asserts the parallel pool drained its work ledger: `pending` must be
-/// zero once every worker has exited an un-stopped run.
+/// Asserts the pool drained its work ledger: `pending` must be zero once
+/// every worker has exited, whether the run stopped or not.
 #[cfg(feature = "debug-invariants")]
 pub fn check_drained(pending: u64) {
     assert_eq!(pending, 0, "invariant: pool drained with {pending} tasks still pending");
@@ -203,56 +203,56 @@ pub fn check_drained(pending: u64) {
 #[inline(always)]
 pub fn check_drained(_pending: u64) {}
 
-/// End-of-run verification for the parallel driver: on a completed
-/// (un-stopped) run, asserts the merged per-worker counter identity and
-/// re-counts the graph serially with the same options, asserting the
-/// search counters agree — the parallel/serial equivalence gate: split
-/// or not, a threaded run searches exactly the serial run's tree. A
-/// top-k run skips the recount: what its bound prunes depends on the
-/// order the workers found their incumbents in.
+/// The reference run of `opts` over `g`: the pool's one worker, in seed
+/// order and unsplit, with no control limits and no observer, replaying
+/// `resume` (a checkpoint's frontier) or the root sweep into `sink`.
 #[cfg(feature = "debug-invariants")]
-pub fn check_parallel_run(
+fn reference_run<S: crate::BicliqueSink>(
     g: &BipartiteGraph,
     opts: &crate::MbeOptions,
-    merged: &Stats,
-    stopped: bool,
-) {
-    if stopped {
-        return;
+    resume: Option<&[crate::ResumeTask]>,
+    sink: &mut S,
+) -> crate::parallel::RunOutcome {
+    let control = crate::run::RunControl::new();
+    let obs = crate::obs::ObsCtx::noop();
+    match crate::parallel::run_one(g, opts, &control, resume, obs, sink) {
+        Ok(out) => out,
+        Err(e) => panic!("invariant: the reference run failed: {e}"),
     }
-    check_counter_identity(merged);
+}
+
+/// End-of-run verification for a completed, threaded, non-resumed run:
+/// re-counts the graph on one worker with the same options and asserts
+/// the search counters agree — the threaded/one-worker equivalence
+/// gate: split or not, a threaded run searches exactly the one-worker
+/// run's tree. A top-k run skips the recount: what its bound prunes
+/// depends on the order the workers found their incumbents in.
+#[cfg(feature = "debug-invariants")]
+pub fn check_parallel_run(g: &BipartiteGraph, opts: &crate::MbeOptions, merged: &Stats) {
     if opts.bound.is_top_k() {
         return;
     }
-    let mut count = crate::sink::CountSink::default();
-    let (serial_stats, _stop) =
-        crate::run::run_serial(g, opts, &crate::run::RunControl::new(), &mut count);
+    let one_worker = reference_run(g, opts, None, &mut crate::sink::CountSink::default()).stats;
     let counters = |s: &Stats| {
         let search = [s.nodes, s.nonmaximal, s.emitted, s.batched, s.absorbed];
         (search, [s.excluded_keyed, s.excluded_kept, s.undersized])
     };
     assert_eq!(
         counters(merged),
-        counters(&serial_stats),
-        "invariant: a parallel run's search counters ([nodes, nonmaximal, emitted, batched, \
-         absorbed], [excluded_keyed, excluded_kept, undersized]) differ from the serial run's"
+        counters(&one_worker),
+        "invariant: a threaded run's search counters ([nodes, nonmaximal, emitted, batched, \
+         absorbed], [excluded_keyed, excluded_kept, undersized]) differ from the one-worker run's"
     );
 }
 
 /// No-op stub (enable `debug-invariants` for the real check).
 #[cfg(not(feature = "debug-invariants"))]
 #[inline(always)]
-pub fn check_parallel_run(
-    _g: &BipartiteGraph,
-    _opts: &crate::MbeOptions,
-    _merged: &Stats,
-    _stopped: bool,
-) {
-}
+pub fn check_parallel_run(_g: &BipartiteGraph, _opts: &crate::MbeOptions, _merged: &Stats) {}
 
 /// Asserts the partial-result guarantee of the run-control plane: a
 /// *stopped* run's collected output is a duplicate-free subset of the
-/// complete run's output (re-derived serially with the same options —
+/// complete run's output (re-derived on one worker with the same options —
 /// the builder's, which carry no bound — and no control limits; a
 /// thresholded run's reference is that unbounded run, post-filtered, so
 /// the bound is never checked against itself). Completed runs are
@@ -284,7 +284,7 @@ pub fn check_stopped_collect(
         assert!(seen.insert(b), "invariant: stopped run emitted a duplicate biclique: {b:?}");
     }
     let mut full = crate::sink::CollectSink::new();
-    let _ = crate::run::run_serial(g, opts, &crate::run::RunControl::new(), &mut full);
+    reference_run(g, opts, None, &mut full);
     let complete: HashSet<crate::Biclique> = full
         .into_vec()
         .into_iter()
@@ -304,14 +304,7 @@ pub fn check_stopped_collect(
     }
     // Resume-union: frontier ∪ emitted = complete, disjointly.
     let mut rest = crate::sink::CollectSink::new();
-    let out = crate::run::run_serial_resumable(
-        g,
-        opts,
-        &crate::run::RunControl::new(),
-        &mut rest,
-        Some(&ckpt.frontier),
-        crate::obs::ObsCtx::noop(),
-    );
+    let out = reference_run(g, opts, Some(&ckpt.frontier), &mut rest);
     assert!(
         out.stop.is_complete(),
         "invariant: uncontrolled frontier replay stopped ({:?})",

@@ -4,7 +4,8 @@
 //! prefix-tree based MBE algorithm ("Maximal Biclique Enumeration: A Prefix
 //! Tree Based Approach", ICDE 2024 — see the workspace DESIGN.md for the
 //! reconstruction notes), together with the published baselines it is
-//! evaluated against and a work-stealing parallel driver.
+//! evaluated against and one work-stealing driver whose one-worker case
+//! is the serial run.
 //!
 //! # Quick start
 //!
@@ -46,7 +47,7 @@
 //! ```
 //!
 //! A stopped run's output is always a duplicate-free subset of the
-//! complete run's output, from the serial and the parallel driver alike.
+//! complete run's output, at any thread count.
 //! For cooperative cancellation from another thread, share a
 //! [`RunControl`] (it clones cheaply and shares its cancel flag) and call
 //! [`RunControl::cancel`].
@@ -94,7 +95,6 @@ pub mod task;
 pub mod verify;
 
 pub use checkpoint::{initial_checkpoint, Checkpoint, CheckpointError, ResumeTask};
-pub use extremal::{maximum_edge_biclique, top_k_by_edges, top_k_with_control};
 pub use filtered::SizeThresholds;
 pub use histogram::Histogram;
 pub use metrics::{CacheCounters, RunMetrics, Stats, WorkerMetrics};
@@ -175,8 +175,9 @@ pub struct MbetConfig {
     /// only the excluded vertices whose key no other excluded key
     /// contains (the excluded antichain).
     pub trie_maximality: bool,
-    /// Find the candidates absorbed into `R'` with one superset walk over
-    /// the candidate trie instead of per-candidate subset scans.
+    /// Build each child's candidate set with one key test per group of
+    /// equivalent candidates instead of a row scan per candidate.
+    /// Absorption into `R'` is a per-group key-length test either way.
     pub trie_absorption: bool,
 }
 
@@ -186,7 +187,7 @@ impl Default for MbetConfig {
     }
 }
 
-/// Options shared by the serial and parallel entry points.
+/// Options of one enumeration run, at any thread count.
 #[derive(Debug, Clone)]
 pub struct MbeOptions {
     /// Engine selection.
@@ -195,14 +196,15 @@ pub struct MbeOptions {
     pub order: VertexOrder,
     /// MBET feature toggles (ignored by other engines).
     pub mbet: MbetConfig,
-    /// Worker threads: `1` (the default) runs the serial driver, `0`
-    /// spawns one worker per core, any other `n` spawns `n` workers.
+    /// Worker threads: `1` (the default) runs one worker on the calling
+    /// thread, `0` spawns one worker per core, any other `n` spawns `n`
+    /// workers.
     pub threads: usize,
     /// Load-aware splitting: root tasks with estimated enumeration-tree
-    /// height above this are split (parallel driver only).
+    /// height above this are split (threaded runs only).
     pub split_height: usize,
     /// Load-aware splitting: root tasks with estimated size above this are
-    /// split (parallel driver only).
+    /// split (threaded runs only).
     pub split_size: usize,
     /// Which intersection kernels the MBET engine may use. An execution
     /// hint only: never changes which bicliques are emitted or their
@@ -217,7 +219,7 @@ pub struct MbeOptions {
 
 impl MbeOptions {
     /// Defaults matching the paper-style configuration: ascending-degree
-    /// order, all MBET features on, serial driver (`threads = 1`),
+    /// order, all MBET features on, one worker (`threads = 1`),
     /// splitting thresholds (20, 1500).
     pub fn new(algorithm: Algorithm) -> Self {
         MbeOptions {

@@ -159,7 +159,7 @@ pub struct MbetEngine<'g> {
     task_depth: usize,
     /// Split mode for the node a task starts at: its children are queued
     /// on the frontier, in global ids, instead of expanded. Set by the
-    /// drivers' task runner before each task.
+    /// pool's task runner before each task.
     pub(crate) split: bool,
     /// Reused staging buffers for the per-task localization.
     rights_buf: Vec<u32>,

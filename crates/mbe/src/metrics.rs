@@ -81,23 +81,24 @@ impl Stats {
     }
 }
 
-/// Telemetry one worker accumulated over a run (serial runs have exactly
-/// one; the parallel driver keeps one per worker thread).
+/// Telemetry one worker accumulated over a run (a one-worker run has
+/// exactly one; a threaded run keeps one per worker thread).
 ///
 /// `emitted` counts *delivered* emissions only, so
 /// `RunMetrics::total_emitted` always equals `Stats::emitted` for the
 /// same run segment.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkerMetrics {
-    /// This worker's index (0-based; 0 for serial runs).
+    /// This worker's index (0-based; 0 for one-worker runs).
     pub worker: usize,
     /// Tasks this worker executed (root, node, and split tasks alike).
     pub tasks: u64,
     /// Tasks obtained by stealing from a peer worker's deque (always 0
-    /// for serial runs; injector batch refills are not steals).
+    /// for one-worker runs; takes from the seed and injector batch
+    /// refills are not steals).
     pub steals: u64,
     /// Times the worker woke from its idle backoff loop to re-check for
-    /// work (always 0 for serial runs).
+    /// work (always 0 for one-worker runs).
     pub idle_wakeups: u64,
     /// Maximal bicliques this worker delivered to the sink.
     pub emitted: u64,
@@ -135,11 +136,6 @@ pub struct RunMetrics {
 }
 
 impl RunMetrics {
-    /// Wraps a single worker's counters (the serial driver's shape).
-    pub fn from_single(wm: WorkerMetrics) -> Self {
-        RunMetrics { workers: vec![wm] }
-    }
-
     /// Appends another run segment's workers (used on resume).
     pub fn merge(&mut self, other: &RunMetrics) {
         self.workers.extend(other.workers.iter().cloned());
@@ -303,8 +299,8 @@ mod tests {
         w1.task_latency_us.record(3);
         w1.depth.record(7);
 
-        let mut m = RunMetrics::from_single(w0);
-        m.merge(&RunMetrics::from_single(w1));
+        let mut m = RunMetrics { workers: vec![w0] };
+        m.merge(&RunMetrics { workers: vec![w1] });
         assert_eq!(m.workers.len(), 2);
         assert_eq!(m.total_tasks(), 5);
         assert_eq!(m.total_steals(), 1);

@@ -3,8 +3,8 @@
 //! Long enumerations are black boxes without instrumentation: the flat
 //! end-of-run [`Stats`] cannot say *where* a parallel run spent its time,
 //! which workers starved, or how task latency was distributed. This
-//! module is the zero-dependency observability layer both drivers report
-//! through:
+//! module is the zero-dependency observability layer every run reports
+//! through, at any thread count:
 //!
 //! * [`Observer`] — a trait of hook points (run/segment start+end, task
 //!   start/finish with duration and per-task counters, worker
@@ -19,7 +19,7 @@
 //!
 //! # Hot-path contract
 //!
-//! Observers are threaded through the drivers as an `Option<&dyn
+//! Observers are threaded through the driver as an `Option<&dyn
 //! Observer>`: with no observer attached the per-task cost is a single
 //! predictable null check, and **no hook allocates on the caller's
 //! behalf** — every payload ([`TaskInfo`], [`TaskDelta`], …) is a stack
@@ -76,12 +76,13 @@ pub struct RunContext {
     pub resumed: bool,
 }
 
-/// Which driver a segment runs on.
+/// How a segment's pool runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DriverKind {
-    /// The in-order serial driver.
+    /// One worker on the calling thread, taking the seed in order and
+    /// never splitting.
     Serial,
-    /// The work-stealing parallel driver.
+    /// Spawned work-stealing workers.
     Parallel,
 }
 
@@ -101,7 +102,7 @@ impl DriverKind {
 pub struct SegmentInfo {
     /// The driver this segment runs on.
     pub driver: DriverKind,
-    /// Resolved worker count (always `1` for the serial driver).
+    /// Resolved worker count (always `1` for [`DriverKind::Serial`]).
     pub workers: usize,
     /// Tasks seeded into the pool (root sweep or checkpointed frontier).
     pub seeded_tasks: u64,
@@ -175,8 +176,9 @@ pub trait Observer: Sync {
     /// Worker `worker` picked up `task`.
     fn on_task_start(&self, _worker: usize, _task: &TaskInfo) {}
     /// Worker `worker` finished `task` in `elapsed`, moving the counters
-    /// by `delta`. Not fired for a task that panicked (the run ends with
-    /// [`StopReason::WorkerPanicked`] instead).
+    /// by `delta`. Fired for a task that panicked too, with the counters
+    /// it moved before unwinding (the run then stops with
+    /// [`StopReason::WorkerPanicked`]).
     fn on_task_finish(
         &self,
         _worker: usize,
@@ -335,7 +337,7 @@ impl Observer for FanoutObserver<'_> {
     }
 }
 
-/// The per-worker observer context the drivers thread around: the
+/// The per-worker observer context the driver threads around: the
 /// optional observer, the sampling cadence, and this worker's index.
 /// `Copy`, two words wide, and a no-op when no observer is attached.
 #[derive(Clone, Copy)]
@@ -350,6 +352,8 @@ impl<'a> ObsCtx<'a> {
         ObsCtx { obs, every: every.max(1), worker: 0 }
     }
 
+    /// No observer: the reference runs of `debug-invariants` and tests.
+    #[cfg(any(test, feature = "debug-invariants"))]
     pub(crate) fn noop() -> Self {
         ObsCtx { obs: None, every: DEFAULT_SAMPLE_EVERY, worker: 0 }
     }

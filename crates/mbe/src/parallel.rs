@@ -1,44 +1,73 @@
-//! Work-stealing parallel driver with load-aware task splitting.
+//! The enumeration driver: a work-stealing pool with load-aware task
+//! splitting, whose one-worker case is the serial run.
 //!
 //! The pool's unit of work is a [`ResumeTask`]: a root (one per right
-//! vertex, see [`crate::task`]) or an interior node. Roots are queued as
-//! bare vertex ids, and the worker that picks one up builds its
-//! 1-hop/2-hop universe, so that part of the preprocessing parallelizes
-//! too. Real bipartite graphs are power-law skewed, so a handful of root
+//! vertex, see [`crate::task`]) or an interior node. The pool takes its
+//! **seed** in order: the lazy root sweep of a full run, or a
+//! checkpoint's frontier. Roots are bare vertex ids, and the worker that
+//! takes one builds its 1-hop/2-hop universe, so that part of the
+//! preprocessing parallelizes too. A worker takes its next task from its
+//! own deque, then from the injector of split children, then from the
+//! seed, then from its peers: children go before new roots, which keeps
+//! their queue short.
+//!
+//! Real bipartite graphs are power-law skewed, so a handful of root
 //! tasks can dominate the runtime; following the load-aware scheme of
-//! the parallel MBE literature, a task whose estimated tree height
-//! `min(|L|,|P|)` exceeds `opts.split_height` and whose size
-//! `min(|L|,|P|)·|P|` exceeds `opts.split_size` is *split*: the worker's
-//! engine expands just that node (bound, check, absorb, emit, with all of
-//! its bookkeeping) and, instead of recursing, hands back each child it
-//! would have expanded as a `Node` task, which the worker enqueues.
-//! Splitting recurses until estimates fall under the bounds, so no worker
-//! is left holding a monolithic subtree while others idle, and a
-//! threaded run searches exactly the serial run's tree.
+//! the parallel MBE literature, when the pool has more than one worker a
+//! task whose estimated tree height `min(|L|,|P|)` exceeds
+//! `opts.split_height` and whose size `min(|L|,|P|)·|P|` exceeds
+//! `opts.split_size` is *split*: the worker's engine expands just that
+//! node (bound, check, absorb, emit, with all of its bookkeeping) and,
+//! instead of recursing, hands back each child it would have expanded as
+//! a `Node` task, which the worker enqueues. Splitting recurses until
+//! estimates fall under the bounds, so no worker is left holding a
+//! monolithic subtree while others idle, and a threaded run searches
+//! exactly the one-worker run's tree.
+//!
+//! **One worker.** With one worker (`threads = 1`, or `0` on a one-core
+//! host) the pool runs on the calling thread and never splits: it takes
+//! the seed in order and runs each task's whole subtree. That in-order
+//! run is the reference the tests and `debug-invariants` compare
+//! threaded runs against, and its sink need not be `Send`.
 //!
 //! Every worker owns a private `task::TaskRunner` (engine scratch reuse)
 //! and a private sink; per-worker sinks and [`Stats`] are returned to the
 //! caller for merging.
 //!
 //! **Stopping.** Workers share one `ControlState`: emissions are gated
-//! through it (so `max_emitted` budgets are exact even here), and the
-//! cancellation flag / deadline are additionally observed in the idle
-//! [`Backoff`] loop. Once a stop is recorded, every worker switches to
-//! *drain* mode — it keeps popping queued tasks into the captured
-//! frontier, decrementing the pending counter, until the pool is empty —
-//! so the pending counter always reaches zero and is asserted
-//! ([`crate::invariants::check_drained`]) on every run, stopped or not.
+//! through it (so `max_emitted` budgets are exact at any thread count),
+//! and the cancellation flag / deadline are additionally observed in the
+//! idle [`Backoff`] loop. Once a stop is recorded, every worker switches
+//! to *drain* mode: it moves the queued tasks into the captured frontier,
+//! decrementing the pending counter, until the pool is empty, and then
+//! the untaken seed, in order. So the pending counter always reaches
+//! zero and is asserted ([`crate::invariants::check_drained`]) on every
+//! run, stopped or not, and a one-worker run's frontier is its in-flight
+//! task's remainder followed by the seed it never took.
+//!
+//! **Panics.** A panicking task is contained by `catch_unwind` at every
+//! thread count: the worker records the first panic, rebuilds its
+//! engine, and the pool stops and drains as for any other stop. The
+//! panicked task itself is *excluded* from the captured frontier — it
+//! may have already emitted part of its subtree, and re-running it could
+//! emit duplicates — so a post-panic checkpoint is best-effort, not
+//! exhaustive (documented on [`MbeError::WorkerPanic`]). A worker that
+//! unwinds outside every task (an observer hook, say) still releases
+//! the task it held, so its peers finish and the run fails with
+//! [`MbeError::WorkerPanicked`] instead of hanging.
 
 use std::ops::ControlFlow;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
+use std::time::Instant;
 
 use crate::checkpoint::ResumeTask;
 use crate::metrics::{RunMetrics, Stats, WorkerMetrics};
 use crate::obs::{DriverKind, ObsCtx, RecordingSink, SegmentInfo};
-use crate::run::{ControlState, ControlledSink, MbeError, RunControl, RunOutcome, StopReason};
-use crate::sink::BicliqueSink;
-use crate::task::{root_reps, Roots, TaskRunner};
+use crate::run::{ControlState, ControlledSink, MbeError, RunControl, StopReason};
+use crate::sink::{BicliqueSink, MapRight};
+use crate::task::{Roots, TaskRunner};
 use crate::MbeOptions;
 use bigraph::BipartiteGraph;
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
@@ -51,35 +80,34 @@ pub(crate) struct PanicInfo {
     pub(crate) payload: String,
 }
 
-/// Everything a driver run produces: the per-worker sinks (one for the
-/// serial driver) and the segment's [`RunOutcome`] — merged stats, stop
-/// reason, the captured unexplored frontier (internal ids; empty on
-/// completion), telemetry, and the first contained panic, if any.
+/// What a driver segment produced: the merged stats, the stop reason,
+/// for stopped segments the captured unexplored frontier (internal ids),
+/// the per-worker telemetry, and the first contained worker panic.
+pub(crate) struct RunOutcome {
+    pub(crate) stats: Stats,
+    pub(crate) stop: StopReason,
+    pub(crate) frontier: Vec<ResumeTask>,
+    pub(crate) metrics: RunMetrics,
+    pub(crate) panic: Option<PanicInfo>,
+}
+
+/// A segment's per-worker sinks alongside its [`RunOutcome`].
 pub(crate) struct ParOutcome<S> {
     pub(crate) sinks: Vec<S>,
     pub(crate) out: RunOutcome,
 }
 
-/// Parallel enumeration core used by the [`crate::Enumeration`] builder
-/// terminals: runs the configured algorithm over
-/// `g` with `opts.threads` workers (0 = all available cores) under
-/// `control`. When `resume` is `Some`, the pool is seeded from the
-/// checkpointed frontier (internal ids) instead of the root sweep.
-/// `make_sink(worker_index)` builds one sink per worker; the sinks, the
-/// merged stats, the stop reason, any captured frontier, and the first
-/// contained worker panic come back in the [`ParOutcome`].
+/// Runs the configured algorithm over `g` on `opts.threads` workers
+/// (0 = all available cores) under `control`: one worker on the calling
+/// thread ([`run_one`]), or more spawned ones. When `resume` is `Some`,
+/// the pool is seeded from the checkpointed frontier (internal ids)
+/// instead of the root sweep. `make_sink(worker_index)` builds one sink
+/// per worker; the sinks and the segment's [`RunOutcome`] come back in
+/// the [`ParOutcome`].
 ///
-/// Emission *order* is nondeterministic, the emitted *set* is not (and
-/// under an emission budget the emitted *count* is exact — the budget is
-/// a shared atomic token pool).
-///
-/// A panicking task is contained by `catch_unwind`: the worker records
-/// the first panic, rebuilds its engine, and the pool stops and drains as
-/// for any other stop. The panicked task itself is *excluded* from the
-/// captured frontier — it may have already emitted part of its subtree,
-/// and re-running it could emit duplicates — so a post-panic checkpoint
-/// is best-effort, not exhaustive (documented on
-/// [`MbeError::WorkerPanic`]).
+/// Emission *order* is nondeterministic across workers, the emitted
+/// *set* is not (and under an emission budget the emitted *count* is
+/// exact — the budget is a shared atomic token pool).
 pub(crate) fn par_run<S, F>(
     g: &BipartiteGraph,
     opts: &MbeOptions,
@@ -97,67 +125,21 @@ where
     } else {
         opts.threads
     };
-
-    let (h, perm) = bigraph::order::apply(g, opts.order);
-    let start = std::time::Instant::now();
-
-    let injector: Injector<ResumeTask> = Injector::new();
-    let pending = AtomicU64::new(0);
-    let state = ControlState::with_obs(control, obs);
-    let frontier: Mutex<Vec<ResumeTask>> = Mutex::new(Vec::new());
-    let panic_slot: Mutex<Option<PanicInfo>> = Mutex::new(None);
-
-    let mut seed_stats = Stats::default();
-    match resume {
-        Some(tasks) => {
-            // Resume seeding: replay the checkpointed frontier verbatim
-            // (it was captured after root batching, so no re-filtering).
-            for t in tasks {
-                pending.fetch_add(1, Ordering::SeqCst);
-                // Once per checkpointed task at startup, cold; the queued
-                // task owns its sets.
-                injector.push(t.clone()); // xtask-allow: hot-alloc-loop (startup resume seeding)
-            }
-        }
-        None => {
-            // Seed with bare root ids (respecting MBET root batching);
-            // workers compute the 2-hop universes themselves so this
-            // heavy part of the preprocessing scales too.
-            let reps = root_reps(&h, opts);
-            let mut roots = Roots::new(&h, reps.as_deref());
-            for v in roots.by_ref() {
-                pending.fetch_add(1, Ordering::SeqCst);
-                injector.push(ResumeTask::Root(v));
-            }
-            seed_stats.batched = roots.batched;
-        }
+    if threads == 1 {
+        let mut sink = make_sink(0);
+        let out = run_one(g, opts, control, resume, obs, &mut sink)?;
+        return Ok(ParOutcome { sinks: vec![sink], out });
     }
 
-    obs.segment_start(&SegmentInfo {
-        driver: DriverKind::Parallel,
-        workers: threads,
-        seeded_tasks: pending.load(Ordering::SeqCst),
-        resumed: resume.is_some(),
-    });
-
-    let workers: Vec<Worker<ResumeTask>> = (0..threads).map(|_| Worker::new_lifo()).collect();
-    let stealers: Vec<_> = workers.iter().map(|w| w.stealer()).collect();
-
+    let (h, perm) = bigraph::order::apply(g, opts.order);
+    let (pool, locals) = Pool::seed(&h, opts, control, resume, obs, threads);
     let mut results: Vec<Option<(S, Stats, WorkerMetrics)>> = (0..threads).map(|_| None).collect();
 
     let (spawn_err, panicked) = crossbeam::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(threads);
         let mut spawn_err: Option<String> = None;
-        for (wid, (local, slot)) in workers.into_iter().zip(results.iter_mut()).enumerate() {
-            let injector = &injector;
-            let stealers = &stealers;
-            let pending = &pending;
-            let state = &state;
-            let h = &h;
-            let perm = &perm[..];
-            let make_sink = &make_sink;
-            let frontier = &frontier;
-            let panic_slot = &panic_slot;
+        for (wid, (local, slot)) in locals.into_iter().zip(results.iter_mut()).enumerate() {
+            let (pool, h, perm, make_sink) = (&pool, &h, &perm[..], &make_sink);
             let spawned = scope
                 .builder()
                 // xtask-allow: hot-alloc-loop (once per worker at spawn)
@@ -165,26 +147,8 @@ where
                 .stack_size(64 << 20) // deep R-chains recurse; be generous
                 .spawn(move |_| {
                     let mut sink = make_sink(wid);
-                    let mut stats = Stats::default();
-                    let mut wm = WorkerMetrics::new(wid);
-                    let pool = Pool { local: &local, injector, stealers, pending };
-                    worker_loop(
-                        h,
-                        perm,
-                        opts,
-                        &pool,
-                        state,
-                        &mut sink,
-                        &mut stats,
-                        frontier,
-                        panic_slot,
-                        obs.for_worker(wid),
-                        &mut wm,
-                    );
-                    // A worker's delivered count is exactly its stats
-                    // delta (engines bump `stats.emitted` only after a
-                    // full-chain Continue).
-                    wm.emitted = stats.emitted;
+                    let obs = obs.for_worker(wid);
+                    let (stats, wm) = worker_loop(pool, &local, h, perm, opts, &mut sink, obs);
                     *slot = Some((sink, stats, wm));
                 });
             match spawned {
@@ -193,7 +157,7 @@ where
                     // Stop the already-running workers (they drain the
                     // queue) and surface the failure to the caller.
                     spawn_err = Some(e.to_string()); // xtask-allow: hot-alloc-loop (spawn-failure path, at most once)
-                    state.note_stop(StopReason::Cancelled);
+                    pool.state.note_stop(StopReason::Cancelled);
                     break;
                 }
             }
@@ -217,74 +181,215 @@ where
         // engine setup) blew up — no partial report is salvageable.
         return Err(MbeError::WorkerPanicked);
     }
-
-    let mut stats = seed_stats;
     let mut sinks = Vec::with_capacity(threads);
-    let mut metrics = RunMetrics::default();
+    let mut workers = Vec::with_capacity(threads);
     for r in results {
-        let Some((s, st, wm)) = r else {
+        let Some((s, stats, wm)) = r else {
             return Err(MbeError::WorkerPanicked);
         };
-        stats.merge(&st);
-        metrics.workers.push(wm);
         sinks.push(s);
+        workers.push((stats, wm));
     }
-    let stop = state.reason();
-    // Every exit path — completion or drain-after-stop — leaves the
-    // pending counter at zero; asserted unconditionally.
-    crate::invariants::check_drained(pending.load(Ordering::SeqCst));
-    if resume.is_none() {
-        // The parallel-vs-serial recount compares against a full serial
-        // run; it is meaningless for a resumed segment.
-        crate::invariants::check_parallel_run(g, opts, &stats, !stop.is_complete());
+    Ok(ParOutcome { sinks, out: pool.finish(g, opts, workers) })
+}
+
+/// The pool's one-worker case: runs the single worker on the calling
+/// thread with splitting off, taking the seed in order, so `sink` need
+/// not be `Send`. A panic inside a task is contained as on any pool; one
+/// outside every task (an observer hook, say) comes back as
+/// [`MbeError::WorkerPanicked`], as a spawned worker's join failure does.
+pub(crate) fn run_one<S: BicliqueSink>(
+    g: &BipartiteGraph,
+    opts: &MbeOptions,
+    control: &RunControl,
+    resume: Option<&[ResumeTask]>,
+    obs: ObsCtx<'_>,
+    sink: &mut S,
+) -> Result<RunOutcome, MbeError> {
+    let (h, perm) = bigraph::order::apply(g, opts.order);
+    let (pool, locals) = Pool::seed(&h, opts, control, resume, obs, 1);
+    let workers = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        locals.iter().map(|local| worker_loop(&pool, local, &h, &perm, opts, sink, obs)).collect()
+    }))
+    .map_err(|_| MbeError::WorkerPanicked)?;
+    Ok(pool.finish(g, opts, workers))
+}
+
+/// The seed a pool takes in order: the lazy root sweep of a full run, or
+/// a checkpoint's frontier.
+enum Seed<'a> {
+    Roots(Roots<'a>),
+    Frontier(std::slice::Iter<'a, ResumeTask>),
+}
+
+impl Iterator for Seed<'_> {
+    type Item = ResumeTask;
+
+    fn next(&mut self) -> Option<ResumeTask> {
+        match self {
+            Seed::Roots(roots) => roots.next().map(ResumeTask::Root),
+            // Once per checkpointed task; the taken task owns its sets.
+            Seed::Frontier(tasks) => tasks.next().cloned(),
+        }
     }
-    stats.elapsed = start.elapsed();
-    obs.segment_end(stop, &stats);
-    let frontier = frontier.into_inner().unwrap_or_else(PoisonError::into_inner);
-    let panic = panic_slot.into_inner().unwrap_or_else(PoisonError::into_inner);
-    Ok(ParOutcome { sinks, out: RunOutcome { stats, stop, frontier, metrics, panic } })
 }
 
 /// Where a popped task came from — feeds the steal telemetry: only tasks
-/// taken from a *peer's* deque count as steals (injector pops are normal
-/// distribution, not work stealing).
+/// taken from a *peer's* deque count as steals (the seed and the
+/// injector are normal distribution, not work stealing).
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum TaskSource {
-    /// The worker's own deque.
-    Local,
-    /// The shared injector (seeded roots and split children).
-    Injector,
+    /// The worker's own deque, the seed, or the shared injector.
+    Own,
     /// Stolen from another worker's deque.
     Peer,
 }
 
-/// One worker's view of the task pool: its own deque, the shared
-/// injector, the peers' stealers, and the count of queued or running
-/// tasks.
+/// One segment's shared state: the ordered seed, the injector of split
+/// children, every worker's stealer, the count of queued or running
+/// tasks, the run's control state, the captured frontier and the first
+/// contained panic, plus what the finish needs to know of the segment.
 struct Pool<'a> {
-    local: &'a Worker<ResumeTask>,
-    injector: &'a Injector<ResumeTask>,
-    stealers: &'a [Stealer<ResumeTask>],
-    pending: &'a AtomicU64,
+    seed: Mutex<Seed<'a>>,
+    injector: Injector<ResumeTask>,
+    stealers: Vec<Stealer<ResumeTask>>,
+    pending: AtomicU64,
+    state: ControlState<'a>,
+    frontier: Mutex<Vec<ResumeTask>>,
+    panic_slot: Mutex<Option<PanicInfo>>,
+    obs: ObsCtx<'a>,
+    resumed: bool,
+    start: Instant,
 }
 
-impl Pool<'_> {
-    /// Pops the next task: local deque first, then the injector, then
-    /// peers. Retries while any source reports [`Steal::Retry`] (a racing
-    /// steal), so `None` means every source was *observed empty* — same
-    /// semantics as the crossbeam `find(!Retry)` idiom this replaces.
-    fn next_task(&self) -> Option<(ResumeTask, TaskSource)> {
-        if let Some(t) = self.local.pop() {
-            return Some((t, TaskSource::Local));
+impl<'a> Pool<'a> {
+    /// The one seeding step: a pool of `workers` over the ordered graph
+    /// `h`, seeded with `resume` or the root sweep, plus the workers'
+    /// own deques. Fires `segment_start`.
+    fn seed(
+        h: &'a BipartiteGraph,
+        opts: &MbeOptions,
+        control: &'a RunControl,
+        resume: Option<&'a [ResumeTask]>,
+        obs: ObsCtx<'a>,
+        workers: usize,
+    ) -> (Self, Vec<Worker<ResumeTask>>) {
+        let seed = match resume {
+            Some(tasks) => Seed::Frontier(tasks.iter()),
+            None => Seed::Roots(Roots::new(h, opts)),
+        };
+        if obs.enabled() {
+            // The seed count is only computed when someone is listening.
+            let seeded_tasks = match &seed {
+                Seed::Roots(roots) => roots.clone().count(),
+                Seed::Frontier(tasks) => tasks.len(),
+            };
+            obs.segment_start(&SegmentInfo {
+                driver: if workers == 1 { DriverKind::Serial } else { DriverKind::Parallel },
+                workers,
+                seeded_tasks: seeded_tasks as u64,
+                resumed: resume.is_some(),
+            });
         }
+        let locals: Vec<Worker<ResumeTask>> = (0..workers).map(|_| Worker::new_lifo()).collect();
+        let pool = Pool {
+            seed: Mutex::new(seed),
+            injector: Injector::new(),
+            stealers: locals.iter().map(Worker::stealer).collect(),
+            pending: AtomicU64::new(0),
+            state: ControlState::with_obs(control, obs),
+            frontier: Mutex::new(Vec::new()),
+            panic_slot: Mutex::new(None),
+            obs,
+            resumed: resume.is_some(),
+            start: Instant::now(),
+        };
+        (pool, locals)
+    }
+
+    /// The one finish: merges the workers' stats and telemetry, checks
+    /// the run's invariants (a completed threaded run is recounted on
+    /// one worker), fires `segment_end` and hands back the outcome.
+    fn finish(
+        self,
+        g: &BipartiteGraph,
+        opts: &MbeOptions,
+        workers: Vec<(Stats, WorkerMetrics)>,
+    ) -> RunOutcome {
+        let threaded = workers.len() > 1;
+        let mut stats = Stats::default();
+        let mut metrics = RunMetrics::default();
+        for (st, wm) in workers {
+            stats.merge(&st);
+            metrics.workers.push(wm);
+        }
+        let stop = self.state.reason();
+        if let Seed::Roots(roots) = self.seed.into_inner().unwrap_or_else(PoisonError::into_inner) {
+            stats.batched += roots.batched;
+        }
+        // Every exit path — completion or drain-after-stop — leaves the
+        // pending counter at zero; asserted unconditionally.
+        crate::invariants::check_drained(self.pending.load(Ordering::SeqCst));
+        if stop.is_complete() {
+            // Holds for resumed segments too: every frontier task's
+            // subtree ran to completion, and the identity composes.
+            crate::invariants::check_counter_identity(&stats);
+            if threaded && !self.resumed {
+                // The recount compares against a full one-worker run; it
+                // is meaningless for a resumed segment.
+                crate::invariants::check_parallel_run(g, opts, &stats);
+            }
+        }
+        stats.elapsed = self.start.elapsed();
+        self.obs.segment_end(stop, &stats);
+        RunOutcome {
+            stats,
+            stop,
+            frontier: self.frontier.into_inner().unwrap_or_else(PoisonError::into_inner),
+            metrics,
+            panic: self.panic_slot.into_inner().unwrap_or_else(PoisonError::into_inner),
+        }
+    }
+
+    /// Pops the next task: the worker's own deque first, then the
+    /// injector of split children, then the seed, then peers. Children
+    /// go before new roots, so the queue of split children stays short.
+    /// `None` means every source was *observed empty*.
+    fn next_task(&self, local: &Worker<ResumeTask>) -> Option<(ResumeTask, TaskSource)> {
+        if let Some(t) = local.pop() {
+            return Some((t, TaskSource::Own));
+        }
+        if let Steal::Success(t) = self.injector.steal_batch_and_pop(local) {
+            return Some((t, TaskSource::Own));
+        }
+        if let Some(t) = self.take_seed() {
+            return Some((t, TaskSource::Own));
+        }
+        self.steal(local)
+    }
+
+    /// The next task of the seed, counted pending before the seed is
+    /// unlocked, so no worker sees the seed and the pending count empty
+    /// while a peer holds a task.
+    fn take_seed(&self) -> Option<ResumeTask> {
+        let mut seed = self.seed.lock().unwrap_or_else(PoisonError::into_inner);
+        let task = seed.next()?;
+        self.pending.fetch_add(1, Ordering::SeqCst);
+        Some(task)
+    }
+
+    /// Takes a task from the injector (a batch into `local`) or a peer.
+    /// Retries while any source reports [`Steal::Retry`] (a racing
+    /// steal), so `None` means every source was observed empty.
+    fn steal(&self, local: &Worker<ResumeTask>) -> Option<(ResumeTask, TaskSource)> {
         loop {
             let mut retry = false;
-            match self.injector.steal_batch_and_pop(self.local) {
-                Steal::Success(t) => return Some((t, TaskSource::Injector)),
+            match self.injector.steal_batch_and_pop(local) {
+                Steal::Success(t) => return Some((t, TaskSource::Own)),
                 Steal::Retry => retry = true,
                 Steal::Empty => {}
             }
-            for s in self.stealers {
+            for s in &self.stealers {
                 match s.steal() {
                     Steal::Success(t) => return Some((t, TaskSource::Peer)),
                     Steal::Retry => retry = true,
@@ -297,25 +402,36 @@ impl Pool<'_> {
         }
     }
 
-    /// Post-stop cleanup: moves queued tasks into the shared `frontier`
-    /// (decrementing the pending counter) until the pool is empty — what
-    /// used to be discarded is now exactly the checkpointable remainder.
-    /// Peers still finishing a task may push split children meanwhile;
-    /// they are drained too, and the loop terminates because in-flight
-    /// tasks are finite and no new work is started once every worker
-    /// observes the stop.
-    fn drain_into(&self, frontier: &Mutex<Vec<ResumeTask>>) {
+    /// Post-stop cleanup: moves queued tasks into the frontier
+    /// (decrementing the pending counter) until the pool is empty, then
+    /// the untaken seed, in order. Peers still finishing a task may push
+    /// split children meanwhile; they are drained too, and the loop
+    /// terminates because in-flight tasks are finite and no new work is
+    /// started once every worker observes the stop.
+    fn drain(&self, local: &Worker<ResumeTask>) {
         let backoff = Backoff::new();
         loop {
-            while let Some((task, _)) = self.next_task() {
-                frontier.lock().unwrap_or_else(PoisonError::into_inner).push(task);
+            while let Some(task) = local.pop().or_else(|| self.steal(local).map(|(t, _)| t)) {
+                self.frontier.lock().unwrap_or_else(PoisonError::into_inner).push(task);
                 self.pending.fetch_sub(1, Ordering::SeqCst);
                 backoff.reset();
             }
             if self.pending.load(Ordering::SeqCst) == 0 {
-                return;
+                break;
             }
             backoff.snooze();
+        }
+        let rest: Vec<ResumeTask> =
+            self.seed.lock().unwrap_or_else(PoisonError::into_inner).by_ref().collect();
+        self.frontier.lock().unwrap_or_else(PoisonError::into_inner).extend(rest);
+    }
+
+    /// Records the first contained panic of the run; later ones are
+    /// dropped (the pool is already stopping).
+    fn note_panic(&self, task: &ResumeTask, payload: &(dyn std::any::Any + Send)) {
+        let mut slot = self.panic_slot.lock().unwrap_or_else(PoisonError::into_inner);
+        if slot.is_none() {
+            *slot = Some(PanicInfo { task: describe_task(task), payload: panic_payload(payload) });
         }
     }
 }
@@ -332,19 +448,6 @@ fn panic_payload(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Records the first contained panic of the run; later ones are
-/// dropped (the pool is already stopping).
-fn note_panic(
-    slot: &Mutex<Option<PanicInfo>>,
-    task: &ResumeTask,
-    payload: &(dyn std::any::Any + Send),
-) {
-    let mut slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
-    if slot.is_none() {
-        *slot = Some(PanicInfo { task: describe_task(task), payload: panic_payload(payload) });
-    }
-}
-
 /// A short human-readable description of a task, built only on panic.
 fn describe_task(task: &ResumeTask) -> String {
     match task {
@@ -355,51 +458,67 @@ fn describe_task(task: &ResumeTask) -> String {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// A taken task's place in the pending count, released on drop.
+struct Held<'p>(&'p AtomicU64);
+
+impl Drop for Held<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// One worker of `pool`, over the ordered graph `h` whose right ids map
+/// back through `perm`: runs tasks until the pool is empty or the run
+/// stops (then drains), delivering into `sink`, and returns the worker's
+/// stats and telemetry. Splits only when the pool has more than one
+/// worker.
 fn worker_loop<S: BicliqueSink>(
+    pool: &Pool<'_>,
+    local: &Worker<ResumeTask>,
     h: &BipartiteGraph,
     perm: &[u32],
     opts: &MbeOptions,
-    pool: &Pool<'_>,
-    state: &ControlState<'_>,
     sink: &mut S,
-    stats: &mut Stats,
-    frontier: &Mutex<Vec<ResumeTask>>,
-    panic_slot: &Mutex<Option<PanicInfo>>,
     obs: ObsCtx<'_>,
-    wm: &mut WorkerMetrics,
-) {
-    let mut runner = TaskRunner::new(h, opts, true);
+) -> (Stats, WorkerMetrics) {
+    let mut runner = TaskRunner::new(h, opts, pool.stealers.len() > 1);
+    let mut mapped = MapRight::new(sink, perm);
+    let mut stats = Stats::default();
+    let mut wm = WorkerMetrics::new(obs.worker);
     let backoff = Backoff::new();
     // Fires `on_idle` once per idle *period* (transition into idleness),
     // not per snooze; `wm.idle_wakeups` counts every snooze.
     let mut idle = false;
-    // Record a pre-cancelled / pre-expired control before doing any work.
-    state.check_idle();
+    // Record a pre-cancelled / pre-expired control or a zero node budget
+    // before doing any work.
+    let _ = pool.state.note_task(0);
     loop {
-        if state.stopped().is_some() {
-            pool.drain_into(frontier);
-            return;
+        if pool.state.stopped().is_some() {
+            pool.drain(local);
+            break;
         }
-        let Some((task, source)) = pool.next_task() else {
-            // Injector and every stealer came up empty. Either the pool is
-            // done (`pending` drained) or peers are still expanding nodes
+        let Some((task, source)) = pool.next_task(local) else {
+            // Every source came up empty. Either the pool is done
+            // (`pending` drained) or peers are still expanding nodes
             // that may yet split — back off exponentially (spin, then
             // yield) instead of burning a core on a bare yield loop. The
             // idle loop doubles as the passive cancellation/deadline
             // observation point.
             if pool.pending.load(Ordering::SeqCst) == 0 {
-                return;
+                break;
             }
             if !idle {
                 idle = true;
                 obs.idle();
             }
             wm.idle_wakeups += 1;
-            state.check_idle();
+            pool.state.check_idle();
             backoff.snooze();
             continue;
         };
+        // The task leaves the ledger when this iteration ends, unwinding
+        // included: peers never wait on a task a dead worker held.
+        let _held = Held(&pool.pending);
         backoff.reset();
         idle = false;
         if source == TaskSource::Peer {
@@ -409,10 +528,9 @@ fn worker_loop<S: BicliqueSink>(
 
         let nodes_before = stats.nodes;
         let result = {
-            let mut mapped = crate::sink::map_right(sink, perm);
             let mut recording = RecordingSink::with_base(&mut mapped, obs, stats.emitted);
-            let mut controlled = ControlledSink::new(state, &mut recording);
-            runner.run(&task, &mut controlled, stats, obs, wm)
+            let mut controlled = ControlledSink::new(&pool.state, &mut recording);
+            runner.run(&task, &mut controlled, &mut stats, obs, &mut wm)
         };
         let flow = match result {
             Ok(flow) => {
@@ -425,10 +543,10 @@ fn worker_loop<S: BicliqueSink>(
                             left.into_iter().for_each(|child| pool.injector.push(child));
                         }
                         // Task-boundary accounting feeds the node budget.
-                        state.note_task(stats.nodes - nodes_before)
+                        pool.state.note_task(stats.nodes - nodes_before)
                     }
                     ControlFlow::Break(r) => {
-                        frontier.lock().unwrap_or_else(PoisonError::into_inner).extend(left);
+                        pool.frontier.lock().unwrap_or_else(PoisonError::into_inner).extend(left);
                         ControlFlow::Break(r)
                     }
                 }
@@ -436,16 +554,19 @@ fn worker_loop<S: BicliqueSink>(
             // The panicked task is NOT captured: it may have partially
             // emitted, and re-running it would risk duplicates.
             Err(payload) => {
-                note_panic(panic_slot, &task, payload.as_ref());
+                pool.note_panic(&task, payload.as_ref());
                 ControlFlow::Break(StopReason::WorkerPanicked)
             }
         };
-        pool.pending.fetch_sub(1, Ordering::SeqCst);
         if let ControlFlow::Break(r) = flow {
-            state.note_stop(r);
+            pool.state.note_stop(r);
             // The loop top switches to drain mode.
         }
     }
+    // A worker's delivered count is exactly its stats delta (engines
+    // bump `stats.emitted` only after a full-chain Continue).
+    wm.emitted = stats.emitted;
+    (stats, wm)
 }
 
 #[cfg(test)]
@@ -557,38 +678,83 @@ mod tests {
     }
 
     /// A panic while building a root task is contained like any task
-    /// panic: the pool stops and reports it rather than waiting forever
-    /// for the task the panicking worker never finished. The frontier
-    /// bypasses `Checkpoint::matches`, which would reject it.
+    /// panic, on one worker as on two: the pool stops and reports it
+    /// rather than waiting forever for the task the panicking worker
+    /// never finished. One worker leaves the seed it never took in the
+    /// frontier. The frontier bypasses `Checkpoint::matches`, which
+    /// would reject it.
     #[test]
     fn root_build_panic_stops_the_pool() {
-        let (tx, rx) = std::sync::mpsc::channel();
-        let run = std::thread::spawn(move || {
-            let g = g0();
-            let frontier = [ResumeTask::Root(g.num_v() + 1)];
-            let opts = MbeOptions::new(Algorithm::Mbet).threads(2);
-            let out =
-                par_run(&g, &opts, &RunControl::new(), Some(&frontier), ObsCtx::noop(), |_| {
-                    CountSink::default()
-                })
-                .map(|par| {
-                    let tasks = (par.out.metrics.total_tasks(), par.out.stats.tasks);
-                    (par.out.stop, par.out.panic.map(|p| p.task), tasks)
-                });
-            let _ = tx.send(out);
-        });
-        // A hang fails here instead of blocking the suite.
-        let out = rx.recv_timeout(std::time::Duration::from_secs(60));
-        assert!(!matches!(out, Err(RecvTimeoutError::Timeout)), "the pool hung");
-        assert!(run.join().is_ok(), "par_run let the panic escape");
-        let (stop, task, (metric_tasks, stats_tasks)) = match out {
-            Ok(Ok(done)) => done,
-            other => panic!("par_run failed: {other:?}"),
-        };
-        assert_eq!(stop, StopReason::WorkerPanicked);
-        assert_eq!(task.as_deref(), Some("root task v=5"));
-        // A root that panics while building never opened a task.
-        assert_eq!(metric_tasks, stats_tasks);
+        for threads in [1, 2] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let run = std::thread::spawn(move || {
+                let g = g0();
+                let frontier = [ResumeTask::Root(g.num_v() + 1), ResumeTask::Root(0)];
+                let opts = MbeOptions::new(Algorithm::Mbet).threads(threads);
+                let out =
+                    par_run(&g, &opts, &RunControl::new(), Some(&frontier), ObsCtx::noop(), |_| {
+                        CountSink::default()
+                    })
+                    .map(|par| {
+                        let tasks = (par.out.metrics.total_tasks(), par.out.stats.tasks);
+                        (par.out.stop, par.out.panic.map(|p| p.task), tasks, par.out.frontier)
+                    });
+                let _ = tx.send(out);
+            });
+            // A hang fails here instead of blocking the suite.
+            let out = rx.recv_timeout(std::time::Duration::from_secs(60));
+            assert!(!matches!(out, Err(RecvTimeoutError::Timeout)), "threads={threads}: hung");
+            assert!(run.join().is_ok(), "threads={threads}: par_run let the panic escape");
+            let (stop, task, (metric_tasks, stats_tasks), frontier) = match out {
+                Ok(Ok(done)) => done,
+                other => panic!("threads={threads}: par_run failed: {other:?}"),
+            };
+            assert_eq!(stop, StopReason::WorkerPanicked, "threads={threads}");
+            assert_eq!(task.as_deref(), Some("root task v=5"), "threads={threads}");
+            // A root that panics while building never opened a task.
+            assert_eq!(metric_tasks, stats_tasks, "threads={threads}");
+            if threads == 1 {
+                assert_eq!(frontier, [ResumeTask::Root(0)]);
+            }
+        }
+    }
+
+    /// A panic outside every task (here in an observer's
+    /// `on_task_finish`) fails the run with `MbeError::WorkerPanicked` at
+    /// every thread count: the dying worker releases the task it held,
+    /// so its peers finish instead of waiting on it forever.
+    #[test]
+    fn panic_outside_a_task_fails_the_run_without_hanging() {
+        struct PanicOnFourthFinish(AtomicU64);
+        impl crate::Observer for PanicOnFourthFinish {
+            fn on_task_finish(
+                &self,
+                _worker: usize,
+                _task: &crate::obs::TaskInfo,
+                _elapsed: std::time::Duration,
+                _delta: &crate::obs::TaskDelta,
+            ) {
+                if self.0.fetch_add(1, Ordering::SeqCst) == 3 {
+                    panic!("observer panic");
+                }
+            }
+        }
+        for threads in [1, 2] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let edges: Vec<(u32, u32)> = (0..8)
+                    .flat_map(|u| (0..8).filter(move |&v| v != u).map(move |v| (u, v)))
+                    .collect();
+                let g = BipartiteGraph::from_edges(8, 8, &edges).unwrap();
+                let obs = PanicOnFourthFinish(AtomicU64::new(0));
+                let out = Enumeration::new(&g).threads(threads).observer(&obs).count();
+                let _ = tx.send(out.map(|report| report.stop));
+            });
+            // A hang fails here instead of blocking the suite.
+            let out = rx.recv_timeout(std::time::Duration::from_secs(60));
+            assert!(!matches!(out, Err(RecvTimeoutError::Timeout)), "threads={threads}: hung");
+            assert_eq!(out.ok(), Some(Err(MbeError::WorkerPanicked)), "threads={threads}");
+        }
     }
 
     /// Forced splitting at 2 threads on the graph of
@@ -615,6 +781,27 @@ mod tests {
         assert_eq!(counters(&split), counters(&serial));
         // The roots v0 and v1, plus the one child v0's group queued.
         assert_eq!(split.tasks, 3);
+    }
+
+    /// One worker never splits, even at zero thresholds, and a stop
+    /// captures the in-flight task's remainder followed by the roots it
+    /// never took, in order.
+    #[test]
+    fn one_worker_never_splits_and_drains_the_seed_in_order() {
+        let g = g0();
+        let mut opts = MbeOptions::new(Algorithm::Mbet).order(VertexOrder::Natural);
+        opts.split_height = 0;
+        opts.split_size = 0;
+        let full = Enumeration::new(&g).options(opts.clone()).count().unwrap();
+        assert_eq!(full.stats.tasks, u64::from(g.num_v()), "one task per root");
+        let stopped = Enumeration::new(&g).options(opts).max_bicliques(1).collect().unwrap();
+        let frontier = stopped.checkpoint.expect("a budget stop checkpoints").frontier;
+        let roots = frontier.iter().position(|t| matches!(t, ResumeTask::Root(_)));
+        let (remainder, untaken) = frontier.split_at(roots.unwrap_or(frontier.len()));
+        assert!(remainder.iter().all(|t| matches!(t, ResumeTask::Node { .. })));
+        let next = stopped.stats.tasks as u32;
+        let want: Vec<ResumeTask> = (next..g.num_v()).map(ResumeTask::Root).collect();
+        assert_eq!(untaken, want.as_slice());
     }
 
     fn thresholds(split_height: usize, split_size: usize) -> MbeOptions {

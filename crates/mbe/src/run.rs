@@ -32,9 +32,9 @@ use bigraph::BipartiteGraph;
 use crate::checkpoint::{graph_fingerprint, Checkpoint, CheckpointError, ResumeTask};
 use crate::extremal::TopKSink;
 use crate::filtered::SizeThresholds;
-use crate::metrics::{RunMetrics, Stats, WorkerMetrics};
+use crate::metrics::{RunMetrics, Stats};
 use crate::obs::{ObsCtx, Observer, RunContext, DEFAULT_SAMPLE_EVERY};
-use crate::parallel::{PanicInfo, ParOutcome};
+use crate::parallel::{ParOutcome, RunOutcome};
 use crate::sink::{Biclique, BicliqueSink, CollectSink, CountSink};
 use crate::task::Bound;
 use crate::{Algorithm, MbeOptions, MbetConfig};
@@ -62,7 +62,7 @@ pub enum StopReason {
     NodeBudget,
     /// A user sink returned `ControlFlow::Break` from `emit`.
     SinkStopped,
-    /// A parallel worker panicked mid-task; the panicking task's subtree
+    /// A worker panicked mid-task; the panicking task's subtree
     /// is *not* in the checkpoint (it may have partially emitted), so a
     /// resume cannot guarantee completeness — the panic surfaces as
     /// [`MbeError::WorkerPanic`] carrying the partial [`Report`].
@@ -132,10 +132,10 @@ impl fmt::Display for StopReason {
 /// copied into each run.
 ///
 /// Budget semantics:
-/// - `max_emitted` is exact, including under the parallel driver: the run
-///   stops with [`StopReason::EmitBudget`] after exactly that many
-///   bicliques have been forwarded to the sink (fewer if the enumeration
-///   finishes first, with [`StopReason::Completed`]).
+/// - `max_emitted` is exact at any thread count: the run stops with
+///   [`StopReason::EmitBudget`] after exactly that many bicliques have
+///   been forwarded to the sink (fewer if the enumeration finishes
+///   first, with [`StopReason::Completed`]).
 /// - `max_nodes` is enforced at task boundaries, so a run may overshoot
 ///   the node budget by the size of the tasks in flight before stopping
 ///   with [`StopReason::NodeBudget`].
@@ -352,11 +352,11 @@ impl<S: BicliqueSink> BicliqueSink for ControlledSink<'_, S> {
 pub enum MbeError {
     /// The builder was configured inconsistently (message says how).
     InvalidConfig(&'static str),
-    /// The parallel driver failed to spawn a worker thread.
+    /// The pool failed to spawn a worker thread.
     Spawn(String),
-    /// A worker thread panicked and its state could not be recovered
-    /// (join failure outside the per-task containment); results would be
-    /// incomplete.
+    /// A worker panicked outside any task (a spawned worker's join
+    /// failed, or the one worker's loop unwound), so its state could not
+    /// be recovered; results would be incomplete.
     WorkerPanicked,
     /// A worker panicked *inside a task*; the panic was contained and
     /// the run drained cleanly. `report` is a valid partial report (its
@@ -446,14 +446,15 @@ impl Report {
 /// Configure the run with the chained setters, then finish with one of
 /// the terminals: [`collect`](Enumeration::collect) (bicliques in a
 /// `Report`), [`count`](Enumeration::count) (count only),
-/// [`run`](Enumeration::run) (stream into your own sink on the serial
-/// driver), [`run_per_worker`](Enumeration::run_per_worker) (one sink
-/// per parallel worker), or [`top_k`](Enumeration::top_k) (the `k`
-/// bicliques with the most edges).
+/// [`run`](Enumeration::run) (stream into your own sink on one worker),
+/// [`run_per_worker`](Enumeration::run_per_worker) (one sink per
+/// worker), or [`top_k`](Enumeration::top_k) (the `k` bicliques with the
+/// most edges).
 ///
-/// Threading follows `MbeOptions::threads`: `1` (the default) runs the
-/// serial driver, `0` uses one worker per core, `n > 1` uses `n`
-/// workers. `collect`, `count` and `top_k` dispatch automatically.
+/// Every terminal runs on the one driver, the pool of
+/// [`crate::parallel`]. Threading follows `MbeOptions::threads`: `1`
+/// (the default) runs one worker on the calling thread, in root order,
+/// `0` uses one worker per core, `n > 1` uses `n` workers.
 ///
 /// ```
 /// use bigraph::BipartiteGraph;
@@ -570,9 +571,9 @@ impl<'g> Enumeration<'g> {
         self.control.clone()
     }
 
-    /// Attaches an [`Observer`] whose hooks fire throughout the run (both
-    /// drivers). Without one, the hook sites reduce to a null check — see
-    /// the hot-path contract in [`crate::obs`].
+    /// Attaches an [`Observer`] whose hooks fire throughout the run (at
+    /// any thread count). Without one, the hook sites reduce to a null
+    /// check — see the hot-path contract in [`crate::obs`].
     pub fn observer(mut self, obs: &'g dyn Observer) -> Self {
         self.observer = Some(obs);
         self
@@ -587,7 +588,7 @@ impl<'g> Enumeration<'g> {
         self
     }
 
-    /// The observer context the drivers thread around.
+    /// The observer context the driver threads around.
     fn obs_ctx(&self) -> ObsCtx<'g> {
         ObsCtx::new(self.observer, self.sample_every)
     }
@@ -701,12 +702,12 @@ impl<'g> Enumeration<'g> {
         })
     }
 
-    /// The graph the drivers run on: the peeled core when thresholded.
+    /// The graph the driver runs on: the peeled core when thresholded.
     fn graph(&self) -> &BipartiteGraph {
         self.core.as_ref().unwrap_or(self.g)
     }
 
-    /// The options the drivers run with: the builder's, cut by the
+    /// The options the driver runs with: the builder's, cut by the
     /// thresholds and, for a top-k run, the shared incumbent `theta`.
     fn bounded_opts(&self, theta: Option<Arc<AtomicUsize>>) -> MbeOptions {
         MbeOptions { bound: Bound::new(self.thresholds, theta), ..self.opts.clone() }
@@ -717,33 +718,20 @@ impl<'g> Enumeration<'g> {
         self.resume.as_ref().map(|c| c.frontier.as_slice())
     }
 
-    /// Runs the segment with `opts` on the serial driver, or on the
-    /// parallel one when `opts.threads != 1`.
+    /// Runs the segment with `opts` on the pool, one sink per worker.
     fn drive<S, F>(&self, opts: &MbeOptions, make_sink: F) -> Result<ParOutcome<S>, MbeError>
     where
         S: BicliqueSink + Send,
         F: Fn(usize) -> S + Sync,
     {
-        if opts.threads != 1 {
-            return crate::parallel::par_run(
-                self.graph(),
-                opts,
-                &self.control,
-                self.resume_tasks(),
-                self.obs_ctx(),
-                make_sink,
-            );
-        }
-        let mut sink = make_sink(0);
-        let out = run_serial_resumable(
+        crate::parallel::par_run(
             self.graph(),
             opts,
             &self.control,
-            &mut sink,
             self.resume_tasks(),
             self.obs_ctx(),
-        );
-        Ok(ParOutcome { sinks: vec![sink], out })
+            make_sink,
+        )
     }
 
     /// The report of a finished segment run with `opts`. Fires the
@@ -797,8 +785,8 @@ impl<'g> Enumeration<'g> {
             let s = s.into_inner();
             s.into_vec()
         });
-        // The first (for the serial driver, only) sink's vector is kept
-        // as is, so a serial run never copies its output.
+        // The first (for one worker, only) sink's vector is kept as is,
+        // so a one-worker run never copies its output.
         let mut bicliques = per_worker.next().unwrap_or_default();
         per_worker.for_each(|more| bicliques.extend(more));
         let report = self.finish(&obs, &opts, bicliques, par.out)?;
@@ -827,31 +815,30 @@ impl<'g> Enumeration<'g> {
         self.finish(&obs, &opts, Vec::new(), par.out)
     }
 
-    /// Streams every emission into `sink` on the serial driver
-    /// (regardless of `threads` — a single sink cannot be shared across
-    /// workers; use [`run_per_worker`](Enumeration::run_per_worker) for
-    /// that). The report's `bicliques` stay empty; the sink holds the
-    /// results.
+    /// Streams every emission into `sink` on one worker, on the calling
+    /// thread (regardless of `threads` — a single sink cannot be shared
+    /// across workers; use [`run_per_worker`](Enumeration::run_per_worker)
+    /// for that), so `sink` need not be `Send`. The report's `bicliques`
+    /// stay empty; the sink holds the results.
     pub fn run<S: BicliqueSink>(self, sink: &mut S) -> Result<Report, MbeError> {
         self.validate_resume()?;
         let obs = self.obs_ctx();
         self.note_run_start(&obs);
         let opts = self.bounded_opts(None);
-        let out = run_serial_resumable(
+        let out = crate::parallel::run_one(
             self.graph(),
             &opts,
             &self.control,
-            sink,
             self.resume_tasks(),
             obs,
-        );
+            sink,
+        )?;
         self.finish(&obs, &opts, Vec::new(), out)
     }
 
-    /// Runs on the parallel driver with one sink per worker (built by
-    /// `make_sink(worker_index)`), returning the sinks alongside the
-    /// report. Respects `threads` (`0` = all cores); `threads == 1` still
-    /// spawns a single worker so per-worker sinks behave uniformly.
+    /// Runs with one sink per worker (built by `make_sink(worker_index)`),
+    /// returning the sinks alongside the report. Respects `threads` (`0`
+    /// = all cores); `threads == 1` builds the one sink of the one worker.
     ///
     /// A contained worker panic returns [`MbeError::WorkerPanic`]; the
     /// per-worker sinks are dropped in that case (the error's report
@@ -865,14 +852,7 @@ impl<'g> Enumeration<'g> {
         let obs = self.obs_ctx();
         self.note_run_start(&obs);
         let opts = self.bounded_opts(None);
-        let par = crate::parallel::par_run(
-            self.graph(),
-            &opts,
-            &self.control,
-            self.resume_tasks(),
-            obs,
-            make_sink,
-        )?;
+        let par = self.drive(&opts, make_sink)?;
         let report = self.finish(&obs, &opts, Vec::new(), par.out)?;
         Ok((par.sinks, report))
     }
@@ -904,68 +884,6 @@ impl<'g> Enumeration<'g> {
         let bicliques = crate::extremal::merge_top_k(k, par.sinks);
         self.finish(&obs, &opts, bicliques, par.out)
     }
-}
-
-/// What a driver segment produced: the stats, the stop reason, for
-/// stopped segments the captured unexplored frontier (internal ids),
-/// the per-worker telemetry, and the first contained worker panic
-/// (parallel driver only).
-pub(crate) struct RunOutcome {
-    pub(crate) stats: Stats,
-    pub(crate) stop: StopReason,
-    pub(crate) frontier: Vec<ResumeTask>,
-    pub(crate) metrics: RunMetrics,
-    pub(crate) panic: Option<PanicInfo>,
-}
-
-/// Serial enumeration core shared by the builder terminals: applies
-/// the vertex order, then replays the root frontier (`resume == None`)
-/// or a checkpointed one (`resume == Some`), under `control`, reporting
-/// through `obs`. A stopped run's unexplored frontier comes back in the
-/// outcome.
-pub(crate) fn run_serial_resumable<S: BicliqueSink>(
-    g: &BipartiteGraph,
-    opts: &MbeOptions,
-    control: &RunControl,
-    sink: &mut S,
-    resume: Option<&[ResumeTask]>,
-    obs: ObsCtx<'_>,
-) -> RunOutcome {
-    let (h, perm) = bigraph::order::apply(g, opts.order);
-    let mut stats = Stats::default();
-    let mut frontier = Vec::new();
-    let mut wm = WorkerMetrics::new(0);
-    let start = Instant::now();
-    let stop = crate::task::SerialDriver::new(&h, opts).run_frontier(
-        resume,
-        &mut crate::sink::MapRight::new(sink, &perm),
-        &mut stats,
-        control,
-        &mut frontier,
-        obs,
-        &mut wm,
-    );
-    if stop.is_complete() {
-        // Holds for resumed segments too: every frontier task's subtree
-        // ran to completion, and the identity composes over subtrees.
-        crate::invariants::check_counter_identity(&stats);
-    }
-    stats.elapsed = start.elapsed();
-    RunOutcome { stats, stop, frontier, metrics: RunMetrics::from_single(wm), panic: None }
-}
-
-/// One-shot serial enumeration: like [`run_serial_resumable`] with no
-/// resume, discarding the frontier. Kept as the reference execution the
-/// `debug-invariants` harness replays parallel and stopped runs against.
-#[cfg_attr(not(feature = "debug-invariants"), allow(dead_code))]
-pub(crate) fn run_serial<S: BicliqueSink>(
-    g: &BipartiteGraph,
-    opts: &MbeOptions,
-    control: &RunControl,
-    sink: &mut S,
-) -> (Stats, StopReason) {
-    let out = run_serial_resumable(g, opts, control, sink, None, ObsCtx::noop());
-    (out.stats, out.stop)
 }
 
 #[cfg(test)]

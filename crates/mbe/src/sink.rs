@@ -54,7 +54,7 @@ impl Biclique {
 /// - **Exactly once.** For a run that completes, `emit` is called exactly
 ///   once per maximal biclique `(L, R)` of the graph with both sides
 ///   non-empty. A stopped run calls it for a duplicate-free subset —
-///   never twice for the same biclique, even under the parallel driver.
+///   never twice for the same biclique, at any thread count.
 /// - **Input-id space.** Both slices are sorted ascending and use the
 ///   caller's original vertex ids: any internal [`VertexOrder`]
 ///   permutation is un-applied before the sink sees the biclique.
@@ -63,10 +63,10 @@ impl Biclique {
 /// - **Stop semantics.** Returning `ControlFlow::Break(reason)` requests
 ///   a stop; the driver records the *first* break as the run's
 ///   [`StopReason`] and the emission that returned it is **not** counted
-///   in `Stats::emitted`. Serial drivers stop before any further
-///   emission; parallel workers observe the stop at their next emission
-///   or idle check, then drain remaining queued tasks without running
-///   them. User sinks should break with [`StopReason::SinkStopped`] (the
+///   in `Stats::emitted`. A one-worker run stops before any further
+///   emission; threaded workers observe the stop at their next emission
+///   or idle check. Either way the remaining tasks are drained into the
+///   checkpoint without running them. User sinks should break with [`StopReason::SinkStopped`] (the
 ///   [`STOP`] constant); [`TrieSink::with_node_limit`] breaks with
 ///   [`StopReason::NodeBudget`].
 /// - **Break verdicts are undelivered.** An emission whose `emit` call
@@ -234,12 +234,6 @@ impl<'a, S: BicliqueSink> MapRight<'a, S> {
     pub(crate) fn new(inner: &'a mut S, perm: &'a [u32]) -> Self {
         MapRight { inner, perm, buf: Vec::new() }
     }
-}
-
-/// Free-function constructor for [`MapRight`], used by the parallel
-/// driver.
-pub(crate) fn map_right<'a, S: BicliqueSink>(inner: &'a mut S, perm: &'a [u32]) -> MapRight<'a, S> {
-    MapRight::new(inner, perm)
 }
 
 impl<S: BicliqueSink> BicliqueSink for MapRight<'_, S> {

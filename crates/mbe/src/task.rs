@@ -9,13 +9,12 @@
 //! * `p0 = {w ∈ N²(v) : w > v}` — untraversed candidates;
 //! * `q0 = {w ∈ N²(v) : w < v}` — already-traversed (excluded) vertices.
 //!
-//! Tasks are independent, which is what the parallel driver exploits; the
-//! serial driver just runs them in order.
+//! Tasks are independent, which is what the pool in [`crate::parallel`]
+//! exploits; its one-worker case runs them in order.
 //!
 //! A size-thresholded or top-k run ("bounded run") walks the same tree
 //! and cuts it with a `Bound` that every expansion site checks.
 
-use std::borrow::Cow;
 use std::ops::ControlFlow;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -26,8 +25,8 @@ use crate::baseline::BaselineEngine;
 use crate::checkpoint::ResumeTask;
 use crate::mbet::MbetEngine;
 use crate::metrics::{Stats, WorkerMetrics};
-use crate::obs::{DriverKind, ObsCtx, RecordingSink, SegmentInfo, TaskDelta, TaskInfo, TaskKind};
-use crate::run::{ControlState, ControlledSink, RunControl, StopReason};
+use crate::obs::{ObsCtx, TaskDelta, TaskInfo, TaskKind};
+use crate::run::StopReason;
 use crate::sink::BicliqueSink;
 use crate::{Algorithm, MbeOptions, SizeThresholds};
 use bigraph::two_hop::TwoHop;
@@ -57,7 +56,7 @@ pub(crate) fn est_tree(l_len: usize, p_len: usize) -> (usize, usize) {
     (height, height.saturating_mul(p_len))
 }
 
-/// The split predicate of the parallel driver: a task runs its first
+/// The split predicate of a threaded pool: a task runs its first
 /// node in split mode iff both estimates of [`est_tree`] exceed their
 /// thresholds (`opts.split_height`, `opts.split_size`).
 pub(crate) fn splits(opts: &MbeOptions, l_len: usize, p_len: usize) -> bool {
@@ -267,27 +266,24 @@ pub fn root_representatives(g: &BipartiteGraph) -> Vec<bool> {
     reps
 }
 
-/// The [`root_representatives`] of `g` when a run of `opts` batches
-/// roots: only MBET with batching enabled skips equivalent roots (the
-/// baselines process every vertex, as in their papers).
-pub(crate) fn root_reps(g: &BipartiteGraph, opts: &MbeOptions) -> Option<Vec<bool>> {
-    (opts.algorithm == Algorithm::Mbet && opts.mbet.batching).then(|| root_representatives(g))
-}
-
-/// The root frontier of a full run, generated lazily in id order: every
-/// non-isolated vertex, minus the non-representatives when `reps` is
-/// set, which are counted in `batched` as the sweep passes them.
+/// The root frontier of a full run of `opts` over `g`, generated lazily
+/// in id order: every non-isolated vertex, minus the non-representatives
+/// ([`root_representatives`]) when the run batches roots, which are
+/// counted in `batched` as the sweep passes them. Only MBET with
+/// batching enabled skips equivalent roots (the baselines process every
+/// vertex, as in their papers).
 #[derive(Clone)]
 pub(crate) struct Roots<'a> {
     g: &'a BipartiteGraph,
-    reps: Option<&'a [bool]>,
+    reps: Option<Vec<bool>>,
     next: u32,
     pub(crate) batched: u64,
 }
 
 impl<'a> Roots<'a> {
-    pub(crate) fn new(g: &'a BipartiteGraph, reps: Option<&'a [bool]>) -> Self {
-        Roots { g, reps, next: 0, batched: 0 }
+    pub(crate) fn new(g: &'a BipartiteGraph, opts: &MbeOptions) -> Self {
+        let batches = opts.algorithm == Algorithm::Mbet && opts.mbet.batching;
+        Roots { g, reps: batches.then(|| root_representatives(g)), next: 0, batched: 0 }
     }
 }
 
@@ -298,7 +294,7 @@ impl Iterator for Roots<'_> {
         while self.next < self.g.num_v() {
             let v = self.next;
             self.next += 1;
-            if self.reps.is_some_and(|r| !r[v as usize]) {
+            if self.reps.as_ref().is_some_and(|r| !r[v as usize]) {
                 self.batched += 1;
             } else if !self.g.nbr_v(v).is_empty() {
                 return Some(v);
@@ -308,132 +304,8 @@ impl Iterator for Roots<'_> {
     }
 }
 
-/// Runs a segment's tasks in order on the configured engine.
-pub struct SerialDriver<'g> {
-    g: &'g BipartiteGraph,
-    opts: MbeOptions,
-}
-
-impl<'g> SerialDriver<'g> {
-    /// A driver for `g` with `opts` (graph must already be ordered).
-    pub fn new(g: &'g BipartiteGraph, opts: &MbeOptions) -> Self {
-        SerialDriver { g, opts: opts.clone() }
-    }
-
-    /// Runs all root tasks into `sink` under `control`, accumulating
-    /// `stats`. Returns why the run ended: [`StopReason::Completed`] for
-    /// a full run, or the first stop recorded by the control plane / the
-    /// sink (a stopped run leaves the in-flight node's counters open, so
-    /// the `nodes = emitted + nonmaximal + undersized` identity only
-    /// holds when complete).
-    pub fn run_all<S: BicliqueSink>(
-        &mut self,
-        sink: &mut S,
-        stats: &mut Stats,
-        control: &RunControl,
-    ) -> StopReason {
-        let mut frontier = Vec::new();
-        let mut wm = WorkerMetrics::new(0);
-        self.run_frontier(None, sink, stats, control, &mut frontier, ObsCtx::noop(), &mut wm)
-    }
-
-    /// Runs one segment: the checkpointed `resume` frontier, or for a
-    /// full run (`None`) the root frontier, generated lazily. Each task's
-    /// subtree is enumerated exactly as in an uninterrupted run. A stop
-    /// captures the unexplored remainder into `frontier` (the in-flight
-    /// engine's untraversed subtrees, then every task not yet started, in
-    /// internal (ordered) ids; empty on a completed run), so a resumed
-    /// segment can itself be checkpointed. Fires the `obs` hooks and
-    /// accumulates per-worker telemetry into `wm`.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_frontier<S: BicliqueSink>(
-        &mut self,
-        resume: Option<&[ResumeTask]>,
-        sink: &mut S,
-        stats: &mut Stats,
-        control: &RunControl,
-        frontier: &mut Vec<ResumeTask>,
-        obs: ObsCtx<'_>,
-        wm: &mut WorkerMetrics,
-    ) -> StopReason {
-        let emitted0 = stats.emitted;
-        let segment = |seeded_tasks| SegmentInfo {
-            driver: DriverKind::Serial,
-            workers: 1,
-            seeded_tasks,
-            resumed: resume.is_some(),
-        };
-        let stop = match resume {
-            Some(tasks) => {
-                obs.segment_start(&segment(tasks.len() as u64));
-                let mut rest = tasks.iter().map(Cow::Borrowed);
-                let stop = self.run_tasks(&mut rest, sink, stats, control, frontier, obs, wm);
-                frontier.extend(rest.map(Cow::into_owned));
-                stop
-            }
-            None => {
-                let reps = root_reps(self.g, &self.opts);
-                let mut roots = Roots::new(self.g, reps.as_deref());
-                if obs.enabled() {
-                    // The seed count is only computed when someone is listening.
-                    obs.segment_start(&segment(roots.clone().count() as u64));
-                }
-                let mut rest = roots.by_ref().map(|v| Cow::Owned(ResumeTask::Root(v)));
-                let stop = self.run_tasks(&mut rest, sink, stats, control, frontier, obs, wm);
-                stats.batched += roots.batched;
-                frontier.extend(roots.map(ResumeTask::Root));
-                stop
-            }
-        };
-        wm.emitted += stats.emitted - emitted0;
-        obs.segment_end(stop, stats);
-        stop
-    }
-
-    /// The task loop of [`run_frontier`](Self::run_frontier): runs
-    /// `tasks` until they run out or the run stops, leaving the tasks
-    /// not yet started in the iterator.
-    #[allow(clippy::too_many_arguments)]
-    fn run_tasks<'t, S: BicliqueSink>(
-        &mut self,
-        tasks: &mut impl Iterator<Item = Cow<'t, ResumeTask>>,
-        sink: &mut S,
-        stats: &mut Stats,
-        control: &RunControl,
-        frontier: &mut Vec<ResumeTask>,
-        obs: ObsCtx<'_>,
-        wm: &mut WorkerMetrics,
-    ) -> StopReason {
-        let state = ControlState::with_obs(control, obs);
-        let mut recording = RecordingSink::with_base(sink, obs, stats.emitted);
-        let mut controlled = ControlledSink::new(&state, &mut recording);
-        if let ControlFlow::Break(r) = state.note_task(0) {
-            return r; // cancelled or expired before any work
-        }
-        // The serial driver never splits: every task runs its whole subtree.
-        let mut runner = TaskRunner::new(self.g, &self.opts, false);
-        for task in tasks {
-            let nodes_before = stats.nodes;
-            let flow = match runner.run(&task, &mut controlled, stats, obs, wm) {
-                Ok(flow) => flow,
-                // Serial runs do not contain panics; the task was closed
-                // in the trace and metrics before unwinding on.
-                Err(payload) => std::panic::resume_unwind(payload),
-            };
-            if let ControlFlow::Break(r) = flow {
-                frontier.append(&mut runner.take_frontier());
-                return state.note_stop(r);
-            }
-            if let ControlFlow::Break(r) = state.note_task(stats.nodes - nodes_before) {
-                return r;
-            }
-        }
-        StopReason::Completed
-    }
-}
-
-/// Runs the tasks of one driver worker on one engine and one root
-/// builder, both reused across tasks. Both drivers run every task
+/// Runs the tasks of one pool worker on one engine and one root
+/// builder, both reused across tasks. Every task of every run goes
 /// through [`TaskRunner::run`].
 pub(crate) struct TaskRunner<'g> {
     g: &'g BipartiteGraph,
@@ -441,7 +313,7 @@ pub(crate) struct TaskRunner<'g> {
     engine: AnyEngine<'g>,
     builder: TaskBuilder<'g>,
     /// Whether a task that [`splits`] runs its first node in split mode
-    /// (the parallel driver) or always runs its whole subtree (serial).
+    /// (a threaded pool) or always runs its whole subtree (one worker).
     split: bool,
 }
 
@@ -548,8 +420,8 @@ pub(crate) fn record_task(
     wm.peak_trie_nodes = wm.peak_trie_nodes.max(peak_trie_nodes);
 }
 
-/// Engine dispatch shared by the serial and parallel drivers. Constructed
-/// once per worker so scratch pools are reused across tasks.
+/// Engine dispatch of the pool's workers. Constructed once per worker so
+/// scratch pools are reused across tasks.
 pub(crate) enum AnyEngine<'g> {
     Baseline(BaselineEngine<'g>),
     // Boxed: the MBET engine embeds the localization buffers, making it

@@ -169,11 +169,11 @@ fn top_k_matches_full_sort_at_scale() {
     let mut scores: Vec<usize> = all.iter().map(|b| b.edges()).collect();
     scores.sort_unstable_by(|a, b| b.cmp(a));
     for k in [1, 7, 50] {
-        let (top, stats) = mbe::top_k_by_edges(&g, k);
-        let got: Vec<usize> = top.iter().map(|b| b.edges()).collect();
+        let report = Enumeration::new(&g).top_k(k).unwrap();
+        let got: Vec<usize> = report.bicliques.iter().map(|b| b.edges()).collect();
         let want: Vec<usize> = scores.iter().copied().take(k).collect();
         assert_eq!(got, want, "k={k}");
-        assert!(stats.bound_pruned > 0 || k >= all.len());
+        assert!(report.stats.bound_pruned > 0 || k >= all.len());
     }
 }
 
@@ -383,6 +383,19 @@ fn checkpoint_fixture_reencodes_byte_identically() {
     let bytes = include_bytes!("data/structured77_budget924.mbck");
     let ckpt = mbe::Checkpoint::from_bytes(bytes).expect("fixture decodes");
     assert_eq!(ckpt.to_bytes(), bytes.as_slice());
+}
+
+#[test]
+fn one_worker_stop_checkpoints_the_recorded_bytes() {
+    // A one-worker run takes the roots in order and, stopped, captures
+    // the in-flight task's remainder followed by the roots it never took.
+    // Pinned: the `MBCK` bytes of this run. A change to the seed order,
+    // the drain order or the engine's capture moves them.
+    let g = structured(77, 300, 200, 1800);
+    let stopped = Enumeration::new(&g).max_bicliques(924).collect().unwrap();
+    let bytes = stopped.checkpoint.expect("budget-stopped run must checkpoint").to_bytes();
+    assert_eq!(bytes.len(), 3226);
+    assert_eq!(bigraph::codec::fnv1a(&bytes), 0xc588_4c3d_24d9_7a93);
 }
 
 // ---------------------------------------------------------------------------

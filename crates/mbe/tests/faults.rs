@@ -2,9 +2,9 @@
 //! run with `debug-invariants` too for the full checkpoint cross-checks).
 //!
 //! Scripted faults make the failure paths deterministic: a panic at a
-//! known emission index exercises the parallel driver's `catch_unwind`
-//! containment, and a sink failure at a known index exercises checkpoint
-//! capture and exactly-once resume.
+//! known emission index exercises the pool's `catch_unwind` containment
+//! at every thread count, and a sink failure at a known index exercises
+//! checkpoint capture and exactly-once resume.
 #![cfg(feature = "fault-injection")]
 
 use bigraph::BipartiteGraph;
@@ -29,7 +29,7 @@ fn crown(n: u32) -> BipartiteGraph {
 #[test]
 fn injected_worker_panic_is_contained() {
     let g = crown(12);
-    for threads in [2, 4] {
+    for threads in [1, 2, 4] {
         let err = Enumeration::new(&g)
             .threads(threads)
             .faults(FaultPlan::new().panic_at(50))

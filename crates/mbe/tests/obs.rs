@@ -1,7 +1,7 @@
 //! Observability acceptance suite: event-ordering invariants of the
 //! [`mbe::Observer`] hooks, per-worker metrics merge identities, and the
-//! JSONL trace writer — across the serial driver and 2/4-thread
-//! work-stealing runs.
+//! JSONL trace writer — across one-worker and 2/4-thread runs of the
+//! work-stealing pool.
 
 use bigraph::BipartiteGraph;
 use mbe::obs::{RunContext, SegmentInfo, TaskDelta, TaskInfo};
@@ -155,7 +155,7 @@ fn serial_event_stream_is_well_ordered() {
     assert!(report.is_complete());
     let events = rec.take();
     assert_well_ordered(&events, 1);
-    // The serial driver never steals or idles.
+    // One worker never steals or idles.
     assert!(!events.contains(&Ev::Steal));
     assert!(!events.contains(&Ev::Idle));
     // Per-task emission deltas add up to the run total.
@@ -326,22 +326,26 @@ mod faults {
 
     /// The flush-before-fail contract: an injected worker panic must
     /// still produce a complete, well-terminated trace file whose final
-    /// `run_end` records the panic stop reason.
+    /// `run_end` records the panic stop reason, on one worker as on four.
     #[test]
     fn worker_panic_still_flushes_the_trace() {
         let g = crown(12);
-        let path = temp_trace("panic");
-        let trace = mbe::JsonlTraceObserver::create(path.to_str().unwrap()).unwrap();
-        let err = Enumeration::new(&g)
-            .threads(4)
-            .faults(FaultPlan::new().panic_at(50))
-            .observer(&trace)
-            .collect()
-            .unwrap_err();
-        assert!(matches!(err, MbeError::WorkerPanic { .. }), "got {err:?}");
-        assert!(trace.take_error().is_none());
-        let content = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_trace_shape(&content, "worker-panic");
+        for threads in [1, 4] {
+            let path = temp_trace(&format!("panic{threads}"));
+            let trace = mbe::JsonlTraceObserver::create(path.to_str().unwrap()).unwrap();
+            let err = Enumeration::new(&g)
+                .threads(threads)
+                .faults(FaultPlan::new().panic_at(50))
+                .observer(&trace)
+                .collect()
+                .unwrap_err();
+            assert!(matches!(err, MbeError::WorkerPanic { .. }), "threads={threads}: {err:?}");
+            assert!(trace.take_error().is_none());
+            drop(trace);
+            let content = std::fs::read_to_string(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            assert_trace_shape(&content, "worker-panic");
+            assert!(content.contains("\"ev\":\"segment_end\""), "threads={threads}");
+        }
     }
 }

@@ -7,7 +7,7 @@
 //!    transversal `S` — removing `S` leaves a bipartite remainder with
 //!    certificate classes `(X, Y)` — via BFS odd-cycle peeling plus a
 //!    bounded drop/swap local search.
-//! 2. [`OctEnumeration`](driver::OctEnumeration) sweeps the `3^|S|`
+//! 2. [`OctEnumeration`] sweeps the `3^|S|`
 //!    side assignments of `S`, prunes invalid ones by adjacency masks,
 //!    and for each valid assignment builds compact bipartite instances
 //!    solved by the stock [`mbe::Enumeration`] engine.
@@ -16,7 +16,7 @@
 //!    determines the pair), maximality-filtered against the full
 //!    graph, and emitted.
 //!
-//! Runs are resumable: [`OctCheckpoint`](checkpoint::OctCheckpoint)
+//! Runs are resumable: [`OctCheckpoint`]
 //! carries the next unit address *and* the full dedup key log, so a
 //! stopped run plus its resumption equals the complete run with no
 //! duplicates.

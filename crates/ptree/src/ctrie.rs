@@ -9,17 +9,18 @@
 //! 1. **Equivalence batching** — candidates with identical `NL` end at the
 //!    same trie node ([`CandidateTrie::for_each_group`]); they expand to
 //!    identical subtrees and are processed once.
-//! 2. **Absorption** — when expanding candidate `v` (so `L' = NL(v)`), all
-//!    candidates `w` with `NL(w) ⊇ NL(v)` belong in `R'`
-//!    ([`CandidateTrie::for_each_superset`]); the walk shares prefix
-//!    comparisons across all of them.
+//! 2. **Absorption** — at the node `(L', R', C')` reached by expanding
+//!    `v`, every candidate `w` adjacent to all of `L'` belongs in `R'`.
+//!    Keyed against `L'` itself, such a `w` has the full key, so the MBET
+//!    engine absorbs with a key-length test (`|key| = |L'|`), paid once
+//!    per group of [`CandidateTrie::for_each_group`]; no walk is needed.
 //! 3. **Maximality** — `(L', R')` is non-maximal iff some excluded `q` has
 //!    `NL(q) ⊇ L'` ([`CandidateTrie::any_superset`]), one walk instead of
 //!    `|Q|` subset scans.
 //!
 //! Because keys are strictly increasing sequences, labels strictly
 //! increase along any root-to-leaf path, and sibling lists are kept sorted
-//! — both facts are what make the superset walks prunable.
+//! — both facts are what make the superset walk prunable.
 
 use crate::NIL;
 
@@ -180,13 +181,9 @@ impl CandidateTrie {
         found
     }
 
-    /// Calls `f(vertex)` for every payload vertex whose key is a superset
-    /// of `query` (equality counts). Return `false` from `f` to stop early.
-    pub fn for_each_superset(&self, query: &[u32], mut f: impl FnMut(u32) -> bool) {
-        self.walk_supersets(0, query, 0, &mut f);
-    }
-
-    /// DFS for superset matching. Returns `false` if the visitor aborted.
+    /// DFS for superset matching: calls `f(vertex)` for every payload
+    /// vertex below `at` whose key is a superset of `query[qi..]`
+    /// (equality counts). Returns `false` if `f` returned `false` (stop).
     fn walk_supersets(
         &self,
         at: usize,
@@ -194,15 +191,10 @@ impl CandidateTrie {
         qi: usize,
         f: &mut impl FnMut(u32) -> bool,
     ) -> bool {
-        let n = self.nodes[at];
         if qi == query.len() {
             // Everything below (and here) is a superset.
-            if !self.emit_subtree(at, f) {
-                return false;
-            }
-            return true;
+            return self.emit_subtree(at, f);
         }
-        let _ = n;
         let need = query[qi];
         let mut child = self.nodes[at].first_child;
         while child != NIL {
@@ -267,7 +259,7 @@ mod tests {
 
     fn supersets(t: &CandidateTrie, q: &[u32]) -> BTreeSet<u32> {
         let mut s = BTreeSet::new();
-        t.for_each_superset(q, |v| {
+        t.walk_supersets(0, q, 0, &mut |v| {
             s.insert(v);
             true
         });
@@ -314,10 +306,11 @@ mod tests {
             t.insert(&[0, 1], v);
         }
         let mut seen = 0;
-        t.for_each_superset(&[0], |_| {
+        let finished = t.walk_supersets(0, &[0], 0, &mut |_| {
             seen += 1;
             seen < 3
         });
+        assert!(!finished);
         assert_eq!(seen, 3);
     }
 

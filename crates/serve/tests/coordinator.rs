@@ -429,9 +429,10 @@ fn cancel_returns_promptly_despite_hung_worker() {
     join.join().unwrap();
 }
 
-/// (g): a scripted panic inside one worker's shard execution. The
-/// contained-panic reply carries a checkpoint; the coordinator re-steals
-/// the remainder and the merged result still matches the direct run.
+/// (g): a scripted panic inside one worker's shard execution, on one
+/// thread (the default) and on two. The contained-panic reply carries a
+/// checkpoint; the coordinator re-steals the remainder and the merged
+/// result still matches the direct run.
 #[cfg(feature = "fault-injection")]
 #[test]
 fn scripted_worker_panic_is_restolen_exactly() {
@@ -440,33 +441,39 @@ fn scripted_worker_panic_is_restolen_exactly() {
     let g = test_graph(17);
     let expected = sorted(Enumeration::new(&g).collect().unwrap().bicliques);
 
-    // One worker panics once, after 40 cumulative shard emissions; its
-    // parallel driver contains the panic and replies with a checkpoint.
-    let faulty_cfg =
-        ServerConfig { fault_plan: Some(FaultPlan::new().panic_at(40)), ..ServerConfig::default() };
-    let workers =
-        vec![start_worker("g", &g, faulty_cfg), start_worker("g", &g, ServerConfig::default())];
-    let addrs = workers.iter().map(|(a, _)| a.clone()).collect();
-    let (handle, join) = start_coordinator("g", &g, coord_cfg(addrs));
+    for threads in [1, 2] {
+        // One worker panics once, after 40 cumulative shard emissions
+        // (a fresh plan per round: the count is shared across its runs);
+        // its pool contains the panic and replies with a checkpoint.
+        let faulty_cfg = ServerConfig {
+            fault_plan: Some(FaultPlan::new().panic_at(40)),
+            ..ServerConfig::default()
+        };
+        let workers =
+            vec![start_worker("g", &g, faulty_cfg), start_worker("g", &g, ServerConfig::default())];
+        let addrs = workers.iter().map(|(a, _)| a.clone()).collect();
+        let (handle, join) = start_coordinator("g", &g, coord_cfg(addrs));
 
-    let mut client = Client::connect(handle.addr()).unwrap();
-    // threads=2 keeps the scripted panic on the parallel driver, where
-    // it is contained and checkpointed.
-    let params = QueryParams { threads: 2, ..QueryParams::default() };
-    let reply = client.query(request("g", params)).unwrap();
-    assert_eq!(reply.stop, StopReason::Completed);
-    let dist = reply.dist.unwrap();
-    assert!(dist.resteals >= 1, "the panicked shard's checkpoint was re-stolen: {dist:?}");
-    assert!(!dist.degraded);
-    let got = sorted(reply.bicliques);
-    for pair in got.windows(2) {
-        assert!(pair[0] < pair[1], "re-steal must not duplicate emissions");
-    }
-    assert_eq!(got, expected);
+        let mut client = Client::connect(handle.addr()).unwrap();
+        let params = QueryParams { threads, ..QueryParams::default() };
+        let reply = client.query(request("g", params)).unwrap();
+        assert_eq!(reply.stop, StopReason::Completed, "threads={threads}");
+        let dist = reply.dist.unwrap();
+        assert!(
+            dist.resteals >= 1,
+            "threads={threads}: the panicked shard's checkpoint was re-stolen: {dist:?}"
+        );
+        assert!(!dist.degraded, "threads={threads}");
+        let got = sorted(reply.bicliques);
+        for pair in got.windows(2) {
+            assert!(pair[0] < pair[1], "threads={threads}: re-steal must not duplicate emissions");
+        }
+        assert_eq!(got, expected, "threads={threads}");
 
-    handle.shutdown();
-    join.join().unwrap();
-    for (_, worker) in workers {
-        worker.shutdown();
+        handle.shutdown();
+        join.join().unwrap();
+        for (_, worker) in workers {
+            worker.shutdown();
+        }
     }
 }

@@ -15,7 +15,9 @@
 //! (f) a shard whose frontier does not fit the graph is refused with
 //!     `BAD_SHARD` before it reaches the pool, which keeps serving;
 //! (g) a query or shard asking for `u32::MAX` threads runs on the
-//!     server's cores and answers exactly.
+//!     server's cores and answers exactly;
+//! (h) a shard whose run panics on one thread answers `worker-panicked`
+//!     with a checkpoint, and the server's only worker keeps serving.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -622,6 +624,48 @@ fn queries_asking_for_u32_max_threads_run_on_the_available_cores() {
     let reply = client.query_shard(shard).unwrap();
     assert_eq!(reply.stop, StopReason::Completed);
     assert_eq!(reply.emitted, (1 << 10) - 2);
+
+    handle.shutdown();
+    join.join();
+}
+
+/// (h): a scripted panic in a one-thread shard run is contained like a
+/// threaded one. The reply carries `stop = worker-panicked` and a
+/// checkpoint, the query leaves the in-flight set, and the one admission
+/// worker survives to answer the next query.
+#[cfg(feature = "fault-injection")]
+#[test]
+fn one_thread_shard_panic_is_answered_and_the_worker_survives() {
+    use mbe::faults::FaultPlan;
+
+    let g = crown(12);
+    let cfg = ServerConfig {
+        workers: 1,
+        fault_plan: Some(FaultPlan::new().panic_at(40)),
+        ..ServerConfig::default()
+    };
+    let (handle, join) = start(cfg, &[("g", &g)]);
+    let mut client = Client::connect(handle.addr()).unwrap().wait(Duration::from_secs(60));
+
+    let params = QueryParams { threads: 1, ..QueryParams::default() };
+    let opts = MbeOptions::new(params.algorithm).order(params.order);
+    let shard = ShardRequest {
+        graph: "g".to_string(),
+        params,
+        max_return: u32::MAX,
+        checkpoint: initial_checkpoint(&g, &opts).to_bytes(),
+        trace: None,
+    };
+    let reply = client.query_shard(shard).unwrap();
+    assert_eq!(reply.stop, StopReason::WorkerPanicked);
+    assert!(reply.checkpoint.is_some(), "a contained panic still returns a checkpoint");
+    assert_eq!(client.stats().unwrap().inflight, 0);
+
+    let reply = client
+        .query(request("g", QueryParams { count_only: true, ..QueryParams::default() }))
+        .unwrap();
+    assert_eq!(reply.stop, StopReason::Completed);
+    assert_eq!(reply.emitted, (1 << 12) - 2);
 
     handle.shutdown();
     join.join();

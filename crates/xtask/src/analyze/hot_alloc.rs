@@ -26,17 +26,10 @@ use super::{CallGraph, Finding, Severity, Workspace};
 use crate::index::FileIndex;
 
 /// Functions a panic escapes *from* into a worker or connection
-/// thread: the drivers' task loops and the serve dispatch path.
-const DRIVER_ENTRIES: &[&str] = &[
-    "par_run",
-    "worker_loop",
-    "run_all",
-    "run_all_capturing",
-    "run_frontier",
-    "run_task",
-    "run_node",
-    "handle_conn",
-];
+/// thread: the pool's entry points and task loop, the engines' task
+/// entry points, and the serve dispatch path.
+const DRIVER_ENTRIES: &[&str] =
+    &["par_run", "run_one", "worker_loop", "run_task", "run_node", "handle_conn"];
 
 /// Container types whose `::new()` / `::with_capacity()` /
 /// `::default()` allocate (or will on first push).

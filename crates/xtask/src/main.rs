@@ -93,16 +93,15 @@ const HOT_PATHS: &[&str] = &[
 ];
 
 /// Crates allowed to print to stdout (user-facing output or bench
-/// reports; `vendor/criterion` is the bench reporter itself).
-const PRINTLN_OK: &[&str] =
-    &["crates/cli/", "crates/bench/", "crates/xtask/", "vendor/criterion/", "examples/"];
+/// reports).
+const PRINTLN_OK: &[&str] = &["crates/cli/", "crates/bench/", "crates/xtask/", "examples/"];
 
 /// Crates whose public API surface must be fully documented.
 const DOC_PATHS: &[&str] = &["crates/mbe/src/", "crates/bigraph/src/"];
 
 /// Crates whose `pub fn`s must not return bare tuples (`Option<(`… or
 /// `(Vec<`…): the run-control API replaced those signatures with
-/// [`Report`]-style results, and new code must not regress to them.
+/// `Report`-style results, and new code must not regress to them.
 const TUPLE_RETURN_PATHS: &[&str] = &["crates/mbe/src/"];
 
 /// Return-type shapes the `tuple-return` rule bans on `pub fn` lines.

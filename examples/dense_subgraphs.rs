@@ -65,11 +65,12 @@ fn main() {
 
     // 4. The top-5 densest groups overall, found without full enumeration.
     let t = std::time::Instant::now();
-    let (top, tstats) = mbe::top_k_by_edges(&g, 5);
+    let report = mbe::Enumeration::new(&g).top_k(5).expect("valid configuration");
+    let top = report.bicliques;
     println!(
         "top-5 by edges in {:?} ({} branches bound-pruned):",
         t.elapsed(),
-        tstats.bound_pruned
+        report.stats.bound_pruned
     );
     for b in &top {
         println!("  {} readers × {} books = {} edges", b.left.len(), b.right.len(), b.edges());

@@ -26,7 +26,7 @@
 //! | [`bigraph`] | bipartite CSR graphs, loaders, orderings, statistics |
 //! | [`setops`] | sorted-slice and bitmap set kernels |
 //! | [`ptree`] | the candidate trie and R-set trie (the paper's data structure) |
-//! | [`mbe`] | MBET, MBETM mode, baselines, parallel driver, verification |
+//! | [`mbe`] | MBET, MBETM mode, baselines, the work-stealing driver, verification |
 //! | [`gen`] | synthetic workloads and benchmark-dataset analogues |
 
 #![forbid(unsafe_code)]
