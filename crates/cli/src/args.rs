@@ -548,7 +548,7 @@ USAGE:
       Enumerate maximal bicliques.
         --algorithm mbet|mbea|imbea|minelmbc   (default mbet)
         --order asc|desc|unilateral|natural|random:SEED
-        --threads N        parallel driver with N workers (0 = all cores)
+        --threads N        N pool workers (default 1; 0 = all cores)
         --min-left A       only bicliques with |L| >= A (pruned search)
         --min-right B      only bicliques with |R| >= B (pruned search)
         --top-k K          the K largest bicliques by edge count

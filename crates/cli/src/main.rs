@@ -25,10 +25,10 @@ fn main() -> ExitCode {
     // Dying quietly is the correct CLI behavior; without a libc
     // dependency the portable way is a panic hook that recognizes the
     // broken-pipe payload and exits success. Every other panic only
-    // *prints* here and then keeps unwinding: the parallel driver catches
-    // worker panics and converts them to a typed error with partial
-    // results, which an exit() in the hook would silently defeat (hooks
-    // run before unwinding reaches any catch_unwind).
+    // *prints* here and then keeps unwinding: the pool driver catches a
+    // task panic at every thread count and converts it to a typed error
+    // with partial results, which an exit() in the hook would silently
+    // defeat (hooks run before unwinding reaches any catch_unwind).
     std::panic::set_hook(Box::new(|info| {
         let msg = info
             .payload()
@@ -650,7 +650,7 @@ fn run_enumerate(g: &BipartiteGraph, flags: &RunFlags) -> ExitCode {
     } else {
         println!(
             "{} maximal bicliques{} in {:?} (tasks={} nodes={} nonmaximal={} batched={} \
-             excluded_keyed={} excluded_kept={})",
+             excluded_keyed={} excluded_kept={} word_nodes={})",
             report.count(),
             qualifier,
             report.stats.elapsed,
@@ -659,7 +659,8 @@ fn run_enumerate(g: &BipartiteGraph, flags: &RunFlags) -> ExitCode {
             report.stats.nonmaximal,
             report.stats.batched,
             report.stats.excluded_keyed,
-            report.stats.excluded_kept
+            report.stats.excluded_kept,
+            report.stats.word_nodes
         );
         if !params.count_only {
             let shown = &report.bicliques[..report.bicliques.len().min(flags.max_print)];

@@ -6,8 +6,9 @@
 //! neighborhood of its `R'`, trie keys are strictly increasing local-id
 //! subsets of their node's `L`, every per-root localization relabels
 //! consistently (sorted id maps, rows matching the global intersections,
-//! bitmap rows decoding to their sorted rows), the `Scratch` arenas hand
-//! out non-overlapping spans, every excluded key a trie-path node drops
+//! bitmap rows decoding to their sorted rows), every word-mode key
+//! equals the key its localized row gives, the `Scratch` arenas hand
+//! out non-overlapping spans, every excluded key a full-body node drops
 //! is contained in one it keeps, the counter identity
 //! `nodes = emitted + nonmaximal + undersized` closes for every engine,
 //! the pool drains its `pending` ledger, a threaded run searches exactly
@@ -79,6 +80,49 @@ pub fn check_local_key(key: &[u32], l_new: &[u32]) {
 #[inline(always)]
 pub fn check_local_key(_key: &[u32], _l_new: &[u32]) {}
 
+/// Asserts that the word-mode keys of a node's entries are their
+/// row-derived keys: `table` (a word root's `L'` in local left ids, at
+/// most 64 of them, strictly increasing) gives bit `i` the vertex
+/// `table[i]`, `l` (the node's `L'`) is a non-empty mask inside it, and
+/// for every `(v, key)`, `key & l` holds exactly the positions `i ∈ l`
+/// with `table[i] ∈ N(v)`, looked up in `v`'s localized row by binary
+/// search (independent of the word root's keying).
+#[cfg(feature = "debug-invariants")]
+pub fn check_word_keys(
+    local: &bigraph::LocalGraph,
+    table: &[u32],
+    l: u64,
+    keys: impl IntoIterator<Item = (u32, u64)>,
+) {
+    assert!(table.len() <= 64, "invariant: word root with {} > 64 positions", table.len());
+    assert!(setops::is_strictly_increasing(table), "invariant: word table not sorted: {table:?}");
+    let inside = if table.len() == 64 { u64::MAX } else { (1u64 << table.len()) - 1 };
+    assert!(l != 0 && l & !inside == 0, "invariant: word L {l:#x} escapes its table {table:?}");
+    for (v, key) in keys {
+        let row = local.row(v);
+        let want = (0..table.len())
+            .filter(|&i| l >> i & 1 == 1 && row.binary_search(&table[i]).is_ok())
+            .fold(0u64, |m, i| m | 1 << i);
+        assert_eq!(
+            key & l,
+            want,
+            "invariant: word key of right vertex {v} is {:#x} under L {l:#x}, its row gives {want:#x}",
+            key & l
+        );
+    }
+}
+
+/// No-op stub (enable `debug-invariants` for the real check).
+#[cfg(not(feature = "debug-invariants"))]
+#[inline(always)]
+pub fn check_word_keys(
+    _local: &bigraph::LocalGraph,
+    _table: &[u32],
+    _l: u64,
+    _keys: impl IntoIterator<Item = (u32, u64)>,
+) {
+}
+
 /// Asserts the relabeling invariants of a freshly built
 /// [`bigraph::LocalGraph`]: sorted id maps, rows strictly increasing
 /// inside the left universe, each row equal to a naive oracle of the
@@ -131,10 +175,10 @@ pub fn check_spans<I: IntoIterator<Item = (u32, u32)>>(arena_len: usize, spans: 
 #[inline(always)]
 pub fn check_spans<I: IntoIterator<Item = (u32, u32)>>(_arena_len: usize, _spans: I) {}
 
-/// Asserts that a trie-path node's excluded antichain never changes a
-/// maximality decision: every dropped key is a subset of some kept key
-/// (equality counts), and no kept key is a subset of another, so the
-/// kept keys are exactly the maximal distinct ones.
+/// Asserts that a node's excluded antichain (trie path or word mode)
+/// never changes a maximality decision: every dropped key is a subset of
+/// some kept key (equality counts), and no kept key is a subset of
+/// another, so the kept keys are exactly the maximal distinct ones.
 #[cfg(feature = "debug-invariants")]
 pub fn check_excluded_antichain<'a>(
     kept: impl IntoIterator<Item = &'a [u32]>,
@@ -235,13 +279,14 @@ pub fn check_parallel_run(g: &BipartiteGraph, opts: &crate::MbeOptions, merged: 
     let one_worker = reference_run(g, opts, None, &mut crate::sink::CountSink::default()).stats;
     let counters = |s: &Stats| {
         let search = [s.nodes, s.nonmaximal, s.emitted, s.batched, s.absorbed];
-        (search, [s.excluded_keyed, s.excluded_kept, s.undersized])
+        (search, [s.word_nodes, s.excluded_keyed, s.excluded_kept, s.undersized])
     };
     assert_eq!(
         counters(merged),
         counters(&one_worker),
         "invariant: a threaded run's search counters ([nodes, nonmaximal, emitted, batched, \
-         absorbed], [excluded_keyed, excluded_kept, undersized]) differ from the one-worker run's"
+         absorbed], [word_nodes, excluded_keyed, excluded_kept, undersized]) differ from the \
+         one-worker run's"
     );
 }
 

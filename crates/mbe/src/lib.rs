@@ -164,20 +164,26 @@ impl Algorithm {
 /// Feature toggles of the MBET engine, exposed for the E4 ablation.
 ///
 /// With all three disabled the engine degenerates to MBEA (and the tests
-/// assert exactly that, node counts included).
+/// assert exactly that, node counts included). Each toggle makes the
+/// same decisions on the trie path and in word mode (the nodes with
+/// `|L'| ≤ 64` outside [`Kernel::SortedOnly`], DESIGN.md §3.2), so every
+/// configuration reports the same search counters under every kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MbetConfig {
     /// Expand one representative per group of candidates with identical
-    /// local neighborhoods (§3.2 of DESIGN.md).
+    /// local neighborhoods (§3.2 of DESIGN.md): trie groups on the trie
+    /// path, runs of equal masks in word mode.
     pub batching: bool,
-    /// Answer the maximality question with one superset walk over the
-    /// excluded-vertex trie instead of per-`q` subset scans, and keep
+    /// Answer the maximality question with one superset search over the
+    /// excluded keys (a walk over the excluded-vertex trie, or a scan of
+    /// the masks in word mode) instead of per-`q` subset scans, and keep
     /// only the excluded vertices whose key no other excluded key
     /// contains (the excluded antichain).
     pub trie_maximality: bool,
     /// Build each child's candidate set with one key test per group of
-    /// equivalent candidates instead of a row scan per candidate.
-    /// Absorption into `R'` is a per-group key-length test either way.
+    /// equivalent candidates instead of a test per candidate (a row scan
+    /// on the trie path, a mask test in word mode). Absorption into `R'`
+    /// is a per-group full-key test either way.
     pub trie_absorption: bool,
 }
 
@@ -206,10 +212,13 @@ pub struct MbeOptions {
     /// Load-aware splitting: root tasks with estimated size above this are
     /// split (threaded runs only).
     pub split_size: usize,
-    /// Which intersection kernels the MBET engine may use. An execution
-    /// hint only: never changes which bicliques are emitted or their
-    /// order, so (like `threads`) it is excluded from checkpoint
-    /// fingerprints and cache keys.
+    /// Which intersection kernels the MBET engine may use, and whether it
+    /// runs word mode below `|L'| = 64` (every kernel but
+    /// [`Kernel::SortedOnly`], which runs the trie everywhere). An
+    /// execution hint only: never changes which bicliques are emitted or
+    /// their order, nor any search counter but `Stats::word_nodes`, so
+    /// (like `threads`) it is excluded from checkpoint fingerprints and
+    /// cache keys.
     pub kernel: Kernel,
     /// The cut of a thresholded or top-k run. Set by the
     /// [`Enumeration`] terminals from the builder's thresholds and

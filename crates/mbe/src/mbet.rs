@@ -8,40 +8,58 @@
 //! recursion touches from then on — candidate keys, excluded keys, `L`
 //! sets — lives in local ids; only `R'` (which must be reported),
 //! emissions, and checkpoint frontiers are translated back to global
-//! ids at the boundary. Localized rows are pre-clipped to `N(root)` and
-//! may be bitmap-packed, so each per-node intersection picks the
-//! cheapest representation through [`LocalGraph::row_view`] under the
-//! engine's [`Kernel`] policy.
+//! ids at the boundary.
 //!
-//! Per enumeration node, the engine re-encodes every candidate's and
-//! excluded vertex's local neighborhood as its intersection with the
-//! node's `L` and inserts it into two [`CandidateTrie`]s. The tries
-//! then answer the node's three hot questions structurally (DESIGN.md
+//! Per enumeration node, the engine keys every candidate and excluded
+//! vertex by its local neighborhood clipped to the node's `L'` and
+//! answers the node's three hot questions on those keys (DESIGN.md
 //! §3.2):
 //!
-//! 1. **Equivalence batching** — candidates landing on the same trie node
-//!    have identical local neighborhoods; only the smallest (the group
+//! 1. **Equivalence batching** — candidates with the same key have
+//!    identical local neighborhoods; only the smallest (the group
 //!    *representative*) is branched on, the rest are provably redundant.
 //!    The same argument deduplicates the excluded set, and, at the top
 //!    level, whole root tasks ([`crate::task::root_representatives`]).
 //! 2. **Maximality** — "is some excluded vertex adjacent to all of `L'`?"
-//!    is one superset walk over the excluded trie. That trie holds an
+//!    is one superset search over the excluded keys. They form an
 //!    antichain: an excluded key contained in another can never decide a
-//!    check below this node, so it is dropped before the trie is built.
+//!    check below this node, so it is dropped first.
 //! 3. **Absorption** — "which candidates are adjacent to all of `L'`?" is
-//!    a key-length test, shared per group rather than per candidate.
+//!    a full-key test, shared per group rather than per candidate.
 //!
-//! Each of the three is independently switchable via [`MbetConfig`]; with
+//! Keys take one of two representations, and one node body (`expand`,
+//! with `expand_small` for nodes of at most four candidates) is generic
+//! over them:
+//!
+//! * **The trie path**: `L'` is a sorted list of local left
+//!   ids, every candidate and excluded vertex is keyed from its localized
+//!   row at every node (through [`LocalGraph::row_view`] under the
+//!   engine's [`Kernel`]), and two [`CandidateTrie`]s group the candidate
+//!   keys and walk the excluded ones.
+//! * **Word mode**: the first node on a path whose `L'` has at
+//!   most 64 vertices is a *word root*. It keys every candidate and
+//!   excluded vertex once from its row as a `u64` mask over the positions
+//!   of its `L'`; below it `P` and `Q` carry their masks, a child's `L''`
+//!   is its representative's mask and every child key is `key & L''`, so
+//!   no row is read again in the subtree. Emission and checkpoint capture
+//!   map masks home through the word root's table of at most 64 ids.
+//!
+//! Both make the same decisions in the same order, so the emitted
+//! bicliques, every search counter but `Stats::word_nodes`, split
+//! children and checkpoint bytes are the same under every [`Kernel`];
+//! `Kernel::SortedOnly` turns word mode off and runs the trie everywhere.
+//!
+//! Each technique is independently switchable via [`MbetConfig`]; with
 //! all three off the engine is branch-for-branch identical to MBEA, which
 //! the test suite asserts down to the node counters. (Local ids are
 //! order-isomorphic to global ids, so localization never changes a
 //! tie-break or a branch.)
 //!
-//! The hot path is allocation-free in steady state: keys and member lists
-//! live in per-depth arenas (`Scratch`) that are reused across sibling
-//! nodes, and the only per-node allocation is the `R'` vector that must
-//! outlive the recursion.
+//! Both node bodies are allocation-free in steady state: keys, member
+//! lists, `R'` and the children's `P` and `Q` live in per-depth scratch
+//! (`Scratch`) that is reused across sibling nodes.
 
+use std::cmp::Reverse;
 use std::ops::ControlFlow;
 
 use crate::checkpoint::ResumeTask;
@@ -62,81 +80,666 @@ fn slice(arena: &[u32], s: Span) -> &[u32] {
     &arena[s.0 as usize..s.1 as usize]
 }
 
+/// Most vertices a word root's `L'` may have: one bit each in a `u64`.
+const WORD_BITS: usize = 64;
+
+/// The mask of the first `n` positions, `1 ≤ n ≤ 64`. (`(1 << 64) - 1`
+/// would overflow the shift.)
+#[inline]
+fn full_mask(n: usize) -> u64 {
+    debug_assert!((1..=WORD_BITS).contains(&n));
+    u64::MAX >> (WORD_BITS - n)
+}
+
 /// One equivalence class of candidates at a node.
 #[derive(Clone, Copy)]
-struct Group {
-    /// Local neighborhood as local left ids `⊆ L` (into `keyar`).
-    key: Span,
+struct Group<K> {
+    /// The members' common key `⊆ L'`.
+    key: K,
     /// Members (into `memar`), unordered.
     members: Span,
     /// Smallest member — the branch representative.
     rep: u32,
 }
 
-/// An excluded vertex with a non-empty local neighborhood.
-#[derive(Clone, Copy)]
-struct Excluded {
+/// A right vertex with its key: an excluded vertex of a node, and in a
+/// word subtree every entry of `P` and `Q`.
+#[derive(Clone, Copy, Debug)]
+struct Keyed<K> {
     v: u32,
-    key: Span,
+    key: K,
 }
 
-/// Per-depth scratch space, pooled so sibling nodes at the same depth
-/// reuse allocations.
-#[derive(Default)]
-struct Scratch {
-    ctrie_p: CandidateTrie,
-    ctrie_q: CandidateTrie,
-    /// Arena holding every group key and excluded key of this node.
-    keyar: Vec<u32>,
+/// Per-depth scratch space of one node body, pooled so sibling nodes at
+/// the same depth reuse allocations.
+struct Scratch<R: Repr> {
+    /// The representation's own key storage.
+    keys: R,
     /// Arena holding every group's member list.
     memar: Vec<u32>,
-    groups: Vec<Group>,
-    q_list: Vec<Excluded>,
-    keybuf: Vec<u32>,
-    absorbed: Vec<u32>,
-    l_child: Vec<u32>,
-    child_p: Vec<u32>,
-    child_q: Vec<u32>,
+    groups: Vec<Group<R::Key>>,
+    q_list: Vec<Keyed<R::Key>>,
+    /// The node's absorbed candidates, then its `R'` (global ids, the
+    /// children's `r_parent`).
+    r_new: Vec<u32>,
+    child_p: Vec<R::Entry>,
+    child_q: Vec<R::Entry>,
+    /// A small node's child `L''`.
+    l_small: R::LBuf,
     /// The node's `L` translated back to global ids for emission.
     emit_l: Vec<u32>,
 }
 
-impl Scratch {
-    /// Reduces `q_list` to one vertex per maximal distinct key and leaves
-    /// exactly those keys in `ctrie_q` (which must be empty on entry).
+impl<R: Repr> Default for Scratch<R> {
+    fn default() -> Self {
+        Scratch {
+            keys: R::default(),
+            memar: Vec::new(),
+            groups: Vec::new(),
+            q_list: Vec::new(),
+            r_new: Vec::new(),
+            child_p: Vec::new(),
+            child_q: Vec::new(),
+            l_small: R::LBuf::default(),
+            emit_l: Vec::new(),
+        }
+    }
+}
+
+impl<R: Repr> Scratch<R> {
+    fn clear(&mut self) {
+        self.keys.clear();
+        self.memar.clear();
+        self.groups.clear();
+        self.q_list.clear();
+    }
+
+    /// Reduces `q_list` to one vertex per maximal distinct key and
+    /// indexes exactly those keys for the maximality search.
     ///
     /// Every descendant's `L''` is a subset of this node's `L'`, so when
     /// `key(q) ⊆ key(q')`, `L'' ⊆ N(q)` implies `L'' ⊆ N(q')`: `q` can
     /// never decide a maximality check that `q'` would not. Longest keys
-    /// go first, so a key is kept iff no kept key contains it (equality
-    /// counts). Only a quarter to a third of the keys survive, so scanning
-    /// the kept ones beats a superset walk over `ctrie_q` (EXPERIMENTS.md,
-    /// "Excluded antichain"). The kept list is restored to vertex order,
-    /// which keeps every child's `q`, and so every checkpointed `q`,
-    /// ascending.
+    /// go first ([`Repr::rank`]; ties by vertex), so a key is kept iff no
+    /// kept key contains it (equality counts). Only a quarter to a third
+    /// of the keys survive, so scanning the kept ones beats a superset walk
+    /// (EXPERIMENTS.md, "Excluded antichain"). The kept list is restored to
+    /// vertex order, which keeps every child's `q`, and so every
+    /// checkpointed `q`, ascending.
     fn keep_excluded_antichain(&mut self) {
-        debug_assert!(self.ctrie_q.is_empty());
-        self.q_list.sort_unstable_by_key(|q| (std::cmp::Reverse(q.key.1 - q.key.0), q.v));
+        let keys = &self.keys;
+        self.q_list.sort_unstable_by_key(|q| (keys.rank(q.key), q.v));
         // Partition in place: kept entries to the front, dropped ones to
         // the tail (where the invariant check can still see them).
         let mut kept = 0;
         for i in 0..self.q_list.len() {
             let q = self.q_list[i];
-            let key = slice(&self.keyar, q.key);
-            let kept_keys = &self.q_list[..kept];
-            if !kept_keys.iter().any(|k| setops::is_subset(key, slice(&self.keyar, k.key))) {
-                self.ctrie_q.insert(key, q.v);
+            if !self.q_list[..kept].iter().any(|k| keys.is_subset(q.key, k.key)) {
                 self.q_list.swap(kept, i);
                 kept += 1;
             }
         }
         let (keep, dropped) = self.q_list.split_at(kept);
+        keys.check_antichain(keep, dropped);
+        self.q_list.truncate(kept);
+        self.keys.index_excluded(&self.q_list);
+        self.q_list.sort_unstable_by_key(|q| q.v);
+    }
+}
+
+/// The key representation a node body runs on. The body makes every
+/// decision; a representation keys vertices against a node's `L'` and
+/// answers set questions about the keys. [`Trie`] is the trie path,
+/// [`Words`] is word mode (see the module docs).
+trait Repr: Default + Sized {
+    /// Word mode: the body's nodes count in `Stats::word_nodes`.
+    const WORD: bool;
+    /// A node's `L'`.
+    type L<'a>: Copy;
+    /// An owned `L'` (a small-path child's).
+    type LBuf: Default;
+    /// An entry of a node's `P` or `Q`.
+    type Entry: Copy;
+    /// A key stored at a node.
+    type Key: Copy;
+    /// See [`Repr::rank`].
+    type Rank: Ord;
+
+    /// This representation's scratch pool.
+    fn pool<'e>(eng: &'e mut MbetEngine<'_>) -> &'e mut Vec<Scratch<Self>>;
+    /// Expands a child node of this representation's nodes.
+    #[allow(clippy::too_many_arguments)]
+    fn descend(
+        eng: &mut MbetEngine<'_>,
+        depth: usize,
+        l: Self::L<'_>,
+        r_parent: &[u32],
+        v: u32,
+        p: &[Self::Entry],
+        q: &[Self::Entry],
+        sink: &mut dyn BicliqueSink,
+        stats: &mut Stats,
+    ) -> ControlFlow<StopReason>;
+
+    fn l_len(l: Self::L<'_>) -> usize;
+    fn l_of(buf: &Self::LBuf) -> Self::L<'_>;
+    fn vertex(e: Self::Entry) -> u32;
+    /// `l` in global ids, ascending, into `out` (cleared first). `table`
+    /// is the word root's `L'` in global ids.
+    fn left_global(local: &LocalGraph, table: &[u32], l: Self::L<'_>, out: &mut Vec<u32>);
+    /// Debug-invariant check of a node's entries (see
+    /// `invariants::check_word_keys`). `table` is the word root's `L'`
+    /// in local ids.
+    fn check_entries(local: &LocalGraph, table: &[u32], l: Self::L<'_>, entries: &[Self::Entry]);
+
+    // ---- The full node body.
+
+    /// Forgets the previous node's keys.
+    fn clear(&mut self);
+    /// Keys `e` against `l`: stores `N(e) ∩ L'`.
+    fn key(&mut self, local: &LocalGraph, e: Self::Entry, l: Self::L<'_>) -> Self::Key;
+    fn is_empty(&self, k: Self::Key) -> bool;
+    /// `k = L'`: the vertex is adjacent to all of `L'`.
+    fn covers(&self, k: Self::Key, l: Self::L<'_>) -> bool;
+    /// A sort key that puts every key after each key strictly containing
+    /// it: any such order keeps the same antichain, one vertex (the
+    /// smallest) per maximal distinct key.
+    fn rank(&self, k: Self::Key) -> Self::Rank;
+    /// `a ⊆ b`.
+    fn is_subset(&self, a: Self::Key, b: Self::Key) -> bool;
+    /// `a ∩ b ≠ ∅`.
+    fn intersects(&self, a: Self::Key, b: Self::Key) -> bool;
+    /// A key as a child's `L''`.
+    fn key_l(&self, k: Self::Key) -> Self::L<'_>;
+    /// The child entry of vertex `v` with key `k` at a node whose child
+    /// has `L'' = l_child`.
+    fn entry(v: u32, k: Self::Key, l_child: Self::Key) -> Self::Entry;
+    /// Groups the candidates of `p` with a non-empty key into `groups`
+    /// (members into `memar`), unordered: one group per distinct key
+    /// under batching, one per candidate otherwise. Returns the candidate
+    /// trie's size (0 without one).
+    fn group(
+        &mut self,
+        local: &LocalGraph,
+        p: &[Self::Entry],
+        l: Self::L<'_>,
+        batching: bool,
+        groups: &mut Vec<Group<Self::Key>>,
+        memar: &mut Vec<u32>,
+    ) -> usize;
+    /// Debug-invariant check of the arena spans of a node's keys.
+    fn check_spans(&self, groups: &[Group<Self::Key>], q_list: &[Keyed<Self::Key>]);
+    /// Debug-invariant check of the excluded antichain.
+    fn check_antichain(&self, kept: &[Keyed<Self::Key>], dropped: &[Keyed<Self::Key>]);
+    /// Indexes the kept excluded keys for [`Repr::any_superset`].
+    fn index_excluded(&mut self, kept: &[Keyed<Self::Key>]);
+    /// Keeps the first excluded vertex of each distinct key, in order.
+    fn dedup_excluded(&mut self, q_list: &mut Vec<Keyed<Self::Key>>);
+    /// Whether some excluded key contains `k` (the keys of `q_list`,
+    /// indexed).
+    fn any_superset(&self, q_list: &[Keyed<Self::Key>], k: Self::Key) -> bool;
+    /// Indexes a representative's key as an excluded key; with `dedupe`,
+    /// returns whether an excluded key equal to it was there already.
+    fn insert_rep(
+        &mut self,
+        q_list: &[Keyed<Self::Key>],
+        k: Self::Key,
+        rep: u32,
+        dedupe: bool,
+    ) -> bool;
+    /// Whether candidate `w`, of key `k`, meets `l_child` (a row test per
+    /// candidate: the `trie_absorption = false` ablation).
+    fn member_live(&self, local: &LocalGraph, w: u32, k: Self::Key, l_child: Self::L<'_>) -> bool;
+
+    // ---- The small node body (MBEA's scans).
+
+    /// Some excluded vertex of `q` is adjacent to all of `l`.
+    fn covered(local: &LocalGraph, q: &[Self::Entry], l: Self::L<'_>) -> bool;
+    /// Splits `p` by its overlap with `l`: all of it → `absorbed` (as
+    /// vertices), part of it → `p_new`, none → dropped. Order kept.
+    fn partition(
+        local: &LocalGraph,
+        p: &[Self::Entry],
+        l: Self::L<'_>,
+        absorbed: &mut Vec<u32>,
+        p_new: &mut Vec<Self::Entry>,
+    );
+    /// The entries of `q` that meet `l`, in order, into `out`.
+    fn live(local: &LocalGraph, q: &[Self::Entry], l: Self::L<'_>, out: &mut Vec<Self::Entry>);
+    /// The child `L'' = N(e) ∩ l` of branching on `e`, into `out`.
+    fn child_l(local: &LocalGraph, l: Self::L<'_>, e: Self::Entry, out: &mut Self::LBuf);
+}
+
+/// The trie path: sorted local-id keys in an arena, grouped by one
+/// candidate trie and searched through one excluded trie.
+#[derive(Default)]
+struct Trie {
+    ctrie_p: CandidateTrie,
+    ctrie_q: CandidateTrie,
+    /// Arena holding every group key and excluded key of this node.
+    keyar: Vec<u32>,
+    keybuf: Vec<u32>,
+}
+
+impl Repr for Trie {
+    const WORD: bool = false;
+    type L<'a> = &'a [u32];
+    type LBuf = Vec<u32>;
+    type Entry = u32;
+    type Key = Span;
+    type Rank = Reverse<u32>;
+
+    fn pool<'e>(eng: &'e mut MbetEngine<'_>) -> &'e mut Vec<Scratch<Self>> {
+        &mut eng.pool
+    }
+
+    fn descend(
+        eng: &mut MbetEngine<'_>,
+        depth: usize,
+        l: &[u32],
+        r_parent: &[u32],
+        v: u32,
+        p: &[u32],
+        q: &[u32],
+        sink: &mut dyn BicliqueSink,
+        stats: &mut Stats,
+    ) -> ControlFlow<StopReason> {
+        eng.expand_sorted(depth, l, r_parent, v, p, q, sink, stats)
+    }
+
+    #[inline]
+    fn l_len(l: &[u32]) -> usize {
+        l.len()
+    }
+
+    #[inline]
+    fn l_of(buf: &Vec<u32>) -> &[u32] {
+        buf
+    }
+
+    #[inline]
+    fn vertex(e: u32) -> u32 {
+        e
+    }
+
+    fn left_global(local: &LocalGraph, _table: &[u32], l: &[u32], out: &mut Vec<u32>) {
+        local.left_to_global(l, out);
+    }
+
+    #[inline]
+    fn check_entries(_local: &LocalGraph, _table: &[u32], _l: &[u32], _entries: &[u32]) {}
+
+    fn clear(&mut self) {
+        self.ctrie_p.clear();
+        self.ctrie_q.clear();
+        self.keyar.clear();
+    }
+
+    #[inline]
+    fn key(&mut self, local: &LocalGraph, e: u32, l: &[u32]) -> Span {
+        // Local left ids, so keys of one node share an id space and one
+        // representation check (`check_local_key`) covers every kernel.
+        local.row_view(e, l.len()).intersect_into(l, &mut self.keybuf);
+        crate::invariants::check_local_key(&self.keybuf, l);
+        let start = self.keyar.len() as u32;
+        self.keyar.extend_from_slice(&self.keybuf);
+        (start, self.keyar.len() as u32)
+    }
+
+    #[inline]
+    fn is_empty(&self, k: Span) -> bool {
+        k.0 == k.1
+    }
+
+    #[inline]
+    fn covers(&self, k: Span, l: &[u32]) -> bool {
+        (k.1 - k.0) as usize == l.len()
+    }
+
+    /// Longest first: a strict superset is longer.
+    #[inline]
+    fn rank(&self, k: Span) -> Reverse<u32> {
+        Reverse(k.1 - k.0)
+    }
+
+    #[inline]
+    fn is_subset(&self, a: Span, b: Span) -> bool {
+        setops::is_subset(slice(&self.keyar, a), slice(&self.keyar, b))
+    }
+
+    #[inline]
+    fn intersects(&self, a: Span, b: Span) -> bool {
+        setops::intersect_first(slice(&self.keyar, a), slice(&self.keyar, b)).is_some()
+    }
+
+    #[inline]
+    fn key_l(&self, k: Span) -> &[u32] {
+        slice(&self.keyar, k)
+    }
+
+    #[inline]
+    fn entry(v: u32, _k: Span, _l_child: Span) -> u32 {
+        v
+    }
+
+    fn group(
+        &mut self,
+        local: &LocalGraph,
+        p: &[u32],
+        l: &[u32],
+        batching: bool,
+        groups: &mut Vec<Group<Span>>,
+        memar: &mut Vec<u32>,
+    ) -> usize {
+        for &w in p {
+            local.row_view(w, l.len()).intersect_into(l, &mut self.keybuf);
+            crate::invariants::check_local_key(&self.keybuf, l);
+            if !self.keybuf.is_empty() {
+                self.ctrie_p.insert(&self.keybuf, w);
+            }
+        }
+        let keyar = &mut self.keyar;
+        self.ctrie_p.for_each_group(|key, members| {
+            let kstart = keyar.len() as u32;
+            keyar.extend_from_slice(key);
+            let key = (kstart, keyar.len() as u32);
+            if batching {
+                let mstart = memar.len() as u32;
+                memar.extend_from_slice(members);
+                // A trie group always has members. xtask-allow: expect
+                let rep = members.iter().copied().min().expect("non-empty group");
+                groups.push(Group { key, members: (mstart, memar.len() as u32), rep });
+            } else {
+                // Ablation mode: one singleton group per candidate so the
+                // branch structure matches MBEA exactly.
+                for &w in members {
+                    let mstart = memar.len() as u32;
+                    memar.push(w);
+                    groups.push(Group { key, members: (mstart, memar.len() as u32), rep: w });
+                }
+            }
+        });
+        self.ctrie_p.node_count()
+    }
+
+    fn check_spans(&self, groups: &[Group<Span>], q_list: &[Keyed<Span>]) {
+        crate::invariants::check_spans(
+            self.keyar.len(),
+            groups.iter().map(|grp| grp.key).chain(q_list.iter().map(|q| q.key)),
+        );
+    }
+
+    fn check_antichain(&self, kept: &[Keyed<Span>], dropped: &[Keyed<Span>]) {
         crate::invariants::check_excluded_antichain(
-            keep.iter().map(|q| slice(&self.keyar, q.key)),
+            kept.iter().map(|q| slice(&self.keyar, q.key)),
             dropped.iter().map(|q| slice(&self.keyar, q.key)),
         );
-        self.q_list.truncate(kept);
-        self.q_list.sort_unstable_by_key(|q| q.v);
+    }
+
+    fn index_excluded(&mut self, kept: &[Keyed<Span>]) {
+        debug_assert!(self.ctrie_q.is_empty());
+        for q in kept {
+            self.ctrie_q.insert(slice(&self.keyar, q.key), q.v);
+        }
+    }
+
+    fn dedup_excluded(&mut self, q_list: &mut Vec<Keyed<Span>>) {
+        q_list.retain(|q| !self.ctrie_q.insert(slice(&self.keyar, q.key), q.v));
+    }
+
+    #[inline]
+    fn any_superset(&self, _q_list: &[Keyed<Span>], k: Span) -> bool {
+        self.ctrie_q.any_superset(slice(&self.keyar, k))
+    }
+
+    #[inline]
+    fn insert_rep(&mut self, _q_list: &[Keyed<Span>], k: Span, rep: u32, _dedupe: bool) -> bool {
+        self.ctrie_q.insert(slice(&self.keyar, k), rep)
+    }
+
+    #[inline]
+    fn member_live(&self, local: &LocalGraph, w: u32, _k: Span, l_child: &[u32]) -> bool {
+        local.row_view(w, l_child.len()).intersect_first(l_child).is_some()
+    }
+
+    fn covered(local: &LocalGraph, q: &[u32], l: &[u32]) -> bool {
+        crate::task::covered_by_excluded(local, q, l)
+    }
+
+    fn partition(
+        local: &LocalGraph,
+        p: &[u32],
+        l: &[u32],
+        absorbed: &mut Vec<u32>,
+        p_new: &mut Vec<u32>,
+    ) {
+        crate::task::partition_candidates(local, p, l, absorbed, p_new);
+    }
+
+    fn live(local: &LocalGraph, q: &[u32], l: &[u32], out: &mut Vec<u32>) {
+        crate::task::live_excluded(local, q, l, out);
+    }
+
+    fn child_l(local: &LocalGraph, l: &[u32], e: u32, out: &mut Vec<u32>) {
+        crate::task::child_l(local, l, e, out);
+    }
+}
+
+/// Word mode: every key is a `u64` mask over the word root's `L'`, and
+/// `P` and `Q` carry their keys.
+#[derive(Default)]
+struct Words {
+    /// `(key, vertex)` of a node's live candidates, sorted to group them.
+    pairs: Vec<(u64, u32)>,
+}
+
+impl Repr for Words {
+    const WORD: bool = true;
+    type L<'a> = u64;
+    type LBuf = u64;
+    type Entry = Keyed<u64>;
+    type Key = u64;
+    type Rank = Reverse<u64>;
+
+    fn pool<'e>(eng: &'e mut MbetEngine<'_>) -> &'e mut Vec<Scratch<Self>> {
+        &mut eng.word_pool
+    }
+
+    fn descend(
+        eng: &mut MbetEngine<'_>,
+        depth: usize,
+        l: u64,
+        r_parent: &[u32],
+        v: u32,
+        p: &[Keyed<u64>],
+        q: &[Keyed<u64>],
+        sink: &mut dyn BicliqueSink,
+        stats: &mut Stats,
+    ) -> ControlFlow<StopReason> {
+        eng.expand::<Words>(depth, l, r_parent, v, p, q, sink, stats)
+    }
+
+    #[inline]
+    fn l_len(l: u64) -> usize {
+        l.count_ones() as usize
+    }
+
+    #[inline]
+    fn l_of(buf: &u64) -> u64 {
+        *buf
+    }
+
+    #[inline]
+    fn vertex(e: Keyed<u64>) -> u32 {
+        e.v
+    }
+
+    fn left_global(_local: &LocalGraph, table: &[u32], l: u64, out: &mut Vec<u32>) {
+        out.clear();
+        let mut m = l;
+        while m != 0 {
+            out.push(table[m.trailing_zeros() as usize]);
+            m &= m - 1;
+        }
+    }
+
+    #[inline]
+    fn check_entries(local: &LocalGraph, table: &[u32], l: u64, entries: &[Keyed<u64>]) {
+        crate::invariants::check_word_keys(local, table, l, entries.iter().map(|e| (e.v, e.key)));
+    }
+
+    #[inline]
+    fn clear(&mut self) {}
+
+    #[inline]
+    fn key(&mut self, _local: &LocalGraph, e: Keyed<u64>, l: u64) -> u64 {
+        e.key & l
+    }
+
+    #[inline]
+    fn is_empty(&self, k: u64) -> bool {
+        k == 0
+    }
+
+    #[inline]
+    fn covers(&self, k: u64, l: u64) -> bool {
+        k == l
+    }
+
+    /// Largest mask first: a strict superset's mask is the larger
+    /// integer, so this orders like the trie path's lengths, without a
+    /// popcount.
+    #[inline]
+    fn rank(&self, k: u64) -> Reverse<u64> {
+        Reverse(k)
+    }
+
+    #[inline]
+    fn is_subset(&self, a: u64, b: u64) -> bool {
+        a & !b == 0
+    }
+
+    #[inline]
+    fn intersects(&self, a: u64, b: u64) -> bool {
+        a & b != 0
+    }
+
+    #[inline]
+    fn key_l(&self, k: u64) -> u64 {
+        k
+    }
+
+    #[inline]
+    fn entry(v: u32, k: u64, l_child: u64) -> Keyed<u64> {
+        Keyed { v, key: k & l_child }
+    }
+
+    fn group(
+        &mut self,
+        _local: &LocalGraph,
+        p: &[Keyed<u64>],
+        l: u64,
+        batching: bool,
+        groups: &mut Vec<Group<u64>>,
+        memar: &mut Vec<u32>,
+    ) -> usize {
+        self.pairs.clear();
+        self.pairs.extend(p.iter().map(|e| (e.key & l, e.v)).filter(|&(k, _)| k != 0));
+        if !batching {
+            // Ablation mode: one singleton group per candidate.
+            for &(key, w) in &self.pairs {
+                let mstart = memar.len() as u32;
+                memar.push(w);
+                groups.push(Group { key, members: (mstart, mstart + 1), rep: w });
+            }
+            return 0;
+        }
+        // Equal keys become adjacent, each run led by its smallest vertex.
+        self.pairs.sort_unstable();
+        for run in self.pairs.chunk_by(|a, b| a.0 == b.0) {
+            // `chunk_by` yields non-empty runs.
+            if let [(key, rep), ..] = *run {
+                let mstart = memar.len() as u32;
+                memar.extend(run.iter().map(|&(_, w)| w));
+                groups.push(Group { key, members: (mstart, memar.len() as u32), rep });
+            }
+        }
+        0
+    }
+
+    #[inline]
+    fn check_spans(&self, _groups: &[Group<u64>], _q_list: &[Keyed<u64>]) {}
+
+    fn check_antichain(&self, kept: &[Keyed<u64>], dropped: &[Keyed<u64>]) {
+        if crate::invariants::ENABLED {
+            let ids = |q: &Keyed<u64>| -> Vec<u32> {
+                (0..WORD_BITS as u32).filter(|&i| q.key >> i & 1 == 1).collect()
+            };
+            let kept: Vec<Vec<u32>> = kept.iter().map(ids).collect();
+            let dropped: Vec<Vec<u32>> = dropped.iter().map(ids).collect();
+            crate::invariants::check_excluded_antichain(
+                kept.iter().map(Vec::as_slice),
+                dropped.iter().map(Vec::as_slice),
+            );
+        }
+    }
+
+    #[inline]
+    fn index_excluded(&mut self, _kept: &[Keyed<u64>]) {}
+
+    fn dedup_excluded(&mut self, q_list: &mut Vec<Keyed<u64>>) {
+        // `q` is ascending, so the first of each key is its smallest.
+        q_list.sort_unstable_by_key(|q| (q.key, q.v));
+        q_list.dedup_by_key(|q| q.key);
+        q_list.sort_unstable_by_key(|q| q.v);
+    }
+
+    #[inline]
+    fn any_superset(&self, q_list: &[Keyed<u64>], k: u64) -> bool {
+        q_list.iter().any(|q| k & !q.key == 0)
+    }
+
+    #[inline]
+    fn insert_rep(&mut self, q_list: &[Keyed<u64>], k: u64, _rep: u32, dedupe: bool) -> bool {
+        dedupe && q_list.iter().any(|q| q.key == k)
+    }
+
+    #[inline]
+    fn member_live(&self, _local: &LocalGraph, _w: u32, k: u64, l_child: u64) -> bool {
+        k & l_child != 0
+    }
+
+    fn covered(_local: &LocalGraph, q: &[Keyed<u64>], l: u64) -> bool {
+        q.iter().any(|e| e.key & l == l)
+    }
+
+    fn partition(
+        _local: &LocalGraph,
+        p: &[Keyed<u64>],
+        l: u64,
+        absorbed: &mut Vec<u32>,
+        p_new: &mut Vec<Keyed<u64>>,
+    ) {
+        absorbed.clear();
+        p_new.clear();
+        for e in p {
+            let key = e.key & l;
+            if key == l {
+                absorbed.push(e.v);
+            } else if key != 0 {
+                p_new.push(Keyed { v: e.v, key });
+            }
+        }
+    }
+
+    fn live(_local: &LocalGraph, q: &[Keyed<u64>], l: u64, out: &mut Vec<Keyed<u64>>) {
+        out.clear();
+        out.extend(q.iter().map(|e| Keyed { v: e.v, key: e.key & l }).filter(|e| e.key != 0));
+    }
+
+    #[inline]
+    fn child_l(_local: &LocalGraph, l: u64, e: Keyed<u64>, out: &mut u64) {
+        *out = e.key & l;
     }
 }
 
@@ -149,7 +752,21 @@ pub struct MbetEngine<'g> {
     /// Per-task localized subgraph; rebuilt by `run_task`/`run_node`,
     /// its buffers reused across tasks.
     local: LocalGraph,
-    pool: Vec<Scratch>,
+    /// Whether nodes with `|L'| ≤ 64` run in word mode (every kernel but
+    /// `Kernel::SortedOnly`).
+    words: bool,
+    pool: Vec<Scratch<Trie>>,
+    word_pool: Vec<Scratch<Words>>,
+    /// The current word root's `L'` in local ids, then in global ids:
+    /// bit `i` of a word-mode mask stands for entry `i`.
+    word_local: Vec<u32>,
+    word_global: Vec<u32>,
+    /// The word root's `P` and `Q` with their keys.
+    word_p: Vec<Keyed<u64>>,
+    word_q: Vec<Keyed<u64>>,
+    /// Indexed by local left id: the bit of its position in the word
+    /// root's `L'`, 0 outside it (all 0 between word roots).
+    word_bit: Vec<u64>,
     /// Peak candidate-trie node count across the run (memory metric).
     peak_trie_nodes: usize,
     /// Unexplored subtrees captured while unwinding out of a stopped
@@ -169,15 +786,23 @@ pub struct MbetEngine<'g> {
 }
 
 impl<'g> MbetEngine<'g> {
-    /// An engine over `g` with feature toggles `cfg`, using the
-    /// intersection kernels permitted by `kernel`.
+    /// An engine over `g` with feature toggles `cfg`. `kernel` picks the
+    /// trie path's intersection kernels, and every kernel but
+    /// [`Kernel::SortedOnly`] runs the nodes with `|L'| ≤ 64` in word mode.
     pub fn new(g: &'g BipartiteGraph, cfg: MbetConfig, kernel: Kernel) -> Self {
         MbetEngine {
             g,
             cfg,
             bound: Bound::default(),
             local: LocalGraph::new(kernel),
+            words: kernel != Kernel::SortedOnly,
             pool: Vec::new(),
+            word_pool: Vec::new(),
+            word_local: Vec::new(),
+            word_global: Vec::new(),
+            word_p: Vec::new(),
+            word_q: Vec::new(),
+            word_bit: Vec::new(),
             peak_trie_nodes: 0,
             frontier: Vec::new(),
             task_depth: 0,
@@ -208,8 +833,10 @@ impl<'g> MbetEngine<'g> {
         std::mem::take(&mut self.frontier)
     }
 
-    /// Largest candidate-trie (nodes) observed, a proxy for the working-set
-    /// memory of the prefix-tree machinery.
+    /// Largest candidate trie (nodes) a trie-path node built, a proxy for
+    /// the working-set memory of the prefix-tree machinery. Word-mode
+    /// nodes build no trie, so outside `Kernel::SortedOnly` only the
+    /// nodes with `|L'| > 64` count.
     pub fn peak_trie_nodes(&self) -> usize {
         self.peak_trie_nodes
     }
@@ -247,7 +874,7 @@ impl<'g> MbetEngine<'g> {
         let l = std::mem::take(&mut self.root_l);
         let p = std::mem::take(&mut self.root_p);
         let q = std::mem::take(&mut self.root_q);
-        let flow = self.expand(0, &l, &[], nq, &p, &q, sink, stats);
+        let flow = self.expand_sorted(0, &l, &[], nq, &p, &q, sink, stats);
         self.root_l = l;
         self.root_p = p;
         self.root_q = q;
@@ -295,7 +922,7 @@ impl<'g> MbetEngine<'g> {
         let l = std::mem::take(&mut self.root_l);
         let p = std::mem::take(&mut self.root_p);
         let q = std::mem::take(&mut self.root_q);
-        let flow = self.expand(0, &l, r_parent, v_local, &p, &q, sink, stats);
+        let flow = self.expand_sorted(0, &l, r_parent, v_local, &p, &q, sink, stats);
         self.root_l = l;
         self.root_p = p;
         self.root_q = q;
@@ -313,30 +940,59 @@ impl<'g> MbetEngine<'g> {
 
     /// Pushes a [`ResumeTask::Node`] for a node of the current
     /// localization onto the frontier, translated back to global ids —
-    /// queued tasks and checkpoints never leak local ids. `r_parent` is
-    /// already global. Cold: it runs only at a stop or for the children
-    /// of a split node, never inside a serial run's recursion.
+    /// queued tasks and checkpoints never leak local ids or masks.
+    /// `r_parent` is already global. Cold: it runs only at a stop or for
+    /// the children of a split node, never inside a serial run's
+    /// recursion.
     #[cold]
-    fn push_task(&mut self, l: &[u32], r_parent: &[u32], v: u32, p: &[u32], q: &[u32]) {
-        let mut l_global = Vec::with_capacity(l.len());
-        self.local.left_to_global(l, &mut l_global);
+    fn push_task<R: Repr>(
+        &mut self,
+        l: R::L<'_>,
+        r_parent: &[u32],
+        v: u32,
+        p: impl IntoIterator<Item = u32>,
+        q: impl IntoIterator<Item = u32>,
+    ) {
+        let mut l_global = Vec::with_capacity(R::l_len(l));
+        R::left_global(&self.local, &self.word_global, l, &mut l_global);
         let local = &self.local;
         self.frontier.push(ResumeTask::Node {
             l: l_global,
             r_parent: r_parent.to_vec(),
             v: local.right_global(v),
-            p: p.iter().map(|&w| local.right_global(w)).collect(),
-            q: q.iter().map(|&w| local.right_global(w)).collect(),
+            p: p.into_iter().map(|w| local.right_global(w)).collect(),
+            q: q.into_iter().map(|w| local.right_global(w)).collect(),
         });
     }
 
-    /// Expands the node reached by traversing `v`: `l_new` is already the
-    /// child's `L`. All of `l_new`/`v`/`untraversed`/`traversed` are
-    /// local ids; `r_parent` is global. Mirrors `BaselineEngine::expand`
-    /// but runs the node body through the tries. In split mode at depth
-    /// 0 it queues each child it would expand instead.
+    /// Takes the scratch of `depth` out of `R`'s pool (grown as needed);
+    /// the node puts it back before it returns.
+    fn take_scratch<R: Repr>(&mut self, depth: usize) -> Scratch<R> {
+        let pool = R::pool(self);
+        if pool.len() <= depth {
+            pool.resize_with(depth + 1, Scratch::default);
+        }
+        std::mem::take(&mut pool[depth])
+    }
+
+    /// Turns `r`, holding a node's absorbed candidates in local ids, into
+    /// its `R' = r_parent ∪ {v} ∪ absorbed`, sorted, in global ids: `R'`
+    /// outlives the localization (emission, the children's `r_parent`,
+    /// checkpoints).
+    fn finish_r(&self, r_parent: &[u32], v: u32, r: &mut Vec<u32>) {
+        for w in r.iter_mut() {
+            *w = self.local.right_global(*w);
+        }
+        r.extend_from_slice(r_parent);
+        r.push(self.local.right_global(v));
+        r.sort_unstable();
+    }
+
+    /// Expands a node of the trie path's representation (local ids
+    /// throughout): as a word root when word mode is on and `|L'| ≤ 64`,
+    /// on the trie otherwise.
     #[allow(clippy::too_many_arguments)]
-    fn expand(
+    fn expand_sorted(
         &mut self,
         depth: usize,
         l_new: &[u32],
@@ -347,17 +1003,83 @@ impl<'g> MbetEngine<'g> {
         sink: &mut dyn BicliqueSink,
         stats: &mut Stats,
     ) -> ControlFlow<StopReason> {
-        debug_assert!(!l_new.is_empty());
-        if self.bound.cuts(l_new.len(), r_parent.len() + 1 + untraversed.len()) {
+        if !self.words || l_new.len() > WORD_BITS {
+            return self.expand::<Trie>(
+                depth,
+                l_new,
+                r_parent,
+                v,
+                untraversed,
+                traversed,
+                sink,
+                stats,
+            );
+        }
+        // A word root: bit `i` stands for `l_new[i]`. `word_bit` gives each
+        // local left id its bit (0 outside `l_new`), so a key is one pass
+        // over the row. Every entry keeps its place, an empty key
+        // included, so the body sees the same `|P|`.
+        self.word_local.clear();
+        self.word_local.extend_from_slice(l_new);
+        self.local.left_to_global(l_new, &mut self.word_global);
+        if self.word_bit.len() < self.local.num_left() {
+            self.word_bit.resize(self.local.num_left(), 0);
+        }
+        for (i, &x) in l_new.iter().enumerate() {
+            self.word_bit[x as usize] = 1 << i;
+        }
+        let mut p = std::mem::take(&mut self.word_p);
+        let mut q = std::mem::take(&mut self.word_q);
+        let (local, bit) = (&self.local, &self.word_bit);
+        let key = |&w: &u32| Keyed {
+            v: w,
+            key: local.row(w).iter().fold(0, |k, &x| k | bit[x as usize]),
+        };
+        p.clear();
+        p.extend(untraversed.iter().map(key));
+        q.clear();
+        q.extend(traversed.iter().map(key));
+        for &x in l_new {
+            self.word_bit[x as usize] = 0;
+        }
+        let full = full_mask(l_new.len());
+        let flow = self.expand::<Words>(depth, full, r_parent, v, &p, &q, sink, stats);
+        self.word_p = p;
+        self.word_q = q;
+        flow
+    }
+
+    /// Expands the node reached by traversing `v`: `l_new` is already the
+    /// child's `L`. All of `l_new`/`v`/`untraversed`/`traversed` are
+    /// local (`R`'s representation); `r_parent` is global. Mirrors
+    /// `BaselineEngine::expand` but groups and searches keys. In split
+    /// mode at depth 0 it queues each child it would expand instead.
+    #[allow(clippy::too_many_arguments)]
+    fn expand<R: Repr>(
+        &mut self,
+        depth: usize,
+        l_new: R::L<'_>,
+        r_parent: &[u32],
+        v: u32,
+        untraversed: &[R::Entry],
+        traversed: &[R::Entry],
+        sink: &mut dyn BicliqueSink,
+        stats: &mut Stats,
+    ) -> ControlFlow<StopReason> {
+        let l_len = R::l_len(l_new);
+        debug_assert!(l_len > 0);
+        if self.bound.cuts(l_len, r_parent.len() + 1 + untraversed.len()) {
             stats.bound_pruned += 1;
             return ControlFlow::Continue(());
         }
+        R::check_entries(&self.local, &self.word_local, l_new, untraversed);
+        R::check_entries(&self.local, &self.word_local, l_new, traversed);
 
-        // Hybrid fast path: below a handful of candidates the trie's
+        // Hybrid fast path: below a handful of candidates the grouping
         // bookkeeping cannot pay for itself — plain scans win. The same
         // trade-off the literature makes for its representation threshold.
         if untraversed.len() <= SMALL_NODE_CANDIDATES {
-            return self.expand_small(
+            return self.expand_small::<R>(
                 depth,
                 l_new,
                 r_parent,
@@ -369,118 +1091,71 @@ impl<'g> MbetEngine<'g> {
             );
         }
         stats.nodes += 1;
+        stats.word_nodes += R::WORD as u64;
         self.task_depth = self.task_depth.max(depth);
 
-        if self.pool.len() <= depth {
-            self.pool.resize_with(depth + 1, Scratch::default);
-        }
-        let mut s = std::mem::take(&mut self.pool[depth]);
-        s.ctrie_p.clear();
-        s.ctrie_q.clear();
-        s.keyar.clear();
-        s.memar.clear();
-        s.groups.clear();
-        s.q_list.clear();
+        let mut s = self.take_scratch::<R>(depth);
+        s.clear();
 
         // ---- Excluded vertices: key them, check this node's maximality
-        // along the way, then keep only the keys that matter below. A key
-        // is the vertex's localized row clipped to `L'` — local left ids,
-        // so keys of one node share an id space and one representation
-        // check (`check_local_key`) covers both kernels.
+        // along the way, then keep only the keys that matter below.
         let antichain = self.cfg.trie_maximality;
         let mut covered = false;
         let mut keyed = 0u64;
         for &q in traversed {
-            self.local.row_view(q, l_new.len()).intersect_into(l_new, &mut s.keybuf);
-            crate::invariants::check_local_key(&s.keybuf, l_new);
-            if s.keybuf.is_empty() {
+            let key = s.keys.key(&self.local, q, l_new);
+            if s.keys.is_empty(key) {
                 continue; // can never cover any L'' ⊆ L'
             }
-            if s.keybuf.len() == l_new.len() {
+            if s.keys.covers(key, l_new) {
                 covered = true; // q adjacent to all of L'
                 break;
             }
             keyed += 1;
-            // Under trie maximality the antichain below also dedupes, so
-            // only batching alone dedupes here.
-            let existed = !antichain && self.cfg.batching && s.ctrie_q.insert(&s.keybuf, q);
-            if !existed {
-                let start = s.keyar.len() as u32;
-                s.keyar.extend_from_slice(&s.keybuf);
-                s.q_list.push(Excluded { v: q, key: (start, s.keyar.len() as u32) });
-            }
+            s.q_list.push(Keyed { v: R::vertex(q), key });
         }
         if covered {
             stats.nonmaximal += 1;
-            self.pool[depth] = s;
+            R::pool(self)[depth] = s;
             return ControlFlow::Continue(());
         }
         stats.excluded_keyed += keyed;
         if antichain {
             s.keep_excluded_antichain();
+        } else if self.cfg.batching {
+            // Under trie maximality the antichain also dedupes, so only
+            // batching alone dedupes here.
+            s.keys.dedup_excluded(&mut s.q_list);
         }
         stats.excluded_kept += s.q_list.len() as u64;
 
-        // ---- Candidates: trie-group them by local neighborhood.
-        for &w in untraversed {
-            self.local.row_view(w, l_new.len()).intersect_into(l_new, &mut s.keybuf);
-            crate::invariants::check_local_key(&s.keybuf, l_new);
-            if s.keybuf.is_empty() {
-                continue;
-            }
-            s.ctrie_p.insert(&s.keybuf, w);
-        }
-        self.peak_trie_nodes = self.peak_trie_nodes.max(s.ctrie_p.node_count());
-        {
-            let groups = &mut s.groups;
-            let keyar = &mut s.keyar;
-            let memar = &mut s.memar;
-            let batching = self.cfg.batching;
-            s.ctrie_p.for_each_group(|key, members| {
-                let kstart = keyar.len() as u32;
-                keyar.extend_from_slice(key);
-                let kspan = (kstart, keyar.len() as u32);
-                if batching {
-                    let mstart = memar.len() as u32;
-                    memar.extend_from_slice(members);
-                    // A trie group always has members. xtask-allow: expect
-                    let rep = members.iter().copied().min().expect("non-empty group");
-                    groups.push(Group { key: kspan, members: (mstart, memar.len() as u32), rep });
-                } else {
-                    // Ablation mode: one singleton group per candidate so
-                    // the branch structure matches MBEA exactly.
-                    for &w in members {
-                        let mstart = memar.len() as u32;
-                        memar.push(w);
-                        groups.push(Group {
-                            key: kspan,
-                            members: (mstart, memar.len() as u32),
-                            rep: w,
-                        });
-                    }
-                }
-            });
-        }
+        // ---- Candidates: group them by key.
+        let trie_nodes = s.keys.group(
+            &self.local,
+            untraversed,
+            l_new,
+            self.cfg.batching,
+            &mut s.groups,
+            &mut s.memar,
+        );
+        self.peak_trie_nodes = self.peak_trie_nodes.max(trie_nodes);
         // Process groups in representative-id order (determinism and
         // equivalence with the baselines' candidate order — local right
         // order is global right order).
         s.groups.sort_unstable_by_key(|grp| grp.rep);
-        crate::invariants::check_spans(
-            s.keyar.len(),
-            s.groups.iter().map(|grp| grp.key).chain(s.q_list.iter().map(|q| q.key)),
-        );
+        s.keys.check_spans(&s.groups, &s.q_list);
         crate::invariants::check_spans(s.memar.len(), s.groups.iter().map(|grp| grp.members));
 
         // ---- Absorption for *this* node: candidates adjacent to all of
         // L' go straight into R'. Their key is all of L', so full
-        // coverage is a length test, paid once per group.
-        s.absorbed.clear();
+        // coverage is one key test, paid once per group.
+        s.r_new.clear();
         {
+            let keys = &s.keys;
             let memar = &s.memar;
-            let absorbed = &mut s.absorbed;
-            let full_len = l_new.len() as u32;
+            let absorbed = &mut s.r_new;
             s.groups.retain(|grp| {
-                if grp.key.1 - grp.key.0 == full_len {
+                if keys.covers(grp.key, l_new) {
                     absorbed.extend_from_slice(slice(memar, grp.members));
                     false
                 } else {
@@ -488,26 +1163,26 @@ impl<'g> MbetEngine<'g> {
                 }
             });
         }
-        stats.absorbed += s.absorbed.len() as u64;
+        stats.absorbed += s.r_new.len() as u64;
+        self.finish_r(r_parent, v, &mut s.r_new);
+        R::left_global(&self.local, &self.word_global, l_new, &mut s.emit_l);
+        crate::invariants::check_node(self.g, &s.emit_l, &s.r_new);
 
-        // R' lives in global ids (it outlives this localization): map
-        // the absorbed candidates home before they join it. One true
-        // allocation per emitted biclique.
-        for w in &mut s.absorbed {
-            *w = self.local.right_global(*w);
-        }
-        let r_new = crate::task::assemble_r(r_parent, self.local.right_global(v), &s.absorbed);
-        self.local.left_to_global(l_new, &mut s.emit_l);
-        crate::invariants::check_node(self.g, &s.emit_l, &r_new);
-
-        if !self.bound.emits(r_new.len()) {
+        if !self.bound.emits(s.r_new.len()) {
             stats.undersized += 1;
-        } else if let ControlFlow::Break(r) = sink.emit(&s.emit_l, &r_new) {
+        } else if let ControlFlow::Break(r) = sink.emit(&s.emit_l, &s.r_new) {
             // A Break verdict means this emission was NOT delivered (the
             // control gate rejects before forwarding), so re-running the
             // whole node on resume delivers it exactly once.
-            self.push_task(l_new, r_parent, v, untraversed, traversed);
-            self.pool[depth] = s;
+            let vertex = |&e: &R::Entry| R::vertex(e);
+            self.push_task::<R>(
+                l_new,
+                r_parent,
+                v,
+                untraversed.iter().map(vertex),
+                traversed.iter().map(vertex),
+            );
+            R::pool(self)[depth] = s;
             return ControlFlow::Break(r);
         } else {
             stats.emitted += 1;
@@ -518,93 +1193,97 @@ impl<'g> MbetEngine<'g> {
         let mut stop = None;
         for gi in 0..s.groups.len() {
             let grp = s.groups[gi];
-            let key = slice(&s.keyar, grp.key);
+            let key = grp.key;
             let n_members = (grp.members.1 - grp.members.0) as u64;
             stats.batched += n_members - 1;
 
             // Maximality of the child: some excluded vertex adjacent to
             // all of L'' = key?
             let non_maximal = if self.cfg.trie_maximality {
-                s.ctrie_q.any_superset(key)
+                s.keys.any_superset(&s.q_list, key)
             } else {
-                s.q_list.iter().any(|q| setops::is_subset(key, slice(&s.keyar, q.key)))
+                s.q_list.iter().any(|q| s.keys.is_subset(key, q.key))
             };
             if non_maximal {
                 // A branch attempt that dies at the check — counted as a
                 // node so the counter identity holds for every engine
                 // (the child `expand` is never entered).
                 stats.nodes += 1;
+                stats.word_nodes += R::WORD as u64;
                 stats.nonmaximal += 1;
             } else {
-                // The key *is* the child's L, already in local left ids.
-                s.l_child.clear();
-                s.l_child.extend_from_slice(key);
-
                 // Child's candidate universe: the rest of this group
                 // (equivalent to the representative, hence adjacent to all
                 // of L'' — the child's full-coverage scan absorbs them into
                 // its R'), plus members of later groups whose key shares a
                 // vertex with this key (the rest die at the child anyway).
+                // The key *is* the child's L''.
                 s.child_p.clear();
-                s.child_p
-                    .extend(slice(&s.memar, grp.members).iter().copied().filter(|&w| w != grp.rep));
+                for &w in slice(&s.memar, grp.members) {
+                    if w != grp.rep {
+                        s.child_p.push(R::entry(w, key, key));
+                    }
+                }
                 if self.cfg.trie_absorption {
                     // Per-group (not per-member) key test.
                     for later in &s.groups[gi + 1..] {
-                        if local_keys_intersect(slice(&s.keyar, later.key), key) {
-                            s.child_p.extend_from_slice(slice(&s.memar, later.members));
+                        if s.keys.intersects(later.key, key) {
+                            for &w in slice(&s.memar, later.members) {
+                                s.child_p.push(R::entry(w, later.key, key));
+                            }
                         }
                     }
                 } else {
+                    let l_child = s.keys.key_l(key);
                     for later in &s.groups[gi + 1..] {
                         for &w in slice(&s.memar, later.members) {
-                            if self
-                                .local
-                                .row_view(w, s.l_child.len())
-                                .intersect_first(&s.l_child)
-                                .is_some()
-                            {
-                                s.child_p.push(w);
+                            if s.keys.member_live(&self.local, w, later.key, l_child) {
+                                s.child_p.push(R::entry(w, later.key, key));
                             }
                         }
                     }
                 }
-                s.child_p.sort_unstable();
+                s.child_p.sort_unstable_by_key(|&e| R::vertex(e));
 
                 s.child_q.clear();
-                s.child_q.extend(
-                    s.q_list
-                        .iter()
-                        .filter(|q| local_keys_intersect(slice(&s.keyar, q.key), key))
-                        .map(|q| q.v),
-                );
+                for q in &s.q_list {
+                    if s.keys.intersects(q.key, key) {
+                        s.child_q.push(R::entry(q.v, q.key, key));
+                    }
+                }
 
                 if split {
                     // Split mode: queue exactly the child expanded below.
-                    self.push_task(key, &r_new, grp.rep, &s.child_p, &s.child_q);
+                    let vertex = |&e: &R::Entry| R::vertex(e);
+                    self.push_task::<R>(
+                        s.keys.key_l(key),
+                        &s.r_new,
+                        grp.rep,
+                        s.child_p.iter().map(vertex),
+                        s.child_q.iter().map(vertex),
+                    );
                 } else {
-                    // Move the buffers out for the recursive call (the
-                    // child works in pool[depth + 1]); restore afterwards.
-                    let l_child = std::mem::take(&mut s.l_child);
+                    // Move the lists out for the recursive call (the child
+                    // works in the pool's next depth); restore afterwards.
                     let child_p = std::mem::take(&mut s.child_p);
                     let child_q = std::mem::take(&mut s.child_q);
-                    let cont = self.expand(
+                    let cont = R::descend(
+                        self,
                         depth + 1,
-                        &l_child,
-                        &r_new,
+                        s.keys.key_l(key),
+                        &s.r_new,
                         grp.rep,
                         &child_p,
                         &child_q,
                         sink,
                         stats,
                     );
-                    s.l_child = l_child;
                     s.child_p = child_p;
                     s.child_q = child_q;
                     if let ControlFlow::Break(r) = cont {
                         // The broken child captured its own subtree; this
                         // level owes the checkpoint its untried groups.
-                        self.capture_group_siblings(&s, &r_new, gi);
+                        self.capture_group_siblings(&s, gi);
                         stop = Some(r);
                         break;
                     }
@@ -613,21 +1292,21 @@ impl<'g> MbetEngine<'g> {
 
             // The representative becomes excluded for later groups —
             // unless its branch died at the check: a kept key then
-            // already contains its key.
+            // already contains its key. Under trie maximality no excluded
+            // key equals it (none contains it); under batching alone an
+            // equal one already stands for it.
             if non_maximal && antichain {
                 continue;
             }
-            let existed = if self.cfg.trie_maximality || self.cfg.batching {
-                s.ctrie_q.insert(key, grp.rep)
-            } else {
-                false
-            };
-            if !(existed && self.cfg.batching) {
-                s.q_list.push(Excluded { v: grp.rep, key: grp.key });
+            let batching = self.cfg.batching;
+            let existed =
+                (antichain || batching) && s.keys.insert_rep(&s.q_list, key, grp.rep, !antichain);
+            if !(existed && batching) {
+                s.q_list.push(Keyed { v: grp.rep, key });
             }
         }
 
-        self.pool[depth] = s;
+        R::pool(self)[depth] = s;
         match stop {
             Some(r) => ControlFlow::Break(r),
             None => ControlFlow::Continue(()),
@@ -640,7 +1319,7 @@ impl<'g> MbetEngine<'g> {
     /// members (a conservative superset — the child's candidate scan
     /// drops the irrelevant ones) and `q` = the current exclusions plus
     /// every earlier representative.
-    fn capture_group_siblings(&mut self, s: &Scratch, r_new: &[u32], broke_at: usize) {
+    fn capture_group_siblings<R: Repr>(&mut self, s: &Scratch<R>, broke_at: usize) {
         let mut q: Vec<u32> = s.q_list.iter().map(|q| q.v).collect();
         q.push(s.groups[broke_at].rep);
         let mut p = Vec::new();
@@ -652,15 +1331,16 @@ impl<'g> MbetEngine<'g> {
                 p.extend_from_slice(slice(&s.memar, later.members));
             }
             p.sort_unstable();
-            self.push_task(slice(&s.keyar, grp.key), r_new, grp.rep, &p, &q);
+            self.push_task::<R>(
+                s.keys.key_l(grp.key),
+                &s.r_new,
+                grp.rep,
+                p.iter().copied(),
+                q.iter().copied(),
+            );
             q.push(grp.rep);
         }
     }
-}
-
-/// `true` iff two sorted local-left-id keys share an element.
-fn local_keys_intersect(a: &[u32], b: &[u32]) -> bool {
-    setops::intersect_first(a, b).is_some()
 }
 
 /// Candidate count at or below which [`MbetEngine::expand`] switches to
@@ -671,105 +1351,139 @@ const SMALL_NODE_CANDIDATES: usize = 4;
 impl MbetEngine<'_> {
     /// Scan-based node processing for small candidate sets. Identical
     /// semantics (and counter accounting) to `BaselineEngine`'s MBEA
-    /// path — it runs the same shared expansion helpers, only against
-    /// the localized rows, and queues its children the same way in split
-    /// mode — but recursing back into [`Self::expand`] so larger
-    /// descendants regain the trie machinery.
+    /// path — the trie path runs the same shared expansion helpers, only
+    /// against the localized rows, and word mode the same scans on masks;
+    /// both queue their children the same way in split mode — but
+    /// recursing back into [`Self::expand`] so larger descendants regain
+    /// the grouping machinery.
     #[allow(clippy::too_many_arguments)]
-    fn expand_small(
+    fn expand_small<R: Repr>(
         &mut self,
         depth: usize,
-        l_new: &[u32],
+        l_new: R::L<'_>,
         r_parent: &[u32],
         v: u32,
-        untraversed: &[u32],
-        traversed: &[u32],
+        untraversed: &[R::Entry],
+        traversed: &[R::Entry],
         sink: &mut dyn BicliqueSink,
         stats: &mut Stats,
     ) -> ControlFlow<StopReason> {
         stats.nodes += 1;
+        stats.word_nodes += R::WORD as u64;
         self.task_depth = self.task_depth.max(depth);
-        if crate::task::covered_by_excluded(&self.local, traversed, l_new) {
+        if R::covered(&self.local, traversed, l_new) {
             stats.nonmaximal += 1;
             return ControlFlow::Continue(());
         }
-        let mut absorbed: Vec<u32> = Vec::new();
-        let mut p_new: Vec<u32> = Vec::new();
-        crate::task::partition_candidates(
-            &self.local,
-            untraversed,
+        // The node's lists live in this depth's scratch, like the full
+        // body's: `child_p` holds `P'` and `child_q` the live `Q`.
+        let mut s = self.take_scratch::<R>(depth);
+        let flow = self.small_body::<R>(
+            &mut s,
+            depth,
             l_new,
-            &mut absorbed,
-            &mut p_new,
+            r_parent,
+            v,
+            untraversed,
+            traversed,
+            sink,
+            stats,
         );
-        stats.absorbed += absorbed.len() as u64;
-        for w in &mut absorbed {
-            *w = self.local.right_global(*w);
-        }
-        let r_new = crate::task::assemble_r(r_parent, self.local.right_global(v), &absorbed);
-        let mut emit_l = Vec::new();
-        self.local.left_to_global(l_new, &mut emit_l);
-        crate::invariants::check_node(self.g, &emit_l, &r_new);
-        if !self.bound.emits(r_new.len()) {
+        R::pool(self)[depth] = s;
+        flow
+    }
+
+    /// [`Self::expand_small`] past its maximality check, on the scratch
+    /// `s` of its depth.
+    #[allow(clippy::too_many_arguments)]
+    fn small_body<R: Repr>(
+        &mut self,
+        s: &mut Scratch<R>,
+        depth: usize,
+        l_new: R::L<'_>,
+        r_parent: &[u32],
+        v: u32,
+        untraversed: &[R::Entry],
+        traversed: &[R::Entry],
+        sink: &mut dyn BicliqueSink,
+        stats: &mut Stats,
+    ) -> ControlFlow<StopReason> {
+        R::partition(&self.local, untraversed, l_new, &mut s.r_new, &mut s.child_p);
+        stats.absorbed += s.r_new.len() as u64;
+        self.finish_r(r_parent, v, &mut s.r_new);
+        R::left_global(&self.local, &self.word_global, l_new, &mut s.emit_l);
+        crate::invariants::check_node(self.g, &s.emit_l, &s.r_new);
+        let vertex = |&e: &R::Entry| R::vertex(e);
+        if !self.bound.emits(s.r_new.len()) {
             stats.undersized += 1;
-        } else if let ControlFlow::Break(r) = sink.emit(&emit_l, &r_new) {
+        } else if let ControlFlow::Break(r) = sink.emit(&s.emit_l, &s.r_new) {
             // Undelivered emission: re-run the whole node on resume.
-            self.push_task(l_new, r_parent, v, untraversed, traversed);
+            self.push_task::<R>(
+                l_new,
+                r_parent,
+                v,
+                untraversed.iter().map(vertex),
+                traversed.iter().map(vertex),
+            );
             return ControlFlow::Break(r);
         } else {
             stats.emitted += 1;
         }
-        if p_new.is_empty() {
+        if s.child_p.is_empty() {
             return ControlFlow::Continue(());
         }
-        let mut q_now: Vec<u32> = Vec::new();
-        crate::task::live_excluded(&self.local, traversed, l_new, &mut q_now);
+        R::live(&self.local, traversed, l_new, &mut s.child_q);
         if depth == 0 && self.split {
-            self.queue_small_children(l_new, &r_new, &p_new, 0, q_now);
+            self.queue_small_children::<R>(l_new, &s.r_new, &s.child_p, 0, &mut s.child_q);
             return ControlFlow::Continue(());
         }
-        let mut l_child = Vec::new();
-        for i in 0..p_new.len() {
-            let w = p_new[i];
-            crate::task::child_l(&self.local, l_new, w, &mut l_child);
-            let l_child_owned = std::mem::take(&mut l_child);
-            let flow = self.expand(
+        for i in 0..s.child_p.len() {
+            let w = s.child_p[i];
+            R::child_l(&self.local, l_new, w, &mut s.l_small);
+            let flow = R::descend(
+                self,
                 depth + 1,
-                &l_child_owned,
-                &r_new,
-                w,
-                &p_new[i + 1..],
-                &q_now,
+                R::l_of(&s.l_small),
+                &s.r_new,
+                R::vertex(w),
+                &s.child_p[i + 1..],
+                &s.child_q,
                 sink,
                 stats,
             );
-            q_now.push(w);
+            s.child_q.push(w);
             if let ControlFlow::Break(r) = flow {
-                self.queue_small_children(l_new, &r_new, &p_new, i + 1, q_now);
+                self.queue_small_children::<R>(l_new, &s.r_new, &s.child_p, i + 1, &mut s.child_q);
                 return ControlFlow::Break(r);
             }
-            l_child = l_child_owned;
         }
         ControlFlow::Continue(())
     }
 
     /// Scan-path counterpart of `BaselineEngine`'s child queue: pushes
     /// the children `p_new[from..]`, translated to global ids, with `q`
-    /// (local ids) grown by each earlier branch. A split node queues
-    /// every child; a stop queues the untried siblings.
-    fn queue_small_children(
+    /// grown by each earlier branch. A split node queues every child; a
+    /// stop queues the untried siblings.
+    fn queue_small_children<R: Repr>(
         &mut self,
-        l_parent: &[u32],
+        l_parent: R::L<'_>,
         r_new: &[u32],
-        p_new: &[u32],
+        p_new: &[R::Entry],
         from: usize,
-        mut q: Vec<u32>,
+        q: &mut Vec<R::Entry>,
     ) {
-        let mut l_child = Vec::new();
+        let vertex = |&e: &R::Entry| R::vertex(e);
+        let mut l_child = R::LBuf::default();
         for k in from..p_new.len() {
             let w = p_new[k];
-            crate::task::child_l(&self.local, l_parent, w, &mut l_child);
-            self.push_task(&l_child, r_new, w, &p_new[k + 1..], &q);
+            R::child_l(&self.local, l_parent, w, &mut l_child);
+            self.push_task::<R>(
+                R::l_of(&l_child),
+                r_new,
+                R::vertex(w),
+                p_new[k + 1..].iter().map(vertex),
+                q.iter().map(vertex),
+            );
             q.push(w);
         }
     }
@@ -958,14 +1672,15 @@ mod tests {
     fn peak_trie_nodes_is_tracked() {
         // Needs a node with more candidates than the small-node fast-path
         // threshold, or no trie is ever built: one root vertex whose
-        // 2-hop universe has 8 partially-overlapping candidates.
+        // 2-hop universe has 8 partially-overlapping candidates. Its `L'`
+        // fits a word, so only `SortedOnly` builds the trie.
         let mut edges = vec![(0u32, 0u32), (1, 0), (2, 0), (3, 0)];
         for v in 1..=8u32 {
             edges.push((v % 4, v));
             edges.push(((v + 1) % 4, v));
         }
         let g = BipartiteGraph::from_edges(4, 9, &edges).unwrap();
-        let mut engine = MbetEngine::new(&g, MbetConfig::default(), Kernel::Adaptive);
+        let mut engine = MbetEngine::new(&g, MbetConfig::default(), Kernel::SortedOnly);
         let mut sink = CollectSink::new();
         let mut stats = Stats::default();
         let mut builder = TaskBuilder::new(&g);
@@ -983,7 +1698,7 @@ mod tests {
         // Root v3 sees all of u0..u5. The earlier right vertices v0..v2
         // reach it as excluded vertices with nested keys {u0} ⊂ {u0,u1} ⊂
         // {u0,u1,u2}, and its five candidates v4..v8 (one more than the
-        // small-node threshold) send it down the trie path.
+        // small-node threshold) send it down the full (grouping) body.
         let mut edges = vec![(0u32, 0u32), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2)];
         edges.extend((0..6).map(|u| (u, 3)));
         for v in 4..9u32 {
@@ -998,7 +1713,7 @@ mod tests {
         let root = TaskBuilder::new(&g).build(3).unwrap();
         assert_eq!((root.q0.len(), root.p0.len()), (3, 5));
         assert!(engine.run_task(&root, &mut CollectSink::new(), &mut stats).is_continue());
-        // Only the root runs the trie path: three keys in, one kept.
+        // Only the root runs the full body: three keys in, one kept.
         assert_eq!((stats.excluded_keyed, stats.excluded_kept), (3, 1));
 
         let (got, on) = run_mbet(&g, MbetConfig::default());
@@ -1012,6 +1727,39 @@ mod tests {
             (off.nodes, off.emitted, off.nonmaximal, off.batched),
             (on.nodes, on.emitted, on.nonmaximal, on.batched)
         );
+    }
+
+    #[test]
+    fn word_root_boundary() {
+        // Roots whose `L` has 63, 64 and 65 vertices: a word root short of
+        // a full word, one that fills all 64 bits (its full mask cannot be
+        // `(1 << 64) - 1`, which overflows the shift), and a trie root
+        // whose children become word roots. v0 sees all of u0..un, v9 is
+        // its twin, and v1..v8 see overlapping parts of it.
+        let tree = |s: &Stats| {
+            let excluded = (s.excluded_keyed, s.excluded_kept, s.undersized);
+            (s.nodes, s.nonmaximal, s.emitted, s.batched, s.absorbed, excluded)
+        };
+        for n in [63u32, 64, 65] {
+            let mut edges: Vec<(u32, u32)> = (0..n).flat_map(|u| [(u, 0), (u, 9)]).collect();
+            for v in 1..=8u32 {
+                edges.extend((0..n).filter(|u| (u * 7 + v * 13) % 11 < 7).map(|u| (u, v)));
+            }
+            let g = BipartiteGraph::from_edges(n, 10, &edges).unwrap();
+            let (want, trie) = run_mbet_kernel(&g, MbetConfig::default(), Kernel::SortedOnly);
+            crate::verify::assert_matches_brute_force(&g, &want);
+            assert_eq!(trie.word_nodes, 0, "n={n}");
+            for kernel in [Kernel::Adaptive, Kernel::BitmapOnly] {
+                let (got, words) = run_mbet_kernel(&g, MbetConfig::default(), kernel);
+                assert_eq!(got, want, "n={n} {kernel:?}");
+                assert_eq!(tree(&words), tree(&trie), "n={n} {kernel:?}");
+                if n > 64 {
+                    assert!(0 < words.word_nodes && words.word_nodes < words.nodes, "{words:?}");
+                } else {
+                    assert_eq!(words.word_nodes, words.nodes, "n={n} {kernel:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -32,9 +32,17 @@ pub struct Stats {
     pub batched: u64,
     /// Candidates absorbed into `R'` without branching.
     pub absorbed: u64,
-    /// Excluded vertices keyed at MBET trie-path nodes that passed the
-    /// maximality check: those whose key (`N(q) ∩ L'`) is non-empty and
-    /// short of all of `L'`. Counted before the excluded antichain.
+    /// The part of `nodes` counted in an MBET word-mode body (below the
+    /// first node of a path whose `L'` has at most 64 vertices): nodes
+    /// expanded there and branches that died at the child check inside
+    /// one. It depends only on each node's `|L'|`, so threaded and serial
+    /// runs agree on it. Always 0 under `Kernel::SortedOnly` and for the
+    /// baselines.
+    pub word_nodes: u64,
+    /// Excluded vertices keyed at MBET nodes that ran the full (grouping)
+    /// body, on the trie path or in word mode, and passed the maximality
+    /// check: those whose key (`N(q) ∩ L'`) is non-empty and short of all
+    /// of `L'`. Counted before the excluded antichain.
     pub excluded_keyed: u64,
     /// Of `excluded_keyed`, those the node kept for its branches: one per
     /// maximal distinct key under trie maximality, one per distinct key
@@ -72,6 +80,7 @@ impl Stats {
         self.nonmaximal += other.nonmaximal;
         self.batched += other.batched;
         self.absorbed += other.absorbed;
+        self.word_nodes += other.word_nodes;
         self.excluded_keyed += other.excluded_keyed;
         self.excluded_kept += other.excluded_kept;
         self.tasks += other.tasks;
@@ -105,7 +114,8 @@ pub struct WorkerMetrics {
     /// Deepest enumeration recursion any of this worker's tasks reached.
     pub peak_depth: u64,
     /// Peak live prefix-tree nodes across this worker's tasks (MBET
-    /// engines only; 0 for baselines).
+    /// engines only; 0 for baselines). Only trie-path nodes build a
+    /// trie: outside `Kernel::SortedOnly`, those with `|L'| > 64`.
     pub peak_trie_nodes: u64,
     /// Task wall-clock latency distribution, in microseconds.
     pub task_latency_us: Histogram,
@@ -248,6 +258,7 @@ mod tests {
             nonmaximal: 3,
             batched: 4,
             absorbed: 5,
+            word_nodes: 1,
             excluded_keyed: 9,
             excluded_kept: 4,
             tasks: 6,
@@ -261,6 +272,7 @@ mod tests {
             nonmaximal: 30,
             batched: 40,
             absorbed: 50,
+            word_nodes: 10,
             excluded_keyed: 90,
             excluded_kept: 40,
             tasks: 60,
@@ -274,6 +286,7 @@ mod tests {
         assert_eq!(a.nonmaximal, 33);
         assert_eq!(a.batched, 44);
         assert_eq!(a.absorbed, 55);
+        assert_eq!(a.word_nodes, 11);
         assert_eq!(a.excluded_keyed, 99);
         assert_eq!(a.excluded_kept, 44);
         assert_eq!(a.tasks, 66);

@@ -44,7 +44,7 @@ fn engines_agree_on_structured_graphs() {
 #[test]
 fn mbet_toggles_agree_at_scale() {
     let g = structured(99, 400, 250, 2500);
-    let (want, _) = count(&g, MbeOptions::new(Algorithm::Mbea));
+    let (want, mbea) = count(&g, MbeOptions::new(Algorithm::Mbea));
     let mut stats = Vec::new();
     for mask in 0u8..8 {
         let cfg = MbetConfig {
@@ -54,8 +54,21 @@ fn mbet_toggles_agree_at_scale() {
         };
         let (got, s) = count(&g, MbeOptions::new(Algorithm::Mbet).mbet(cfg));
         assert_eq!(got, want, "{cfg:?}");
+        // Word mode honours every toggle: the trie everywhere makes the
+        // same decisions.
+        let sorted = MbeOptions::new(Algorithm::Mbet).mbet(cfg).kernel(mbe::Kernel::SortedOnly);
+        let (got, trie) = count(&g, sorted);
+        assert_eq!(got, want, "{cfg:?} SortedOnly");
+        assert_eq!(tree_counters(&s), tree_counters(&trie), "{cfg:?}");
+        assert!(0 < s.word_nodes && s.word_nodes < s.nodes, "{cfg:?}: {s:?}");
+        assert_eq!(trie.word_nodes, 0, "{cfg:?}");
         stats.push(s);
     }
+    // All off is MBEA, branch for branch.
+    assert_eq!(
+        (stats[0].nodes, stats[0].nonmaximal, stats[0].emitted),
+        (mbea.nodes, mbea.nonmaximal, mbea.emitted)
+    );
     // Trie maximality (and the excluded antichain it gates) never moves a
     // decision: runs that differ only in it walk the same tree.
     for mask in [0usize, 1, 4, 5] {
@@ -69,9 +82,9 @@ fn mbet_toggles_agree_at_scale() {
     }
 }
 
-/// The search counters a complete run reports; a threaded run, split or
-/// not, searches exactly the serial run's tree and reports the same.
-fn search_counters(s: &Stats) -> [u64; 8] {
+/// The counters of the tree a complete run searched: every kernel
+/// searches the same tree and reports the same.
+fn tree_counters(s: &Stats) -> [u64; 8] {
     [
         s.nodes,
         s.nonmaximal,
@@ -82,6 +95,14 @@ fn search_counters(s: &Stats) -> [u64; 8] {
         s.excluded_kept,
         s.undersized,
     ]
+}
+
+/// The search counters a complete run reports: the tree's, and the part
+/// of it MBET ran in word mode. A threaded run, split or not, searches
+/// exactly the serial run's tree and reports the same.
+fn search_counters(s: &Stats) -> [u64; 9] {
+    let t = tree_counters(s);
+    [t[0], t[1], t[2], t[3], t[4], t[5], t[6], t[7], s.word_nodes]
 }
 
 #[test]
@@ -238,24 +259,27 @@ fn counters_close_at_scale() {
 
 #[test]
 fn kernels_agree_at_scale() {
-    // The kernel is an execution hint: pure-sorted, pure-bitmap, and the
+    // The kernel is an execution hint: the trie everywhere (SortedOnly),
+    // word mode below |L'| = 64 over bitmap rows (BitmapOnly) and the
     // adaptive default must produce identical emissions (order included,
     // serially) and identical search-tree counters, at a scale where the
-    // packed rows actually engage.
+    // packed rows engage and roots exceed 64 left vertices, so the trie
+    // path, the word path and the switch between them all run.
     let g = structured(55, 350, 240, 2200);
+    assert!((0..g.num_v()).any(|v| g.deg_v(v) > 64));
     let want = Enumeration::new(&g)
         .options(MbeOptions::default().kernel(mbe::Kernel::SortedOnly))
         .collect()
         .unwrap();
     assert!(want.bicliques.len() > 100);
+    assert_eq!(want.stats.word_nodes, 0);
     for kernel in [mbe::Kernel::Adaptive, mbe::Kernel::BitmapOnly] {
         let got =
             Enumeration::new(&g).options(MbeOptions::default().kernel(kernel)).collect().unwrap();
         assert_eq!(got.bicliques, want.bicliques, "{kernel:?}");
-        assert_eq!(got.stats.nodes, want.stats.nodes, "{kernel:?}");
-        assert_eq!(got.stats.emitted, want.stats.emitted, "{kernel:?}");
-        assert_eq!(got.stats.nonmaximal, want.stats.nonmaximal, "{kernel:?}");
-        assert_eq!(got.stats.batched, want.stats.batched, "{kernel:?}");
+        assert_eq!(tree_counters(&got.stats), tree_counters(&want.stats), "{kernel:?}");
+        let s = &got.stats;
+        assert!(0 < s.word_nodes && s.word_nodes < s.nodes, "{kernel:?}: {s:?}");
     }
     let mut reference = want.bicliques;
     reference.sort();
@@ -286,46 +310,76 @@ fn resume_crosses_relabeled_roots_under_kernel_change() {
     // re-localizes them from scratch. The kernel is not pinned by the
     // checkpoint (it never affects the emitted set), so the two segments
     // may even run under different kernels.
+    use bigraph::order::VertexOrder;
     let g = structured(77, 300, 200, 1800);
     let full: std::collections::HashSet<Biclique> =
         collect(&g, MbeOptions::default()).into_iter().collect();
-    let stopped = Enumeration::new(&g)
-        .options(MbeOptions::default().kernel(mbe::Kernel::SortedOnly))
-        .max_bicliques(3)
-        .collect()
-        .unwrap();
-    let ckpt = stopped.checkpoint.clone().expect("budget-stopped run must checkpoint");
-    // The stop landed inside a root subtree: the frontier must carry
-    // interior nodes (not just untouched roots), every id translated back
-    // into the graph-wide space.
-    let mut saw_node = false;
-    for task in &ckpt.frontier {
-        if let mbe::ResumeTask::Node { l, r_parent, v, p, q } = task {
-            saw_node = true;
-            assert!(setops::is_strictly_increasing(l));
-            for &u in l {
-                assert!(u < g.num_u(), "left id {u} out of range");
-            }
-            for &w in r_parent.iter().chain(p).chain(q).chain(std::iter::once(v)) {
-                assert!(w < g.num_v(), "right id {w} out of range");
+    // SortedOnly stops on the trie. Adaptive, in descending-degree order,
+    // stops in the first root, whose `L` exceeds a word: that root runs
+    // on the trie, its children with `|L''| ≤ 64` are word roots, and the
+    // stop lands inside one of their subtrees (the in-flight node,
+    // captured first, fits a word).
+    assert!((0..g.num_v()).any(|v| g.deg_v(v) > 64));
+    let stops = [
+        (mbe::Kernel::SortedOnly, VertexOrder::AscendingDegree, 3),
+        (mbe::Kernel::Adaptive, VertexOrder::DescendingDegree, 3),
+    ];
+    for (stop_kernel, order, budget) in stops {
+        let opts = MbeOptions::default().order(order);
+        let stopped = Enumeration::new(&g)
+            .options(opts.clone().kernel(stop_kernel))
+            .max_bicliques(budget)
+            .collect()
+            .unwrap();
+        let ckpt = stopped.checkpoint.clone().expect("budget-stopped run must checkpoint");
+        // The stop landed inside a root subtree: the frontier must carry
+        // interior nodes (not just untouched roots), every id translated
+        // back into the graph-wide space.
+        let mut saw_node = false;
+        for task in &ckpt.frontier {
+            if let mbe::ResumeTask::Node { l, r_parent, v, p, q } = task {
+                saw_node = true;
+                assert!(setops::is_strictly_increasing(l));
+                for &u in l {
+                    assert!(u < g.num_u(), "left id {u} out of range");
+                }
+                for &w in r_parent.iter().chain(p).chain(q).chain(std::iter::once(v)) {
+                    assert!(w < g.num_v(), "right id {w} out of range");
+                }
             }
         }
-    }
-    assert!(saw_node, "expected the stop to land inside a root subtree");
-    for kernel in [mbe::Kernel::SortedOnly, mbe::Kernel::BitmapOnly, mbe::Kernel::Adaptive] {
-        for threads in [1, 3] {
-            let resumed = Enumeration::new(&g)
-                .options(MbeOptions::default().threads(threads).kernel(kernel))
-                .resume(ckpt.clone())
-                .collect()
-                .unwrap();
-            assert!(resumed.is_complete(), "{kernel:?} threads={threads}");
-            let mut union: std::collections::HashSet<Biclique> =
-                std::collections::HashSet::with_capacity(full.len());
-            for b in stopped.bicliques.iter().chain(resumed.bicliques.iter()) {
-                assert!(union.insert(b.clone()), "duplicate across segments: {b:?} ({kernel:?})");
+        assert!(saw_node, "expected the stop to land inside a root subtree");
+        if stop_kernel == mbe::Kernel::Adaptive {
+            assert!(stopped.stats.word_nodes > 0, "{:?}", stopped.stats);
+            match &ckpt.frontier[0] {
+                // Checkpoint ids are the ordered graph's: 0 is the first
+                // root, of the largest degree, and in this node's `R'`.
+                mbe::ResumeTask::Node { l, r_parent, .. } => {
+                    assert!(
+                        l.len() <= 64 && r_parent.first() == Some(&0),
+                        "{:?}",
+                        ckpt.frontier[0]
+                    );
+                }
+                task => panic!("expected the in-flight word node first, got {task:?}"),
             }
-            assert_eq!(union, full, "{kernel:?} threads={threads}");
+        }
+        for kernel in [mbe::Kernel::SortedOnly, mbe::Kernel::BitmapOnly, mbe::Kernel::Adaptive] {
+            for threads in [1, 3] {
+                let at = format!("stopped {stop_kernel:?}, resumed {kernel:?} threads={threads}");
+                let resumed = Enumeration::new(&g)
+                    .options(opts.clone().threads(threads).kernel(kernel))
+                    .resume(ckpt.clone())
+                    .collect()
+                    .unwrap();
+                assert!(resumed.is_complete(), "{at}");
+                let mut union: std::collections::HashSet<Biclique> =
+                    std::collections::HashSet::with_capacity(full.len());
+                for b in stopped.bicliques.iter().chain(resumed.bicliques.iter()) {
+                    assert!(union.insert(b.clone()), "duplicate across segments: {b:?} ({at})");
+                }
+                assert_eq!(union, full, "{at}");
+            }
         }
     }
 }

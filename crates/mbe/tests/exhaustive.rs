@@ -6,7 +6,8 @@
 //! rare shape slips past an engine or driver change. Per graph:
 //!
 //! * all four engines on one worker, and MBET with each [`Kernel`], emit
-//!   exactly the brute-force set;
+//!   exactly the brute-force set, MBET with the same search counters
+//!   under every kernel (`word_nodes` aside: 0 under `SortedOnly`);
 //! * all four engines at 2 threads with forced splitting
 //!   (`split_height = split_size = 0`) emit it too, with the one-worker
 //!   run's search counters;
@@ -14,13 +15,18 @@
 //!   `nodes = emitted + nonmaximal + undersized`;
 //! * at every stop point `max_bicliques = 1..=B`, the stopped run and its
 //!   resume are disjoint and together the complete set: every engine on
-//!   one worker, and MBET at 2 threads with forced splitting.
+//!   one worker, and MBET at 2 threads with forced splitting, MBET both
+//!   under the default kernel and under `SortedOnly`.
 //!
 //! Tier-1 runs the 3×4 scope (4,096 graphs). The 4×4 scope (65,536
 //! graphs) is ignored by default; run it in a release build with
-//! `cargo test --release -p mbe --test exhaustive -- --ignored`.
-//! Graphs this small never take the MBET engine's `|L'| > 64` path;
-//! `differential.rs` covers that at preset scale.
+//! `cargo test --release -p mbe --test exhaustive -- --ignored` (add
+//! `--features debug-invariants` to assert every node on the way).
+//! Every `L'` of a graph this small fits a word, so outside `SortedOnly`
+//! MBET runs word mode only; `SortedOnly` runs the trie path everywhere,
+//! which is why its stop points are checked too. The switch between the
+//! two at `|L'| = 64` is covered at preset scale by `differential.rs`
+//! and at the boundary by `mbet::tests`.
 
 use bigraph::BipartiteGraph;
 use mbe::{Algorithm, Biclique, Enumeration, Kernel, MbeOptions, Report, Stats, StopReason};
@@ -46,8 +52,9 @@ fn forced_split(opts: &MbeOptions) -> MbeOptions {
     opts
 }
 
-/// The search counters a threaded run must share with the one-worker run.
-fn counters(s: &Stats) -> [u64; 8] {
+/// The search counters a threaded run must share with the one-worker run;
+/// all but the last (`word_nodes`) are shared across kernels too.
+fn counters(s: &Stats) -> [u64; 9] {
     [
         s.nodes,
         s.nonmaximal,
@@ -57,6 +64,7 @@ fn counters(s: &Stats) -> [u64; 8] {
         s.excluded_keyed,
         s.excluded_kept,
         s.undersized,
+        s.word_nodes,
     ]
 }
 
@@ -113,9 +121,17 @@ fn check_scope(nu: u32, nv: u32) {
                 for kernel in [Kernel::SortedOnly, Kernel::BitmapOnly] {
                     let what = format!("{what} {kernel:?}");
                     let run = complete(&g, &opts.clone().kernel(kernel), &want, &what);
-                    assert_eq!(counters(&run.stats), counters(&one.stats), "{what}");
+                    let (got, base) = (counters(&run.stats), counters(&one.stats));
+                    assert_eq!(got[..8], base[..8], "{what}");
+                    let words = if kernel == Kernel::SortedOnly { 0 } else { base[8] };
+                    assert_eq!(got[8], words, "{what}: word_nodes");
                 }
+                assert_eq!(one.stats.word_nodes, one.stats.nodes, "{what}: word_nodes");
                 stop_points(&g, &forced_split(&opts), &want, &format!("{what} forced split"));
+                let trie = opts.clone().kernel(Kernel::SortedOnly);
+                let what = format!("{what} SortedOnly");
+                stop_points(&g, &trie, &want, &what);
+                stop_points(&g, &forced_split(&trie), &want, &format!("{what} forced split"));
             }
         }
     }

@@ -4,9 +4,10 @@
 //! differential tests only pit engines against each other. These tests
 //! instead transform a preset-sized input in ways whose effect on the
 //! answer is known, and check that the answer moves exactly that way:
-//! swapping the sides or adding isolated vertices keeps the count, and a
-//! twin of a vertex joins exactly the bicliques that vertex is in. Each
-//! transformed input runs serially and on two threads.
+//! swapping the sides or adding isolated vertices keeps the count, a
+//! twin of a vertex joins exactly the bicliques that vertex is in, and
+//! renaming both sides by permutations renames the bicliques and nothing
+//! else. Each transformed input runs serially and on two threads.
 
 mod common;
 
@@ -14,6 +15,9 @@ use std::collections::HashSet;
 
 use bigraph::BipartiteGraph;
 use mbe::{Biclique, Enumeration, MbeOptions};
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 
 const THREADS: [usize; 2] = [1, 2];
 
@@ -73,6 +77,18 @@ fn without(
         .collect()
 }
 
+/// `g` with both sides renamed by permutations drawn from `seed`: left
+/// `u` becomes `pu[u]` and right `v` becomes `pv[v]`.
+fn relabeled(g: &BipartiteGraph, seed: u64) -> (BipartiteGraph, Vec<u32>, Vec<u32>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut pu: Vec<u32> = (0..g.num_u()).collect();
+    let mut pv: Vec<u32> = (0..g.num_v()).collect();
+    pu.shuffle(&mut rng);
+    pv.shuffle(&mut rng);
+    let edges: Vec<(u32, u32)> = g.edges().map(|(u, v)| (pu[u as usize], pv[v as usize])).collect();
+    (BipartiteGraph::from_edges(g.num_u(), g.num_v(), &edges).unwrap(), pu, pv)
+}
+
 fn sum_left(bicliques: &[Biclique]) -> usize {
     bicliques.iter().map(|b| b.left.len()).sum()
 }
@@ -118,6 +134,35 @@ fn a_twin_joins_exactly_the_bicliques_of_its_original() {
             assert_eq!(sum_left(&got), sum_left(&base) + with_u, "{name} threads={threads}");
             assert_eq!(sum_right(&got), sum_right(&base), "{name} threads={threads}");
             assert_eq!(without(&got, Some(g.num_u()), None), base_set, "{name} threads={threads}");
+        }
+    }
+}
+
+#[test]
+fn relabeling_renames_exactly_the_bicliques() {
+    let graphs = graphs();
+    // A root whose `L` exceeds a word runs on the trie and starts word
+    // roots below it; renaming moves those roots to other vertices.
+    assert!(graphs.iter().any(|(_, g)| (0..g.num_v()).any(|v| g.deg_v(v) > 64)));
+    for (name, g) in graphs {
+        let base = collect(&g, 1);
+        for seed in [1, 2] {
+            let (h, pu, pv) = relabeled(&g, seed);
+            let rename = |side: &[u32], p: &[u32]| -> Vec<u32> {
+                let mut s: Vec<u32> = side.iter().map(|&x| p[x as usize]).collect();
+                s.sort_unstable();
+                s
+            };
+            let want: HashSet<Biclique> = base
+                .iter()
+                .map(|b| Biclique { left: rename(&b.left, &pu), right: rename(&b.right, &pv) })
+                .collect();
+            for threads in THREADS {
+                let got = collect(&h, threads);
+                assert_eq!(got.len(), base.len(), "{name} seed={seed} threads={threads}");
+                let got: HashSet<Biclique> = got.into_iter().collect();
+                assert_eq!(got, want, "{name} seed={seed} threads={threads}");
+            }
         }
     }
 }

@@ -20,8 +20,10 @@
 ///
 /// This is an execution hint: it never changes which bicliques are
 /// produced or in which order, only how the set intersections inside
-/// the hot loop are computed. The differential tests force the two
-/// pure variants against each other.
+/// the hot loop are computed. The differential tests force the pure
+/// variants against each other and against the default. The MBET engine
+/// also runs its nodes with `|L'| ≤ 64` on one-word keys under every
+/// variant but `SortedOnly`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Kernel {
     /// Choose per node: bitmap rows where the local universe is small
@@ -29,7 +31,9 @@ pub enum Kernel {
     /// (merge/gallop adaptive) elsewhere. The production default.
     #[default]
     Adaptive,
-    /// Sorted-slice kernels only; bitmap rows are never built.
+    /// Sorted-slice kernels only; bitmap rows are never built. For MBET,
+    /// the trie everywhere: no one-word keys, the paper's representation
+    /// and the differential tests' reference.
     SortedOnly,
     /// Bitmap rows whenever a local universe exists (local-graph rows
     /// are always packed); slices remain only where no dense universe
