@@ -2,9 +2,11 @@
 //!
 //! Underpins the representation-threshold discussion (the σ-style
 //! trade-off between list and bitmap local-neighborhood encodings):
-//! merge vs. gallop intersection across size ratios, subset testing, and
-//! bitmap kernels at `|L|`-scale universes. Every cell is nanoseconds per
-//! call: the median (over `MBE_BENCH_TRIALS`) of one timed batch of
+//! merge vs. gallop intersection across size ratios, at the sizes the
+//! MBET trie path intersects (`|L'| > 64`) and at global-adjacency scale;
+//! subset testing; and word mode's one-`u64` operations against the slice
+//! kernels on the same sets below `|L'| = 64`. Every cell is nanoseconds
+//! per call: the median (over `MBE_BENCH_TRIALS`) of one timed batch of
 //! [`REPS`] calls.
 
 use rand::rngs::StdRng;
@@ -35,18 +37,27 @@ fn ns_per_call<R>(mut f: impl FnMut() -> R) -> f64 {
 }
 
 fn intersections() {
-    println!("intersect_ratio: |large| = 4096, |small| = 4096 / ratio (ns/call)");
-    println!("{:>8}{:>12}{:>12}{:>12}", "ratio", "merge", "gallop", "adaptive");
+    println!("intersect_ratio: |small| = |large| / ratio from a universe of `univ` (ns/call)");
+    println!(
+        "{:>8}{:>8}{:>10}{:>12}{:>12}{:>12}",
+        "|large|", "ratio", "univ", "merge", "gallop", "adaptive"
+    );
     let mut rng = StdRng::seed_from_u64(1);
-    for ratio in [1usize, 8, 64, 512] {
-        let large = sorted_set(&mut rng, 4096, 1 << 20);
-        let small = sorted_set(&mut rng, 4096 / ratio, 1 << 20);
+    // Trie-path sizes draw from a local universe twice the larger set
+    // (rows and `L'` are local left ids); the 4096 rows are global-scale.
+    let cases = [(128usize, 1usize), (128, 8), (256, 1), (256, 8)]
+        .map(|(n, r)| (n, r, 2 * n as u32))
+        .into_iter()
+        .chain([1usize, 8, 64, 512].map(|r| (4096, r, 1 << 20)));
+    for (n, ratio, univ) in cases {
+        let large = sorted_set(&mut rng, n, univ);
+        let small = sorted_set(&mut rng, n / ratio, univ);
         let mut out = Vec::new();
         let merge = ns_per_call(|| setops::merge::intersect_merge_into(&small, &large, &mut out));
         let gallop =
             ns_per_call(|| setops::gallop::intersect_gallop_into(&small, &large, &mut out));
         let adaptive = ns_per_call(|| setops::intersect_into(&small, &large, &mut out));
-        println!("{ratio:>8}{merge:>12.1}{gallop:>12.1}{adaptive:>12.1}");
+        println!("{n:>8}{ratio:>8}{univ:>10}{merge:>12.1}{gallop:>12.1}{adaptive:>12.1}");
     }
 }
 
@@ -63,27 +74,35 @@ fn subset() {
     }
 }
 
-fn bitmap() {
+/// The one-word key of a set of positions below 64.
+fn mask(s: &[u32]) -> u64 {
+    s.iter().fold(0, |m, &x| m | 1 << x)
+}
+
+fn words() {
     println!();
-    // |L| is bounded by D(V): benchmark at the scales enumeration sees.
-    println!("bitmap_vs_list_at_L_scale: two |L|/2-subsets of an |L| universe (ns/call)");
+    // Word mode keys every node with |L'| ≤ 64 by one u64 per vertex.
     println!(
-        "{:>8}{:>16}{:>18}{:>13}{:>15}",
-        "|L|", "list_intersect", "bitmap_intersect", "list_subset", "bitmap_subset"
+        "word_vs_list_below_64: a, b two |L|/2-subsets of an |L| universe; \
+         count |a ∩ b|, test a ∩ b ⊆ b (ns/call)"
+    );
+    println!(
+        "{:>8}{:>13}{:>13}{:>14}{:>14}",
+        "|L|", "list_count", "word_count", "list_subset", "word_subset"
     );
     let mut rng = StdRng::seed_from_u64(3);
-    for l in [32usize, 256, 2048] {
+    for l in [16usize, 32, 64] {
         let a = sorted_set(&mut rng, l / 2, l as u32);
         let b = sorted_set(&mut rng, l / 2, l as u32);
-        let ba = setops::Bitmap::from_ranks(l, &a);
-        let bb = setops::Bitmap::from_ranks(l, &b);
-        let mut out = Vec::new();
-        let list_intersect = ns_per_call(|| setops::intersect_into(&a, &b, &mut out));
-        let bitmap_intersect = ns_per_call(|| ba.intersect_count(&bb));
-        let list_subset = ns_per_call(|| setops::is_subset(&a, &b));
-        let bitmap_subset = ns_per_call(|| ba.is_subset_of(&bb));
+        let mut ab = Vec::new();
+        setops::intersect_into(&a, &b, &mut ab);
+        let (wa, wb, wab) = (mask(&a), mask(&b), mask(&ab));
+        let list_count = ns_per_call(|| setops::intersect_count(black_box(&a), black_box(&b)));
+        let word_count = ns_per_call(|| (black_box(wa) & black_box(wb)).count_ones());
+        let list_subset = ns_per_call(|| setops::is_subset(black_box(&ab), black_box(&b)));
+        let word_subset = ns_per_call(|| black_box(wab) & !black_box(wb) == 0);
         println!(
-            "{l:>8}{list_intersect:>16.1}{bitmap_intersect:>18.1}{list_subset:>13.1}{bitmap_subset:>15.1}"
+            "{l:>8}{list_count:>13.1}{word_count:>13.1}{list_subset:>14.1}{word_subset:>14.1}"
         );
     }
 }
@@ -92,5 +111,5 @@ fn main() {
     bench::header("E10", "set-operation microbenchmarks", "representation-threshold discussion");
     intersections();
     subset();
-    bitmap();
+    words();
 }

@@ -17,8 +17,7 @@
 //! in the experiment suite are measured against. The node body runs
 //! through the shared expansion helpers in [`crate::task`] (over the
 //! global-graph [`crate::task::NbrSource`]), so every engine answers the
-//! candidate/exclusion questions with the same [`setops::SetView`]
-//! operation set.
+//! candidate/exclusion questions with the same `setops` slice kernels.
 
 use std::ops::ControlFlow;
 
@@ -26,7 +25,7 @@ use crate::checkpoint::ResumeTask;
 use crate::metrics::Stats;
 use crate::run::StopReason;
 use crate::sink::BicliqueSink;
-use crate::task::{Bound, NbrSource, RootTask};
+use crate::task::{Bound, RootTask};
 use crate::Algorithm;
 use bigraph::BipartiteGraph;
 
@@ -204,7 +203,7 @@ impl<'g> BaselineEngine<'g> {
         if self.alg == Algorithm::Imbea {
             // iMBEA: branch on sparse candidates first.
             let g = self.g;
-            p_new.sort_by_key(|&w| g.nbr(w, l_new.len()).intersect_count(l_new));
+            p_new.sort_by_key(|&w| setops::intersect_count(g.nbr_v(w), l_new));
         }
 
         if depth == 0 && self.split {

@@ -5,8 +5,8 @@
 //! unit tests only probe pointwise: every node's `L` is the exact common
 //! neighborhood of its `R'`, trie keys are strictly increasing local-id
 //! subsets of their node's `L`, every per-root localization relabels
-//! consistently (sorted id maps, rows matching the global intersections,
-//! bitmap rows decoding to their sorted rows), every word-mode key
+//! consistently (sorted id maps, rows matching the global
+//! intersections), every word-mode key
 //! equals the key its localized row gives, the `Scratch` arenas hand
 //! out non-overlapping spans, every excluded key a full-body node drops
 //! is contained in one it keeps, the counter identity
@@ -128,8 +128,7 @@ pub fn check_word_keys(
 /// inside the left universe, each row equal to a naive oracle of the
 /// global intersection it localizes (a binary search of every left
 /// vertex in `N(w)`, independent of the scatter that built the row),
-/// (when built) bitmap rows decoding to exactly their sorted rows, and
-/// the scatter's tag table reset. Called once per localization.
+/// and the scatter's tag table reset. Called once per localization.
 #[cfg(feature = "debug-invariants")]
 pub fn check_localization(g: &BipartiteGraph, local: &bigraph::LocalGraph) {
     local.check_consistency(g);

@@ -166,8 +166,8 @@ impl Algorithm {
 /// With all three disabled the engine degenerates to MBEA (and the tests
 /// assert exactly that, node counts included). Each toggle makes the
 /// same decisions on the trie path and in word mode (the nodes with
-/// `|L'| ≤ 64` outside [`Kernel::SortedOnly`], DESIGN.md §3.2), so every
-/// configuration reports the same search counters under every kernel.
+/// `|L'| ≤ 64` under [`Kernel::Adaptive`], DESIGN.md §3.2), so every
+/// configuration reports the same search counters under both kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MbetConfig {
     /// Expand one representative per group of candidates with identical
@@ -212,10 +212,10 @@ pub struct MbeOptions {
     /// Load-aware splitting: root tasks with estimated size above this are
     /// split (threaded runs only).
     pub split_size: usize,
-    /// Which intersection kernels the MBET engine may use, and whether it
-    /// runs word mode below `|L'| = 64` (every kernel but
-    /// [`Kernel::SortedOnly`], which runs the trie everywhere). An
-    /// execution hint only: never changes which bicliques are emitted or
+    /// Which key representation the MBET engine runs on: word mode at
+    /// the nodes with `|L'| ≤ 64` and the trie above
+    /// ([`Kernel::Adaptive`]), or the trie everywhere
+    /// ([`Kernel::SortedOnly`]). An execution hint only: never changes which bicliques are emitted or
     /// their order, nor any search counter but `Stats::word_nodes`, so
     /// (like `threads`) it is excluded from checkpoint fingerprints and
     /// cache keys.
@@ -261,7 +261,7 @@ impl MbeOptions {
         self
     }
 
-    /// Sets the intersection-kernel policy (execution hint).
+    /// Sets the key representation (execution hint).
     pub fn kernel(mut self, kernel: Kernel) -> Self {
         self.kernel = kernel;
         self

@@ -33,9 +33,9 @@
 //!
 //! * **The trie path**: `L'` is a sorted list of local left
 //!   ids, every candidate and excluded vertex is keyed from its localized
-//!   row at every node (through [`LocalGraph::row_view`] under the
-//!   engine's [`Kernel`]), and two [`CandidateTrie`]s group the candidate
-//!   keys and walk the excluded ones.
+//!   row ([`LocalGraph::row`]) at every node by the `setops` slice
+//!   kernels, and two [`CandidateTrie`]s group the candidate keys and
+//!   walk the excluded ones.
 //! * **Word mode**: the first node on a path whose `L'` has at
 //!   most 64 vertices is a *word root*. It keys every candidate and
 //!   excluded vertex once from its row as a `u64` mask over the positions
@@ -46,7 +46,7 @@
 //!
 //! Both make the same decisions in the same order, so the emitted
 //! bicliques, every search counter but `Stats::word_nodes`, split
-//! children and checkpoint bytes are the same under every [`Kernel`];
+//! children and checkpoint bytes are the same under both [`Kernel`]s;
 //! `Kernel::SortedOnly` turns word mode off and runs the trie everywhere.
 //!
 //! Each technique is independently switchable via [`MbetConfig`]; with
@@ -377,9 +377,9 @@ impl Repr for Trie {
 
     #[inline]
     fn key(&mut self, local: &LocalGraph, e: u32, l: &[u32]) -> Span {
-        // Local left ids, so keys of one node share an id space and one
-        // representation check (`check_local_key`) covers every kernel.
-        local.row_view(e, l.len()).intersect_into(l, &mut self.keybuf);
+        // Local left ids, so keys of one node share an id space that
+        // `check_local_key` checks.
+        setops::intersect_into(local.row(e), l, &mut self.keybuf);
         crate::invariants::check_local_key(&self.keybuf, l);
         let start = self.keyar.len() as u32;
         self.keyar.extend_from_slice(&self.keybuf);
@@ -432,7 +432,7 @@ impl Repr for Trie {
         memar: &mut Vec<u32>,
     ) -> usize {
         for &w in p {
-            local.row_view(w, l.len()).intersect_into(l, &mut self.keybuf);
+            setops::intersect_into(local.row(w), l, &mut self.keybuf);
             crate::invariants::check_local_key(&self.keybuf, l);
             if !self.keybuf.is_empty() {
                 self.ctrie_p.insert(&self.keybuf, w);
@@ -499,7 +499,7 @@ impl Repr for Trie {
 
     #[inline]
     fn member_live(&self, local: &LocalGraph, w: u32, _k: Span, l_child: &[u32]) -> bool {
-        local.row_view(w, l_child.len()).intersect_first(l_child).is_some()
+        setops::intersect_first(local.row(w), l_child).is_some()
     }
 
     fn covered(local: &LocalGraph, q: &[u32], l: &[u32]) -> bool {
@@ -752,8 +752,7 @@ pub struct MbetEngine<'g> {
     /// Per-task localized subgraph; rebuilt by `run_task`/`run_node`,
     /// its buffers reused across tasks.
     local: LocalGraph,
-    /// Whether nodes with `|L'| ≤ 64` run in word mode (every kernel but
-    /// `Kernel::SortedOnly`).
+    /// Whether nodes with `|L'| ≤ 64` run in word mode (`Kernel::Adaptive`).
     words: bool,
     pool: Vec<Scratch<Trie>>,
     word_pool: Vec<Scratch<Words>>,
@@ -786,9 +785,9 @@ pub struct MbetEngine<'g> {
 }
 
 impl<'g> MbetEngine<'g> {
-    /// An engine over `g` with feature toggles `cfg`. `kernel` picks the
-    /// trie path's intersection kernels, and every kernel but
-    /// [`Kernel::SortedOnly`] runs the nodes with `|L'| ≤ 64` in word mode.
+    /// An engine over `g` with feature toggles `cfg`. Under
+    /// [`Kernel::Adaptive`] the nodes with `|L'| ≤ 64` run in word mode;
+    /// [`Kernel::SortedOnly`] runs the trie everywhere.
     pub fn new(g: &'g BipartiteGraph, cfg: MbetConfig, kernel: Kernel) -> Self {
         MbetEngine {
             g,
@@ -1560,14 +1559,12 @@ mod tests {
     fn kernels_agree_bicliques_and_counters() {
         let g = g0();
         let base = run_mbet_kernel(&g, MbetConfig::default(), Kernel::SortedOnly);
-        for kernel in [Kernel::Adaptive, Kernel::BitmapOnly] {
-            let got = run_mbet_kernel(&g, MbetConfig::default(), kernel);
-            assert_eq!(got.0, base.0, "{kernel:?}");
-            assert_eq!(got.1.nodes, base.1.nodes, "{kernel:?}");
-            assert_eq!(got.1.emitted, base.1.emitted, "{kernel:?}");
-            assert_eq!(got.1.nonmaximal, base.1.nonmaximal, "{kernel:?}");
-            assert_eq!(got.1.batched, base.1.batched, "{kernel:?}");
-        }
+        let got = run_mbet_kernel(&g, MbetConfig::default(), Kernel::Adaptive);
+        assert_eq!(got.0, base.0);
+        assert_eq!(got.1.nodes, base.1.nodes);
+        assert_eq!(got.1.emitted, base.1.emitted);
+        assert_eq!(got.1.nonmaximal, base.1.nonmaximal);
+        assert_eq!(got.1.batched, base.1.batched);
     }
 
     #[test]
@@ -1749,15 +1746,13 @@ mod tests {
             let (want, trie) = run_mbet_kernel(&g, MbetConfig::default(), Kernel::SortedOnly);
             crate::verify::assert_matches_brute_force(&g, &want);
             assert_eq!(trie.word_nodes, 0, "n={n}");
-            for kernel in [Kernel::Adaptive, Kernel::BitmapOnly] {
-                let (got, words) = run_mbet_kernel(&g, MbetConfig::default(), kernel);
-                assert_eq!(got, want, "n={n} {kernel:?}");
-                assert_eq!(tree(&words), tree(&trie), "n={n} {kernel:?}");
-                if n > 64 {
-                    assert!(0 < words.word_nodes && words.word_nodes < words.nodes, "{words:?}");
-                } else {
-                    assert_eq!(words.word_nodes, words.nodes, "n={n} {kernel:?}");
-                }
+            let (got, words) = run_mbet_kernel(&g, MbetConfig::default(), Kernel::Adaptive);
+            assert_eq!(got, want, "n={n}");
+            assert_eq!(tree(&words), tree(&trie), "n={n}");
+            if n > 64 {
+                assert!(0 < words.word_nodes && words.word_nodes < words.nodes, "{words:?}");
+            } else {
+                assert_eq!(words.word_nodes, words.nodes, "n={n}");
             }
         }
     }
@@ -1773,7 +1768,7 @@ mod tests {
                 edges.push(((v + 1) % 3, v));
             }
             let g = BipartiteGraph::from_edges(3, 2 + extra, &edges).unwrap();
-            for kernel in [Kernel::Adaptive, Kernel::SortedOnly, Kernel::BitmapOnly] {
+            for kernel in [Kernel::Adaptive, Kernel::SortedOnly] {
                 let (bicliques, _) = run_mbet_kernel(&g, MbetConfig::default(), kernel);
                 crate::verify::assert_matches_brute_force(&g, &bicliques);
             }

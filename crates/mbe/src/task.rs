@@ -31,7 +31,6 @@ use crate::sink::BicliqueSink;
 use crate::{Algorithm, MbeOptions, SizeThresholds};
 use bigraph::two_hop::TwoHop;
 use bigraph::{BipartiteGraph, LocalGraph};
-use setops::SetView;
 
 /// One per-root-vertex unit of enumeration work.
 #[derive(Debug, Clone)]
@@ -95,31 +94,32 @@ impl<'g> TaskBuilder<'g> {
     }
 }
 
-/// Anything that can hand out a [`SetView`] of a right vertex's
-/// neighborhood (restricted to the current universe).
+/// Anything that can hand out the sorted neighborhood of a right
+/// vertex (restricted to the current universe).
 ///
-/// This is the seam between the engines and the graph representation:
-/// the baselines read global adjacency straight off the
-/// [`BipartiteGraph`] CSR, while the localized MBET engine reads
-/// per-root [`LocalGraph`] rows (which may be bitmap-packed). The
-/// shared expansion helpers below are written against this trait, so
-/// every engine runs the same candidate/exclusion logic regardless of
-/// representation.
+/// This is the seam between the engines and the id space: the
+/// baselines read global adjacency straight off the [`BipartiteGraph`]
+/// CSR, while the localized MBET engine reads per-root [`LocalGraph`]
+/// rows in local left ids. The shared expansion helpers below are
+/// written against this trait and call the `setops` slice kernels, so
+/// every engine runs the same candidate/exclusion logic in either id
+/// space.
 pub trait NbrSource {
-    /// The neighborhood of right vertex `w`, as a view chosen to be
-    /// cheap to probe with a sorted operand of length `probe_len`.
-    fn nbr(&self, w: u32, probe_len: usize) -> SetView<'_>;
+    /// The strictly increasing neighborhood of right vertex `w`.
+    fn nbr(&self, w: u32) -> &[u32];
 }
 
 impl NbrSource for BipartiteGraph {
-    fn nbr(&self, w: u32, _probe_len: usize) -> SetView<'_> {
-        SetView::Sorted(self.nbr_v(w))
+    #[inline]
+    fn nbr(&self, w: u32) -> &[u32] {
+        self.nbr_v(w)
     }
 }
 
 impl NbrSource for LocalGraph {
-    fn nbr(&self, w: u32, probe_len: usize) -> SetView<'_> {
-        self.row_view(w, probe_len)
+    #[inline]
+    fn nbr(&self, w: u32) -> &[u32] {
+        self.row(w)
     }
 }
 
@@ -131,7 +131,7 @@ pub(crate) fn covered_by_excluded<N: NbrSource + ?Sized>(
     traversed: &[u32],
     l_new: &[u32],
 ) -> bool {
-    traversed.iter().any(|&q| n.nbr(q, l_new.len()).contains_all(l_new))
+    traversed.iter().any(|&q| setops::is_subset(l_new, n.nbr(q)))
 }
 
 /// One pass over `untraversed` splitting it by local degree against
@@ -148,7 +148,7 @@ pub(crate) fn partition_candidates<N: NbrSource + ?Sized>(
     absorbed.clear();
     p_new.clear();
     for &w in untraversed {
-        let common = n.nbr(w, l_new.len()).intersect_count(l_new);
+        let common = setops::intersect_count(n.nbr(w), l_new);
         if common == l_new.len() {
             absorbed.push(w);
         } else if common > 0 {
@@ -179,17 +179,14 @@ pub(crate) fn live_excluded<N: NbrSource + ?Sized>(
 ) {
     out.clear();
     out.extend(
-        traversed
-            .iter()
-            .copied()
-            .filter(|&q| n.nbr(q, l_new.len()).intersect_first(l_new).is_some()),
+        traversed.iter().copied().filter(|&q| setops::intersect_first(n.nbr(q), l_new).is_some()),
     );
 }
 
 /// The child's `L`: `l_new ∩ N(w)`, strictly increasing, into `out`
 /// (cleared first).
 pub(crate) fn child_l<N: NbrSource + ?Sized>(n: &N, l_new: &[u32], w: u32, out: &mut Vec<u32>) {
-    n.nbr(w, l_new.len()).intersect_into(l_new, out);
+    setops::intersect_into(n.nbr(w), l_new, out);
 }
 
 /// The cut of a bounded run, checked by every expansion site.
@@ -257,7 +254,7 @@ pub fn root_representatives(g: &BipartiteGraph) -> Vec<bool> {
     order.sort_by(|&a, &b| g.nbr_v(a).cmp(g.nbr_v(b)).then(a.cmp(&b)));
     let mut reps = vec![true; nv];
     for pair in order.windows(2) {
-        let (a, b) = (pair[0], pair[1]);
+        let &[a, b] = pair else { continue };
         if g.nbr_v(a) == g.nbr_v(b) {
             // Same class; sorted tie-break puts the smaller id first.
             reps[b as usize] = false;

@@ -259,12 +259,12 @@ fn counters_close_at_scale() {
 
 #[test]
 fn kernels_agree_at_scale() {
-    // The kernel is an execution hint: the trie everywhere (SortedOnly),
-    // word mode below |L'| = 64 over bitmap rows (BitmapOnly) and the
-    // adaptive default must produce identical emissions (order included,
-    // serially) and identical search-tree counters, at a scale where the
-    // packed rows engage and roots exceed 64 left vertices, so the trie
-    // path, the word path and the switch between them all run.
+    // The kernel is an execution hint: the trie everywhere (SortedOnly)
+    // and the adaptive default (word mode below |L'| = 64) must produce
+    // identical emissions (order included, serially) and identical
+    // search-tree counters, at a scale where roots exceed 64 left
+    // vertices, so the trie path, the word path and the switch between
+    // them all run.
     let g = structured(55, 350, 240, 2200);
     assert!((0..g.num_v()).any(|v| g.deg_v(v) > 64));
     let want = Enumeration::new(&g)
@@ -273,18 +273,18 @@ fn kernels_agree_at_scale() {
         .unwrap();
     assert!(want.bicliques.len() > 100);
     assert_eq!(want.stats.word_nodes, 0);
-    for kernel in [mbe::Kernel::Adaptive, mbe::Kernel::BitmapOnly] {
-        let got =
-            Enumeration::new(&g).options(MbeOptions::default().kernel(kernel)).collect().unwrap();
-        assert_eq!(got.bicliques, want.bicliques, "{kernel:?}");
-        assert_eq!(tree_counters(&got.stats), tree_counters(&want.stats), "{kernel:?}");
-        let s = &got.stats;
-        assert!(0 < s.word_nodes && s.word_nodes < s.nodes, "{kernel:?}: {s:?}");
-    }
+    let got = Enumeration::new(&g)
+        .options(MbeOptions::default().kernel(mbe::Kernel::Adaptive))
+        .collect()
+        .unwrap();
+    assert_eq!(got.bicliques, want.bicliques);
+    assert_eq!(tree_counters(&got.stats), tree_counters(&want.stats));
+    let s = &got.stats;
+    assert!(0 < s.word_nodes && s.word_nodes < s.nodes, "{s:?}");
     let mut reference = want.bicliques;
     reference.sort();
     for threads in [2, 4] {
-        for kernel in [mbe::Kernel::SortedOnly, mbe::Kernel::BitmapOnly] {
+        for kernel in [mbe::Kernel::SortedOnly, mbe::Kernel::Adaptive] {
             let mut got = collect(&g, MbeOptions::default().threads(threads).kernel(kernel));
             got.sort();
             assert_eq!(got, reference, "threads={threads} {kernel:?}");
@@ -292,7 +292,7 @@ fn kernels_agree_at_scale() {
         // Zero split thresholds split every node that has children, so
         // every split child re-localizes through `run_node` on a left
         // side narrower than its root's.
-        for kernel in [mbe::Kernel::Adaptive, mbe::Kernel::SortedOnly, mbe::Kernel::BitmapOnly] {
+        for kernel in [mbe::Kernel::Adaptive, mbe::Kernel::SortedOnly] {
             let mut opts = MbeOptions::default().threads(threads).kernel(kernel);
             opts.split_height = 0;
             opts.split_size = 0;
@@ -364,7 +364,7 @@ fn resume_crosses_relabeled_roots_under_kernel_change() {
                 task => panic!("expected the in-flight word node first, got {task:?}"),
             }
         }
-        for kernel in [mbe::Kernel::SortedOnly, mbe::Kernel::BitmapOnly, mbe::Kernel::Adaptive] {
+        for kernel in [mbe::Kernel::SortedOnly, mbe::Kernel::Adaptive] {
             for threads in [1, 3] {
                 let at = format!("stopped {stop_kernel:?}, resumed {kernel:?} threads={threads}");
                 let resumed = Enumeration::new(&g)
@@ -522,10 +522,13 @@ proptest! {
         prop_assert!(cancelled.bicliques.is_empty());
     }
 
-    /// Kernel differential on arbitrary graphs: forcing the pure-bitmap
-    /// and pure-sorted kernels through the public API must be observably
-    /// identical — same bicliques in the same serial order, same search
-    /// counters — and parallel runs agree as sets at 2–4 workers.
+    /// Kernel differential on arbitrary graphs: word mode's one-word
+    /// bitmap keys (`Adaptive`) and the sorted trie (`SortedOnly`),
+    /// forced through the public API, must be observably identical —
+    /// same bicliques in the same serial order, same search-tree
+    /// counters — and parallel runs of both agree as sets at 2–4
+    /// workers. The graphs have at most 11 left vertices, so every
+    /// `Adaptive` node is a word node.
     #[test]
     fn bitmap_and_sorted_kernels_are_observably_identical(
         g in random_graph(),
@@ -535,19 +538,18 @@ proptest! {
             .options(MbeOptions::default().kernel(mbe::Kernel::SortedOnly))
             .collect()
             .unwrap();
-        let bits = Enumeration::new(&g)
-            .options(MbeOptions::default().kernel(mbe::Kernel::BitmapOnly))
+        let words = Enumeration::new(&g)
+            .options(MbeOptions::default().kernel(mbe::Kernel::Adaptive))
             .collect()
             .unwrap();
-        prop_assert_eq!(&sorted.bicliques, &bits.bicliques);
-        prop_assert_eq!(sorted.stats.nodes, bits.stats.nodes);
-        prop_assert_eq!(sorted.stats.emitted, bits.stats.emitted);
-        prop_assert_eq!(sorted.stats.nonmaximal, bits.stats.nonmaximal);
-        prop_assert_eq!(sorted.stats.batched, bits.stats.batched);
+        prop_assert_eq!(&sorted.bicliques, &words.bicliques);
+        prop_assert_eq!(tree_counters(&sorted.stats), tree_counters(&words.stats));
+        prop_assert_eq!(sorted.stats.word_nodes, 0);
+        prop_assert_eq!(words.stats.word_nodes, words.stats.nodes);
 
         let mut want = sorted.bicliques;
         want.sort();
-        for kernel in [mbe::Kernel::SortedOnly, mbe::Kernel::BitmapOnly] {
+        for kernel in [mbe::Kernel::SortedOnly, mbe::Kernel::Adaptive] {
             let mut got = collect(&g, MbeOptions::default().threads(threads).kernel(kernel));
             got.sort();
             prop_assert_eq!(&got, &want, "threads={} {:?}", threads, kernel);

@@ -86,22 +86,6 @@ pub fn union_merge_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
     out.extend_from_slice(&b[j..]);
 }
 
-/// `a \ b → out`. `out` is cleared first.
-pub fn difference_merge_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
-    debug_assert!(crate::is_strictly_increasing(a));
-    debug_assert!(crate::is_strictly_increasing(b));
-    out.clear();
-    let mut j = 0;
-    for &x in a {
-        while j < b.len() && b[j] < x {
-            j += 1;
-        }
-        if j == b.len() || b[j] != x {
-            out.push(x);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,15 +118,6 @@ mod tests {
         }
 
         #[test]
-        fn difference_matches_naive(a in sorted_set(), b in sorted_set()) {
-            let mut out = Vec::new();
-            difference_merge_into(&a, &b, &mut out);
-            let naive: Vec<u32> =
-                a.iter().copied().filter(|x| !b.contains(x)).collect();
-            prop_assert_eq!(out, naive);
-        }
-
-        #[test]
         fn subset_matches_naive(a in sorted_set(), b in sorted_set()) {
             let naive = a.iter().all(|x| b.contains(x));
             prop_assert_eq!(is_subset_merge(&a, &b), naive);
@@ -154,8 +129,6 @@ mod tests {
             intersect_merge_into(&a, &b, &mut out);
             prop_assert!(crate::is_strictly_increasing(&out));
             union_merge_into(&a, &b, &mut out);
-            prop_assert!(crate::is_strictly_increasing(&out));
-            difference_merge_into(&a, &b, &mut out);
             prop_assert!(crate::is_strictly_increasing(&out));
         }
     }

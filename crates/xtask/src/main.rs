@@ -68,7 +68,9 @@ use std::path::{Path, PathBuf};
 
 /// Modules whose panics abort enumeration mid-flight: the panic-family
 /// and hot-allocation rules in [`analyze`] apply only here. `obs.rs` and `histogram.rs` qualify because
-/// observer hooks and metrics recording run inside every task loop; the
+/// observer hooks and metrics recording run inside every task loop;
+/// `bigraph`'s `local.rs` and `mbe`'s `task.rs` because localization runs
+/// inside every task and the shared node helpers at every baseline node; the
 /// serve request path (framing, codec, dispatch) qualifies because a
 /// panic there kills a connection thread mid-reply and strands the
 /// client — `bigraph`'s `codec.rs` included, since its `Reader` decodes
@@ -78,7 +80,9 @@ const HOT_PATHS: &[&str] = &[
     "crates/setops/src/",
     "crates/ptree/src/",
     "crates/bigraph/src/codec.rs",
+    "crates/bigraph/src/local.rs",
     "crates/mbe/src/mbet.rs",
+    "crates/mbe/src/task.rs",
     "crates/mbe/src/parallel.rs",
     "crates/mbe/src/obs.rs",
     "crates/mbe/src/histogram.rs",

@@ -24,7 +24,7 @@
 //! | Re-export | Contents |
 //! |---|---|
 //! | [`bigraph`] | bipartite CSR graphs, loaders, orderings, statistics |
-//! | [`setops`] | sorted-slice and bitmap set kernels |
+//! | [`setops`] | sorted-slice set kernels |
 //! | [`ptree`] | the candidate trie and R-set trie (the paper's data structure) |
 //! | [`mbe`] | MBET, MBETM mode, baselines, the work-stealing driver, verification |
 //! | [`gen`] | synthetic workloads and benchmark-dataset analogues |
