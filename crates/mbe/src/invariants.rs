@@ -9,7 +9,8 @@
 //! intersections), every word-mode key
 //! equals the key its localized row gives, the `Scratch` arenas hand
 //! out non-overlapping spans, every excluded key a full-body node drops
-//! is contained in one it keeps, the counter identity
+//! is contained in one it keeps, every MBET node's `P`, `Q`, group
+//! representatives and child `P`s keep vertex order, the counter identity
 //! `nodes = emitted + nonmaximal + undersized` closes for every engine,
 //! the pool drains its `pending` ledger, a threaded run searches exactly
 //! the one-worker run's tree, and a stopped (cancelled / budgeted /
@@ -208,6 +209,47 @@ pub fn check_excluded_antichain<'a>(
     _dropped: impl IntoIterator<Item = &'a [u32]>,
 ) {
 }
+
+/// Asserts that `vertices` strictly increase. MBET checks it for each
+/// node body's `P` and `Q` at entry, for its group representatives and
+/// for every child `P` it builds: word mode groups candidates, picks each
+/// maximal excluded key's vertex and builds child `P`s in single passes
+/// that keep vertex order, and resumed tasks must arrive in that order
+/// (`Checkpoint::matches`). `what` names the list in the message.
+#[cfg(feature = "debug-invariants")]
+pub fn check_ascending(what: &str, vertices: impl IntoIterator<Item = u32>) {
+    let vertices: Vec<u32> = vertices.into_iter().collect();
+    assert!(
+        setops::is_strictly_increasing(&vertices),
+        "invariant: {what} not strictly increasing: {vertices:?}"
+    );
+}
+
+/// No-op stub (enable `debug-invariants` for the real check).
+#[cfg(not(feature = "debug-invariants"))]
+#[inline(always)]
+pub fn check_ascending(_what: &str, _vertices: impl IntoIterator<Item = u32>) {}
+
+/// Asserts the order of a word body's groups, given as `(representative,
+/// members)`: representatives strictly increase, and each group's
+/// members strictly increase from its representative, its smallest.
+#[cfg(feature = "debug-invariants")]
+pub fn check_word_groups<'a>(groups: impl IntoIterator<Item = (u32, &'a [u32])>) {
+    let mut last = None;
+    for (rep, members) in groups {
+        assert!(last < Some(rep), "invariant: group representative {rep} after {last:?}");
+        assert!(
+            members.first() == Some(&rep) && setops::is_strictly_increasing(members),
+            "invariant: group of representative {rep} has members {members:?}"
+        );
+        last = Some(rep);
+    }
+}
+
+/// No-op stub (enable `debug-invariants` for the real check).
+#[cfg(not(feature = "debug-invariants"))]
+#[inline(always)]
+pub fn check_word_groups<'a>(_groups: impl IntoIterator<Item = (u32, &'a [u32])>) {}
 
 /// Asserts the cross-engine counter identity `nodes = emitted +
 /// nonmaximal + undersized`: every expanded enumeration node either dies
@@ -484,6 +526,38 @@ mod tests {
     fn excluded_antichain_rejects_nested_kept_keys() {
         let kept: [&[u32]; 2] = [&[1], &[0, 1]];
         check_excluded_antichain(kept, std::iter::empty());
+    }
+
+    #[test]
+    fn check_ascending_accepts_increasing_lists() {
+        check_ascending("P", [0, 2, 7]);
+        check_ascending("Q", std::iter::empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "child P not strictly increasing")]
+    fn check_ascending_rejects_repeats() {
+        check_ascending("child P", [1, 3, 3]);
+    }
+
+    #[test]
+    fn word_groups_accept_representative_order() {
+        let groups: [(u32, &[u32]); 3] = [(1, &[1, 4]), (2, &[2]), (5, &[5, 6, 9])];
+        check_word_groups(groups);
+    }
+
+    #[test]
+    #[should_panic(expected = "group representative 2 after")]
+    fn word_groups_reject_unordered_representatives() {
+        let groups: [(u32, &[u32]); 2] = [(3, &[3]), (2, &[2, 4])];
+        check_word_groups(groups);
+    }
+
+    #[test]
+    #[should_panic(expected = "has members")]
+    fn word_groups_reject_a_representative_that_is_not_the_smallest() {
+        let groups: [(u32, &[u32]); 1] = [(3, &[1, 3])];
+        check_word_groups(groups);
     }
 
     #[test]

@@ -44,6 +44,18 @@
 //!   no row is read again in the subtree. Emission and checkpoint capture
 //!   map masks home through the word root's table of at most 64 ids.
 //!
+//! Every node's `P` and `Q` are ascending by vertex, and a word body keeps
+//! its bookkeeping in that order with no comparison sort: the excluded
+//! antichain orders its keys by a stable counting sort on key size, the
+//! candidates are grouped through an open-addressing table keyed by mask
+//! as the ascending `P` is read, so groups come out in representative
+//! order, and each child's `P` is one pass over the node's `P` from the
+//! representative on. Each pass is stable in vertex order, so every
+//! maximal distinct excluded key keeps its smallest vertex and every group
+//! its smallest member, as the sorts they replace did. The trie path
+//! counting-sorts its antichain the same way, and sorts its groups and
+//! child `P`s.
+//!
 //! Both make the same decisions in the same order, so the emitted
 //! bicliques, every search counter but `Stats::word_nodes`, split
 //! children and checkpoint bytes are the same under both [`Kernel`]s;
@@ -59,7 +71,6 @@
 //! lists, `R'` and the children's `P` and `Q` live in per-depth scratch
 //! (`Scratch`) that is reused across sibling nodes.
 
-use std::cmp::Reverse;
 use std::ops::ControlFlow;
 
 use crate::checkpoint::ResumeTask;
@@ -96,10 +107,14 @@ fn full_mask(n: usize) -> u64 {
 struct Group<K> {
     /// The members' common key `⊆ L'`.
     key: K,
-    /// Members (into `memar`), unordered.
+    /// Members (into `memar`): ascending in word mode, unordered on the
+    /// trie path.
     members: Span,
     /// Smallest member — the branch representative.
     rep: u32,
+    /// Word mode: the representative's index in the node's `P`, where
+    /// [`Repr::child_p`] starts (0 on the trie path, which does not use it).
+    at: u32,
 }
 
 /// A right vertex with its key: an excluded vertex of a node, and in a
@@ -128,6 +143,15 @@ struct Scratch<R: Repr> {
     l_small: R::LBuf,
     /// The node's `L` translated back to global ids for emission.
     emit_l: Vec<u32>,
+    /// The excluded antichain's buffers: per key size a count, then the
+    /// next free slot of its run; the `(key, index into q_list)` entries
+    /// ordered longest key first; the kept keys; which entries are kept;
+    /// and, for the invariant check only, the dropped entries.
+    by_size: Vec<u32>,
+    ranked: Vec<(R::Key, u32)>,
+    kept: Vec<R::Key>,
+    keep: Vec<bool>,
+    dropped: Vec<Keyed<R::Key>>,
 }
 
 impl<R: Repr> Default for Scratch<R> {
@@ -142,6 +166,11 @@ impl<R: Repr> Default for Scratch<R> {
             child_q: Vec::new(),
             l_small: R::LBuf::default(),
             emit_l: Vec::new(),
+            by_size: Vec::new(),
+            ranked: Vec::new(),
+            kept: Vec::new(),
+            keep: Vec::new(),
+            dropped: Vec::new(),
         }
     }
 }
@@ -154,36 +183,91 @@ impl<R: Repr> Scratch<R> {
         self.q_list.clear();
     }
 
-    /// Reduces `q_list` to one vertex per maximal distinct key and
-    /// indexes exactly those keys for the maximality search.
+    /// Absorption for a node: candidates adjacent to all of `l` go
+    /// straight into its `R'`. Their key is all of `l`, so full coverage is
+    /// one key test, paid once per group; the absorbed groups' members go
+    /// to `r_new`, and the groups leave `groups`, the rest in order.
+    fn absorb(&mut self, l: R::L<'_>) {
+        self.r_new.clear();
+        let (keys, memar, absorbed) = (&self.keys, &self.memar, &mut self.r_new);
+        self.groups.retain(|grp| {
+            let covered = keys.covers(grp.key, l);
+            if covered {
+                absorbed.extend_from_slice(slice(memar, grp.members));
+            }
+            !covered
+        });
+    }
+
+    /// Reduces `q_list` (ascending by vertex) to one vertex per maximal
+    /// distinct key, still ascending, and indexes exactly those keys for
+    /// the maximality search. No key is longer than `l_len`.
     ///
     /// Every descendant's `L''` is a subset of this node's `L'`, so when
     /// `key(q) ⊆ key(q')`, `L'' ⊆ N(q)` implies `L'' ⊆ N(q')`: `q` can
-    /// never decide a maximality check that `q'` would not. Longest keys
-    /// go first ([`Repr::rank`]; ties by vertex), so a key is kept iff no
-    /// kept key contains it (equality counts). Only a quarter to a third
-    /// of the keys survive, so scanning the kept ones beats a superset walk
-    /// (EXPERIMENTS.md, "Excluded antichain"). The kept list is restored to
-    /// vertex order, which keeps every child's `q`, and so every
-    /// checkpointed `q`, ascending.
-    fn keep_excluded_antichain(&mut self) {
+    /// never decide a maximality check that `q'` would not. A stable
+    /// counting sort on key size ([`Repr::size`]) puts the keys longest
+    /// first, equal sizes in vertex order, so every strict superset of a
+    /// key, and every equal key of a smaller vertex, comes before it; a
+    /// key is then kept iff no kept key contains it (equality counts). Only
+    /// a quarter to a third of the keys survive, so scanning the kept ones
+    /// beats a superset walk (EXPERIMENTS.md, "Excluded antichain"). The
+    /// kept entries are compacted in place, in vertex order, which keeps
+    /// every child's `q`, and so every checkpointed `q`, ascending. No pass
+    /// compares two keys' order, so nothing here is a comparison sort.
+    fn keep_excluded_antichain(&mut self, l_len: usize) {
         let keys = &self.keys;
-        self.q_list.sort_unstable_by_key(|q| (keys.rank(q.key), q.v));
-        // Partition in place: kept entries to the front, dropped ones to
-        // the tail (where the invariant check can still see them).
-        let mut kept = 0;
-        for i in 0..self.q_list.len() {
-            let q = self.q_list[i];
-            if !self.q_list[..kept].iter().any(|k| keys.is_subset(q.key, k.key)) {
-                self.q_list.swap(kept, i);
-                kept += 1;
-            }
+        let n = self.q_list.len();
+        // `by_size[s]` counts the keys of size `s`, then becomes the next
+        // free slot of their run; the runs go longest first.
+        self.by_size.clear();
+        self.by_size.resize(l_len + 1, 0);
+        for q in &self.q_list {
+            self.by_size[keys.size(q.key)] += 1;
         }
-        let (keep, dropped) = self.q_list.split_at(kept);
-        keys.check_antichain(keep, dropped);
-        self.q_list.truncate(kept);
+        let mut next = 0;
+        for slot in self.by_size.iter_mut().rev() {
+            let count = *slot;
+            *slot = next;
+            next += count;
+        }
+        self.ranked.clear();
+        self.ranked.resize(n, (R::Key::default(), 0));
+        for (i, q) in self.q_list.iter().enumerate() {
+            let slot = &mut self.by_size[keys.size(q.key)];
+            self.ranked[*slot as usize] = (q.key, i as u32);
+            *slot += 1;
+        }
+        // Each key is written after the kept ones, and stays there iff none
+        // of them contains it: no branch on the outcome.
+        self.kept.clear();
+        self.kept.resize(n, R::Key::default());
+        self.keep.clear();
+        self.keep.resize(n, false);
+        let mut kept = 0;
+        for &(key, i) in &self.ranked {
+            let keep = !keys.any_contains(&self.kept[..kept], key);
+            self.kept[kept] = key;
+            kept += keep as usize;
+            self.keep[i as usize] = keep;
+        }
+        // The dropped keys go to the invariant check, which wants each
+        // inside a kept one; only it needs them gathered.
+        self.dropped.clear();
+        if crate::invariants::ENABLED {
+            let dropped = self.q_list.iter().zip(&self.keep).filter(|&(_, &kept)| !kept);
+            self.dropped.extend(dropped.map(|(&q, _)| q));
+        }
+        // Compact in vertex order: every entry is copied to the next free
+        // place, which advances past the kept ones only.
+        let mut end = 0;
+        for i in 0..n {
+            self.q_list[end] = self.q_list[i];
+            end += self.keep[i] as usize;
+        }
+        self.q_list.truncate(end);
+        keys.check_antichain(&self.q_list, &self.dropped);
         self.keys.index_excluded(&self.q_list);
-        self.q_list.sort_unstable_by_key(|q| q.v);
     }
 }
 
@@ -201,9 +285,7 @@ trait Repr: Default + Sized {
     /// An entry of a node's `P` or `Q`.
     type Entry: Copy;
     /// A key stored at a node.
-    type Key: Copy;
-    /// See [`Repr::rank`].
-    type Rank: Ord;
+    type Key: Copy + Default;
 
     /// This representation's scratch pool.
     fn pool<'e>(eng: &'e mut MbetEngine<'_>) -> &'e mut Vec<Scratch<Self>>;
@@ -241,12 +323,14 @@ trait Repr: Default + Sized {
     fn is_empty(&self, k: Self::Key) -> bool;
     /// `k = L'`: the vertex is adjacent to all of `L'`.
     fn covers(&self, k: Self::Key, l: Self::L<'_>) -> bool;
-    /// A sort key that puts every key after each key strictly containing
-    /// it: any such order keeps the same antichain, one vertex (the
-    /// smallest) per maximal distinct key.
-    fn rank(&self, k: Self::Key) -> Self::Rank;
+    /// `|k|`: a strict superset is larger, so ordering by size, longest
+    /// first, puts every key after each key strictly containing it.
+    fn size(&self, k: Self::Key) -> usize;
     /// `a ⊆ b`.
     fn is_subset(&self, a: Self::Key, b: Self::Key) -> bool;
+    /// Whether some key of `kept` contains `k` (the excluded antichain's
+    /// test).
+    fn any_contains(&self, kept: &[Self::Key], k: Self::Key) -> bool;
     /// `a ∩ b ≠ ∅`.
     fn intersects(&self, a: Self::Key, b: Self::Key) -> bool;
     /// A key as a child's `L''`.
@@ -254,10 +338,11 @@ trait Repr: Default + Sized {
     /// The child entry of vertex `v` with key `k` at a node whose child
     /// has `L'' = l_child`.
     fn entry(v: u32, k: Self::Key, l_child: Self::Key) -> Self::Entry;
-    /// Groups the candidates of `p` with a non-empty key into `groups`
-    /// (members into `memar`), unordered: one group per distinct key
-    /// under batching, one per candidate otherwise. Returns the candidate
-    /// trie's size (0 without one).
+    /// Groups the candidates of `p` (ascending) with a non-empty key into
+    /// the empty `groups` (members into `memar`), in increasing
+    /// representative order: one group per distinct key under batching,
+    /// one per candidate otherwise. Returns the candidate trie's size (0
+    /// without one).
     fn group(
         &mut self,
         local: &LocalGraph,
@@ -287,9 +372,25 @@ trait Repr: Default + Sized {
         rep: u32,
         dedupe: bool,
     ) -> bool;
-    /// Whether candidate `w`, of key `k`, meets `l_child` (a row test per
-    /// candidate: the `trie_absorption = false` ablation).
-    fn member_live(&self, local: &LocalGraph, w: u32, k: Self::Key, l_child: Self::L<'_>) -> bool;
+    /// The child `P` of branching on `groups[gi]` (`p` is the node's `P`,
+    /// `groups` its groups after absorption), into `out`, strictly
+    /// increasing by vertex: the group's other members (equivalent to the
+    /// representative, hence adjacent to all of `L''`: the child's
+    /// full-coverage scan absorbs them into its `R'`), plus the members of
+    /// later groups that meet the group's key, the child's `L''` (the rest
+    /// die at the child anyway). With `trie_absorption` that is a key test
+    /// per later group, without it a row test per member.
+    #[allow(clippy::too_many_arguments)]
+    fn child_p(
+        &self,
+        local: &LocalGraph,
+        p: &[Self::Entry],
+        groups: &[Group<Self::Key>],
+        gi: usize,
+        memar: &[u32],
+        trie_absorption: bool,
+        out: &mut Vec<Self::Entry>,
+    );
 
     // ---- The small node body (MBEA's scans).
 
@@ -327,7 +428,6 @@ impl Repr for Trie {
     type LBuf = Vec<u32>;
     type Entry = u32;
     type Key = Span;
-    type Rank = Reverse<u32>;
 
     fn pool<'e>(eng: &'e mut MbetEngine<'_>) -> &'e mut Vec<Scratch<Self>> {
         &mut eng.pool
@@ -396,15 +496,19 @@ impl Repr for Trie {
         (k.1 - k.0) as usize == l.len()
     }
 
-    /// Longest first: a strict superset is longer.
     #[inline]
-    fn rank(&self, k: Span) -> Reverse<u32> {
-        Reverse(k.1 - k.0)
+    fn size(&self, k: Span) -> usize {
+        (k.1 - k.0) as usize
     }
 
     #[inline]
     fn is_subset(&self, a: Span, b: Span) -> bool {
         setops::is_subset(slice(&self.keyar, a), slice(&self.keyar, b))
+    }
+
+    #[inline]
+    fn any_contains(&self, kept: &[Span], k: Span) -> bool {
+        kept.iter().any(|&c| self.is_subset(k, c))
     }
 
     #[inline]
@@ -448,17 +552,21 @@ impl Repr for Trie {
                 memar.extend_from_slice(members);
                 // A trie group always has members. xtask-allow: expect
                 let rep = members.iter().copied().min().expect("non-empty group");
-                groups.push(Group { key, members: (mstart, memar.len() as u32), rep });
+                groups.push(Group { key, members: (mstart, memar.len() as u32), rep, at: 0 });
             } else {
                 // Ablation mode: one singleton group per candidate so the
                 // branch structure matches MBEA exactly.
                 for &w in members {
                     let mstart = memar.len() as u32;
                     memar.push(w);
-                    groups.push(Group { key, members: (mstart, memar.len() as u32), rep: w });
+                    let members = (mstart, memar.len() as u32);
+                    groups.push(Group { key, members, rep: w, at: 0 });
                 }
             }
         });
+        // The trie visits keys in lexicographic order; the body branches
+        // in representative order.
+        groups.sort_unstable_by_key(|grp| grp.rep);
         self.ctrie_p.node_count()
     }
 
@@ -497,9 +605,32 @@ impl Repr for Trie {
         self.ctrie_q.insert(slice(&self.keyar, k), rep)
     }
 
-    #[inline]
-    fn member_live(&self, local: &LocalGraph, w: u32, _k: Span, l_child: &[u32]) -> bool {
-        setops::intersect_first(local.row(w), l_child).is_some()
+    fn child_p(
+        &self,
+        local: &LocalGraph,
+        _p: &[u32],
+        groups: &[Group<Span>],
+        gi: usize,
+        memar: &[u32],
+        trie_absorption: bool,
+        out: &mut Vec<u32>,
+    ) {
+        let grp = groups[gi];
+        out.clear();
+        out.extend(slice(memar, grp.members).iter().copied().filter(|&w| w != grp.rep));
+        let later = &groups[gi + 1..];
+        if trie_absorption {
+            for g in later.iter().filter(|g| self.intersects(g.key, grp.key)) {
+                out.extend_from_slice(slice(memar, g.members));
+            }
+        } else {
+            let l_child = slice(&self.keyar, grp.key);
+            for g in later {
+                let live = |&w: &u32| setops::intersect_first(local.row(w), l_child).is_some();
+                out.extend(slice(memar, g.members).iter().copied().filter(live));
+            }
+        }
+        out.sort_unstable();
     }
 
     fn covered(local: &LocalGraph, q: &[u32], l: &[u32]) -> bool {
@@ -525,12 +656,58 @@ impl Repr for Trie {
     }
 }
 
+/// An open-addressing map from non-zero masks to `u32`s, emptied per use:
+/// a word body groups its candidates and dedupes its excluded keys
+/// through it, in one pass each.
+#[derive(Default)]
+struct MaskTable {
+    /// `(mask, value)` with linear probing; mask 0 marks a free slot.
+    slots: Vec<(u64, u32)>,
+    /// `64 - log2(slots.len())`: a hash keeps the product's top bits.
+    shift: u32,
+}
+
+impl MaskTable {
+    /// Empties the table and sizes it for `n` keys at most half full.
+    fn reset(&mut self, n: usize) {
+        let cap = (2 * n).next_power_of_two().max(8);
+        self.slots.clear();
+        self.slots.resize(cap, (0, 0));
+        self.shift = 64 - cap.trailing_zeros();
+    }
+
+    /// The value stored for `key` (non-zero), or `None` after storing
+    /// `val` for it.
+    #[inline]
+    fn get_or_insert(&mut self, key: u64, val: u32) -> Option<u32> {
+        debug_assert!(key != 0);
+        let wrap = self.slots.len() - 1;
+        let mut i = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
+        loop {
+            let (k, v) = self.slots[i];
+            if k == key {
+                return Some(v);
+            }
+            if k == 0 {
+                self.slots[i] = (key, val);
+                return None;
+            }
+            i = (i + 1) & wrap;
+        }
+    }
+}
+
 /// Word mode: every key is a `u64` mask over the word root's `L'`, and
 /// `P` and `Q` carry their keys.
 #[derive(Default)]
 struct Words {
-    /// `(key, vertex)` of a node's live candidates, sorted to group them.
-    pairs: Vec<(u64, u32)>,
+    /// Groups candidates by key, and dedupes excluded keys.
+    table: MaskTable,
+    /// Per entry of the node's `P`: its group's representative plus one,
+    /// or 0 when its key is empty or all of `L'` (it is in no child's
+    /// `P`). [`Repr::child_p`] keeps the entries with a tag above its
+    /// representative.
+    tags: Vec<u32>,
 }
 
 impl Repr for Words {
@@ -539,7 +716,6 @@ impl Repr for Words {
     type LBuf = u64;
     type Entry = Keyed<u64>;
     type Key = u64;
-    type Rank = Reverse<u64>;
 
     fn pool<'e>(eng: &'e mut MbetEngine<'_>) -> &'e mut Vec<Scratch<Self>> {
         &mut eng.word_pool
@@ -606,17 +782,20 @@ impl Repr for Words {
         k == l
     }
 
-    /// Largest mask first: a strict superset's mask is the larger
-    /// integer, so this orders like the trie path's lengths, without a
-    /// popcount.
     #[inline]
-    fn rank(&self, k: u64) -> Reverse<u64> {
-        Reverse(k)
+    fn size(&self, k: u64) -> usize {
+        k.count_ones() as usize
     }
 
     #[inline]
     fn is_subset(&self, a: u64, b: u64) -> bool {
         a & !b == 0
+    }
+
+    /// A fold with no early exit, which compiles to a branch-free loop.
+    #[inline]
+    fn any_contains(&self, kept: &[u64], k: u64) -> bool {
+        kept.iter().fold(false, |found, &c| found | (k & !c == 0))
     }
 
     #[inline]
@@ -643,27 +822,61 @@ impl Repr for Words {
         groups: &mut Vec<Group<u64>>,
         memar: &mut Vec<u32>,
     ) -> usize {
-        self.pairs.clear();
-        self.pairs.extend(p.iter().map(|e| (e.key & l, e.v)).filter(|&(k, _)| k != 0));
-        if !batching {
-            // Ablation mode: one singleton group per candidate.
-            for &(key, w) in &self.pairs {
-                let mstart = memar.len() as u32;
-                memar.push(w);
-                groups.push(Group { key, members: (mstart, mstart + 1), rep: w });
-            }
-            return 0;
+        debug_assert!(groups.is_empty());
+        self.tags.clear();
+        if batching {
+            self.table.reset(p.len());
         }
-        // Equal keys become adjacent, each run led by its smallest vertex.
-        self.pairs.sort_unstable();
-        for run in self.pairs.chunk_by(|a, b| a.0 == b.0) {
-            // `chunk_by` yields non-empty runs.
-            if let [(key, rep), ..] = *run {
-                let mstart = memar.len() as u32;
-                memar.extend(run.iter().map(|&(_, w)| w));
-                groups.push(Group { key, members: (mstart, memar.len() as u32), rep });
+        // `p` is ascending, so the candidate that opens a group is its
+        // representative, and groups open in representative order. Under
+        // batching a key met before joins its group, found through the
+        // table; without it (the ablation mode, branch for branch MBEA)
+        // every candidate opens its own. Each entry's tag holds its group's
+        // index for now, and `members.1` counts the group.
+        for (i, e) in p.iter().enumerate() {
+            let key = e.key & l;
+            let next = groups.len() as u32;
+            let known =
+                if batching && key != 0 { self.table.get_or_insert(key, next) } else { None };
+            let g = match known {
+                Some(g) => g,
+                None if key == 0 => u32::MAX,
+                None => {
+                    groups.push(Group { key, members: (0, 0), rep: e.v, at: i as u32 });
+                    next
+                }
+            };
+            if let Some(grp) = groups.get_mut(g as usize) {
+                grp.members.1 += 1;
             }
+            self.tags.push(g);
         }
+        // Lay the member lists out back to back, then place every member
+        // in vertex order.
+        let mut end = memar.len() as u32;
+        for grp in groups.iter_mut() {
+            let count = grp.members.1;
+            grp.members = (end, end);
+            end += count;
+        }
+        memar.resize(end as usize, 0);
+        for (e, t) in p.iter().zip(self.tags.iter_mut()) {
+            *t = match groups.get_mut(*t as usize) {
+                Some(grp) => {
+                    memar[grp.members.1 as usize] = e.v;
+                    grp.members.1 += 1;
+                    if grp.key == l {
+                        0
+                    } else {
+                        grp.rep + 1
+                    }
+                }
+                None => 0,
+            };
+        }
+        crate::invariants::check_word_groups(
+            groups.iter().map(|grp| (grp.rep, slice(memar, grp.members))),
+        );
         0
     }
 
@@ -689,14 +902,14 @@ impl Repr for Words {
 
     fn dedup_excluded(&mut self, q_list: &mut Vec<Keyed<u64>>) {
         // `q` is ascending, so the first of each key is its smallest.
-        q_list.sort_unstable_by_key(|q| (q.key, q.v));
-        q_list.dedup_by_key(|q| q.key);
-        q_list.sort_unstable_by_key(|q| q.v);
+        self.table.reset(q_list.len());
+        q_list.retain(|q| self.table.get_or_insert(q.key, 0).is_none());
     }
 
+    /// A fold with no early exit, which compiles to a branch-free loop.
     #[inline]
     fn any_superset(&self, q_list: &[Keyed<u64>], k: u64) -> bool {
-        q_list.iter().any(|q| k & !q.key == 0)
+        q_list.iter().fold(false, |found, q| found | (k & !q.key == 0))
     }
 
     #[inline]
@@ -704,13 +917,35 @@ impl Repr for Words {
         dedupe && q_list.iter().any(|q| q.key == k)
     }
 
-    #[inline]
-    fn member_live(&self, _local: &LocalGraph, _w: u32, k: u64, l_child: u64) -> bool {
-        k & l_child != 0
+    /// One pass over `p` from the representative on, already ascending:
+    /// an entry is in the child iff its group is this one or a later one
+    /// (its tag is above the representative) and its key meets the
+    /// group's. Per later group or per member, that is the same mask test,
+    /// so `trie_absorption` changes nothing here.
+    fn child_p(
+        &self,
+        _local: &LocalGraph,
+        p: &[Keyed<u64>],
+        groups: &[Group<u64>],
+        gi: usize,
+        _memar: &[u32],
+        _trie_absorption: bool,
+        out: &mut Vec<Keyed<u64>>,
+    ) {
+        let Group { key, rep, at, .. } = groups[gi];
+        let from = at as usize + 1;
+        out.clear();
+        for (e, &tag) in p[from..].iter().zip(&self.tags[from..]) {
+            let k = e.key & key;
+            if tag > rep && k != 0 {
+                out.push(Keyed { v: e.v, key: k });
+            }
+        }
     }
 
+    /// A fold with no early exit, which compiles to a branch-free loop.
     fn covered(_local: &LocalGraph, q: &[Keyed<u64>], l: u64) -> bool {
-        q.iter().any(|e| e.key & l == l)
+        q.iter().fold(false, |found, e| found | (e.key & l == l))
     }
 
     fn partition(
@@ -883,6 +1118,11 @@ impl<'g> MbetEngine<'g> {
     /// Runs an arbitrary unchecked node, given in global ids (a queued
     /// split child or a checkpointed one).
     /// Semantics identical to [`Self::run_task`].
+    ///
+    /// `p` and `q` must be strictly ascending: the node bodies keep vertex
+    /// order and word mode's passes rely on it (checked under
+    /// `debug-invariants`). Split children inherit it from their parent,
+    /// and `Checkpoint::matches` requires it of every resumed MBET task.
     #[allow(clippy::too_many_arguments)]
     pub fn run_node(
         &mut self,
@@ -1073,6 +1313,10 @@ impl<'g> MbetEngine<'g> {
         }
         R::check_entries(&self.local, &self.word_local, l_new, untraversed);
         R::check_entries(&self.local, &self.word_local, l_new, traversed);
+        // Both bodies' passes keep vertex order, and word mode's grouping
+        // and child `P` rely on it.
+        crate::invariants::check_ascending("P", untraversed.iter().map(|&e| R::vertex(e)));
+        crate::invariants::check_ascending("Q", traversed.iter().map(|&e| R::vertex(e)));
 
         // Hybrid fast path: below a handful of candidates the grouping
         // bookkeeping cannot pay for itself — plain scans win. The same
@@ -1120,7 +1364,7 @@ impl<'g> MbetEngine<'g> {
         }
         stats.excluded_keyed += keyed;
         if antichain {
-            s.keep_excluded_antichain();
+            s.keep_excluded_antichain(l_len);
         } else if self.cfg.batching {
             // Under trie maximality the antichain also dedupes, so only
             // batching alone dedupes here.
@@ -1128,7 +1372,9 @@ impl<'g> MbetEngine<'g> {
         }
         stats.excluded_kept += s.q_list.len() as u64;
 
-        // ---- Candidates: group them by key.
+        // ---- Candidates: group them by key, in representative-id order
+        // (determinism and equivalence with the baselines' candidate
+        // order — local right order is global right order).
         let trie_nodes = s.keys.group(
             &self.local,
             untraversed,
@@ -1138,30 +1384,11 @@ impl<'g> MbetEngine<'g> {
             &mut s.memar,
         );
         self.peak_trie_nodes = self.peak_trie_nodes.max(trie_nodes);
-        // Process groups in representative-id order (determinism and
-        // equivalence with the baselines' candidate order — local right
-        // order is global right order).
-        s.groups.sort_unstable_by_key(|grp| grp.rep);
+        crate::invariants::check_ascending("group representatives", s.groups.iter().map(|g| g.rep));
         s.keys.check_spans(&s.groups, &s.q_list);
         crate::invariants::check_spans(s.memar.len(), s.groups.iter().map(|grp| grp.members));
 
-        // ---- Absorption for *this* node: candidates adjacent to all of
-        // L' go straight into R'. Their key is all of L', so full
-        // coverage is one key test, paid once per group.
-        s.r_new.clear();
-        {
-            let keys = &s.keys;
-            let memar = &s.memar;
-            let absorbed = &mut s.r_new;
-            s.groups.retain(|grp| {
-                if keys.covers(grp.key, l_new) {
-                    absorbed.extend_from_slice(slice(memar, grp.members));
-                    false
-                } else {
-                    true
-                }
-            });
-        }
+        s.absorb(l_new);
         stats.absorbed += s.r_new.len() as u64;
         self.finish_r(r_parent, v, &mut s.r_new);
         R::left_global(&self.local, &self.word_global, l_new, &mut s.emit_l);
@@ -1211,38 +1438,20 @@ impl<'g> MbetEngine<'g> {
                 stats.word_nodes += R::WORD as u64;
                 stats.nonmaximal += 1;
             } else {
-                // Child's candidate universe: the rest of this group
-                // (equivalent to the representative, hence adjacent to all
-                // of L'' — the child's full-coverage scan absorbs them into
-                // its R'), plus members of later groups whose key shares a
-                // vertex with this key (the rest die at the child anyway).
                 // The key *is* the child's L''.
-                s.child_p.clear();
-                for &w in slice(&s.memar, grp.members) {
-                    if w != grp.rep {
-                        s.child_p.push(R::entry(w, key, key));
-                    }
-                }
-                if self.cfg.trie_absorption {
-                    // Per-group (not per-member) key test.
-                    for later in &s.groups[gi + 1..] {
-                        if s.keys.intersects(later.key, key) {
-                            for &w in slice(&s.memar, later.members) {
-                                s.child_p.push(R::entry(w, later.key, key));
-                            }
-                        }
-                    }
-                } else {
-                    let l_child = s.keys.key_l(key);
-                    for later in &s.groups[gi + 1..] {
-                        for &w in slice(&s.memar, later.members) {
-                            if s.keys.member_live(&self.local, w, later.key, l_child) {
-                                s.child_p.push(R::entry(w, later.key, key));
-                            }
-                        }
-                    }
-                }
-                s.child_p.sort_unstable_by_key(|&e| R::vertex(e));
+                s.keys.child_p(
+                    &self.local,
+                    untraversed,
+                    &s.groups,
+                    gi,
+                    &s.memar,
+                    self.cfg.trie_absorption,
+                    &mut s.child_p,
+                );
+                crate::invariants::check_ascending(
+                    "child P",
+                    s.child_p.iter().map(|&e| R::vertex(e)),
+                );
 
                 s.child_q.clear();
                 for q in &s.q_list {
@@ -1494,6 +1703,7 @@ mod tests {
     use crate::sink::CollectSink;
     use crate::task::TaskBuilder;
     use crate::{Algorithm, Biclique};
+    use proptest::prelude::*;
 
     fn g0() -> BipartiteGraph {
         BipartiteGraph::from_edges(
@@ -1753,6 +1963,143 @@ mod tests {
                 assert!(0 < words.word_nodes && words.word_nodes < words.nodes, "{words:?}");
             } else {
                 assert_eq!(words.word_nodes, words.nodes, "n={n}");
+            }
+        }
+    }
+
+    /// Ascending `(vertex, mask)` lists whose masks repeat and nest: each
+    /// entry takes one of a few base masks over 10 bits, or a part of one
+    /// (possibly empty).
+    fn keyed_lists() -> impl Strategy<Value = (Vec<u64>, Vec<Keyed<u64>>)> {
+        let bases = proptest::collection::vec(1u64..1 << 10, 1..5);
+        let picks = proptest::collection::vec((1u32..4, 0usize..8, 0u64..1 << 11), 0..40);
+        (bases, picks).prop_map(|(bases, picks)| {
+            let mut v = 0;
+            let list = picks
+                .into_iter()
+                .map(|(gap, b, part)| {
+                    v += gap;
+                    let base = bases[b % bases.len()];
+                    // Half the entries take their base whole.
+                    Keyed { v, key: if part & 1 == 0 { base } else { base & part >> 1 } }
+                })
+                .collect();
+            (bases, list)
+        })
+    }
+
+    fn vertices<K>(list: &[Keyed<K>]) -> Vec<u32> {
+        list.iter().map(|e| e.v).collect()
+    }
+
+    /// Word mode's grouping by sorting `(mask, vertex)` pairs, as it ran
+    /// before the table: `(key, representative, members)` per group.
+    fn sorted_groups(p: &[Keyed<u64>], l: u64, batching: bool) -> Vec<(u64, u32, Vec<u32>)> {
+        let mut pairs: Vec<(u64, u32)> =
+            p.iter().map(|e| (e.key & l, e.v)).filter(|&(k, _)| k != 0).collect();
+        if !batching {
+            return pairs.into_iter().map(|(k, w)| (k, w, vec![w])).collect();
+        }
+        pairs.sort_unstable();
+        let mut groups: Vec<(u64, u32, Vec<u32>)> = pairs
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|run| (run[0].0, run[0].1, run.iter().map(|&(_, w)| w).collect()))
+            .collect();
+        groups.sort_unstable_by_key(|g| g.1);
+        groups
+    }
+
+    proptest! {
+        #[test]
+        fn antichain_keeps_the_smallest_vertex_of_each_maximal_key(case in keyed_lists()) {
+            // The body drops empty keys before the antichain.
+            let list: Vec<Keyed<u64>> = case.1.into_iter().filter(|e| e.key != 0).collect();
+            // O(n²): no strictly larger key contains it, and no smaller
+            // vertex has the same key.
+            let want: Vec<u32> = list
+                .iter()
+                .filter(|e| {
+                    !list.iter().any(|f| {
+                        e.key & !f.key == 0 && (e.key != f.key || f.v < e.v)
+                    })
+                })
+                .map(|e| e.v)
+                .collect();
+
+            let mut words = Scratch::<Words>::default();
+            words.q_list.extend_from_slice(&list);
+            words.keep_excluded_antichain(WORD_BITS);
+            prop_assert_eq!(vertices(&words.q_list), want.clone());
+
+            // The same sets as sorted spans, through the trie path.
+            let mut trie = Scratch::<Trie>::default();
+            for e in &list {
+                let start = trie.keys.keyar.len() as u32;
+                trie.keys.keyar.extend((0..WORD_BITS as u32).filter(|&i| e.key >> i & 1 == 1));
+                trie.q_list.push(Keyed { v: e.v, key: (start, trie.keys.keyar.len() as u32) });
+            }
+            trie.keep_excluded_antichain(WORD_BITS);
+            prop_assert_eq!(vertices(&trie.q_list), want);
+            prop_assert_eq!(trie.keys.ctrie_q.len(), trie.q_list.len());
+        }
+
+        #[test]
+        fn word_grouping_matches_a_sort_of_mask_vertex_pairs(case in keyed_lists()) {
+            // `L'` is a base mask, so some keys are all of it, some part of
+            // it and some empty.
+            let (bases, p) = case;
+            let l = bases[0];
+            let local = LocalGraph::new(Kernel::Adaptive);
+            for batching in [false, true] {
+                let mut words = Words::default();
+                let (mut groups, mut memar) = (Vec::new(), Vec::new());
+                words.group(&local, &p, l, batching, &mut groups, &mut memar);
+                let got: Vec<(u64, u32, Vec<u32>)> = groups
+                    .iter()
+                    .map(|g| (g.key, g.rep, slice(&memar, g.members).to_vec()))
+                    .collect();
+                prop_assert_eq!(got, sorted_groups(&p, l, batching));
+                for g in &groups {
+                    prop_assert_eq!(p[g.at as usize].v, g.rep);
+                }
+            }
+        }
+
+        #[test]
+        fn word_child_p_matches_member_lists_then_a_sort(case in keyed_lists()) {
+            let (bases, mut p) = case;
+            let l = bases[0];
+            // Always an absorbed candidate and one with an empty key.
+            let last = p.last().map_or(0, |e| e.v);
+            p.push(Keyed { v: last + 1, key: l | 1 << 12 });
+            p.push(Keyed { v: last + 2, key: 1 << 11 });
+            let local = LocalGraph::new(Kernel::Adaptive);
+            for batching in [false, true] {
+                let mut s = Scratch::<Words>::default();
+                s.keys.group(&local, &p, l, batching, &mut s.groups, &mut s.memar);
+                s.absorb(l);
+                prop_assert!(s.r_new.contains(&(last + 1)));
+                let key_of = |w: u32| p.iter().find(|e| e.v == w).map_or(0, |e| e.key);
+                for gi in 0..s.groups.len() {
+                    let grp = s.groups[gi];
+                    // The member-list build: the group's other members,
+                    // then every later group meeting the key, sorted.
+                    let members = |g: &Group<u64>| slice(&s.memar, g.members).to_vec();
+                    let mut want: Vec<u32> =
+                        members(&grp).into_iter().filter(|&w| w != grp.rep).collect();
+                    for later in s.groups[gi + 1..].iter().filter(|g| g.key & grp.key != 0) {
+                        want.extend(members(later));
+                    }
+                    want.sort_unstable();
+                    let want: Vec<(u32, u64)> =
+                        want.into_iter().map(|w| (w, key_of(w) & grp.key)).collect();
+                    for absorption in [false, true] {
+                        let out = &mut s.child_p;
+                        s.keys.child_p(&local, &p, &s.groups, gi, &s.memar, absorption, out);
+                        let got: Vec<(u32, u64)> = out.iter().map(|e| (e.v, e.key)).collect();
+                        prop_assert_eq!(&got, &want, "group {}", gi);
+                    }
+                }
             }
         }
     }

@@ -105,6 +105,41 @@ fn search_counters(s: &Stats) -> [u64; 9] {
     [t[0], t[1], t[2], t[3], t[4], t[5], t[6], t[7], s.word_nodes]
 }
 
+/// Every other decision test is relative (kernel against kernel, threads
+/// against serial, toggles against MBEA), so a shift both representations
+/// made at once would pass them all. This one pins MBET's default search
+/// tree to the counters it had when the word body lost its comparison
+/// sorts: on BX (word mode but for a few roots) and on a graph whose roots
+/// exceed 64 left vertices (the trie path), serially, at 4 threads with
+/// every node split, and, for the tree's eight, under `SortedOnly`.
+#[test]
+fn mbet_search_tree_is_pinned() {
+    #[allow(clippy::type_complexity)]
+    let cases: [(&str, BipartiteGraph, [u64; 9]); 2] = [
+        (
+            "BX",
+            gen::presets::by_abbrev("BX").expect("preset BX").build(1),
+            [96758, 68468, 28290, 90091, 23187, 192453, 49933, 0, 96723],
+        ),
+        (
+            "structured(55)",
+            structured(55, 350, 240, 2200),
+            [6227, 4031, 2196, 9283, 2462, 12049, 2864, 0, 6226],
+        ),
+    ];
+    for (name, g, want) in cases {
+        let (_, serial) = count(&g, MbeOptions::default());
+        assert_eq!(search_counters(&serial), want, "{name} serial");
+        let mut split = MbeOptions::default().threads(4);
+        split.split_height = 0;
+        split.split_size = 0;
+        let (_, threaded) = count(&g, split);
+        assert_eq!(search_counters(&threaded), want, "{name} 4 threads, split");
+        let (_, trie) = count(&g, MbeOptions::default().kernel(mbe::Kernel::SortedOnly));
+        assert_eq!(tree_counters(&trie)[..], want[..8], "{name} SortedOnly");
+    }
+}
+
 #[test]
 fn parallel_and_split_agree_at_scale() {
     let g = structured(7, 350, 220, 2000);

@@ -37,12 +37,20 @@ struct Node {
 /// A trie over strictly increasing rank sequences with vertex payloads.
 ///
 /// Reusable across enumeration nodes: [`CandidateTrie::clear`] retains all
-/// allocations, so steady-state insertion allocates nothing.
+/// allocations, so steady-state insertion and grouping allocate nothing.
 pub struct CandidateTrie {
     nodes: Vec<Node>,
     /// `(vertex, next_index)` payload pool shared by all nodes.
     payload: Vec<(u32, u32)>,
     keys: usize,
+    /// [`CandidateTrie::for_each_group`]'s walk buffers, kept across calls:
+    /// the key on the current path, the vertices of one group, a node's
+    /// children (reversed onto the stack) and the DFS stack of
+    /// `(node, entering)`.
+    path: Vec<u32>,
+    verts: Vec<u32>,
+    tmp: Vec<u32>,
+    stack: Vec<(u32, bool)>,
 }
 
 impl Default for CandidateTrie {
@@ -54,7 +62,15 @@ impl Default for CandidateTrie {
 impl CandidateTrie {
     /// An empty trie.
     pub fn new() -> Self {
-        let mut t = CandidateTrie { nodes: Vec::new(), payload: Vec::new(), keys: 0 };
+        let mut t = CandidateTrie {
+            nodes: Vec::new(),
+            payload: Vec::new(),
+            keys: 0,
+            path: Vec::new(),
+            verts: Vec::new(),
+            tmp: Vec::new(),
+            stack: Vec::new(),
+        };
         t.nodes.push(Node { label: 0, first_child: NIL, next_sibling: NIL, verts_head: NIL });
         t
     }
@@ -127,22 +143,23 @@ impl CandidateTrie {
         idx as usize
     }
 
-    /// Visits every distinct key once, with the slice of payload vertices
-    /// that share it. `f(key_ranks, vertices)`; vertices are in reverse
-    /// insertion order.
-    pub fn for_each_group(&self, mut f: impl FnMut(&[u32], &[u32])) {
-        let mut path: Vec<u32> = Vec::new();
-        let mut verts: Vec<u32> = Vec::new();
-        // Child-reversal scratch, reused across all node visits.
-        let mut tmp: Vec<u32> = Vec::new();
+    /// Visits every distinct key once, in increasing lexicographic order,
+    /// with the slice of payload vertices that share it. `f(key_ranks,
+    /// vertices)`; vertices are in reverse insertion order. The walk runs
+    /// on buffers the trie keeps, so it allocates nothing once they have
+    /// grown.
+    pub fn for_each_group(&mut self, mut f: impl FnMut(&[u32], &[u32])) {
+        let CandidateTrie { nodes, payload, path, verts, tmp, stack, .. } = self;
+        path.clear();
+        stack.clear();
         // Explicit DFS: (node, entering) — entering=false pops the path.
-        let mut stack: Vec<(u32, bool)> = vec![(0, true)];
+        stack.push((0, true));
         while let Some((idx, entering)) = stack.pop() {
             if !entering {
                 path.pop();
                 continue;
             }
-            let n = self.nodes[idx as usize];
+            let n = nodes[idx as usize];
             if idx != 0 {
                 path.push(n.label);
                 stack.push((idx, false));
@@ -151,18 +168,18 @@ impl CandidateTrie {
                 verts.clear();
                 let mut p = n.verts_head;
                 while p != NIL {
-                    let (v, next) = self.payload[p as usize];
+                    let (v, next) = payload[p as usize];
                     verts.push(v);
                     p = next;
                 }
-                f(&path, &verts);
+                f(path, verts);
             }
             // Push children (any order; reverse keeps visitation sorted).
             let mut kids = n.first_child;
             tmp.clear();
             while kids != NIL {
                 tmp.push(kids);
-                kids = self.nodes[kids as usize].next_sibling;
+                kids = nodes[kids as usize].next_sibling;
             }
             for &k in tmp.iter().rev() {
                 stack.push((k, true));
@@ -249,12 +266,19 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::{BTreeMap, BTreeSet};
 
-    fn collect_groups(t: &CandidateTrie) -> BTreeMap<Vec<u32>, BTreeSet<u32>> {
+    fn collect_groups(t: &mut CandidateTrie) -> BTreeMap<Vec<u32>, BTreeSet<u32>> {
         let mut m = BTreeMap::new();
         t.for_each_group(|k, vs| {
             m.insert(k.to_vec(), vs.iter().copied().collect());
         });
         m
+    }
+
+    /// Every group `for_each_group` visits, in visiting order.
+    fn group_sequence(t: &mut CandidateTrie) -> Vec<(Vec<u32>, Vec<u32>)> {
+        let mut seq = Vec::new();
+        t.for_each_group(|k, vs| seq.push((k.to_vec(), vs.to_vec())));
+        seq
     }
 
     fn supersets(t: &CandidateTrie, q: &[u32]) -> BTreeSet<u32> {
@@ -274,7 +298,7 @@ mod tests {
         t.insert(&[0, 2, 5], 12);
         t.insert(&[], 13);
         assert_eq!(t.len(), 4);
-        let g = collect_groups(&t);
+        let g = collect_groups(&mut t);
         assert_eq!(g.len(), 3);
         assert_eq!(g[&vec![0, 2, 5]], BTreeSet::from([10, 12]));
         assert_eq!(g[&vec![0, 2]], BTreeSet::from([11]));
@@ -356,7 +380,7 @@ mod tests {
             for (i, k) in keys.iter().enumerate() {
                 model.entry(k.clone()).or_default().insert(i as u32);
             }
-            prop_assert_eq!(collect_groups(&t), model);
+            prop_assert_eq!(collect_groups(&mut t), model);
 
             // Superset queries match a scan-based model.
             for q in &queries {
@@ -369,6 +393,31 @@ mod tests {
                 prop_assert_eq!(supersets(&t, q), want.clone());
                 prop_assert_eq!(t.any_superset(q), !want.is_empty());
             }
+        }
+
+        #[test]
+        fn refilled_trie_groups_like_a_fresh_one(
+            first in proptest::collection::vec(key_strategy(), 0..30),
+            second in proptest::collection::vec(key_strategy(), 0..30),
+        ) {
+            // The walk buffers survive `clear` and a grouping: the refilled
+            // trie must visit the same groups, in the same order, with the
+            // same vertex order, as a trie that never held `first`.
+            let mut reused = CandidateTrie::new();
+            for (i, k) in first.iter().enumerate() {
+                reused.insert(k, i as u32);
+            }
+            group_sequence(&mut reused);
+            reused.clear();
+            let mut fresh = CandidateTrie::new();
+            for (i, k) in second.iter().enumerate() {
+                reused.insert(k, i as u32);
+                fresh.insert(k, i as u32);
+            }
+            let want = group_sequence(&mut fresh);
+            prop_assert_eq!(group_sequence(&mut reused), want.clone());
+            // A second walk of the same trie repeats itself.
+            prop_assert_eq!(group_sequence(&mut reused), want);
         }
     }
 }
