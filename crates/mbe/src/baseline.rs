@@ -35,6 +35,13 @@ pub struct BaselineEngine<'g> {
     alg: Algorithm,
     /// The cut of a bounded run (never cuts by default).
     bound: Bound,
+    /// The ordering permutation `g` was built with (`perm[internal] =
+    /// caller`), un-applied on emission; `None` emits `g`'s own ids.
+    perm: Option<&'g [u32]>,
+    /// Whether the current task's sink reads ids, asked once per task.
+    reads_ids: bool,
+    /// An emitted `R'` in caller ids.
+    emit_r: Vec<u32>,
     /// Scratch for `C(L')` recomputation (MineLMBC only).
     cbuf: Vec<u32>,
     cbuf2: Vec<u32>,
@@ -57,6 +64,9 @@ impl<'g> BaselineEngine<'g> {
             g,
             alg,
             bound: Bound::default(),
+            perm: None,
+            reads_ids: true,
+            emit_r: Vec::new(),
             cbuf: Vec::new(),
             cbuf2: Vec::new(),
             frontier: Vec::new(),
@@ -71,6 +81,14 @@ impl<'g> BaselineEngine<'g> {
         self
     }
 
+    /// The same engine, emitting right ids through `perm` (`perm[id in
+    /// g] = caller id`, as `order::apply` returns it). Tasks, frontiers
+    /// and checkpoints stay in `g`'s ids.
+    pub(crate) fn with_perm(mut self, perm: &'g [u32]) -> Self {
+        self.perm = Some(perm);
+        self
+    }
+
     /// Deepest enumeration recursion the most recent
     /// [`run_task`](Self::run_task)/[`run_node`](Self::run_node) call
     /// reached (0 when the root emitted without branching).
@@ -78,8 +96,11 @@ impl<'g> BaselineEngine<'g> {
         self.task_depth
     }
 
-    /// Runs one root task. Breaks iff the sink (or the control plane
-    /// gating it) requested a stop.
+    /// Runs one root task, given in the graph's ids. The bicliques go to
+    /// `sink` in the ids of the graph the engine was built on (caller ids
+    /// for an engine with the ordering permutation), unless the sink
+    /// reads no ids. Breaks iff the sink (or the control plane gating it)
+    /// requested a stop.
     pub fn run_task(
         &mut self,
         task: &RootTask,
@@ -88,6 +109,7 @@ impl<'g> BaselineEngine<'g> {
     ) -> ControlFlow<StopReason> {
         self.frontier.clear();
         self.task_depth = 0;
+        self.reads_ids = sink.reads_ids();
         self.expand(0, &task.l0, &[], task.v, &task.p0, &task.q0, sink, stats)
     }
 
@@ -112,6 +134,7 @@ impl<'g> BaselineEngine<'g> {
     ) -> ControlFlow<StopReason> {
         self.frontier.clear();
         self.task_depth = 0;
+        self.reads_ids = sink.reads_ids();
         self.expand(0, l, r_parent, v, p, q, sink, stats)
     }
 
@@ -176,7 +199,7 @@ impl<'g> BaselineEngine<'g> {
         // whole node on resume delivers it exactly once.
         if !self.bound.emits(r_new.len()) {
             stats.undersized += 1;
-        } else if let ControlFlow::Break(r) = sink.emit(l_new, &r_new) {
+        } else if let ControlFlow::Break(r) = self.emit(l_new, &r_new, sink) {
             self.frontier.push(ResumeTask::Node {
                 l: l_new.to_vec(),
                 r_parent: r_parent.to_vec(),
@@ -236,6 +259,27 @@ impl<'g> BaselineEngine<'g> {
             l_child = l_child_owned;
         }
         ControlFlow::Continue(())
+    }
+
+    /// Hands the biclique `(l, r)` (the graph's ids, ascending) to `sink`
+    /// with `r` in caller ids, sorted again, or as two empty slices when
+    /// the sink reads no ids.
+    fn emit(
+        &mut self,
+        l: &[u32],
+        r: &[u32],
+        sink: &mut dyn BicliqueSink,
+    ) -> ControlFlow<StopReason> {
+        if !self.reads_ids {
+            return sink.emit(&[], &[]);
+        }
+        let Some(perm) = self.perm else {
+            return sink.emit(l, r);
+        };
+        self.emit_r.clear();
+        self.emit_r.extend(r.iter().map(|&w| perm[w as usize]));
+        self.emit_r.sort_unstable();
+        sink.emit(l, &self.emit_r)
     }
 
     /// Pushes the children `p_new[from..]` onto the frontier exactly as

@@ -102,6 +102,10 @@ impl<S: BicliqueSink> BicliqueSink for FaultySink<S> {
         }
         self.inner.emit(left, right)
     }
+
+    fn reads_ids(&self) -> bool {
+        self.inner.reads_ids()
+    }
 }
 
 #[cfg(test)]

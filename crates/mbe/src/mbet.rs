@@ -6,9 +6,15 @@
 //! task's left universe and right vertices, densely relabeled on both
 //! sides (see `bigraph::local` for the id-space rules). Everything the
 //! recursion touches from then on — candidate keys, excluded keys, `L`
-//! sets — lives in local ids; only `R'` (which must be reported),
-//! emissions, and checkpoint frontiers are translated back to global
-//! ids at the boundary.
+//! sets, `R'` — lives in local ids. A node's `R'` is the task's
+//! `r_parent` (internal ids) plus one engine-level stack of local right
+//! ids: each node on the path pushes its traversed vertex and its
+//! absorbed candidates and truncates back before it returns. Ids are
+//! translated only where something reads them: an emission to a sink
+//! that reads ids (to caller ids, through a per-task table composing the
+//! localization with the ordering permutation, then sorted once), a
+//! captured frontier task (to internal ids), and the `debug-invariants`
+//! node check. A count translates nothing.
 //!
 //! Per enumeration node, the engine keys every candidate and excluded
 //! vertex by its local neighborhood clipped to the node's `L'` and
@@ -42,7 +48,8 @@
 //!   of its `L'`; below it `P` and `Q` carry their masks, a child's `L''`
 //!   is its representative's mask and every child key is `key & L''`, so
 //!   no row is read again in the subtree. Emission and checkpoint capture
-//!   map masks home through the word root's table of at most 64 ids.
+//!   map masks home through the word root's table of at most 64 local
+//!   ids.
 //!
 //! Every node's `P` and `Q` are ascending by vertex, and a word body keeps
 //! its bookkeeping in that order with no comparison sort: the excluded
@@ -68,8 +75,9 @@
 //! tie-break or a branch.)
 //!
 //! Both node bodies are allocation-free in steady state: keys, member
-//! lists, `R'` and the children's `P` and `Q` live in per-depth scratch
-//! (`Scratch`) that is reused across sibling nodes.
+//! lists and the children's `P` and `Q` live in per-depth scratch
+//! (`Scratch`) that is reused across sibling nodes, and `R'` on the
+//! engine's stack.
 
 use std::ops::ControlFlow;
 
@@ -134,15 +142,10 @@ struct Scratch<R: Repr> {
     memar: Vec<u32>,
     groups: Vec<Group<R::Key>>,
     q_list: Vec<Keyed<R::Key>>,
-    /// The node's absorbed candidates, then its `R'` (global ids, the
-    /// children's `r_parent`).
-    r_new: Vec<u32>,
     child_p: Vec<R::Entry>,
     child_q: Vec<R::Entry>,
     /// A small node's child `L''`.
     l_small: R::LBuf,
-    /// The node's `L` translated back to global ids for emission.
-    emit_l: Vec<u32>,
     /// The excluded antichain's buffers: per key size a count, then the
     /// next free slot of its run; the `(key, index into q_list)` entries
     /// ordered longest key first; the kept keys; which entries are kept;
@@ -161,11 +164,9 @@ impl<R: Repr> Default for Scratch<R> {
             memar: Vec::new(),
             groups: Vec::new(),
             q_list: Vec::new(),
-            r_new: Vec::new(),
             child_p: Vec::new(),
             child_q: Vec::new(),
             l_small: R::LBuf::default(),
-            emit_l: Vec::new(),
             by_size: Vec::new(),
             ranked: Vec::new(),
             kept: Vec::new(),
@@ -185,11 +186,11 @@ impl<R: Repr> Scratch<R> {
 
     /// Absorption for a node: candidates adjacent to all of `l` go
     /// straight into its `R'`. Their key is all of `l`, so full coverage is
-    /// one key test, paid once per group; the absorbed groups' members go
-    /// to `r_new`, and the groups leave `groups`, the rest in order.
-    fn absorb(&mut self, l: R::L<'_>) {
-        self.r_new.clear();
-        let (keys, memar, absorbed) = (&self.keys, &self.memar, &mut self.r_new);
+    /// one key test, paid once per group; the absorbed groups' members are
+    /// appended to `absorbed`, and the groups leave `groups`, the rest in
+    /// order.
+    fn absorb(&mut self, l: R::L<'_>, absorbed: &mut Vec<u32>) {
+        let (keys, memar) = (&self.keys, &self.memar);
         self.groups.retain(|grp| {
             let covered = keys.covers(grp.key, l);
             if covered {
@@ -295,7 +296,6 @@ trait Repr: Default + Sized {
         eng: &mut MbetEngine<'_>,
         depth: usize,
         l: Self::L<'_>,
-        r_parent: &[u32],
         v: u32,
         p: &[Self::Entry],
         q: &[Self::Entry],
@@ -307,7 +307,7 @@ trait Repr: Default + Sized {
     fn l_of(buf: &Self::LBuf) -> Self::L<'_>;
     fn vertex(e: Self::Entry) -> u32;
     /// `l` in global ids, ascending, into `out` (cleared first). `table`
-    /// is the word root's `L'` in global ids.
+    /// is the word root's `L'` in local ids.
     fn left_global(local: &LocalGraph, table: &[u32], l: Self::L<'_>, out: &mut Vec<u32>);
     /// Debug-invariant check of a node's entries (see
     /// `invariants::check_word_keys`). `table` is the word root's `L'`
@@ -396,8 +396,9 @@ trait Repr: Default + Sized {
 
     /// Some excluded vertex of `q` is adjacent to all of `l`.
     fn covered(local: &LocalGraph, q: &[Self::Entry], l: Self::L<'_>) -> bool;
-    /// Splits `p` by its overlap with `l`: all of it → `absorbed` (as
-    /// vertices), part of it → `p_new`, none → dropped. Order kept.
+    /// Splits `p` by its overlap with `l`: all of it → appended to
+    /// `absorbed` (as vertices), part of it → `p_new` (cleared first),
+    /// none → dropped. Order kept.
     fn partition(
         local: &LocalGraph,
         p: &[Self::Entry],
@@ -437,14 +438,13 @@ impl Repr for Trie {
         eng: &mut MbetEngine<'_>,
         depth: usize,
         l: &[u32],
-        r_parent: &[u32],
         v: u32,
         p: &[u32],
         q: &[u32],
         sink: &mut dyn BicliqueSink,
         stats: &mut Stats,
     ) -> ControlFlow<StopReason> {
-        eng.expand_sorted(depth, l, r_parent, v, p, q, sink, stats)
+        eng.expand_sorted(depth, l, v, p, q, sink, stats)
     }
 
     #[inline]
@@ -725,14 +725,13 @@ impl Repr for Words {
         eng: &mut MbetEngine<'_>,
         depth: usize,
         l: u64,
-        r_parent: &[u32],
         v: u32,
         p: &[Keyed<u64>],
         q: &[Keyed<u64>],
         sink: &mut dyn BicliqueSink,
         stats: &mut Stats,
     ) -> ControlFlow<StopReason> {
-        eng.expand::<Words>(depth, l, r_parent, v, p, q, sink, stats)
+        eng.expand::<Words>(depth, l, v, p, q, sink, stats)
     }
 
     #[inline]
@@ -750,11 +749,11 @@ impl Repr for Words {
         e.v
     }
 
-    fn left_global(_local: &LocalGraph, table: &[u32], l: u64, out: &mut Vec<u32>) {
+    fn left_global(local: &LocalGraph, table: &[u32], l: u64, out: &mut Vec<u32>) {
         out.clear();
         let mut m = l;
         while m != 0 {
-            out.push(table[m.trailing_zeros() as usize]);
+            out.push(local.left_global(table[m.trailing_zeros() as usize]));
             m &= m - 1;
         }
     }
@@ -955,7 +954,6 @@ impl Repr for Words {
         absorbed: &mut Vec<u32>,
         p_new: &mut Vec<Keyed<u64>>,
     ) {
-        absorbed.clear();
         p_new.clear();
         for e in p {
             let key = e.key & l;
@@ -984,6 +982,9 @@ pub struct MbetEngine<'g> {
     cfg: MbetConfig,
     /// The cut of a bounded run (never cuts by default).
     bound: Bound,
+    /// The ordering permutation `g` was built with (`perm[internal] =
+    /// caller`), un-applied on emission; `None` emits `g`'s own ids.
+    perm: Option<&'g [u32]>,
     /// Per-task localized subgraph; rebuilt by `run_task`/`run_node`,
     /// its buffers reused across tasks.
     local: LocalGraph,
@@ -991,16 +992,30 @@ pub struct MbetEngine<'g> {
     words: bool,
     pool: Vec<Scratch<Trie>>,
     word_pool: Vec<Scratch<Words>>,
-    /// The current word root's `L'` in local ids, then in global ids:
-    /// bit `i` of a word-mode mask stands for entry `i`.
+    /// The current word root's `L'` in local ids: bit `i` of a word-mode
+    /// mask stands for entry `i`.
     word_local: Vec<u32>,
-    word_global: Vec<u32>,
     /// The word root's `P` and `Q` with their keys.
     word_p: Vec<Keyed<u64>>,
     word_q: Vec<Keyed<u64>>,
     /// Indexed by local left id: the bit of its position in the word
     /// root's `L'`, 0 outside it (all 0 between word roots).
     word_bit: Vec<u64>,
+    /// The current node's `R'`: the task's `r_parent` (internal ids,
+    /// ascending), then a stack of local right ids to which every node on
+    /// the path pushes its traversed vertex and its absorbed candidates,
+    /// truncating back before it returns.
+    r_parent: Vec<u32>,
+    r_stack: Vec<u32>,
+    /// Whether the current task's sink reads ids, asked once per task.
+    reads_ids: bool,
+    /// Built per task only when the sink reads ids: `r_parent` and every
+    /// local right id in caller ids.
+    r_parent_caller: Vec<u32>,
+    right_caller: Vec<u32>,
+    /// The emitted `L'` and `R'` of a sink that reads ids.
+    emit_l: Vec<u32>,
+    emit_r: Vec<u32>,
     /// Peak candidate-trie node count across the run (memory metric).
     peak_trie_nodes: usize,
     /// Unexplored subtrees captured while unwinding out of a stopped
@@ -1020,23 +1035,30 @@ pub struct MbetEngine<'g> {
 }
 
 impl<'g> MbetEngine<'g> {
-    /// An engine over `g` with feature toggles `cfg`. Under
-    /// [`Kernel::Adaptive`] the nodes with `|L'| ≤ 64` run in word mode;
-    /// [`Kernel::SortedOnly`] runs the trie everywhere.
+    /// An engine over `g` with feature toggles `cfg`, emitting `g`'s own
+    /// ids. Under [`Kernel::Adaptive`] the nodes with `|L'| ≤ 64` run in
+    /// word mode; [`Kernel::SortedOnly`] runs the trie everywhere.
     pub fn new(g: &'g BipartiteGraph, cfg: MbetConfig, kernel: Kernel) -> Self {
         MbetEngine {
             g,
             cfg,
             bound: Bound::default(),
+            perm: None,
             local: LocalGraph::new(kernel),
             words: kernel != Kernel::SortedOnly,
             pool: Vec::new(),
             word_pool: Vec::new(),
             word_local: Vec::new(),
-            word_global: Vec::new(),
             word_p: Vec::new(),
             word_q: Vec::new(),
             word_bit: Vec::new(),
+            r_parent: Vec::new(),
+            r_stack: Vec::new(),
+            reads_ids: true,
+            r_parent_caller: Vec::new(),
+            right_caller: Vec::new(),
+            emit_l: Vec::new(),
+            emit_r: Vec::new(),
             peak_trie_nodes: 0,
             frontier: Vec::new(),
             task_depth: 0,
@@ -1051,6 +1073,14 @@ impl<'g> MbetEngine<'g> {
     /// The same engine, cutting the tree with `bound`.
     pub(crate) fn with_bound(mut self, bound: Bound) -> Self {
         self.bound = bound;
+        self
+    }
+
+    /// The same engine, emitting right ids through `perm` (`perm[id in
+    /// g] = caller id`, as `order::apply` returns it). Tasks, frontiers
+    /// and checkpoints stay in `g`'s ids.
+    pub(crate) fn with_perm(mut self, perm: &'g [u32]) -> Self {
+        self.perm = Some(perm);
         self
     }
 
@@ -1075,8 +1105,11 @@ impl<'g> MbetEngine<'g> {
         self.peak_trie_nodes
     }
 
-    /// Runs one root task (global ids in, global ids emitted). Breaks
-    /// iff the sink (or the control plane gating it) requested a stop.
+    /// Runs one root task, given in the graph's ids. The bicliques go to
+    /// `sink` in the ids of the graph the engine was built on (caller ids
+    /// for an engine with the ordering permutation), unless the sink
+    /// reads no ids. Breaks iff the sink (or the control plane gating it)
+    /// requested a stop.
     pub fn run_task(
         &mut self,
         task: &RootTask,
@@ -1094,6 +1127,7 @@ impl<'g> MbetEngine<'g> {
         debug_assert!(setops::is_strictly_increasing(&self.rights_buf));
         self.local.localize(self.g, &task.l0, &self.rights_buf);
         crate::invariants::check_localization(self.g, &self.local);
+        self.start_r(&[], sink);
 
         // Local ids are ranks in the sorted universes, so the three
         // slices are contiguous ranges.
@@ -1108,15 +1142,16 @@ impl<'g> MbetEngine<'g> {
         let l = std::mem::take(&mut self.root_l);
         let p = std::mem::take(&mut self.root_p);
         let q = std::mem::take(&mut self.root_q);
-        let flow = self.expand_sorted(0, &l, &[], nq, &p, &q, sink, stats);
+        let flow = self.expand_sorted(0, &l, nq, &p, &q, sink, stats);
         self.root_l = l;
         self.root_p = p;
         self.root_q = q;
+        debug_assert!(self.r_stack.is_empty());
         flow
     }
 
-    /// Runs an arbitrary unchecked node, given in global ids (a queued
-    /// split child or a checkpointed one).
+    /// Runs an arbitrary unchecked node, given in the graph's ids (a
+    /// queued split child or a checkpointed one).
     /// Semantics identical to [`Self::run_task`].
     ///
     /// `p` and `q` must be strictly ascending: the node bodies keep vertex
@@ -1145,6 +1180,7 @@ impl<'g> MbetEngine<'g> {
         self.rights_buf.dedup();
         self.local.localize(self.g, l, &self.rights_buf);
         crate::invariants::check_localization(self.g, &self.local);
+        self.start_r(r_parent, sink);
 
         self.root_l.clear();
         self.root_l.extend(0..l.len() as u32);
@@ -1161,11 +1197,30 @@ impl<'g> MbetEngine<'g> {
         let l = std::mem::take(&mut self.root_l);
         let p = std::mem::take(&mut self.root_p);
         let q = std::mem::take(&mut self.root_q);
-        let flow = self.expand_sorted(0, &l, r_parent, v_local, &p, &q, sink, stats);
+        let flow = self.expand_sorted(0, &l, v_local, &p, &q, sink, stats);
         self.root_l = l;
         self.root_p = p;
         self.root_q = q;
+        debug_assert!(self.r_stack.is_empty());
         flow
+    }
+
+    /// Starts a task's `R'` on the fresh localization: `r_parent` and an
+    /// empty stack. Asks `sink` whether it reads ids, and only if it does
+    /// builds the tables an emission translates through.
+    fn start_r(&mut self, r_parent: &[u32], sink: &dyn BicliqueSink) {
+        self.r_parent.clear();
+        self.r_parent.extend_from_slice(r_parent);
+        self.r_stack.clear();
+        self.reads_ids = sink.reads_ids();
+        if self.reads_ids {
+            let perm = self.perm;
+            let caller = |&w: &u32| perm.map_or(w, |perm| perm[w as usize]);
+            self.r_parent_caller.clear();
+            self.r_parent_caller.extend(r_parent.iter().map(caller));
+            self.right_caller.clear();
+            self.right_caller.extend(self.local.right_ids().iter().map(caller));
+        }
     }
 
     /// Local id of a right vertex known to be inside the current
@@ -1177,27 +1232,69 @@ impl<'g> MbetEngine<'g> {
         self.local.right_local(w).expect("vertex missing from localization")
     }
 
+    /// The `R'` of the node whose stack is `r_stack[..height]`, in the
+    /// graph's ids, ascending, into `out` (cleared first).
+    fn r_global(&self, height: usize, out: &mut Vec<u32>) {
+        out.clear();
+        out.extend_from_slice(&self.r_parent);
+        out.extend(self.r_stack[..height].iter().map(|&w| self.local.right_global(w)));
+        out.sort_unstable();
+    }
+
+    /// Hands the current node's biclique `(l, R')` to `sink`: `l` in
+    /// global ids and `R'` in caller ids, both ascending, or two empty
+    /// slices, with no id work, when the sink reads no ids.
+    fn emit<R: Repr>(
+        &mut self,
+        l: R::L<'_>,
+        sink: &mut dyn BicliqueSink,
+    ) -> ControlFlow<StopReason> {
+        if !self.reads_ids {
+            return sink.emit(&[], &[]);
+        }
+        R::left_global(&self.local, &self.word_local, l, &mut self.emit_l);
+        self.emit_r.clear();
+        self.emit_r.extend_from_slice(&self.r_parent_caller);
+        self.emit_r.extend(self.r_stack.iter().map(|&w| self.right_caller[w as usize]));
+        self.emit_r.sort_unstable();
+        sink.emit(&self.emit_l, &self.emit_r)
+    }
+
+    /// Under `debug-invariants`: the current node `(l, R')`, in the
+    /// graph's ids, is a biclique whose `L'` is the common neighborhood of
+    /// its `R'`.
+    fn check_node<R: Repr>(&self, l: R::L<'_>) {
+        if crate::invariants::ENABLED {
+            let (mut l_global, mut r) = (Vec::new(), Vec::new());
+            R::left_global(&self.local, &self.word_local, l, &mut l_global);
+            self.r_global(self.r_stack.len(), &mut r);
+            crate::invariants::check_node(self.g, &l_global, &r);
+        }
+    }
+
     /// Pushes a [`ResumeTask::Node`] for a node of the current
-    /// localization onto the frontier, translated back to global ids —
-    /// queued tasks and checkpoints never leak local ids or masks.
-    /// `r_parent` is already global. Cold: it runs only at a stop or for
-    /// the children of a split node, never inside a serial run's
-    /// recursion.
+    /// localization onto the frontier, translated back to the graph's
+    /// ids — queued tasks and checkpoints never leak local ids or masks.
+    /// Its `r_parent` is the `R'` of the stack up to `height`. Cold: it
+    /// runs only at a stop or for the children of a split node, never
+    /// inside a serial run's recursion.
     #[cold]
     fn push_task<R: Repr>(
         &mut self,
         l: R::L<'_>,
-        r_parent: &[u32],
+        height: usize,
         v: u32,
         p: impl IntoIterator<Item = u32>,
         q: impl IntoIterator<Item = u32>,
     ) {
         let mut l_global = Vec::with_capacity(R::l_len(l));
-        R::left_global(&self.local, &self.word_global, l, &mut l_global);
+        R::left_global(&self.local, &self.word_local, l, &mut l_global);
+        let mut r_parent = Vec::with_capacity(self.r_parent.len() + height);
+        self.r_global(height, &mut r_parent);
         let local = &self.local;
         self.frontier.push(ResumeTask::Node {
             l: l_global,
-            r_parent: r_parent.to_vec(),
+            r_parent,
             v: local.right_global(v),
             p: p.into_iter().map(|w| local.right_global(w)).collect(),
             q: q.into_iter().map(|w| local.right_global(w)).collect(),
@@ -1214,19 +1311,6 @@ impl<'g> MbetEngine<'g> {
         std::mem::take(&mut pool[depth])
     }
 
-    /// Turns `r`, holding a node's absorbed candidates in local ids, into
-    /// its `R' = r_parent ∪ {v} ∪ absorbed`, sorted, in global ids: `R'`
-    /// outlives the localization (emission, the children's `r_parent`,
-    /// checkpoints).
-    fn finish_r(&self, r_parent: &[u32], v: u32, r: &mut Vec<u32>) {
-        for w in r.iter_mut() {
-            *w = self.local.right_global(*w);
-        }
-        r.extend_from_slice(r_parent);
-        r.push(self.local.right_global(v));
-        r.sort_unstable();
-    }
-
     /// Expands a node of the trie path's representation (local ids
     /// throughout): as a word root when word mode is on and `|L'| ≤ 64`,
     /// on the trie otherwise.
@@ -1235,7 +1319,6 @@ impl<'g> MbetEngine<'g> {
         &mut self,
         depth: usize,
         l_new: &[u32],
-        r_parent: &[u32],
         v: u32,
         untraversed: &[u32],
         traversed: &[u32],
@@ -1243,16 +1326,7 @@ impl<'g> MbetEngine<'g> {
         stats: &mut Stats,
     ) -> ControlFlow<StopReason> {
         if !self.words || l_new.len() > WORD_BITS {
-            return self.expand::<Trie>(
-                depth,
-                l_new,
-                r_parent,
-                v,
-                untraversed,
-                traversed,
-                sink,
-                stats,
-            );
+            return self.expand::<Trie>(depth, l_new, v, untraversed, traversed, sink, stats);
         }
         // A word root: bit `i` stands for `l_new[i]`. `word_bit` gives each
         // local left id its bit (0 outside `l_new`), so a key is one pass
@@ -1260,7 +1334,6 @@ impl<'g> MbetEngine<'g> {
         // included, so the body sees the same `|P|`.
         self.word_local.clear();
         self.word_local.extend_from_slice(l_new);
-        self.local.left_to_global(l_new, &mut self.word_global);
         if self.word_bit.len() < self.local.num_left() {
             self.word_bit.resize(self.local.num_left(), 0);
         }
@@ -1282,7 +1355,7 @@ impl<'g> MbetEngine<'g> {
             self.word_bit[x as usize] = 0;
         }
         let full = full_mask(l_new.len());
-        let flow = self.expand::<Words>(depth, full, r_parent, v, &p, &q, sink, stats);
+        let flow = self.expand::<Words>(depth, full, v, &p, &q, sink, stats);
         self.word_p = p;
         self.word_q = q;
         flow
@@ -1290,15 +1363,15 @@ impl<'g> MbetEngine<'g> {
 
     /// Expands the node reached by traversing `v`: `l_new` is already the
     /// child's `L`. All of `l_new`/`v`/`untraversed`/`traversed` are
-    /// local (`R`'s representation); `r_parent` is global. Mirrors
-    /// `BaselineEngine::expand` but groups and searches keys. In split
-    /// mode at depth 0 it queues each child it would expand instead.
+    /// local (`R`'s representation), and the stack holds the parent's
+    /// `R'`. Mirrors `BaselineEngine::expand` but groups and searches
+    /// keys. In split mode at depth 0 it queues each child it would
+    /// expand instead.
     #[allow(clippy::too_many_arguments)]
     fn expand<R: Repr>(
         &mut self,
         depth: usize,
         l_new: R::L<'_>,
-        r_parent: &[u32],
         v: u32,
         untraversed: &[R::Entry],
         traversed: &[R::Entry],
@@ -1307,7 +1380,8 @@ impl<'g> MbetEngine<'g> {
     ) -> ControlFlow<StopReason> {
         let l_len = R::l_len(l_new);
         debug_assert!(l_len > 0);
-        if self.bound.cuts(l_len, r_parent.len() + 1 + untraversed.len()) {
+        let r_parent_len = self.r_parent.len() + self.r_stack.len();
+        if self.bound.cuts(l_len, r_parent_len + 1 + untraversed.len()) {
             stats.bound_pruned += 1;
             return ControlFlow::Continue(());
         }
@@ -1322,16 +1396,7 @@ impl<'g> MbetEngine<'g> {
         // bookkeeping cannot pay for itself — plain scans win. The same
         // trade-off the literature makes for its representation threshold.
         if untraversed.len() <= SMALL_NODE_CANDIDATES {
-            return self.expand_small::<R>(
-                depth,
-                l_new,
-                r_parent,
-                v,
-                untraversed,
-                traversed,
-                sink,
-                stats,
-            );
+            return self.expand_small::<R>(depth, l_new, v, untraversed, traversed, sink, stats);
         }
         stats.nodes += 1;
         stats.word_nodes += R::WORD as u64;
@@ -1388,26 +1453,28 @@ impl<'g> MbetEngine<'g> {
         s.keys.check_spans(&s.groups, &s.q_list);
         crate::invariants::check_spans(s.memar.len(), s.groups.iter().map(|grp| grp.members));
 
-        s.absorb(l_new);
-        stats.absorbed += s.r_new.len() as u64;
-        self.finish_r(r_parent, v, &mut s.r_new);
-        R::left_global(&self.local, &self.word_global, l_new, &mut s.emit_l);
-        crate::invariants::check_node(self.g, &s.emit_l, &s.r_new);
+        // ---- `R'`: `v` and the absorbed candidates go on the stack.
+        let height = self.r_stack.len();
+        self.r_stack.push(v);
+        s.absorb(l_new, &mut self.r_stack);
+        stats.absorbed += (self.r_stack.len() - height - 1) as u64;
+        self.check_node::<R>(l_new);
 
-        if !self.bound.emits(s.r_new.len()) {
+        if !self.bound.emits(self.r_parent.len() + self.r_stack.len()) {
             stats.undersized += 1;
-        } else if let ControlFlow::Break(r) = sink.emit(&s.emit_l, &s.r_new) {
+        } else if let ControlFlow::Break(r) = self.emit::<R>(l_new, sink) {
             // A Break verdict means this emission was NOT delivered (the
             // control gate rejects before forwarding), so re-running the
             // whole node on resume delivers it exactly once.
             let vertex = |&e: &R::Entry| R::vertex(e);
             self.push_task::<R>(
                 l_new,
-                r_parent,
+                height,
                 v,
                 untraversed.iter().map(vertex),
                 traversed.iter().map(vertex),
             );
+            self.r_stack.truncate(height);
             R::pool(self)[depth] = s;
             return ControlFlow::Break(r);
         } else {
@@ -1465,7 +1532,7 @@ impl<'g> MbetEngine<'g> {
                     let vertex = |&e: &R::Entry| R::vertex(e);
                     self.push_task::<R>(
                         s.keys.key_l(key),
-                        &s.r_new,
+                        self.r_stack.len(),
                         grp.rep,
                         s.child_p.iter().map(vertex),
                         s.child_q.iter().map(vertex),
@@ -1479,7 +1546,6 @@ impl<'g> MbetEngine<'g> {
                         self,
                         depth + 1,
                         s.keys.key_l(key),
-                        &s.r_new,
                         grp.rep,
                         &child_p,
                         &child_q,
@@ -1491,7 +1557,7 @@ impl<'g> MbetEngine<'g> {
                     if let ControlFlow::Break(r) = cont {
                         // The broken child captured its own subtree; this
                         // level owes the checkpoint its untried groups.
-                        self.capture_group_siblings(&s, gi);
+                        self.capture_group_siblings(&s, gi, self.r_stack.len());
                         stop = Some(r);
                         break;
                     }
@@ -1514,6 +1580,7 @@ impl<'g> MbetEngine<'g> {
             }
         }
 
+        self.r_stack.truncate(height);
         R::pool(self)[depth] = s;
         match stop {
             Some(r) => ControlFlow::Break(r),
@@ -1522,12 +1589,13 @@ impl<'g> MbetEngine<'g> {
     }
 
     /// Pushes the untried groups `s.groups[broke_at + 1..]` as resume
-    /// tasks, translated to global ids. Each group's node branches on its
+    /// tasks, translated to the graph's ids, under the node's `R'` (the
+    /// stack up to `height`). Each group's node branches on its
     /// representative with `p` = its co-members plus all later groups'
     /// members (a conservative superset — the child's candidate scan
     /// drops the irrelevant ones) and `q` = the current exclusions plus
     /// every earlier representative.
-    fn capture_group_siblings<R: Repr>(&mut self, s: &Scratch<R>, broke_at: usize) {
+    fn capture_group_siblings<R: Repr>(&mut self, s: &Scratch<R>, broke_at: usize, height: usize) {
         let mut q: Vec<u32> = s.q_list.iter().map(|q| q.v).collect();
         q.push(s.groups[broke_at].rep);
         let mut p = Vec::new();
@@ -1541,7 +1609,7 @@ impl<'g> MbetEngine<'g> {
             p.sort_unstable();
             self.push_task::<R>(
                 s.keys.key_l(grp.key),
-                &s.r_new,
+                height,
                 grp.rep,
                 p.iter().copied(),
                 q.iter().copied(),
@@ -1569,7 +1637,6 @@ impl MbetEngine<'_> {
         &mut self,
         depth: usize,
         l_new: R::L<'_>,
-        r_parent: &[u32],
         v: u32,
         untraversed: &[R::Entry],
         traversed: &[R::Entry],
@@ -1584,51 +1651,53 @@ impl MbetEngine<'_> {
             return ControlFlow::Continue(());
         }
         // The node's lists live in this depth's scratch, like the full
-        // body's: `child_p` holds `P'` and `child_q` the live `Q`.
+        // body's: `child_p` holds `P'` and `child_q` the live `Q`. Its
+        // `R'` goes on the stack above the parent's.
         let mut s = self.take_scratch::<R>(depth);
+        let height = self.r_stack.len();
         let flow = self.small_body::<R>(
             &mut s,
             depth,
             l_new,
-            r_parent,
+            height,
             v,
             untraversed,
             traversed,
             sink,
             stats,
         );
+        self.r_stack.truncate(height);
         R::pool(self)[depth] = s;
         flow
     }
 
     /// [`Self::expand_small`] past its maximality check, on the scratch
-    /// `s` of its depth.
+    /// `s` of its depth, above the parent's stack of `height`.
     #[allow(clippy::too_many_arguments)]
     fn small_body<R: Repr>(
         &mut self,
         s: &mut Scratch<R>,
         depth: usize,
         l_new: R::L<'_>,
-        r_parent: &[u32],
+        height: usize,
         v: u32,
         untraversed: &[R::Entry],
         traversed: &[R::Entry],
         sink: &mut dyn BicliqueSink,
         stats: &mut Stats,
     ) -> ControlFlow<StopReason> {
-        R::partition(&self.local, untraversed, l_new, &mut s.r_new, &mut s.child_p);
-        stats.absorbed += s.r_new.len() as u64;
-        self.finish_r(r_parent, v, &mut s.r_new);
-        R::left_global(&self.local, &self.word_global, l_new, &mut s.emit_l);
-        crate::invariants::check_node(self.g, &s.emit_l, &s.r_new);
+        self.r_stack.push(v);
+        R::partition(&self.local, untraversed, l_new, &mut self.r_stack, &mut s.child_p);
+        stats.absorbed += (self.r_stack.len() - height - 1) as u64;
+        self.check_node::<R>(l_new);
         let vertex = |&e: &R::Entry| R::vertex(e);
-        if !self.bound.emits(s.r_new.len()) {
+        if !self.bound.emits(self.r_parent.len() + self.r_stack.len()) {
             stats.undersized += 1;
-        } else if let ControlFlow::Break(r) = sink.emit(&s.emit_l, &s.r_new) {
+        } else if let ControlFlow::Break(r) = self.emit::<R>(l_new, sink) {
             // Undelivered emission: re-run the whole node on resume.
             self.push_task::<R>(
                 l_new,
-                r_parent,
+                height,
                 v,
                 untraversed.iter().map(vertex),
                 traversed.iter().map(vertex),
@@ -1641,8 +1710,9 @@ impl MbetEngine<'_> {
             return ControlFlow::Continue(());
         }
         R::live(&self.local, traversed, l_new, &mut s.child_q);
+        let r_height = self.r_stack.len();
         if depth == 0 && self.split {
-            self.queue_small_children::<R>(l_new, &s.r_new, &s.child_p, 0, &mut s.child_q);
+            self.queue_small_children::<R>(l_new, r_height, &s.child_p, 0, &mut s.child_q);
             return ControlFlow::Continue(());
         }
         for i in 0..s.child_p.len() {
@@ -1652,7 +1722,6 @@ impl MbetEngine<'_> {
                 self,
                 depth + 1,
                 R::l_of(&s.l_small),
-                &s.r_new,
                 R::vertex(w),
                 &s.child_p[i + 1..],
                 &s.child_q,
@@ -1661,7 +1730,7 @@ impl MbetEngine<'_> {
             );
             s.child_q.push(w);
             if let ControlFlow::Break(r) = flow {
-                self.queue_small_children::<R>(l_new, &s.r_new, &s.child_p, i + 1, &mut s.child_q);
+                self.queue_small_children::<R>(l_new, r_height, &s.child_p, i + 1, &mut s.child_q);
                 return ControlFlow::Break(r);
             }
         }
@@ -1669,13 +1738,14 @@ impl MbetEngine<'_> {
     }
 
     /// Scan-path counterpart of `BaselineEngine`'s child queue: pushes
-    /// the children `p_new[from..]`, translated to global ids, with `q`
-    /// grown by each earlier branch. A split node queues every child; a
-    /// stop queues the untried siblings.
+    /// the children `p_new[from..]`, translated to the graph's ids, under
+    /// the node's `R'` (the stack up to `height`), with `q` grown by each
+    /// earlier branch. A split node queues every child; a stop queues the
+    /// untried siblings.
     fn queue_small_children<R: Repr>(
         &mut self,
         l_parent: R::L<'_>,
-        r_new: &[u32],
+        height: usize,
         p_new: &[R::Entry],
         from: usize,
         q: &mut Vec<R::Entry>,
@@ -1687,7 +1757,7 @@ impl MbetEngine<'_> {
             R::child_l(&self.local, l_parent, w, &mut l_child);
             self.push_task::<R>(
                 R::l_of(&l_child),
-                r_new,
+                height,
                 R::vertex(w),
                 p_new[k + 1..].iter().map(vertex),
                 q.iter().map(vertex),
@@ -2077,8 +2147,9 @@ mod tests {
             for batching in [false, true] {
                 let mut s = Scratch::<Words>::default();
                 s.keys.group(&local, &p, l, batching, &mut s.groups, &mut s.memar);
-                s.absorb(l);
-                prop_assert!(s.r_new.contains(&(last + 1)));
+                let mut absorbed = Vec::new();
+                s.absorb(l, &mut absorbed);
+                prop_assert!(absorbed.contains(&(last + 1)));
                 let key_of = |w: u32| p.iter().find(|e| e.v == w).map_or(0, |e| e.key);
                 for gi in 0..s.groups.len() {
                     let grp = s.groups[gi];
@@ -2101,6 +2172,106 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// 8 × 12 vertices, each right vertex adjacent to a different
+    /// pattern of left ones, so a random order moves right ids.
+    fn mixed() -> BipartiteGraph {
+        let edges: Vec<(u32, u32)> = (0..8u32)
+            .flat_map(|u| (0..12u32).filter(move |v| (u * 7 + v * 13) % 5 < 2).map(move |v| (u, v)))
+            .collect();
+        BipartiteGraph::from_edges(8, 12, &edges).unwrap()
+    }
+
+    /// Every root task of `g` on `engine`, into `sink`.
+    fn run_roots(
+        g: &BipartiteGraph,
+        engine: &mut MbetEngine<'_>,
+        sink: &mut dyn BicliqueSink,
+    ) -> Stats {
+        let mut stats = Stats::default();
+        let mut builder = TaskBuilder::new(g);
+        for v in 0..g.num_v() {
+            if let Some(t) = builder.build(v) {
+                assert!(engine.run_task(&t, sink, &mut stats).is_continue());
+            }
+        }
+        stats
+    }
+
+    fn sorted(mut bicliques: Vec<Biclique>) -> Vec<Biclique> {
+        bicliques.sort();
+        bicliques
+    }
+
+    #[test]
+    fn an_engine_with_the_permutation_emits_caller_ids() {
+        let g = mixed();
+        let (h, perm) = bigraph::order::apply(&g, bigraph::order::VertexOrder::Random(7));
+        assert!(perm.iter().enumerate().any(|(i, &w)| w != i as u32), "{perm:?}");
+        let want = sorted(crate::verify::brute_force(&g));
+        for kernel in [Kernel::Adaptive, Kernel::SortedOnly] {
+            let mut engine = MbetEngine::new(&h, MbetConfig::default(), kernel).with_perm(&perm);
+            let mut sink = CollectSink::new();
+            run_roots(&h, &mut engine, &mut sink);
+            let got = sink.into_vec();
+            for b in &got {
+                assert!(setops::is_strictly_increasing(&b.left), "{kernel:?} {b:?}");
+                assert!(setops::is_strictly_increasing(&b.right), "{kernel:?} {b:?}");
+            }
+            assert_eq!(sorted(got), want, "{kernel:?}");
+        }
+    }
+
+    #[test]
+    fn an_engine_without_a_permutation_emits_the_graphs_own_ids() {
+        // perfbench's replica runs `MbetEngine::new` on the ordered graph
+        // and maps the ids home itself.
+        let g = mixed();
+        let (h, _) = bigraph::order::apply(&g, bigraph::order::VertexOrder::Random(7));
+        let mut engine = MbetEngine::new(&h, MbetConfig::default(), Kernel::Adaptive);
+        let mut sink = CollectSink::new();
+        run_roots(&h, &mut engine, &mut sink);
+        assert_eq!(sorted(sink.into_vec()), sorted(crate::verify::brute_force(&h)));
+    }
+
+    /// Counts its calls; asserts each hands it no ids.
+    struct Blind(u64);
+
+    impl BicliqueSink for Blind {
+        fn emit(&mut self, left: &[u32], right: &[u32]) -> ControlFlow<StopReason> {
+            assert!(left.is_empty() && right.is_empty(), "{left:?} {right:?}");
+            self.0 += 1;
+            crate::sink::CONTINUE
+        }
+
+        fn reads_ids(&self) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn a_sink_that_reads_no_ids_gets_empty_slices_once_per_biclique() {
+        let g = mixed();
+        let (h, perm) = bigraph::order::apply(&g, bigraph::order::VertexOrder::Random(7));
+        let want = crate::verify::brute_force(&g).len() as u64;
+        for kernel in [Kernel::Adaptive, Kernel::SortedOnly] {
+            let mut engine = MbetEngine::new(&h, MbetConfig::default(), kernel).with_perm(&perm);
+            let mut blind = Blind(0);
+            let stats = run_roots(&h, &mut engine, &mut blind);
+            assert_eq!((blind.0, stats.emitted), (want, want), "{kernel:?}");
+        }
+        for alg in [Algorithm::MineLmbc, Algorithm::Mbea, Algorithm::Imbea] {
+            let mut engine = crate::baseline::BaselineEngine::new(&h, alg).with_perm(&perm);
+            let (mut blind, mut stats) = (Blind(0), Stats::default());
+            let mut builder = TaskBuilder::new(&h);
+            for v in 0..h.num_v() {
+                if let Some(t) = builder.build(v) {
+                    assert!(engine.run_task(&t, &mut blind, &mut stats).is_continue());
+                }
+            }
+            assert_eq!((blind.0, stats.emitted), (want, want), "{alg:?}");
         }
     }
 

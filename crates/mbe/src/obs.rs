@@ -436,7 +436,7 @@ impl<'a> ObsCtx<'a> {
 
 /// Sink adapter counting *delivered* emissions per worker and firing
 /// `on_emit_sample` at the configured cadence. Sits between the control
-/// gate and the mapping/user sink, so its count equals this worker's
+/// gate and the user sink, so its count equals this worker's
 /// contribution to `Stats::emitted`.
 pub(crate) struct RecordingSink<'a, S: BicliqueSink> {
     inner: &'a mut S,
@@ -474,6 +474,10 @@ impl<S: BicliqueSink> BicliqueSink for RecordingSink<'_, S> {
             self.obs.sample(self.emitted);
         }
         ControlFlow::Continue(())
+    }
+
+    fn reads_ids(&self) -> bool {
+        self.inner.reads_ids()
     }
 }
 

@@ -66,7 +66,7 @@ use crate::checkpoint::ResumeTask;
 use crate::metrics::{RunMetrics, Stats, WorkerMetrics};
 use crate::obs::{DriverKind, ObsCtx, RecordingSink, SegmentInfo};
 use crate::run::{ControlState, ControlledSink, MbeError, RunControl, StopReason};
-use crate::sink::{BicliqueSink, MapRight};
+use crate::sink::BicliqueSink;
 use crate::task::{Roots, TaskRunner};
 use crate::MbeOptions;
 use bigraph::BipartiteGraph;
@@ -469,9 +469,9 @@ impl Drop for Held<'_> {
 
 /// One worker of `pool`, over the ordered graph `h` whose right ids map
 /// back through `perm`: runs tasks until the pool is empty or the run
-/// stops (then drains), delivering into `sink`, and returns the worker's
-/// stats and telemetry. Splits only when the pool has more than one
-/// worker.
+/// stops (then drains), delivering into `sink` in caller ids, and
+/// returns the worker's stats and telemetry. Splits only when the pool
+/// has more than one worker.
 fn worker_loop<S: BicliqueSink>(
     pool: &Pool<'_>,
     local: &Worker<ResumeTask>,
@@ -481,8 +481,7 @@ fn worker_loop<S: BicliqueSink>(
     sink: &mut S,
     obs: ObsCtx<'_>,
 ) -> (Stats, WorkerMetrics) {
-    let mut runner = TaskRunner::new(h, opts, pool.stealers.len() > 1);
-    let mut mapped = MapRight::new(sink, perm);
+    let mut runner = TaskRunner::new(h, perm, opts, pool.stealers.len() > 1);
     let mut stats = Stats::default();
     let mut wm = WorkerMetrics::new(obs.worker);
     let backoff = Backoff::new();
@@ -528,7 +527,7 @@ fn worker_loop<S: BicliqueSink>(
 
         let nodes_before = stats.nodes;
         let result = {
-            let mut recording = RecordingSink::with_base(&mut mapped, obs, stats.emitted);
+            let mut recording = RecordingSink::with_base(&mut *sink, obs, stats.emitted);
             let mut controlled = ControlledSink::new(&pool.state, &mut recording);
             runner.run(&task, &mut controlled, &mut stats, obs, &mut wm)
         };

@@ -341,6 +341,10 @@ impl<S: BicliqueSink> BicliqueSink for ControlledSink<'_, S> {
             ControlFlow::Break(r) => ControlFlow::Break(self.state.note_stop(r)),
         }
     }
+
+    fn reads_ids(&self) -> bool {
+        self.inner.reads_ids()
+    }
 }
 
 /// Errors from the [`Enumeration`] terminals.

@@ -56,10 +56,14 @@ impl Biclique {
 ///   non-empty. A stopped run calls it for a duplicate-free subset —
 ///   never twice for the same biclique, at any thread count.
 /// - **Input-id space.** Both slices are sorted ascending and use the
-///   caller's original vertex ids: any internal [`VertexOrder`]
-///   permutation is un-applied before the sink sees the biclique.
-///   (Engines call sinks through an internal remapping adapter; the raw
-///   engine layer emits internal ids.)
+///   caller's original vertex ids: the engines un-apply any internal
+///   [`VertexOrder`] permutation as they build the slices. (An engine
+///   built directly with `MbetEngine::new` or `BaselineEngine::new`
+///   emits the ids of the graph it was given.)
+/// - **Ids only when read.** A sink whose [`reads_ids`] returns `false`
+///   is handed two empty slices per biclique: the engines skip building
+///   them. It still gets exactly one call per biclique, with the same
+///   verdict semantics.
 /// - **Stop semantics.** Returning `ControlFlow::Break(reason)` requests
 ///   a stop; the driver records the *first* break as the run's
 ///   [`StopReason`] and the emission that returned it is **not** counted
@@ -81,11 +85,21 @@ impl Biclique {
 ///
 /// [`Checkpoint`]: crate::Checkpoint
 /// [`VertexOrder`]: bigraph::order::VertexOrder
+/// [`reads_ids`]: BicliqueSink::reads_ids
 pub trait BicliqueSink {
     /// Called once per maximal biclique. Both slices are sorted
     /// ascending. Return [`CONTINUE`] to keep enumerating or
     /// `ControlFlow::Break(reason)` to stop the run.
     fn emit(&mut self, left: &[u32], right: &[u32]) -> ControlFlow<StopReason>;
+
+    /// Whether [`emit`](Self::emit) reads the vertex ids it is handed.
+    /// `false` lets the engines skip translating and sorting them, and
+    /// pass empty slices instead. The engines ask once per task, so the
+    /// answer must not change during a run. A sink that wraps another
+    /// forwards its answer. Defaults to `true`.
+    fn reads_ids(&self) -> bool {
+        true
+    }
 }
 
 /// Collects every biclique into a vector.
@@ -140,6 +154,11 @@ impl BicliqueSink for CountSink {
     fn emit(&mut self, _left: &[u32], _right: &[u32]) -> ControlFlow<StopReason> {
         self.n += 1;
         CONTINUE
+    }
+
+    /// A count needs no ids.
+    fn reads_ids(&self) -> bool {
+        false
     }
 }
 
@@ -221,30 +240,6 @@ impl<F: FnMut(&[u32], &[u32]) -> ControlFlow<StopReason>> BicliqueSink for FnSin
     }
 }
 
-/// Internal adapter: translates reordered right-side ids back to the
-/// caller's id space before forwarding (`perm[internal_id] =
-/// original_id`), propagating the inner sink's verdict unchanged.
-pub(crate) struct MapRight<'a, S: BicliqueSink> {
-    inner: &'a mut S,
-    perm: &'a [u32],
-    buf: Vec<u32>,
-}
-
-impl<'a, S: BicliqueSink> MapRight<'a, S> {
-    pub(crate) fn new(inner: &'a mut S, perm: &'a [u32]) -> Self {
-        MapRight { inner, perm, buf: Vec::new() }
-    }
-}
-
-impl<S: BicliqueSink> BicliqueSink for MapRight<'_, S> {
-    fn emit(&mut self, left: &[u32], right: &[u32]) -> ControlFlow<StopReason> {
-        self.buf.clear();
-        self.buf.extend(right.iter().map(|&v| self.perm[v as usize]));
-        self.buf.sort_unstable();
-        self.inner.emit(left, &self.buf)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,18 +307,6 @@ mod tests {
     }
 
     #[test]
-    fn map_right_translates_and_resorts() {
-        let mut inner = CollectSink::new();
-        // perm[new] = old: internal 0 -> original 5, internal 1 -> 3.
-        let perm = [5u32, 3];
-        let mut m = MapRight::new(&mut inner, &perm);
-        assert!(m.emit(&[7], &[0, 1]).is_continue());
-        let v = inner.into_vec();
-        assert_eq!(v[0].right, [3, 5]);
-        assert_eq!(v[0].left, [7]);
-    }
-
-    #[test]
     fn fn_sink_stop_propagates() {
         let mut count = 0;
         let mut s = FnSink(|_l: &[u32], _r: &[u32]| {
@@ -339,10 +322,31 @@ mod tests {
     }
 
     #[test]
-    fn map_right_propagates_stop_verdict() {
-        let mut inner = FnSink(|_l: &[u32], _r: &[u32]| STOP);
-        let perm = [0u32, 1];
-        let mut m = MapRight::new(&mut inner, &perm);
-        assert_eq!(m.emit(&[0], &[1]), ControlFlow::Break(StopReason::SinkStopped));
+    fn only_a_count_reads_no_ids() {
+        assert!(!CountSink::default().reads_ids());
+        assert!(CollectSink::new().reads_ids());
+        assert!(TrieSink::unbounded().reads_ids());
+        assert!(FnSink(|_: &[u32], _: &[u32]| CONTINUE).reads_ids());
+        let theta = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        assert!(crate::extremal::TopKSink::new(3, theta).reads_ids());
+    }
+
+    #[test]
+    fn adapters_forward_reads_ids_and_the_stop_verdict() {
+        let control = crate::RunControl::new();
+        let state = crate::run::ControlState::with_obs(&control, crate::obs::ObsCtx::noop());
+        let mut count = CountSink::default();
+        let mut rec = crate::obs::RecordingSink::new(&mut count, crate::obs::ObsCtx::noop());
+        assert!(!rec.reads_ids());
+        let ctl = crate::run::ControlledSink::new(&state, &mut rec);
+        assert!(!ctl.reads_ids());
+
+        let mut stop = FnSink(|_: &[u32], _: &[u32]| STOP);
+        let mut rec = crate::obs::RecordingSink::new(&mut stop, crate::obs::ObsCtx::noop());
+        assert!(rec.reads_ids());
+        let mut ctl = crate::run::ControlledSink::new(&state, &mut rec);
+        assert!(ctl.reads_ids());
+        assert_eq!(ctl.emit(&[0], &[1]), ControlFlow::Break(StopReason::SinkStopped));
+        assert_eq!(state.stopped(), Some(StopReason::SinkStopped));
     }
 }

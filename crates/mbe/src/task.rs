@@ -135,9 +135,9 @@ pub(crate) fn covered_by_excluded<N: NbrSource + ?Sized>(
 }
 
 /// One pass over `untraversed` splitting it by local degree against
-/// `l_new`: full coverage → `absorbed` (joins `R'`), partial overlap →
-/// `p_new` (stays a candidate), empty overlap → dropped. Outputs are
-/// cleared first and keep the input's relative order.
+/// `l_new`: full coverage → appended to `absorbed` (joins `R'`), partial
+/// overlap → `p_new` (stays a candidate; cleared first), empty overlap →
+/// dropped. Both keep the input's relative order.
 pub(crate) fn partition_candidates<N: NbrSource + ?Sized>(
     n: &N,
     untraversed: &[u32],
@@ -145,7 +145,6 @@ pub(crate) fn partition_candidates<N: NbrSource + ?Sized>(
     absorbed: &mut Vec<u32>,
     p_new: &mut Vec<u32>,
 ) {
-    absorbed.clear();
     p_new.clear();
     for &w in untraversed {
         let common = setops::intersect_count(n.nbr(w), l_new);
@@ -306,6 +305,9 @@ impl Iterator for Roots<'_> {
 /// through [`TaskRunner::run`].
 pub(crate) struct TaskRunner<'g> {
     g: &'g BipartiteGraph,
+    /// The ordering permutation `g` was built with, which the engine
+    /// un-applies on emission.
+    perm: &'g [u32],
     opts: MbeOptions,
     engine: AnyEngine<'g>,
     builder: TaskBuilder<'g>,
@@ -315,11 +317,19 @@ pub(crate) struct TaskRunner<'g> {
 }
 
 impl<'g> TaskRunner<'g> {
-    pub(crate) fn new(g: &'g BipartiteGraph, opts: &MbeOptions, split: bool) -> Self {
+    /// A runner over the ordered graph `g`, whose right ids go back to
+    /// the caller's through `perm` (`perm[internal] = caller`).
+    pub(crate) fn new(
+        g: &'g BipartiteGraph,
+        perm: &'g [u32],
+        opts: &MbeOptions,
+        split: bool,
+    ) -> Self {
         TaskRunner {
             g,
+            perm,
             opts: opts.clone(),
-            engine: AnyEngine::new(g, opts),
+            engine: AnyEngine::new(g, perm, opts),
             builder: TaskBuilder::new(g),
             split,
         }
@@ -373,7 +383,7 @@ impl<'g> TaskRunner<'g> {
         if result.is_err() {
             // Mid-unwind scratch (the engine's recursion, the builder's
             // 2-hop marks) must not survive the task.
-            self.engine = AnyEngine::new(self.g, &self.opts);
+            self.engine = AnyEngine::new(self.g, self.perm, &self.opts);
             self.builder = TaskBuilder::new(self.g);
         }
         if let Some((info, t0)) = started {
@@ -427,13 +437,17 @@ pub(crate) enum AnyEngine<'g> {
 }
 
 impl<'g> AnyEngine<'g> {
-    pub(crate) fn new(g: &'g BipartiteGraph, opts: &MbeOptions) -> Self {
+    /// The engine of `opts` over the ordered graph `g`, emitting caller
+    /// ids through `perm`.
+    pub(crate) fn new(g: &'g BipartiteGraph, perm: &'g [u32], opts: &MbeOptions) -> Self {
         let bound = opts.bound.clone();
         match opts.algorithm {
             Algorithm::Mbet => AnyEngine::Mbet(Box::new(
-                MbetEngine::new(g, opts.mbet, opts.kernel).with_bound(bound),
+                MbetEngine::new(g, opts.mbet, opts.kernel).with_bound(bound).with_perm(perm),
             )),
-            alg => AnyEngine::Baseline(BaselineEngine::new(g, alg).with_bound(bound)),
+            alg => {
+                AnyEngine::Baseline(BaselineEngine::new(g, alg).with_bound(bound).with_perm(perm))
+            }
         }
     }
 

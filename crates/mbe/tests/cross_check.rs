@@ -44,6 +44,8 @@ proptest! {
         }
     }
 
+    /// Every engine emits the caller's ids, both sides strictly
+    /// increasing, under every order, on one worker and split across two.
     #[test]
     fn ordering_does_not_change_the_result(g in random_graph(), seed in 0u64..1000) {
         let want = brute_force(&g);
@@ -54,11 +56,21 @@ proptest! {
             VertexOrder::Unilateral,
             VertexOrder::Random(seed),
         ] {
-            for alg in [Algorithm::Mbea, Algorithm::Mbet] {
-                let mut got =
-                    Enumeration::new(&g).algorithm(alg).order(order).collect().unwrap().bicliques;
-                got.sort();
-                prop_assert_eq!(&got, &want, "{:?} {:?}", alg, order);
+            for alg in Algorithm::all() {
+                let one = MbeOptions::new(alg).order(order);
+                let mut split = one.clone().threads(2);
+                split.split_height = 0;
+                split.split_size = 0;
+                for opts in [one, split] {
+                    let threads = opts.threads;
+                    let mut got = Enumeration::new(&g).options(opts).collect().unwrap().bicliques;
+                    for b in &got {
+                        prop_assert!(setops::is_strictly_increasing(&b.left), "{:?}", b);
+                        prop_assert!(setops::is_strictly_increasing(&b.right), "{:?}", b);
+                    }
+                    got.sort();
+                    prop_assert_eq!(&got, &want, "{:?} {:?} threads={}", alg, order, threads);
+                }
             }
         }
     }

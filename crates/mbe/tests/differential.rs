@@ -485,6 +485,13 @@ fn one_worker_stop_checkpoints_the_recorded_bytes() {
     let bytes = stopped.checkpoint.expect("budget-stopped run must checkpoint").to_bytes();
     assert_eq!(bytes.len(), 3226);
     assert_eq!(bigraph::codec::fnv1a(&bytes), 0xc588_4c3d_24d9_7a93);
+    // A count reads no ids, so its engine never builds a sorted `R'`
+    // until it captures the frontier: the bytes must not move.
+    let counted = Enumeration::new(&g).max_bicliques(924).count().unwrap();
+    assert_eq!(counted.count(), 924);
+    let counted = counted.checkpoint.expect("budget-stopped count must checkpoint").to_bytes();
+    assert_eq!(counted.len(), 3226);
+    assert_eq!(bigraph::codec::fnv1a(&counted), 0xc588_4c3d_24d9_7a93);
 }
 
 // ---------------------------------------------------------------------------

@@ -16,7 +16,10 @@
 //! * at every stop point `max_bicliques = 1..=B`, the stopped run and its
 //!   resume are disjoint and together the complete set: every engine on
 //!   one worker, and MBET at 2 threads with forced splitting, MBET both
-//!   under the default kernel and under `SortedOnly`.
+//!   under the default kernel and under `SortedOnly`;
+//! * on one worker, a count stopped at the same point (its sink reads no
+//!   ids, so the engines skip building them) stops with the collecting
+//!   run's counters and checkpoint bytes.
 //!
 //! Tier-1 runs the 3×4 scope (4,096 graphs). The 4×4 scope (65,536
 //! graphs) is ignored by default; run it in a release build with
@@ -82,10 +85,22 @@ fn complete(g: &BipartiteGraph, opts: &MbeOptions, want: &[Biclique], what: &str
 /// Every stop point `max_bicliques = 1..=B` of `opts` over `g`: the
 /// stopped run emits exactly `k`, its resume completes, and the two are
 /// disjoint with union `want`. At `k = B` the run completes uncheckpointed.
+/// On one worker, a count stopped at `k` (its sink reads no ids) stops as
+/// the collecting run does, with the same counters and checkpoint bytes.
 fn stop_points(g: &BipartiteGraph, opts: &MbeOptions, want: &[Biclique], what: &str) {
     for k in 1..=want.len() as u64 {
         let stopped = Enumeration::new(g).options(opts.clone()).max_bicliques(k).collect().unwrap();
         assert_eq!(stopped.bicliques.len() as u64, k, "{what} k={k}: emitted");
+        if opts.threads == 1 {
+            let counted = Enumeration::new(g).options(opts.clone()).max_bicliques(k).count();
+            let counted = counted.unwrap();
+            assert_eq!(counted.count(), k, "{what} k={k}: counted");
+            assert_eq!(counted.stop, stopped.stop, "{what} k={k}: count stop");
+            let search = |s: &Stats| Stats { elapsed: Default::default(), ..s.clone() };
+            assert_eq!(search(&counted.stats), search(&stopped.stats), "{what} k={k}: count stats");
+            let bytes = |r: &Report| r.checkpoint.as_ref().map(|c| c.to_bytes());
+            assert_eq!(bytes(&counted), bytes(&stopped), "{what} k={k}: count checkpoint");
+        }
         let mut union = stopped.bicliques;
         match stopped.checkpoint {
             Some(ckpt) => {
