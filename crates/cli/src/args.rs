@@ -584,7 +584,8 @@ USAGE:
       side structure). The graph is decomposed into a small odd cycle
       transversal plus a bipartite remainder; each transversal side
       assignment runs the bipartite engine on a compacted instance, and
-      results are deduplicated and maximality-filtered globally.
+      each biclique, found by the one unit that owns it, is
+      maximality-filtered globally.
         --algorithm mbet|mbea|imbea|minelmbc   inner engine (default mbet)
         --order asc|desc|unilateral|natural|random:SEED
         --threads N        worker threads for each inner run (0 = all
@@ -596,8 +597,8 @@ USAGE:
         --timeout SECS     stop after SECS seconds, report partial results
         --max-bicliques N  stop after N bicliques have been emitted
         --checkpoint PATH  write a resumable position on an early stop
-                           (covers the dedup state: a stopped + resumed
-                           pair emits no duplicates)
+                           (the next unit and what it already handled:
+                           a stopped + resumed pair emits no duplicates)
         --resume PATH      continue from a checkpoint; pins the original
                            algorithm/order
         --trace PATH       JSONL event trace (one bracket per assignment
@@ -608,7 +609,7 @@ USAGE:
       Refuses --min-left/--min-right above 1 and --top-k: those bounds
       apply only to bipartite graphs (a server answers `wrong-kind`).
       Interactive runs can be cancelled by typing `q` + Enter; the stop
-      lands between assignment units and is checkpointable.
+      lands inside the running unit and is checkpointable.
 
   mbe-cli generate <model> --output FILE [--seed S] [--scale X]
       Write a synthetic bipartite graph as an edge list. Models:

@@ -672,9 +672,8 @@ fn run_enumerate(g: &BipartiteGraph, flags: &RunFlags) -> ExitCode {
 
 /// The general-graph analogue of [`run_enumerate`]: the OCT driver with
 /// the same control/observability surface. `--max-bicliques` is passed
-/// to the driver (which counts deduplicated final emissions) rather
-/// than to the control (which would gate raw per-assignment candidates
-/// before dedup).
+/// to the driver (which counts final, maximal emissions) rather than to
+/// the control (which would count each inner run's raw candidates).
 fn run_oct_enumerate(g: &bigraph::general::GeneralGraph, flags: &RunFlags) -> ExitCode {
     let params = &flags.params;
     let control = local_control(params);
@@ -730,11 +729,10 @@ fn run_oct_enumerate(g: &bigraph::general::GeneralGraph, flags: &RunFlags) -> Ex
     );
     println!(
         "{} maximal induced bicliques in {:?} \
-         (candidates={} duplicates={} nonmaximal={})",
+         (candidates={} nonmaximal={})",
         report.stats.emitted,
         report.stats.elapsed,
         report.stats.candidates,
-        report.stats.duplicates,
         report.stats.nonmaximal
     );
     if !params.count_only {

@@ -2,18 +2,24 @@
 //!
 //! An [`OctCheckpoint`] pins the graph (fingerprint), the inner-engine
 //! configuration (algorithm + order), the next *enumeration unit* to
-//! run (an assignment code plus the unit kind within it), and the full
-//! set of dedup keys inserted so far. Carrying the dedup state is what
-//! makes `stopped ∪ resumed` equal the complete run **duplicate-free**:
-//! a candidate discovered under an early assignment and re-discovered
-//! under a later one after resume is recognized and suppressed, even
-//! though the two discoveries happened in different processes.
+//! run (an assignment code plus the unit kind within it), and the keys
+//! of the candidates that unit handled before the stop. Each candidate
+//! has one owner unit ([`crate::driver`]), so a resume re-runs that one
+//! unit, skipping the keyed candidates, and then every later unit in
+//! full: `stopped ∪ resumed` equals the complete run
+//! **duplicate-free**, at any inner thread count. The keys are only
+//! that unit's, so the bytes grow with one unit's output, not the
+//! run's. A stop inside the resumed unit keeps the carried keys and
+//! adds its own, because a partial re-run need not reach them all; a
+//! stop in any later unit, a cancel before it runs included, starts
+//! afresh.
 //!
 //! The bytes are `MBOK`, a `u8` version, then the fields below, sealed
 //! in the envelope `mbe::checkpoint` also uses ([`bigraph::codec::seal`]:
 //! the magic is checked before the FNV-1a trailer). Hostile length
 //! prefixes are rejected before any allocation is sized by them, and
 //! decoding is strict: whatever decodes re-encodes to the same bytes.
+//! Errors are [`mbe::CheckpointError`], as for `MBCK`.
 //!
 //! ```text
 //! version    u8        currently 1
@@ -24,77 +30,14 @@
 //! n_keys     u64, then per key a u32-length-prefixed u32 list
 //! ```
 
-use bigraph::codec::{self, put_u32_list, put_u64, put_u8, CodecError};
+use bigraph::codec::{self, put_u32_list, put_u64, put_u8};
 use bigraph::general::GeneralGraph;
 use bigraph::order::VertexOrder;
-use mbe::Algorithm;
+use mbe::{Algorithm, CheckpointError};
 use std::path::Path;
 
 const MAGIC: [u8; 4] = *b"MBOK";
 const VERSION: u8 = 1;
-
-/// Why a checkpoint could not be decoded, validated, or applied.
-#[derive(Debug)]
-pub enum OctCheckpointError {
-    /// Payload ends before a fixed-size field.
-    Truncated,
-    /// The magic bytes are not `MBOK`.
-    BadMagic,
-    /// Unknown format version.
-    BadVersion(u8),
-    /// A structural rule was violated (hostile length prefix, unknown
-    /// enum tag, unsorted key, ...).
-    Corrupt(&'static str),
-    /// The trailer checksum does not match the payload.
-    ChecksumMismatch,
-    /// The checkpoint was taken on a different graph.
-    FingerprintMismatch,
-    /// Underlying I/O failure while loading or saving.
-    Io(std::io::Error),
-}
-
-impl std::fmt::Display for OctCheckpointError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            OctCheckpointError::Truncated => write!(f, "checkpoint truncated"),
-            OctCheckpointError::BadMagic => write!(f, "not an OCT checkpoint (bad magic)"),
-            OctCheckpointError::BadVersion(v) => write!(f, "unsupported checkpoint version {v}"),
-            OctCheckpointError::Corrupt(what) => write!(f, "corrupt checkpoint: {what}"),
-            OctCheckpointError::ChecksumMismatch => write!(f, "checkpoint checksum mismatch"),
-            OctCheckpointError::FingerprintMismatch => {
-                write!(f, "checkpoint was taken on a different graph")
-            }
-            OctCheckpointError::Io(e) => write!(f, "i/o error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for OctCheckpointError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            OctCheckpointError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for OctCheckpointError {
-    fn from(e: std::io::Error) -> Self {
-        OctCheckpointError::Io(e)
-    }
-}
-
-impl From<CodecError> for OctCheckpointError {
-    fn from(e: CodecError) -> Self {
-        match e {
-            CodecError::Truncated(_) => OctCheckpointError::Truncated,
-            CodecError::Invalid(what) => OctCheckpointError::Corrupt(what),
-            CodecError::Trailing => OctCheckpointError::Corrupt("trailing bytes"),
-            CodecError::BadMagic => OctCheckpointError::BadMagic,
-            CodecError::ChecksumMismatch => OctCheckpointError::ChecksumMismatch,
-        }
-    }
-}
 
 /// A resumable position of the OCT driver. See the module docs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -111,8 +54,12 @@ pub struct OctCheckpoint {
     pub next_kind: u8,
     /// Cumulative bicliques emitted across all runs so far.
     pub emitted: u64,
-    /// Every dedup key (sorted `A ∪ B` vertex set) inserted so far —
-    /// emitted, duplicate-suppressed, and maximality-rejected alike.
+    /// The sorted `A ∪ B` vertex set of every candidate the unit
+    /// `(next_code, next_kind)` handled before the stop, in this run or
+    /// the runs it resumed, emitted and maximality-rejected alike; a
+    /// resume skips these in that unit. Files from builds that kept a
+    /// run-long key log also carry earlier units' keys, which never
+    /// recur.
     pub keys: Vec<Vec<u32>>,
 }
 
@@ -139,11 +86,11 @@ impl OctCheckpoint {
 
     /// Decodes and verifies a serialized checkpoint. Hostile length
     /// prefixes are rejected before any allocation is sized by them.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, OctCheckpointError> {
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
         let mut r = codec::open(&MAGIC, bytes)?;
         let version = r.u8("version")?;
         if version != VERSION {
-            return Err(OctCheckpointError::BadVersion(version));
+            return Err(CheckpointError::UnsupportedVersion(version.into()));
         }
         let fingerprint = r.u64("fingerprint")?;
         let algorithm = Algorithm::from_tag(r.u8("algorithm")?)?;
@@ -151,20 +98,20 @@ impl OctCheckpoint {
         let next_code = r.u64("next code")?;
         let next_kind = r.u8("next kind")?;
         if next_kind > 1 {
-            return Err(OctCheckpointError::Corrupt("unit kind out of range"));
+            return Err(CheckpointError::Malformed("unit kind out of range"));
         }
         let emitted = r.u64("emitted")?;
         let n_keys = r.u64("key count")?;
         // Each key costs at least 4 bytes (its length prefix); a count
         // larger than the payload could carry is hostile.
         if n_keys > (r.remaining() / 4) as u64 {
-            return Err(OctCheckpointError::Corrupt("key count exceeds payload"));
+            return Err(CheckpointError::Malformed("key count exceeds payload"));
         }
         let mut keys = Vec::with_capacity(n_keys as usize);
         for _ in 0..n_keys {
             let key = r.u32_list("key")?;
             if !key.windows(2).all(|w| w[0] < w[1]) {
-                return Err(OctCheckpointError::Corrupt("key not strictly increasing"));
+                return Err(CheckpointError::Malformed("key not strictly increasing"));
             }
             keys.push(key);
         }
@@ -172,21 +119,24 @@ impl OctCheckpoint {
         Ok(OctCheckpoint { fingerprint, algorithm, order, next_code, next_kind, emitted, keys })
     }
 
-    /// `true` iff this checkpoint was taken on (a structural twin of)
-    /// `g`.
-    pub fn matches(&self, g: &GeneralGraph) -> bool {
-        self.fingerprint == g.fingerprint()
-    }
-
-    /// Writes the checkpoint to a file.
-    pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<(), OctCheckpointError> {
-        std::fs::write(path, self.to_bytes())?;
+    /// Checks that this checkpoint was taken on (a structural twin of)
+    /// `g`: [`CheckpointError::GraphMismatch`] otherwise.
+    pub fn matches(&self, g: &GeneralGraph) -> Result<(), CheckpointError> {
+        let found = g.fingerprint();
+        if found != self.fingerprint {
+            return Err(CheckpointError::GraphMismatch { expected: self.fingerprint, found });
+        }
         Ok(())
     }
 
+    /// Writes the checkpoint to a file.
+    pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<(), CheckpointError> {
+        std::fs::write(path, self.to_bytes()).map_err(|e| CheckpointError::Io(e.to_string()))
+    }
+
     /// Reads and verifies a checkpoint from a file.
-    pub fn load<P: AsRef<Path>>(path: P) -> Result<Self, OctCheckpointError> {
-        Self::from_bytes(&std::fs::read(path)?)
+    pub fn load<P: AsRef<Path>>(path: P) -> Result<Self, CheckpointError> {
+        Self::from_bytes(&std::fs::read(path).map_err(|e| CheckpointError::Io(e.to_string()))?)
     }
 }
 
@@ -221,7 +171,7 @@ mod tests {
         bytes[mid] ^= 0xff;
         assert!(matches!(
             OctCheckpoint::from_bytes(&bytes),
-            Err(OctCheckpointError::ChecksumMismatch)
+            Err(CheckpointError::ChecksumMismatch)
         ));
     }
 
@@ -247,7 +197,7 @@ mod tests {
         bytes.extend_from_slice(&sum.to_le_bytes());
         assert!(matches!(
             OctCheckpoint::from_bytes(&bytes),
-            Err(OctCheckpointError::Corrupt("key count exceeds payload"))
+            Err(CheckpointError::Malformed("key count exceeds payload"))
         ));
     }
 
@@ -258,13 +208,10 @@ mod tests {
         let n = bytes.len();
         let sum = codec::fnv1a(&bytes[..n - 8]);
         bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
-        assert!(matches!(OctCheckpoint::from_bytes(&bytes), Err(OctCheckpointError::BadMagic)));
+        assert!(matches!(OctCheckpoint::from_bytes(&bytes), Err(CheckpointError::BadMagic)));
         // The magic is checked before the checksum: a foreign file is bad
         // magic, whatever its trailer.
-        assert!(matches!(
-            OctCheckpoint::from_bytes(&[b'A'; 64]),
-            Err(OctCheckpointError::BadMagic)
-        ));
+        assert!(matches!(OctCheckpoint::from_bytes(&[b'A'; 64]), Err(CheckpointError::BadMagic)));
 
         let mut bytes = sample().to_bytes();
         bytes[4] = 99;
@@ -273,7 +220,7 @@ mod tests {
         bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
         assert!(matches!(
             OctCheckpoint::from_bytes(&bytes),
-            Err(OctCheckpointError::BadVersion(99))
+            Err(CheckpointError::UnsupportedVersion(99))
         ));
     }
 
@@ -288,7 +235,7 @@ mod tests {
         bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
         assert!(matches!(
             OctCheckpoint::from_bytes(&bytes),
-            Err(OctCheckpointError::Corrupt("vertex order"))
+            Err(CheckpointError::Malformed("vertex order"))
         ));
     }
 

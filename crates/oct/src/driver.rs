@@ -25,21 +25,37 @@
 //!   extremes, handled directly), so the same stock engine runs here
 //!   too.
 //!
-//! Candidates are deduplicated across assignments through a
-//! [`TrieSink`]-backed R-set trie keyed by the sorted vertex set
-//! `A ∪ B` — for a biclique with two non-empty sides the union
-//! determines the pair, because a complete bipartite graph with two
-//! non-empty sides is connected and its bipartition is unique. A fresh
-//! candidate may still be *non-maximal in the full graph* (it was
-//! maximal only within its assignment's instance), so each one is
-//! maximality-checked against the general graph before being emitted.
+//! Every induced biclique `(A, B)` a unit produces has one *owner*
+//! unit, a function of the pair alone: its assignment puts `A ∩ S` and
+//! `B ∩ S` on the two sides, and
+//!
+//! * when both sides keep remainder vertices, these lie in opposite
+//!   certificate classes, and the owner is the crossing unit with the
+//!   `X`-class side first;
+//! * when one side keeps them, the other lies inside the transversal,
+//!   and the owner is the same-side unit with the remainder side first;
+//! * when neither does (a *transversal-only* biclique), the mirrored
+//!   same-side units `(S_L, S_R)` and `(S_R, S_L)` both reach it, and
+//!   only the one with `l_mask > r_mask`, the smaller assignment code,
+//!   emits it.
+//!
+//! So no unit finds another unit's candidate, no candidate is found
+//! twice, and the driver keeps no record of what it emitted; debug
+//! builds recompute each candidate's owner and check that it is the
+//! running unit. A candidate may still be *non-maximal in the full
+//! graph* (it was maximal only within its unit's instance), so each one
+//! is maximality-checked against the general graph before being
+//! emitted. A stop names the unit to re-run and the candidates that
+//! unit handled before it ([`OctCheckpoint`]).
 
-use crate::checkpoint::{OctCheckpoint, OctCheckpointError};
+use crate::checkpoint::OctCheckpoint;
 use crate::decompose::{decompose, Decomposition};
 use bigraph::general::GeneralGraph;
 use bigraph::order::VertexOrder;
 use bigraph::{BipartiteGraph, GraphBuilder, LocalGraph};
-use mbe::{Algorithm, Biclique, Enumeration, MbeError, Observer, RunControl, StopReason, TrieSink};
+use mbe::{
+    Algorithm, Biclique, CheckpointError, Enumeration, MbeError, Observer, RunControl, StopReason,
+};
 use std::time::{Duration, Instant};
 
 /// Default cap on the transversal size the driver will accept.
@@ -65,7 +81,7 @@ pub enum OctError {
     /// An inner bipartite enumeration failed.
     Engine(MbeError),
     /// A resume checkpoint could not be validated or applied.
-    Checkpoint(OctCheckpointError),
+    Checkpoint(CheckpointError),
 }
 
 impl std::fmt::Display for OctError {
@@ -97,8 +113,8 @@ impl From<MbeError> for OctError {
     }
 }
 
-impl From<OctCheckpointError> for OctError {
-    fn from(e: OctCheckpointError) -> Self {
+impl From<CheckpointError> for OctError {
+    fn from(e: CheckpointError) -> Self {
         OctError::Checkpoint(e)
     }
 }
@@ -119,13 +135,13 @@ pub struct OctStats {
     /// Inner engine invocations (units can skip the engine when an
     /// instance side is empty).
     pub inner_runs: u64,
-    /// Bicliques the inner engines emitted (pre-dedup).
+    /// Bicliques the inner engines emitted.
     pub inner_emitted: u64,
-    /// Candidates examined (inner emissions plus direct candidates).
+    /// Candidates maximality-checked this run: inner emissions and
+    /// direct candidates, each in the one unit that owns it. A resumed
+    /// unit's candidates from before the stop are skipped, not counted.
     pub candidates: u64,
-    /// Candidates suppressed as cross-assignment duplicates.
-    pub duplicates: u64,
-    /// Fresh candidates rejected by the full-graph maximality check.
+    /// Candidates rejected by the full-graph maximality check.
     pub nonmaximal: u64,
     /// Bicliques emitted, cumulative across resumed runs.
     pub emitted: u64,
@@ -224,11 +240,12 @@ impl<'g> OctEnumeration<'g> {
         self
     }
 
-    /// Shares a control handle: its cancel flag and deadline are
-    /// propagated into every inner run and observed between units.
+    /// Shares a control handle: its cancel flag and deadline stop the
+    /// running unit's inner enumeration, and a cancel is also checked
+    /// between units.
     /// Prefer [`OctEnumeration::max_bicliques`] over the control's
-    /// emission budget — the latter would gate raw *candidate*
-    /// emissions before dedup.
+    /// emission budget — the latter would count each inner run's own
+    /// emissions, before the maximality filter, afresh in every unit.
     pub fn control(mut self, c: RunControl) -> Self {
         self.control = c;
         self
@@ -240,8 +257,7 @@ impl<'g> OctEnumeration<'g> {
         self
     }
 
-    /// Stops after emitting this many (deduplicated, maximal)
-    /// bicliques in this run.
+    /// Stops after emitting this many maximal bicliques in this run.
     pub fn max_bicliques(mut self, n: u64) -> Self {
         self.max_bicliques = Some(n);
         self
@@ -256,8 +272,9 @@ impl<'g> OctEnumeration<'g> {
     }
 
     /// Resumes from a checkpoint: pinned algorithm/order are copied
-    /// from it and the dedup state is restored, so
-    /// `stopped ∪ resumed` equals the complete run duplicate-free.
+    /// from it, the sweep restarts at its unit, and that unit skips the
+    /// candidates it handled before the stop, so `stopped ∪ resumed`
+    /// equals the complete run duplicate-free.
     pub fn resume(mut self, c: OctCheckpoint) -> Self {
         self.algorithm = c.algorithm;
         self.order = c.order;
@@ -282,34 +299,27 @@ impl<'g> OctEnumeration<'g> {
         self.run(false)
     }
 
-    fn run(self, keep: bool) -> Result<OctReport, OctError> {
+    fn run(mut self, keep: bool) -> Result<OctReport, OctError> {
         let started = Instant::now();
         if self.max_oct > MAX_OCT_LIMIT {
             return Err(OctError::InvalidConfig("max_oct above the supported limit"));
         }
-        let fingerprint = self.g.fingerprint();
         let decomp = decompose(self.g);
         let k = decomp.oct.len() as u32;
         if k > self.max_oct {
             return Err(OctError::TransversalTooLarge { size: k, limit: self.max_oct });
         }
-        let mut driver = Driver::new(self.g, &decomp, keep);
+        let (start_code, start_kind, emitted_base, keys) = match self.resume.take() {
+            Some(c) => {
+                c.matches(self.g)?;
+                (c.next_code, c.next_kind, c.emitted, c.keys)
+            }
+            None => (0, KIND_CROSSING, 0, Vec::new()),
+        };
+        let mut driver = Driver::new(&self, &decomp, keep, keys);
         driver.stats.oct_size = k;
         driver.stats.left_size = driver.x.len() as u32;
         driver.stats.right_size = driver.y.len() as u32;
-
-        let (start_code, start_kind, emitted_base) = match &self.resume {
-            Some(c) => {
-                if c.fingerprint != fingerprint {
-                    return Err(OctError::Checkpoint(OctCheckpointError::FingerprintMismatch));
-                }
-                for key in &c.keys {
-                    driver.restore_key(key);
-                }
-                (c.next_code, c.next_kind, c.emitted)
-            }
-            None => (0, KIND_CROSSING, 0),
-        };
 
         let total_codes = 3u64.checked_pow(k).unwrap_or(u64::MAX);
         let mut stop = StopReason::Completed;
@@ -328,43 +338,35 @@ impl<'g> OctEnumeration<'g> {
                 if kind == KIND_SAME_SIDE && r_mask == 0 {
                     continue;
                 }
-                if self.control.is_cancelled() {
-                    stop = StopReason::Cancelled;
-                    ckpt_at = Some((code, kind));
-                    break 'codes;
-                }
-                let unit_stop = driver.run_unit(
-                    code,
-                    kind,
-                    l_mask,
-                    r_mask,
-                    self.algorithm,
-                    self.order,
-                    self.threads,
-                    &self.control,
-                    self.observer,
-                    self.max_bicliques,
-                )?;
+                let unit_stop = if self.control.is_cancelled() {
+                    Some(StopReason::Cancelled)
+                } else {
+                    driver.run_unit(code, kind, l_mask, r_mask)?
+                };
                 if let Some(reason) = unit_stop {
                     stop = reason;
                     ckpt_at = Some((code, kind));
                     break 'codes;
                 }
+                // The unit is done, and no later unit can find its
+                // candidates: their keys go.
+                driver.unit_keys.clear();
+                driver.skip.clear();
             }
         }
 
-        let emitted_run = driver.emitted;
+        let emitted = emitted_base + driver.emitted;
         let checkpoint = ckpt_at.map(|(next_code, next_kind)| OctCheckpoint {
-            fingerprint,
+            fingerprint: self.g.fingerprint(),
             algorithm: self.algorithm,
             order: self.order,
             next_code,
             next_kind,
-            emitted: emitted_base + emitted_run,
-            keys: driver.keys_log.clone(),
+            emitted,
+            keys: std::mem::take(&mut driver.unit_keys),
         });
         let mut stats = driver.stats;
-        stats.emitted = emitted_base + emitted_run;
+        stats.emitted = emitted;
         stats.elapsed = started.elapsed();
         let metrics = mbe::metrics::RunMetrics { workers: driver.metrics };
         Ok(OctReport {
@@ -394,6 +396,14 @@ fn decode_assignment(code: u64, k: u32) -> (u32, u32) {
     (l, r)
 }
 
+/// The ternary code of the assignment `(l, r)`: the inverse of
+/// [`decode_assignment`].
+fn encode_assignment(l: u32, r: u32) -> u64 {
+    (0..u32::BITS)
+        .rev()
+        .fold(0, |code, i| 3 * code + u64::from(l >> i & 1) + 2 * u64::from(r >> i & 1))
+}
+
 /// Merges two sorted, disjoint id lists.
 fn merge_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
     let mut out = Vec::with_capacity(a.len() + b.len());
@@ -413,8 +423,10 @@ fn merge_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
 }
 
 /// Per-run state shared by all units.
-struct Driver<'g> {
-    g: &'g GeneralGraph,
+struct Driver<'a> {
+    /// The run's graph and options: engine, order, threads, control,
+    /// observer and budget.
+    run: &'a OctEnumeration<'a>,
     /// Sorted transversal ids.
     s: Vec<u32>,
     /// Sorted `X`-class remainder ids.
@@ -430,10 +442,16 @@ struct Driver<'g> {
     g_xy: BipartiteGraph,
     /// Reused compaction buffers for per-unit instances.
     lg: LocalGraph,
-    /// Global dedup trie over `A ∪ B` keys.
-    dedup: TrieSink,
-    /// Every key inserted, for checkpoint serialization.
-    keys_log: Vec<Vec<u32>>,
+    /// The running unit, `(code, kind)`: the owner of every candidate
+    /// it hands to [`Driver::consider`] (checked in debug builds).
+    unit: (u64, u8),
+    /// `A ∪ B` keys of the candidates the running unit has handled, for
+    /// a stop inside it to checkpoint. A resumed run starts with the
+    /// stopped run's keys, which its first unit keeps.
+    unit_keys: Vec<Vec<u32>>,
+    /// The stopped run's keys, sorted: candidates the resumed run's
+    /// first unit skips, because they were handled before the stop.
+    skip: Vec<Vec<u32>>,
     stats: OctStats,
     /// Worker telemetry folded across inner runs, indexed by worker.
     metrics: Vec<mbe::metrics::WorkerMetrics>,
@@ -442,8 +460,14 @@ struct Driver<'g> {
     out: Vec<Biclique>,
 }
 
-impl<'g> Driver<'g> {
-    fn new(g: &'g GeneralGraph, decomp: &Decomposition, keep: bool) -> Self {
+impl<'a> Driver<'a> {
+    fn new(
+        run: &'a OctEnumeration<'a>,
+        decomp: &Decomposition,
+        keep: bool,
+        unit_keys: Vec<Vec<u32>>,
+    ) -> Self {
+        let g = run.g;
         let s = decomp.oct.clone();
         let x = decomp.left();
         let y = decomp.right();
@@ -474,8 +498,10 @@ impl<'g> Driver<'g> {
         }
         let g_xy = BipartiteGraph::from_edges(x.len() as u32, y.len() as u32, &edges)
             .expect("remainder indices are dense by construction");
+        let mut skip = unit_keys.clone();
+        skip.sort_unstable();
         Driver {
-            g,
+            run,
             s,
             x,
             y,
@@ -483,8 +509,9 @@ impl<'g> Driver<'g> {
             oct_mask,
             g_xy,
             lg: LocalGraph::new(setops::Kernel::SortedOnly),
-            dedup: TrieSink::unbounded(),
-            keys_log: Vec::new(),
+            unit: (0, KIND_CROSSING),
+            unit_keys,
+            skip,
             stats: OctStats::default(),
             metrics: Vec::new(),
             emitted: 0,
@@ -511,13 +538,6 @@ impl<'g> Driver<'g> {
             agg.task_latency_us.merge(&wm.task_latency_us);
             agg.depth.merge(&wm.depth);
         }
-    }
-
-    /// Re-inserts a checkpointed dedup key.
-    fn restore_key(&mut self, key: &[u32]) {
-        use mbe::BicliqueSink;
-        let _ = self.dedup.emit(&[], key);
-        self.keys_log.push(key.to_vec());
     }
 
     /// An assignment is valid iff both sides are independent in `G[S]`
@@ -569,22 +589,34 @@ impl<'g> Driver<'g> {
             .collect()
     }
 
-    /// Runs one enumeration unit. Returns `Ok(Some(reason))` when the
-    /// run must stop (the unit should be re-run on resume).
-    #[allow(clippy::too_many_arguments)]
+    /// The unit that owns the induced biclique `{a, b}`, as
+    /// `(code, kind)`; a function of the pair alone (module docs).
+    fn owner(&self, a: &[u32], b: &[u32]) -> (u64, u8) {
+        let mask = |side: &[u32]| {
+            side.iter().filter_map(|v| self.s.binary_search(v).ok()).fold(0u32, |m, i| m | 1 << i)
+        };
+        let (ma, mb) = (mask(a), mask(b));
+        let (ra, rb) = (a.len() > ma.count_ones() as usize, b.len() > mb.count_ones() as usize);
+        let (kind, a_first) = match (ra, rb) {
+            (true, true) => (KIND_CROSSING, a.iter().any(|v| self.x.binary_search(v).is_ok())),
+            (false, false) => (KIND_SAME_SIDE, ma > mb),
+            _ => (KIND_SAME_SIDE, ra),
+        };
+        let (l, r) = if a_first { (ma, mb) } else { (mb, ma) };
+        (encode_assignment(l, r), kind)
+    }
+
+    /// Runs the unit `(code, kind)` of the assignment `(l_mask, r_mask)`.
+    /// Returns `Ok(Some(reason))` when the run must stop (the unit is
+    /// then re-run on resume).
     fn run_unit(
         &mut self,
-        _code: u64,
+        code: u64,
         kind: u8,
         l_mask: u32,
         r_mask: u32,
-        algorithm: Algorithm,
-        order: VertexOrder,
-        threads: usize,
-        control: &RunControl,
-        observer: Option<&dyn Observer>,
-        max_bicliques: Option<u64>,
     ) -> Result<Option<StopReason>, OctError> {
+        self.unit = (code, kind);
         self.stats.units_run += 1;
         let s_l = self.s_of(l_mask);
         let s_r = self.s_of(r_mask);
@@ -601,26 +633,13 @@ impl<'g> Driver<'g> {
                     b.add_edge(lid, j).expect("local ids are dense");
                 }
             }
-            let inst = b.build();
             let left_globals: Vec<u32> = lx.iter().map(|&i| self.x[i as usize]).collect();
             let right_globals: Vec<u32> = ry.iter().map(|&j| self.y[j as usize]).collect();
-            let report = run_engine(&inst, algorithm, order, threads, control, observer)?;
-            self.stats.inner_runs += 1;
-            self.stats.inner_emitted += report.bicliques.len() as u64;
-            self.fold_metrics(&report.metrics);
-            for bic in &report.bicliques {
+            return self.run_inner(&b.build(), |bic| {
                 let p: Vec<u32> = bic.left.iter().map(|&l| left_globals[l as usize]).collect();
                 let q: Vec<u32> = bic.right.iter().map(|&r| right_globals[r as usize]).collect();
-                let a = merge_sorted(&s_l, &p);
-                let bb = merge_sorted(&s_r, &q);
-                if self.consider(a, bb, max_bicliques) {
-                    return Ok(Some(StopReason::EmitBudget));
-                }
-            }
-            if report.stop != StopReason::Completed {
-                return Ok(Some(report.stop));
-            }
-            return Ok(None);
+                (merge_sorted(&s_l, &p), merge_sorted(&s_r, &q))
+            });
         }
 
         // Same-side unit: the second side is exactly S_R; the first is
@@ -628,34 +647,22 @@ impl<'g> Driver<'g> {
         // graph on XA ∪ YA.
         let xa = self.filter_candidates(&self.x, r_mask, l_mask);
         let ya = self.filter_candidates(&self.y, r_mask, l_mask);
+        if xa.is_empty() && ya.is_empty() {
+            // M = ∅: a transversal-only candidate, which the mirrored
+            // unit (S_R, S_L) reaches too. The unit with the larger left
+            // mask (the smaller code) owns it. As S_R ≠ ∅, S_L ≠ ∅ then.
+            if l_mask > r_mask && self.consider(s_l, s_r) {
+                return Ok(Some(StopReason::EmitBudget));
+            }
+            return Ok(None);
+        }
         let xa_globals: Vec<u32> = xa.iter().map(|&i| self.x[i as usize]).collect();
         let ya_globals: Vec<u32> = ya.iter().map(|&j| self.y[j as usize]).collect();
-
-        if xa.is_empty() && ya.is_empty() {
-            if !s_l.is_empty() && self.consider(s_l.clone(), s_r.clone(), max_bicliques) {
-                return Ok(Some(StopReason::EmitBudget));
-            }
-            return Ok(None);
-        }
-        if ya.is_empty() {
-            // Only M = XA is maximal: any further x is same-class.
-            let a = merge_sorted(&s_l, &xa_globals);
-            if self.consider(a, s_r.clone(), max_bicliques) {
-                return Ok(Some(StopReason::EmitBudget));
-            }
-            return Ok(None);
-        }
-        if xa.is_empty() {
-            let a = merge_sorted(&s_l, &ya_globals);
-            if self.consider(a, s_r.clone(), max_bicliques) {
-                return Ok(Some(StopReason::EmitBudget));
-            }
-            return Ok(None);
-        }
 
         self.lg.localize(&self.g_xy, &xa, &ya);
         // M = XA is a maximal independent set iff every YA vertex has a
         // neighbor in XA; M = YA symmetrically (coverage of XA by rows).
+        // So an empty YA leaves M = XA alone, and an empty XA M = YA.
         let mut covered = vec![false; xa.len()];
         let mut all_rows_nonempty = true;
         for j in 0..self.lg.num_right() as u32 {
@@ -669,13 +676,13 @@ impl<'g> Driver<'g> {
         }
         if all_rows_nonempty {
             let a = merge_sorted(&s_l, &xa_globals);
-            if self.consider(a, s_r.clone(), max_bicliques) {
+            if self.consider(a, s_r.clone()) {
                 return Ok(Some(StopReason::EmitBudget));
             }
         }
         if covered.iter().all(|&c| c) {
             let a = merge_sorted(&s_l, &ya_globals);
-            if self.consider(a, s_r.clone(), max_bicliques) {
+            if self.consider(a, s_r.clone()) {
                 return Ok(Some(StopReason::EmitBudget));
             }
         }
@@ -697,39 +704,56 @@ impl<'g> Driver<'g> {
         if comp.num_edges() == 0 {
             return Ok(None);
         }
-        let report = run_engine(&comp, algorithm, order, threads, control, observer)?;
+        self.run_inner(&comp, |bic| {
+            let p: Vec<u32> = bic.left.iter().map(|&l| xa_globals[l as usize]).collect();
+            let q: Vec<u32> = bic.right.iter().map(|&r| ya_globals[r as usize]).collect();
+            (merge_sorted(&s_l, &merge_sorted(&p, &q)), s_r.clone())
+        })
+    }
+
+    /// One run of the stock engine on `inst` under the run's control
+    /// and observer: counts it, folds its telemetry, and considers
+    /// `candidate(bic)` for each biclique it emitted. Returns the stop
+    /// the driver must take, if any.
+    fn run_inner(
+        &mut self,
+        inst: &BipartiteGraph,
+        candidate: impl Fn(&Biclique) -> (Vec<u32>, Vec<u32>),
+    ) -> Result<Option<StopReason>, OctError> {
+        let opts = self.run;
+        let mut run = Enumeration::new(inst)
+            .algorithm(opts.algorithm)
+            .order(opts.order)
+            .threads(opts.threads)
+            .control(opts.control.clone());
+        if let Some(obs) = opts.observer {
+            run = run.observer(obs);
+        }
+        let report = run.collect()?;
         self.stats.inner_runs += 1;
         self.stats.inner_emitted += report.bicliques.len() as u64;
         self.fold_metrics(&report.metrics);
         for bic in &report.bicliques {
-            let p: Vec<u32> = bic.left.iter().map(|&l| xa_globals[l as usize]).collect();
-            let q: Vec<u32> = bic.right.iter().map(|&r| ya_globals[r as usize]).collect();
-            let m = merge_sorted(&p, &q);
-            let a = merge_sorted(&s_l, &m);
-            if self.consider(a, s_r.clone(), max_bicliques) {
+            let (a, b) = candidate(bic);
+            if self.consider(a, b) {
                 return Ok(Some(StopReason::EmitBudget));
             }
         }
-        if report.stop != StopReason::Completed {
-            return Ok(Some(report.stop));
-        }
-        Ok(None)
+        Ok(Some(report.stop).filter(|&s| s != StopReason::Completed))
     }
 
-    /// Dedups, maximality-checks, and (maybe) emits one candidate.
+    /// Maximality-checks and (maybe) emits one candidate of the running
+    /// unit, unless the stopped run this one resumes handled it.
     /// Returns `true` when the emission budget was just exhausted.
-    fn consider(&mut self, a: Vec<u32>, b: Vec<u32>, max_bicliques: Option<u64>) -> bool {
-        use mbe::BicliqueSink;
+    fn consider(&mut self, a: Vec<u32>, b: Vec<u32>) -> bool {
         debug_assert!(!a.is_empty() && !b.is_empty());
-        self.stats.candidates += 1;
+        debug_assert_eq!(self.owner(&a, &b), self.unit, "a candidate outside its owner unit");
         let key = merge_sorted(&a, &b);
-        let before = self.dedup.duplicates();
-        let _ = self.dedup.emit(&[], &key);
-        if self.dedup.duplicates() > before {
-            self.stats.duplicates += 1;
+        if self.skip.binary_search(&key).is_ok() {
             return false;
         }
-        self.keys_log.push(key);
+        self.unit_keys.push(key);
+        self.stats.candidates += 1;
         if !self.is_maximal(&a, &b) {
             self.stats.nonmaximal += 1;
             return false;
@@ -739,13 +763,13 @@ impl<'g> Driver<'g> {
             let (first, second) = if a[0] < b[0] { (a, b) } else { (b, a) };
             self.out.push(Biclique::new(first, second));
         }
-        matches!(max_bicliques, Some(limit) if self.emitted >= limit)
+        matches!(self.run.max_bicliques, Some(limit) if self.emitted >= limit)
     }
 
     /// `true` iff no vertex outside `a ∪ b` can join either side in the
     /// full general graph.
     fn is_maximal(&self, a: &[u32], b: &[u32]) -> bool {
-        let g = self.g;
+        let g = self.run.g;
         // A vertex joining side `a` must be adjacent to all of `b`, so
         // it lives in N(b[0]); symmetrically for side `b`.
         for &v in g.nbr(b[0]) {
@@ -768,26 +792,6 @@ impl<'g> Driver<'g> {
     }
 }
 
-/// One inner bipartite run with the shared control plane.
-fn run_engine(
-    inst: &BipartiteGraph,
-    algorithm: Algorithm,
-    order: VertexOrder,
-    threads: usize,
-    control: &RunControl,
-    observer: Option<&dyn Observer>,
-) -> Result<mbe::Report, MbeError> {
-    let mut run = Enumeration::new(inst)
-        .algorithm(algorithm)
-        .order(order)
-        .threads(threads)
-        .control(control.clone());
-    if let Some(obs) = observer {
-        run = run.observer(obs);
-    }
-    run.collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -801,6 +805,10 @@ mod tests {
         assert_eq!(decode_assignment(2, 3), (0, 0b001));
         assert_eq!(decode_assignment(5, 3), (0b010, 0b001));
         assert_eq!(decode_assignment(26, 3), (0, 0b111));
+        for code in 0..3u64.pow(4) {
+            let (l, r) = decode_assignment(code, 4);
+            assert_eq!(encode_assignment(l, r), code);
+        }
     }
 
     #[test]

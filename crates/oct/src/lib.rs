@@ -11,15 +11,18 @@
 //!    side assignments of `S`, prunes invalid ones by adjacency masks,
 //!    and for each valid assignment builds compact bipartite instances
 //!    solved by the stock [`mbe::Enumeration`] engine.
-//! 3. Candidates from all assignments are deduplicated through an
-//!    R-set trie keyed on the sorted union `A ∪ B` (which uniquely
-//!    determines the pair), maximality-filtered against the full
-//!    graph, and emitted.
+//! 3. Each maximal induced biclique has one *owner* unit, a function
+//!    of the pair alone: crossing units are oriented by certificate
+//!    class, same-side units by the side inside the transversal, and a
+//!    biclique inside the transversal belongs to the mirrored unit
+//!    with `l_mask > r_mask`. So no candidate is found twice; each is
+//!    maximality-filtered against the full graph and emitted.
 //!
-//! Runs are resumable: [`OctCheckpoint`]
-//! carries the next unit address *and* the full dedup key log, so a
-//! stopped run plus its resumption equals the complete run with no
-//! duplicates.
+//! Runs are resumable: [`OctCheckpoint`] carries the next unit address
+//! and the keys of the candidates that unit handled before the stop,
+//! so a stopped run plus its resumption equals the complete run with no
+//! duplicates, and the checkpoint grows with one unit's output, not the
+//! run's.
 
 #![forbid(unsafe_code)]
 
@@ -28,6 +31,6 @@ pub mod decompose;
 pub mod driver;
 pub mod reference;
 
-pub use checkpoint::{OctCheckpoint, OctCheckpointError};
+pub use checkpoint::OctCheckpoint;
 pub use decompose::{decompose, two_color, Class, Decomposition};
 pub use driver::{OctEnumeration, OctError, OctReport, OctStats, DEFAULT_MAX_OCT, MAX_OCT_LIMIT};

@@ -3,16 +3,27 @@
 //! remaining work — `stopped ∪ resumed == complete`, duplicate-free.
 
 use bigraph::general::GeneralGraph;
-use mbe::{RunControl, StopReason};
+use bigraph::order::VertexOrder;
+use mbe::obs::TaskInfo;
+use mbe::{Observer, RunControl, StopReason};
 use oct::{OctCheckpoint, OctEnumeration, OctError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 fn test_graph(seed: u64) -> GeneralGraph {
     let mut rng = StdRng::seed_from_u64(seed);
     let cfg = gen::NearBipartiteConfig::new(10, 9, 40, 4);
     let (g, _) = gen::near_bipartite(&mut rng, &cfg);
+    g
+}
+
+/// `mbe-cli generate oct-planted 20 20 80 4 --seed 5`: the graph of the
+/// `MBOK` fixture.
+fn fixture_graph() -> GeneralGraph {
+    let mut rng = StdRng::seed_from_u64(5);
+    let (g, _) = gen::near_bipartite(&mut rng, &gen::NearBipartiteConfig::new(20, 20, 80, 4));
     g
 }
 
@@ -140,8 +151,8 @@ fn checkpoint_rejects_wrong_graph() {
     let stopped = OctEnumeration::new(&g).max_bicliques(1).collect().expect("run");
     let ckpt = stopped.checkpoint.expect("checkpoint");
     match OctEnumeration::new(&other).resume(ckpt).collect() {
-        Err(OctError::Checkpoint(oct::OctCheckpointError::FingerprintMismatch)) => {}
-        other => panic!("expected FingerprintMismatch, got {:?}", other.map(|r| r.stop)),
+        Err(OctError::Checkpoint(mbe::CheckpointError::GraphMismatch { .. })) => {}
+        other => panic!("expected GraphMismatch, got {:?}", other.map(|r| r.stop)),
     }
 }
 
@@ -180,9 +191,8 @@ fn checkpoint_fixture_reencodes_and_resumes_exactly() {
     assert_eq!(ckpt.emitted, 40);
     assert_eq!(ckpt.order, bigraph::order::VertexOrder::Random(7));
 
-    let mut rng = StdRng::seed_from_u64(5);
-    let (g, _) = gen::near_bipartite(&mut rng, &gen::NearBipartiteConfig::new(20, 20, 80, 4));
-    assert!(ckpt.matches(&g));
+    let g = fixture_graph();
+    assert_eq!(ckpt.matches(&g), Ok(()));
     let complete = OctEnumeration::new(&g).collect().expect("complete run");
     let resumed = OctEnumeration::new(&g).resume(ckpt).collect().expect("resumed run");
     assert!(resumed.is_complete());
@@ -207,4 +217,102 @@ fn zero_threads_means_all_cores() {
     serial.sort();
     all_cores.sort();
     assert_eq!(all_cores, serial);
+}
+
+#[test]
+fn a_checkpoint_past_the_first_unit_carries_only_its_units_keys() {
+    // Every budget stop of the fixture run: those inside the first unit
+    // carry every candidate so far, the later ones only their own
+    // unit's, fewer than the bicliques emitted before them.
+    let g = fixture_graph();
+    let order = VertexOrder::Random(7);
+    let total = OctEnumeration::new(&g).order(order).count().expect("complete run").stats.emitted;
+    let mut later = 0;
+    for budget in 1..total {
+        let stopped =
+            OctEnumeration::new(&g).order(order).max_bicliques(budget).count().expect("run");
+        let ckpt = stopped.checkpoint.expect("a budget stop carries a checkpoint");
+        if (ckpt.next_code, ckpt.next_kind) == (0, 0) {
+            continue;
+        }
+        later += 1;
+        assert!(
+            (ckpt.keys.len() as u64) < ckpt.emitted,
+            "budget {budget}: {} keys after {} bicliques",
+            ckpt.keys.len(),
+            ckpt.emitted
+        );
+    }
+    assert_eq!(later, 46, "budget stops past the first unit");
+}
+
+/// Cancels a shared control at the `k`-th task start it observes.
+struct CancelAtTask {
+    control: RunControl,
+    k: u64,
+    seen: AtomicU64,
+}
+
+impl CancelAtTask {
+    fn new(k: u64) -> Self {
+        CancelAtTask { control: RunControl::new(), k, seen: AtomicU64::new(0) }
+    }
+}
+
+impl Observer for CancelAtTask {
+    fn on_task_start(&self, _worker: usize, _task: &TaskInfo) {
+        if self.seen.fetch_add(1, Ordering::Relaxed) + 1 == self.k {
+            self.control.cancel();
+        }
+    }
+}
+
+#[test]
+fn cancels_inside_units_resume_exactly_at_the_other_thread_count() {
+    // A cancel at a task start stops the inner enumeration of the
+    // running unit. The resume, at the other thread count, re-runs that
+    // unit and skips what it handled before the stop.
+    let (mut stops, mut inside) = (0, 0);
+    for seed in 0..30u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let g = gen::gnp_general(&mut rng, 14 + seed as u32 % 5, 0.35);
+        let mut want = keys_of(&OctEnumeration::new(&g).collect().expect("complete run"));
+        want.sort();
+        for threads in [1, 2] {
+            let starts = CancelAtTask::new(0);
+            OctEnumeration::new(&g).threads(threads).observer(&starts).count().expect("run");
+            for k in 1..=starts.seen.load(Ordering::Relaxed) {
+                let what = format!("seed {seed} threads {threads} k {k}");
+                let cancel = CancelAtTask::new(k);
+                let stopped = OctEnumeration::new(&g)
+                    .threads(threads)
+                    .control(cancel.control.clone())
+                    .observer(&cancel)
+                    .collect()
+                    .expect("cancelled run");
+                let mut union = keys_of(&stopped);
+                match stopped.checkpoint {
+                    Some(ckpt) => {
+                        assert_eq!(stopped.stop, StopReason::Cancelled, "{what}");
+                        stops += 1;
+                        inside += usize::from(!ckpt.keys.is_empty());
+                        let resumed = OctEnumeration::new(&g)
+                            .threads(3 - threads)
+                            .resume(ckpt)
+                            .collect()
+                            .expect("resumed run");
+                        assert!(resumed.is_complete(), "{what}: resume stopped");
+                        union.extend(keys_of(&resumed));
+                    }
+                    None => assert!(stopped.is_complete(), "{what}: no checkpoint"),
+                }
+                let len = union.len();
+                union.sort();
+                union.dedup();
+                assert_eq!(union.len(), len, "{what}: a biclique emitted twice");
+                assert_eq!(union, want, "{what}: stopped ∪ resumed");
+            }
+        }
+    }
+    assert!(inside > 0, "{stops} stops, none inside a unit");
 }

@@ -4,9 +4,10 @@
 //! input happens to be bipartite.
 
 use bigraph::general::GeneralGraph;
+use bigraph::order::VertexOrder;
 use gen::gnp_general;
 use oct::reference::maximal_induced_bicliques;
-use oct::OctEnumeration;
+use oct::{OctEnumeration, OctReport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -112,4 +113,34 @@ fn bipartite_input_matches_direct_engine() {
     assert_eq!(report.stats.oct_size, 0, "bipartite input must decompose with an empty OCT");
     let got = driver_keys(&g, 1);
     assert_eq!(got, expect);
+}
+
+/// FNV-1a of a collected listing, in emission order.
+fn listing_hash(report: &OctReport) -> u64 {
+    let mut bytes = Vec::new();
+    for b in &report.bicliques {
+        for side in [&b.left, &b.right] {
+            for v in side {
+                bytes.extend_from_slice(&v.to_le_bytes());
+            }
+            bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        }
+    }
+    bigraph::codec::fnv1a(&bytes)
+}
+
+#[test]
+fn listings_are_pinned_in_emission_order() {
+    // The fixture graph of `mbe-cli generate oct-planted 20 20 80 4
+    // --seed 5`, and a random graph with transversal-only bicliques,
+    // which two mirrored same-side units reach and only one emits.
+    let mut rng = StdRng::seed_from_u64(5);
+    let (g, _) = gen::near_bipartite(&mut rng, &gen::NearBipartiteConfig::new(20, 20, 80, 4));
+    let fixture = OctEnumeration::new(&g).order(VertexOrder::Random(7)).collect().expect("run");
+    assert_eq!((fixture.stats.emitted, listing_hash(&fixture)), (102, 0x5825_7597_fe48_42d2));
+
+    let mut rng = StdRng::seed_from_u64(16);
+    let g = gnp_general(&mut rng, 18, 0.3);
+    let report = OctEnumeration::new(&g).collect().expect("run");
+    assert_eq!((report.stats.emitted, listing_hash(&report)), (70, 0x0772_a5ce_7946_7c1b));
 }

@@ -35,7 +35,7 @@ fn request(graph: &str, params: QueryParams) -> QueryRequest {
 }
 
 /// Canonical vertex-set keys (sorted `A ∪ B`) of a reply's bicliques —
-/// the same identity the OCT driver dedups on.
+/// the same identity the OCT driver's checkpoints list.
 fn keys(bicliques: &[mbe::Biclique]) -> BTreeSet<Vec<u32>> {
     bicliques
         .iter()

@@ -100,10 +100,10 @@ const KINDS: [Kind; 3] = [Kind::Bipartite, Kind::General, Kind::Shard];
 /// A default-config server with a long query of every kind on hand:
 /// crown(22) preloaded as `slow`, and crown(18) loaded over the wire as
 /// the general graph `slow-general`. A crown has no odd cycle, so the OCT
-/// driver runs it as one long inner run. Its `MBOK` checkpoint keeps one
-/// dedup key per emitted biclique; at n = 18 even a complete run's keys
-/// (about 20 MB) stay under the client's 64 MiB frame cap. Returns the
-/// bipartite graph.
+/// driver runs it as one long inner run, in one unit. Its `MBOK`
+/// checkpoint keeps that unit's key for every emitted biclique; at
+/// n = 18 even a complete run's keys (about 20 MB) stay under the
+/// client's 64 MiB frame cap. Returns the bipartite graph.
 fn start_slow() -> (ServerHandle, ServerJoin, BipartiteGraph) {
     static FILES: AtomicU64 = AtomicU64::new(0);
     let slow = crown(22);
@@ -157,8 +157,9 @@ fn long_reply(kind: Kind, response: Response) -> QueryReply {
 }
 
 /// A cancelled reply carries the checkpoint its kind writes: `MBOK`
-/// bytes with every dedup key so far from the OCT driver, `MBCK` bytes
-/// pinned to `slow` with unexplored frontier otherwise.
+/// bytes with the stopped unit's keys from the OCT driver (the crown
+/// has one unit), `MBCK` bytes pinned to `slow` with unexplored
+/// frontier otherwise.
 fn assert_cancelled_with_checkpoint(kind: Kind, reply: &QueryReply, slow: &BipartiteGraph) {
     assert_eq!(reply.stop, StopReason::Cancelled, "{kind:?}");
     assert!(!reply.cached, "{kind:?}");
